@@ -10,7 +10,7 @@ from . import grammar as gmod
 from . import heuristics as hmod
 from . import parseval, training
 from .pipeline import PipelineConfig, analyze_sentence
-from .tagging import read_tagged_corpus
+from .tagging import TaggedInputError, read_tagged_corpus
 
 
 class CliError(Exception):
@@ -33,7 +33,16 @@ def _load_weights(args, registry) -> list[float]:
     return hmod.uniform_weights(registry)
 
 
+def _require_at_least(flag, value, least) -> None:
+    if value is not None and value < least:
+        raise CliError(f"{flag} must be at least {least}, not {value}")
+
+
 def _pipeline_config(args) -> PipelineConfig:
+    _require_at_least("--top-k", args.top_k, 1)
+    _require_at_least("--filter-k", args.filter_k, 0)
+    _require_at_least("--adjunction-cap", args.adjunction_cap, 0)
+    _require_at_least("--max-parses", args.max_parses, 1)
     return PipelineConfig(
         start=args.start,
         filter_k=None if args.filter_k == 0 else args.filter_k,
@@ -171,6 +180,7 @@ def _read_candidate_lines(path):
 
 
 def cmd_eval(args) -> int:
+    _require_at_least("--top-k", args.top_k, 1)
     candidate_lines = _read_candidate_lines(args.parses)  # blank line = no parse
     gold_lines = [line for line in _read_candidate_lines(args.gold) if line.strip()]
     if len(candidate_lines) != len(gold_lines):
@@ -178,6 +188,8 @@ def cmd_eval(args) -> int:
               f" {args.gold} has {len(gold_lines)}; first unmatched index"
               f" {min(len(candidate_lines), len(gold_lines))}", file=sys.stderr)
         return 1
+    if not gold_lines:
+        raise CliError(f"{args.gold} has no sentences")
     flatten_cats = _flatten_categories(args)
     pairs = []
     for index, (cand_line, gold_line) in enumerate(zip(candidate_lines, gold_lines)):
@@ -191,10 +203,9 @@ def cmd_eval(args) -> int:
                     tree = parseval.flatten(tree, flatten_cats)
                 candidates.append(tree)
         for tree in candidates:
-            if len(tree.leaves()) != len(gold_tree.leaves()):
-                print(f"error: sentence {index}: candidate has"
-                      f" {len(tree.leaves())} words, gold has"
-                      f" {len(gold_tree.leaves())}", file=sys.stderr)
+            if tree.end != gold_tree.end:
+                print(f"error: sentence {index}: candidate has {tree.end} words,"
+                      f" gold has {gold_tree.end}", file=sys.stderr)
                 return 1
         pairs.append((candidates, gold_tree))
     scores = parseval.score_corpus(pairs, top_k=args.top_k,
@@ -253,11 +264,12 @@ def build_records(analyses, gold_trees, recall_mode, flatten_cats):
     """Cache each sentence's candidate vectors and gold metrics for training."""
     records = {}
     for index, (analysis, gold) in enumerate(zip(analyses, gold_trees)):
+        gold_brackets = parseval.brackets_of(gold)
         candidates = []
         for rp in analysis.parses:
             tree = rp.derived.root
             scored = parseval.flatten(tree, flatten_cats) if flatten_cats else tree
-            scores = parseval.evaluate_parse(scored, gold, recall_mode)
+            scores = parseval.evaluate_parse(scored, gold_brackets, recall_mode)
             candidates.append(training.Candidate(rp.vector, scores))
         records[index] = training.SentenceRecord(index, candidates)
     return records
@@ -414,7 +426,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, gmod.GrammarError, hmod.RegistryError, training.TrainingError,
-            parseval.BracketFormatError) as exc:
+            parseval.BracketFormatError, TaggedInputError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except FileNotFoundError as exc:

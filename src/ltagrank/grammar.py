@@ -89,9 +89,6 @@ class TreeNode:
         if self.kind != INTERNAL and self.children:
             raise ValueError(f"{self.kind} node {self.label!r} cannot have children")
 
-    def feature_map(self) -> dict[str, str]:
-        return dict(self.features)
-
     @property
     def is_leaf(self) -> bool:
         return self.kind != INTERNAL
@@ -145,10 +142,6 @@ class ElementaryTree:
         for k in address:
             node = node.children[k - 1]
         return node
-
-    def addresses(self):
-        """Pre-order (address, node) pairs."""
-        return list(_walk(self.root))
 
     @cached_property
     def frontier(self) -> tuple[tuple[Address, TreeNode], ...]:
@@ -278,10 +271,6 @@ class Grammar:
             entry = self.lexicon[(lemma, pos)]
             lines.append(f"lex {lemma} {pos} -> " + ", ".join(entry.selects))
         return "\n".join(lines) + "\n"
-
-    def dump(self, path) -> None:
-        with open(path, "w") as handle:
-            handle.write(self.dumps())
 
 
 def _node_text(node: TreeNode) -> str:

@@ -19,6 +19,7 @@ Weights files are ``heuristic_name<TAB>weight`` lines in registry order.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 from .grammar import Grammar
@@ -339,7 +340,13 @@ def load_weights(path, registry: HeuristicRegistry) -> list[float]:
         name, value = parts
         if name != expected:
             raise RegistryError(f"weights row {name!r} does not match registry {expected!r}")
-        weights.append(float(value))
+        try:
+            weight = float(value)
+        except ValueError:
+            raise RegistryError(f"bad weight {value!r} for {name!r}")
+        if not math.isfinite(weight):
+            raise RegistryError(f"weight {value!r} for {name!r} is not finite")
+        weights.append(weight)
     return weights
 
 

@@ -22,6 +22,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .grammar import (ANCHOR, AUXILIARY, INITIAL, INTERNAL, SUBSTITUTION,
                       Address, Grammar, format_address)
@@ -87,10 +88,17 @@ class DerivationNode:
 
 @dataclass(eq=False, repr=False)
 class DerivedNode:
+    """A phrase-structure node with words at the leaves.
+
+    The one tree type of the toolkit: ``derive`` builds derived trees from
+    it, and ``parseval.read_bracketed`` and ``parseval.flatten`` build gold
+    and flattened trees.  ``assign_spans`` fills in each node's word span
+    ``[start, end)`` and its ``parent``.
+    """
+
     label: str
     children: list = field(default_factory=list)  # DerivedNode | str
     features: dict = field(default_factory=dict)
-    source: tuple | None = None  # (tree name, anchor index, address)
     start: int = -1
     end: int = -1
     parent: "DerivedNode | None" = None
@@ -122,9 +130,6 @@ class DerivedNode:
 class AdjunctionRecord:
     """Provenance of one adjunction in a derived tree, for the ranking heuristics."""
 
-    aux_tree: str
-    anchor_index: int
-    address: Address
     root_node: DerivedNode   # the spliced-in top half
     host_node: DerivedNode   # the original node, now under the foot position
     modifier_label: str | None
@@ -211,14 +216,6 @@ class ParseForest:
 
     def has_parse(self) -> bool:
         return next(self.iter_derivations(), None) is not None
-
-    def derivation_count(self, limit=None) -> int:
-        count = 0
-        for _ in self.iter_derivations():
-            count += 1
-            if limit is not None and count >= limit:
-                break
-        return count
 
 
 def max_adjunction_stack(grammar: Grammar, derivation: DerivationNode) -> int:
@@ -380,12 +377,7 @@ def enumerate_derivations(forest: ParseForest, limit: int | None = None):
 
     Repeated calls yield identical prefixes.
     """
-    out = []
-    for derivation in forest.iter_derivations():
-        out.append(derivation)
-        if limit is not None and len(out) >= limit:
-            break
-    return out
+    return list(islice(forest.iter_derivations(), limit))
 
 
 # ---------------------------------------------------------------------------
@@ -414,7 +406,7 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
     anchors: list[tuple[DerivedNode, int]] = []
     top, _ = _build(grammar, derivation, words, records, anchors, check_features)
 
-    _assign_spans(top, 0)
+    assign_spans(top, 0)
     offsets = {index - node.start for node, index in anchors}
     if len(offsets) != 1:
         raise DerivationError("anchor positions are inconsistent with the word order")
@@ -452,21 +444,22 @@ def _build(grammar, derivation, words, records, anchors, check_features):
             f"anchor index {derivation.anchor_index} outside the sentence")
 
     by_address: dict[Address, DerivedNode] = {}
+    slots: dict[Address, tuple[list, int]] = {}  # (parent's children, index)
 
     def clone(tnode, address):
-        node = DerivedNode(tnode.label, [], dict(tnode.features),
-                           (derivation.tree, derivation.anchor_index, address))
+        node = DerivedNode(tnode.label, [], dict(tnode.features))
         by_address[address] = node
         if tnode.kind == ANCHOR:
             node.children = [words[derivation.anchor_index]]
             anchors.append((node, derivation.anchor_index))
         elif tnode.kind == INTERNAL:
-            node.children = [clone(child, address + (k,))
-                             for k, child in enumerate(tnode.children, start=1)]
+            for index, child in enumerate(tnode.children):
+                child_address = address + (index + 1,)
+                node.children.append(clone(child, child_address))
+                slots[child_address] = (node.children, index)
         return node
 
     top = clone(tree.root, ())
-    foot_placeholder = by_address.get(tree.foot_address) if tree.foot_address else None
 
     seen: set[Address] = set()
     for att in derivation.attachments:
@@ -502,7 +495,8 @@ def _build(grammar, derivation, words, records, anchors, check_features):
                 child_top.features = _unify(
                     child_top.features, target.features,
                     f"substitution at {format_address(att.address)}")
-            _replace(top, target, child_top)
+            siblings, index = slots[att.address]
+            siblings[index] = child_top
         elif att.op == OP_ADJUNCTION:
             if target_kind != INTERNAL:
                 raise DerivationError(
@@ -515,57 +509,40 @@ def _build(grammar, derivation, words, records, anchors, check_features):
                 raise DerivationError(
                     f"adjoining {child_tree.root.label!r} tree {att.child.tree!r}"
                     f" at {target.label!r} node of {derivation.tree!r}")
-            child_top, child_foot = _build(grammar, att.child, words, records,
-                                           anchors, check_features)
+            child_top, (foot_siblings, foot_index) = _build(
+                grammar, att.child, words, records, anchors, check_features)
             if check_features:
                 child_top.features = _unify(
                     child_top.features, target.features,
                     f"adjunction at {format_address(att.address)}")
                 target.features = _unify(
-                    target.features, child_foot.features,
+                    target.features, foot_siblings[foot_index].features,
                     f"foot of {att.child.tree!r}")
             if target is top:
-                _replace_child_only(child_top, child_foot, target)
                 top = child_top
             else:
-                _replace(top, target, child_top)
-                _replace_child_only(child_top, child_foot, target)
+                siblings, index = slots[att.address]
+                siblings[index] = child_top
+            foot_siblings[foot_index] = target
             info = child_tree.modifier_info
             records.append(AdjunctionRecord(
-                att.child.tree, att.child.anchor_index, att.address,
                 child_top, target,
                 info[0] if info else None, info[1] if info else None))
         else:
             raise DerivationError(f"unknown operation {att.op!r}")
 
-    return top, foot_placeholder
+    return top, slots.get(tree.foot_address)
 
 
-def _replace(root: DerivedNode, old: DerivedNode, new: DerivedNode) -> None:
-    if not _replace_child_only(root, old, new):
-        raise DerivationError("internal error: node to replace not found")
-
-
-def _replace_child_only(root, old, new) -> bool:
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for index, child in enumerate(node.children):
-            if child is old:
-                node.children[index] = new
-                return True
-            if isinstance(child, DerivedNode):
-                stack.append(child)
-    return False
-
-
-def _assign_spans(node: DerivedNode, start: int) -> int:
+def assign_spans(node: DerivedNode, start: int) -> int:
+    """Set the span and parent of every node below ``node``, whose first word
+    is word ``start``; returns the end of its span."""
     node.start = start
     position = start
     for child in node.children:
         if isinstance(child, DerivedNode):
             child.parent = node
-            position = _assign_spans(child, position)
+            position = assign_spans(child, position)
         else:
             position += 1
     node.end = position

@@ -1,5 +1,7 @@
 """Bracketing comparison: crossing brackets, recall, precision, flattening.
 
+Derived, gold and flattened trees are all ``parser.DerivedNode`` trees whose
+nodes carry their word spans, so a bracketing is read off the nodes.
 Candidate and gold bracketings are compared after normalization; by default
 labels are stripped and single-word and whole-sentence spans dropped, each
 step individually switchable.  Two recall conventions are supported:
@@ -11,6 +13,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from statistics import mean
+
+from .parser import DerivedNode, assign_spans
 
 AGGREGATIONS = ("first", "best_of_k", "mean_of_k")
 RECALL_MODES = ("standard", "paper_literal")
@@ -24,29 +28,11 @@ class BracketFormatError(ValueError):
         super().__init__(message)
 
 
-@dataclass(frozen=True)
-class SimpleNode:
-    """A plain labeled tree with words at the leaves."""
+def read_bracketed(text: str) -> DerivedNode:
+    """Parse one Penn-style bracketed tree, e.g. ``(S (NP (N dogs)) (VP (V bark)))``.
 
-    label: str
-    children: tuple = ()  # SimpleNode | str
-
-    def to_string(self) -> str:
-        parts = [c.to_string() if isinstance(c, SimpleNode) else c for c in self.children]
-        return "(" + self.label + " " + " ".join(parts) + ")"
-
-    def leaves(self) -> list[str]:
-        out = []
-        for child in self.children:
-            if isinstance(child, SimpleNode):
-                out.extend(child.leaves())
-            else:
-                out.append(child)
-        return out
-
-
-def read_bracketed(text: str) -> SimpleNode:
-    """Parse one Penn-style bracketed tree, e.g. ``(S (NP (N dogs)) (VP (V bark)))``."""
+    Returns the root of a ``DerivedNode`` tree with spans from word 0.
+    """
     tokens = []
     i = 0
     while i < len(text):
@@ -88,15 +74,16 @@ def read_bracketed(text: str) -> SimpleNode:
         pos += 1
         if not children:
             raise BracketFormatError(f"node {label!r} has no children", where)
-        return SimpleNode(label, tuple(children))
+        return DerivedNode(label, children)
 
     node = parse_node()
     if pos != len(tokens):
         raise BracketFormatError("trailing material after tree", tokens[pos][1])
+    assign_spans(node, 0)
     return node
 
 
-def read_bracketed_corpus(path) -> list[SimpleNode]:
+def read_bracketed_corpus(path) -> list[DerivedNode]:
     trees = []
     with open(path) as handle:
         for raw in handle:
@@ -120,21 +107,14 @@ def _coerce_node(tree):
 
 
 def brackets_of(tree) -> Bracketing:
-    """One labeled span per internal node, single-word and root spans included."""
-    node = _coerce_node(tree)
-    spans = []
+    """One labeled span per internal node, single-word and root spans included.
 
-    def visit(item, start):
-        if isinstance(item, str):
-            return start + 1
-        position = start
-        for child in item.children:
-            position = visit(child, position)
-        spans.append((start, position, item.label))
-        return position
-
-    length = visit(node, 0)
-    return Bracketing(length, frozenset(spans))
+    Spans are read off the nodes, relative to the start of ``tree``.
+    """
+    root = _coerce_node(tree)
+    base = root.start
+    return Bracketing(root.end - base, frozenset(
+        (node.start - base, node.end - base, node.label) for node in root.walk()))
 
 
 def normalize(bracketing: Bracketing, unlabeled: bool = True,
@@ -303,17 +283,18 @@ def score_corpus(pairs, top_k: int = 6, aggregation: str = "mean_of_k",
 # ---------------------------------------------------------------------------
 # flattening
 
-def flatten(tree, categories) -> SimpleNode:
+def flatten(tree, categories) -> DerivedNode:
     """Remove the internal structure of the given categories.
 
     Each topmost node labeled in ``categories`` keeps its label but its
     category-labeled descendants are spliced out and preterminals beneath it
     dissolve into their words; subtrees with other labels survive intact
-    (and are flattened internally in turn).
+    (and are flattened internally in turn).  Returns a new ``DerivedNode``
+    tree with spans from word 0.
     """
-    cats = frozenset(categories)
-    node = _coerce_node(tree)
-    return _flatten_node(node, cats)
+    node = _flatten_node(_coerce_node(tree), frozenset(categories))
+    assign_spans(node, 0)
+    return node
 
 
 def _is_preterminal(node) -> bool:
@@ -324,9 +305,8 @@ def _flatten_node(node, cats):
     if isinstance(node, str):
         return node
     if node.label in cats:
-        return SimpleNode(node.label, tuple(_gather(node, cats)))
-    return SimpleNode(node.label,
-                      tuple(_flatten_node(child, cats) for child in node.children))
+        return DerivedNode(node.label, list(_gather(node, cats)))
+    return DerivedNode(node.label, [_flatten_node(child, cats) for child in node.children])
 
 
 def _gather(node, cats):

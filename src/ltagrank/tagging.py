@@ -33,17 +33,6 @@ class TreeAssignment:
 
     candidates: list[list[str]]
 
-    def items(self):
-        for index, names in enumerate(self.candidates):
-            for name in names:
-                yield name, index
-
-    def counts(self) -> list[int]:
-        return [len(names) for names in self.candidates]
-
-    def copy(self) -> "TreeAssignment":
-        return TreeAssignment([list(names) for names in self.candidates])
-
     def __len__(self):
         return len(self.candidates)
 
@@ -90,11 +79,3 @@ def select_trees(grammar: Grammar, sentence: list[TaggedWord],
                 names |= grammar.trees_with_anchor_pos(tag)
         candidates.append(sorted(names))
     return TreeAssignment(candidates)
-
-
-def untagged_candidates(grammar: Grammar, word: str) -> set[str]:
-    """Candidate trees for a word ignoring tags: the union over all its POS entries."""
-    names: set[str] = set()
-    for pos in grammar.pos_tags_for_word(word):
-        names |= grammar.trees_for_word(word, pos)
-    return names

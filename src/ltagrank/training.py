@@ -11,6 +11,7 @@ the best held-out checkpoint seen, which is what the held-out set is for.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass, field, asdict
 
@@ -91,6 +92,8 @@ class TrainConfig:
         if self.top_k < 1 or self.delta_scale <= 0 or self.strike_limit < 1 \
                 or self.max_iterations < 1:
             raise TrainingError("config values must be positive")
+        if not math.isfinite(self.delta_scale):
+            raise TrainingError(f"delta_scale {self.delta_scale} is not finite")
 
 
 def sentence_scores(record: SentenceRecord, weights, top_k: int,

@@ -174,6 +174,14 @@ def derivation_universe(grammar, start, max_anchors):
     return universe
 
 
+def untagged_candidates(grammar, word):
+    """Candidate trees for a word ignoring tags: the union over all its POS entries."""
+    names = set()
+    for pos in grammar.pos_tags_for_word(word):
+        names |= grammar.trees_for_word(word, pos)
+    return names
+
+
 # ---------------------------------------------------------------------------
 # crossing-bracket oracle
 

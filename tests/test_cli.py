@@ -184,3 +184,108 @@ def test_console_script_runs():
         capture_output=True, text=True)
     assert result.returncode == 0
     assert "trees:" in result.stdout
+
+
+# ---------------------------------------------------------------------------
+# golden outputs on sample/
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SAMPLE_GRAMMAR = ["--grammar", SAMPLE / "grammar.ltag", "--freq", SAMPLE / "freq.tsv"]
+
+# name -> argv; each run's stdout is compared with golden/<name>.out
+GOLDEN_COMMANDS = {
+    "parse": ["parse", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+              "--report", "parse.jsonl"],
+    "rank": ["rank", *SAMPLE_GRAMMAR, "--weights", SAMPLE / "weights.tsv",
+             SAMPLE / "corpus.tagged", "--report", "rank.jsonl"],
+    "eval": ["eval", SAMPLE / "gold.brackets", "--gold", SAMPLE / "gold.brackets",
+             "--flatten", "NP,VP"],
+    "train": ["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+              "--gold", SAMPLE / "gold.brackets", "--ratios", "3,1,1", "--seed", "9",
+              "--aggregation", "first", "--max-iterations", "500",
+              "--weights-out", "trained.tsv", "--log", "train.log"],
+}
+# files the commands write, compared with golden/<name>; reports lose their
+# config record, which holds paths
+GOLDEN_FILES = ["parse.jsonl", "rank.jsonl", "train.log", "trained.tsv"]
+
+
+def golden_outputs(capsys) -> dict:
+    """name -> bytes of every golden output, running in the current directory."""
+    outputs = {}
+    for name, argv in GOLDEN_COMMANDS.items():
+        code, out, _ = run(argv, capsys)
+        assert code == 0, name
+        outputs[f"{name}.out"] = out.encode()
+    for name in GOLDEN_FILES:
+        lines = Path(name).read_bytes().splitlines(keepends=True)
+        if name.endswith(".jsonl"):
+            lines = [line for line in lines if json.loads(line)["type"] != "config"]
+        outputs[name] = b"".join(lines)
+    return outputs
+
+
+def test_golden_outputs_on_sample(tmp_path, monkeypatch, capsys):
+    """Byte-identical CLI output on sample/.  A change meant to alter the
+    output re-records golden/ from golden_outputs()."""
+    monkeypatch.chdir(tmp_path)
+    outputs = golden_outputs(capsys)
+    assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(outputs)
+    for name, data in outputs.items():
+        assert data == (GOLDEN / name).read_bytes(), name
+
+
+# ---------------------------------------------------------------------------
+# bad input: one error line, exit code 1
+
+def assert_one_error(code, err):
+    assert code == 1
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+def test_token_without_tag_is_an_error(tmp_path, capsys):
+    corpus = tmp_path / "c.tagged"
+    corpus.write_text("the/D part bark/V\n")
+    for argv in (["parse", *SAMPLE_GRAMMAR, corpus],
+                 ["rank", *SAMPLE_GRAMMAR, corpus],
+                 ["train", *SAMPLE_GRAMMAR, corpus, "--gold", SAMPLE / "gold.brackets",
+                  "--weights-out", tmp_path / "w.tsv", "--log", tmp_path / "log"]):
+        code, _, err = run(argv, capsys)
+        assert_one_error(code, err)
+        assert "'part'" in err
+
+
+def test_eval_empty_files_is_an_error(tmp_path, capsys):
+    empty = tmp_path / "empty.txt"
+    empty.write_text("")
+    code, _, err = run(["eval", empty, "--gold", empty], capsys)
+    assert_one_error(code, err)
+
+
+def test_eval_top_k_zero_is_an_error(capsys):
+    code, _, err = run(["eval", SAMPLE / "gold.brackets", "--gold",
+                        SAMPLE / "gold.brackets", "--top-k", "0"], capsys)
+    assert_one_error(code, err)
+    assert "--top-k" in err
+
+
+def test_negative_filter_k_is_an_error(capsys):
+    code, _, err = run(["parse", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                        "--filter-k", "-1"], capsys)
+    assert_one_error(code, err)
+    assert "--filter-k" in err
+
+
+def test_negative_adjunction_cap_is_an_error(capsys):
+    code, _, err = run(["rank", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                        "--adjunction-cap", "-1"], capsys)
+    assert_one_error(code, err)
+    assert "--adjunction-cap" in err
+
+
+def test_max_parses_zero_is_an_error(capsys):
+    code, _, err = run(["parse", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                        "--max-parses", "0"], capsys)
+    assert_one_error(code, err)
+    assert "--max-parses" in err

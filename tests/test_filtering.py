@@ -154,8 +154,8 @@ def test_report_bookkeeping_identity():
         sentence = tag(text)
         assignment = lt.select_trees(g, sentence)
         _, report = filter_with_fallback(g, sentence, assignment, g.freq, 3, _parse_fn)
-        for before, position in zip(assignment.counts(), report.positions):
-            assert position.before == before
+        for names, position in zip(assignment.candidates, report.positions):
+            assert position.before == len(names)
             assert position.before == (position.removed_structure
                                        + position.removed_frequency
                                        + position.survivors)

@@ -176,8 +176,8 @@ def test_initial_with_foot_rejected():
 def test_features_parse_and_round_trip():
     g = lt.loads("tree T : initial (NP[wh=no] N@[num=pl,case=nom])\n")
     root = g.trees["T"].root
-    assert root.feature_map() == {"wh": "no"}
-    assert root.children[0].feature_map() == {"num": "pl", "case": "nom"}
+    assert dict(root.features) == {"wh": "no"}
+    assert dict(root.children[0].features) == {"num": "pl", "case": "nom"}
     assert lt.loads(g.dumps()) == g
 
 

@@ -196,6 +196,18 @@ def test_weights_file_round_trip(tmp_path):
         load_weights(path, reg)
 
 
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "heavy"])
+def test_weights_file_rejects_non_finite(tmp_path, value):
+    reg = default_registry()
+    path = tmp_path / "weights.tsv"
+    save_weights(path, reg, uniform_weights(reg))
+    rows = path.read_text().splitlines()
+    rows[3] = rows[3].split("\t")[0] + "\t" + value
+    path.write_text("\n".join(rows) + "\n")
+    with pytest.raises(RegistryError, match=repr(value)):
+        load_weights(path, reg)
+
+
 def test_uniform_and_zero_weights():
     reg = default_registry()
     assert uniform_weights(reg) == [1.0] * 11

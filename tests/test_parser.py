@@ -61,6 +61,7 @@ def test_enumerate_limit_is_prefix():
     full = lt.enumerate_derivations(forest)
     assert len(full) == 2
     assert lt.enumerate_derivations(forest, 1) == full[:1]
+    assert lt.enumerate_derivations(forest, 0) == []
     assert lt.enumerate_derivations(forest, 100) == full
 
 
@@ -209,9 +210,40 @@ lex bark V -> Verb_Pl
         lt.derive(grammar, bad, ["dog", "bark"], check_features=True)
 
 
+ADJUNCTION_FEATURE_GRAMMAR = """
+tree Noun_Phrase : initial (NP N@)
+tree Verb_Intrans : initial (S[a=1] NP^ (VP V@))
+tree Adverb_Top_Clash : auxiliary (S[a=2] S* ADV@)
+tree Adverb_Foot_Clash : auxiliary (S S*[a=2] ADV@)
+tree Adverb_Top_Foot : auxiliary (S[b=1] S*[b=2] ADV@)
+"""
+
+
+@pytest.mark.parametrize("adverb, derived", [
+    ("Adverb_Top_Clash", None),
+    ("Adverb_Foot_Clash", None),
+    # the auxiliary's top unifies with the host before the host unifies with
+    # the foot; the other order would clash on b
+    ("Adverb_Top_Foot", "(S (S (NP (N dogs)) (VP (V bark))) (ADV now))"),
+])
+def test_adjunction_feature_checking(adverb, derived):
+    grammar = lt.loads(ADJUNCTION_FEATURE_GRAMMAR)
+    derivation = DerivationNode("Verb_Intrans", 1, (
+        Attachment(DerivationNode("Noun_Phrase", 0), OP_SUBSTITUTION, (1,)),
+        Attachment(DerivationNode(adverb, 2), OP_ADJUNCTION, ()),
+    ))
+    words = ["dogs", "bark", "now"]
+    if derived is None:
+        with pytest.raises(FeatureConflict):
+            lt.derive(grammar, derivation, words, check_features=True)
+    else:
+        assert lt.derive(grammar, derivation, words,
+                         check_features=True).to_string() == derived
+
+
 def test_forest_counts():
     g = lt.loads(PP_GRAMMAR)
     forest = _forest(g, "saw/V the/D man/N with/P the/D telescope/N")
-    assert forest.derivation_count() == 2
-    assert forest.derivation_count(limit=1) == 1
+    assert len(lt.enumerate_derivations(forest)) == 2
+    assert len(lt.enumerate_derivations(forest, 1)) == 1
     assert forest.has_parse()

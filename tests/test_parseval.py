@@ -2,8 +2,11 @@ import random
 
 import pytest
 
+import ltagrank as lt
 import ltagrank.parseval as pv
+from ltagrank.parser import DerivedNode
 from oracles import brute_force_crossing, random_binary_bracketing
+from toygrammars import MODIFIER_GRAMMAR, parses_of
 
 
 def test_brackets_of_spec_examples():
@@ -17,6 +20,19 @@ def test_brackets_of_spec_examples():
 def test_brackets_round_trip():
     tree = pv.read_bracketed("(S (NP (D the) (N dogs)) (VP (V bark)))")
     assert pv.brackets_of(tree.to_string()) == pv.brackets_of(tree)
+
+
+def test_derived_gold_and_flattened_trees_share_one_type():
+    g = lt.loads(MODIFIER_GRAMMAR)
+    for _, derived in parses_of(g, "big/A old/A dogs/N bark/V quickly/ADV"):
+        text = derived.to_string()
+        flat = pv.flatten(derived, {"NP"})
+        assert type(derived.root) is type(pv.read_bracketed(text)) is type(flat) \
+            is DerivedNode
+        assert flat.to_string() == pv.flatten(text, {"NP"}).to_string()
+        # spans read off every subtree, relative to its first word
+        for node in derived.root.walk():
+            assert pv.brackets_of(node) == pv.brackets_of(node.to_string())
 
 
 def test_malformed_bracket_string():

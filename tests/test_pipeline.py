@@ -45,9 +45,8 @@ def test_analyze_unknown_word_unparsed():
 def test_tree_assignment_items():
     grammar = lt.loads(OFPP_GRAMMAR)
     assignment = lt.select_trees(grammar, tag("the/D part/N"))
-    pairs = list(assignment.items())
-    assert ("Determiner", 0) in pairs
-    assert ("Noun_Phrase", 1) in pairs
+    assert "Determiner" in assignment.candidates[0]
+    assert "Noun_Phrase" in assignment.candidates[1]
 
 
 def test_feature_checking_drops_conflicting_parse():

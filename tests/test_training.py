@@ -1,4 +1,5 @@
 import json
+import math
 import random
 
 import pytest
@@ -288,5 +289,8 @@ def test_config_validation():
         TrainConfig(top_k=0)
     with pytest.raises(TrainingError):
         TrainConfig(delta_scale=0.0)
+    for scale in (math.nan, math.inf):
+        with pytest.raises(TrainingError, match="not finite"):
+            TrainConfig(delta_scale=scale)
     with pytest.raises(TrainingError):
         TrainConfig(strike_limit=0)
