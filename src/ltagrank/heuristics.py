@@ -247,7 +247,7 @@ def extract(registry: HeuristicRegistry, grammar: Grammar,
                 if h.disprefer.matches(tree.anchor_pos, name):
                     value += 1
         elif h.builtin == BUILTIN_ADJUNCTIONS:
-            value = derivation.adjunction_count()
+            value = len(derived.adjunctions)
         elif h.builtin == BUILTIN_PP_HEIGHT:
             value = sum(_bypassed_lower(rec, h.sites) for rec in derived.adjunctions
                         if rec.modifier_label in h.modifier)

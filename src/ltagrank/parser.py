@@ -13,6 +13,12 @@ correct side of their anchor, substitution consumes a finished initial tree
 of matching category, and adjunction wraps a finished auxiliary tree around
 a "bot" item whose span equals the auxiliary's foot span.
 
+Each item holds its distinct ways (the deductions that posted it) in the
+order they were first derived.  Enumeration unpacks them lazily in that
+order, and the adjunction cap is enforced there: a way that would stack
+adjunctions along a spine deeper than the cap is skipped before anything
+under it is enumerated.
+
 Conventions enforced here: every word anchors exactly one elementary tree
 per derivation, at most one adjunction per node, and no adjunction at
 anchor, substitution or foot nodes.
@@ -52,18 +58,7 @@ class DerivationNode:
 
     tree: str
     anchor_index: int
-    attachments: tuple[Attachment, ...] = ()
-
-    def adjunction_count(self) -> int:
-        total = 0
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            for att in node.attachments:
-                if att.op == OP_ADJUNCTION:
-                    total += 1
-                stack.append(att.child)
-        return total
+    attachments: tuple[Attachment, ...] = ()  # in address order
 
     def instances(self):
         """All (tree name, anchor index) pairs in this derivation."""
@@ -151,65 +146,58 @@ class DerivedTree:
 # chart items
 
 class _Item:
-    __slots__ = ("key", "ways", "_seen")
+    __slots__ = ("ways",)
 
-    def __init__(self, key):
-        self.key = key
-        self.ways = []
-        self._seen = set()
-
-    def add_way(self, way) -> None:
-        if way not in self._seen:
-            self._seen.add(way)
-            self.ways.append(way)
+    def __init__(self):
+        self.ways = {}  # distinct ways, in first-derived order; values unused
 
 
 class ParseForest:
     """Packed derivations of one sentence; immutable once parsing finishes."""
 
-    def __init__(self, grammar, words, start, chart, goals, adjunction_cap):
+    def __init__(self, grammar, chart, goals, adjunction_cap):
         self.grammar = grammar
-        self.words = words
-        self.start = start
         self._chart = chart
         self._goals = goals
         self.adjunction_cap = adjunction_cap
 
     def iter_derivations(self):
-        cap = self.adjunction_cap
         for goal in self._goals:
-            for derivation in self._instance_derivations(goal):
-                if cap is not None and max_adjunction_stack(self.grammar, derivation) > cap:
-                    continue
-                yield derivation
+            yield from self._instance_derivations(goal, 0)
 
-    def _instance_derivations(self, root_key):
+    def _instance_derivations(self, root_key, chain):
+        # chain: adjunctions stacked along a spine down to this instance's root
         tree_name, anchor = root_key[1], root_key[2]
-        for atts in self._attachments(root_key):
-            yield DerivationNode(tree_name, anchor,
-                                 tuple(sorted(atts, key=lambda a: a.address)))
+        spine = self.grammar.trees[tree_name].spine
+        for atts in self._attachments(root_key, spine, chain):
+            yield DerivationNode(tree_name, anchor, atts)
 
-    def _attachments(self, key):
-        # restartable recursive generators keep enumeration lazy
+    def _attachments(self, key, spine, chain):
+        # restartable recursive generators keep enumeration lazy; every
+        # attachment tuple comes out in address order
         address = key[3]
+        cap = self.adjunction_cap
         for way in self._chart[key].ways:
             kind = way[0]
             if kind in ("anchor", "foot"):
                 yield ()
             elif kind in ("no_adjoin", "first", "complete"):
-                yield from self._attachments(way[1])
+                yield from self._attachments(way[1], spine, chain)
             elif kind == "subst":
-                for child in self._instance_derivations(way[1]):
+                for child in self._instance_derivations(way[1], 0):
                     yield (Attachment(child, OP_SUBSTITUTION, address),)
             elif kind == "adjoin":
+                depth = chain + 1 if address in spine else 1
+                if cap is not None and depth > cap:
+                    continue
                 aux_key, host_key = way[1], way[2]
-                for host_atts in self._attachments(host_key):
-                    for child in self._instance_derivations(aux_key):
-                        yield host_atts + (Attachment(child, OP_ADJUNCTION, address),)
+                for host_atts in self._attachments(host_key, spine, chain):
+                    for child in self._instance_derivations(aux_key, depth):
+                        yield (Attachment(child, OP_ADJUNCTION, address),) + host_atts
             elif kind == "step":
                 dot_key, child_key = way[1], way[2]
-                for left in self._attachments(dot_key):
-                    for right in self._attachments(child_key):
+                for left in self._attachments(dot_key, spine, chain):
+                    for right in self._attachments(child_key, spine, chain):
                         yield left + right
             else:  # pragma: no cover
                 raise AssertionError(f"unknown way {kind}")
@@ -218,33 +206,16 @@ class ParseForest:
         return next(self.iter_derivations(), None) is not None
 
 
-def max_adjunction_stack(grammar: Grammar, derivation: DerivationNode) -> int:
-    """Longest chain of adjunctions stacked along a single spine path."""
-    best = 0
-    stack = [(derivation, 0)]
-    while stack:
-        node, chain = stack.pop()
-        spine = grammar.trees[node.tree].spine
-        for att in node.attachments:
-            if att.op == OP_ADJUNCTION:
-                depth = chain + 1 if att.address in spine else 1
-                best = max(best, depth)
-                stack.append((att.child, depth))
-            else:
-                stack.append((att.child, 0))
-    return best
-
-
 def parse(grammar: Grammar, sentence, assignment, start: str = "S",
           adjunction_cap: int | None = None) -> ParseForest:
     """Parse a tagged sentence given its per-position candidate trees.
 
     Returns a forest packing every derivation over the candidates; an empty
     forest is a normal outcome, not an error.  ``adjunction_cap``, when set,
-    drops derivations whose spine-stacked adjunction depth exceeds it.
+    bounds the number of adjunctions stacked along one spine path: the
+    forest's enumeration skips every derivation deeper than that.
     """
-    words = [w.surface for w in sentence]
-    n = len(words)
+    n = len(sentence)
     if n == 0:
         raise ValueError("cannot parse an empty sentence")
     for position, names in enumerate(assignment.candidates):
@@ -275,10 +246,9 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
     def post(key, way):
         item = chart.get(key)
         if item is None:
-            item = _Item(key)
-            chart[key] = item
+            item = chart[key] = _Item()
             agenda.append(key)
-        item.add_way(way)
+        item.ways[way] = None
 
     # axioms: anchors scan their word; feet of auxiliaries may match any span
     # on their side of the anchor
@@ -369,7 +339,7 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
         else:
             process_dot(key)
 
-    return ParseForest(grammar, words, start, chart, goals, adjunction_cap)
+    return ParseForest(grammar, chart, goals, adjunction_cap)
 
 
 def enumerate_derivations(forest: ParseForest, limit: int | None = None):

@@ -15,7 +15,6 @@ from .tagging import TreeAssignment, select_trees
 class PipelineConfig:
     start: str = "S"
     filter_k: int | None = 3
-    use_structural: bool = True
     adjunction_cap: int | None = None
     check_features: bool = False
     open_class_fallback: bool = False
@@ -59,10 +58,8 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
         forest, report = filter_with_fallback(
             grammar, sentence, assignment, grammar.freq, filter_k, parse_fn)
     else:
-        filtered = assignment
-        if config.use_structural:
-            filtered = structural_filter(grammar, sentence, assignment)
-        forest = parse_fn(grammar, sentence, filtered)
+        forest = parse_fn(grammar, sentence,
+                          structural_filter(grammar, sentence, assignment))
 
     derivations = enumerate_derivations(forest, config.max_parses)
     pairs = []

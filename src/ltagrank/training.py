@@ -54,8 +54,8 @@ def split(ids, proportions, seed: int) -> SplitSpec:
     ids = list(ids)
     if len(ids) < 3:
         raise TrainingError(f"corpus of {len(ids)} sentences cannot be split three ways")
-    if len(proportions) != 3 or any(p < 0 for p in proportions):
-        raise TrainingError("proportions must be three non-negative numbers")
+    if len(proportions) != 3 or not all(0 <= p < math.inf for p in proportions):
+        raise TrainingError("proportions must be three finite non-negative numbers")
     total = sum(proportions)
     if total <= 0:
         raise TrainingError("proportions must not all be zero")
@@ -224,6 +224,10 @@ def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
                            list(weights), 0, 0, 0, rng.getstate())
     else:
         state = resume_state
+        if len(state.weights) != len(names) or len(state.best_weights) != len(names):
+            raise TrainingError(
+                f"resumed weight vector has {len(state.weights)} entries"
+                f" but there are {len(names)} heuristics")
 
     entries: list[LogEntry] = []
     heldout_history: list[float] = []
@@ -280,10 +284,18 @@ def read_log_state(path) -> TrainState:
     """Recover the trainer state from the end of a log, for --resume."""
     state = None
     with open(path) as handle:
-        for line in handle:
-            record = json.loads(line)
-            if record.get("type") == "state":
-                state = TrainState.from_dict(record)
+        for number, line in enumerate(handle, start=1):
+            try:
+                record = json.loads(line)
+            except ValueError:
+                raise TrainingError(f"{path}, line {number}: not a JSON record") from None
+            if isinstance(record, dict) and record.get("type") == "state":
+                try:
+                    state = TrainState.from_dict(record)
+                except (KeyError, TypeError, IndexError) as exc:
+                    raise TrainingError(
+                        f"{path}, line {number}: malformed state record"
+                        f" ({type(exc).__name__}: {exc})") from None
     if state is None:
         raise TrainingError(f"no state record found in {path}")
     return state

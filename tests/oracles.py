@@ -174,6 +174,27 @@ def derivation_universe(grammar, start, max_anchors):
     return universe
 
 
+def stack_depth(grammar, derivation, chain=0) -> int:
+    """Longest chain of adjunctions stacked along one spine path, the measure
+    the adjunction cap bounds.
+
+    An adjunction at a node on the host's root-to-foot path stacks on the
+    chain the host itself sits on; anywhere else it starts a chain of one.
+    Substitution starts over at zero.
+    """
+    foot = grammar.trees[derivation.tree].foot_address
+    best = chain
+    for att in derivation.attachments:
+        if att.op != "adjunction":
+            depth = 0
+        elif foot is not None and foot[:len(att.address)] == att.address:
+            depth = chain + 1
+        else:
+            depth = 1
+        best = max(best, stack_depth(grammar, att.child, depth))
+    return best
+
+
 def untagged_candidates(grammar, word):
     """Candidate trees for a word ignoring tags: the union over all its POS entries."""
     names = set()

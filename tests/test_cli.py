@@ -1,8 +1,12 @@
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
+import ltagrank
 from ltagrank.cli import main
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
@@ -179,9 +183,13 @@ def test_train_misaligned_gold(tmp_path, capsys):
 
 
 def test_console_script_runs():
+    # the child imports the same ltagrank as this process, however it got here
+    package_root = str(Path(ltagrank.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
     result = subprocess.run(
         [sys.executable, "-m", "ltagrank.cli", "check", str(SAMPLE / "grammar.ltag")],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert result.returncode == 0
     assert "trees:" in result.stdout
 
@@ -289,3 +297,49 @@ def test_max_parses_zero_is_an_error(capsys):
                         "--max-parses", "0"], capsys)
     assert_one_error(code, err)
     assert "--max-parses" in err
+
+
+@pytest.mark.parametrize("flag, values", [("--sizes", "nan,1,1"),
+                                          ("--ratios", "inf,1,1")])
+def test_split_non_finite_proportions_is_an_error(tmp_path, capsys, flag, values):
+    corpus = tmp_path / "lines.txt"
+    corpus.write_text("a\nb\nc\nd\n")
+    code, _, err = run(["split", corpus, flag, values], capsys)
+    assert_one_error(code, err)
+    assert "finite" in err
+
+
+def _no_json(lines):
+    return lines + ["not json"]
+
+
+def _no_rng_state(lines):
+    state = json.loads(lines[-1])
+    del state["rng_state"]
+    return lines[:-1] + [json.dumps(state)]
+
+
+def _three_weights(lines):
+    state = json.loads(lines[-1])
+    state["weights"] = state["best_weights"] = [1.0, 2.0, 3.0]
+    return lines[:-1] + [json.dumps(state)]
+
+
+@pytest.mark.parametrize("mangle, message", [
+    (_no_json, "line 6: not a JSON record"),
+    (_no_rng_state, "line 5: malformed state record"),
+    (_three_weights, "3 entries"),
+], ids=["no_json", "no_rng_state", "three_weights"])
+def test_bad_resume_log_is_an_error(tmp_path, capsys, mangle, message):
+    train = ["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+             "--gold", SAMPLE / "gold.brackets", "--ratios", "3,1,1",
+             "--max-iterations", "3", "--weights-out", tmp_path / "w.tsv"]
+    log = tmp_path / "train.log"
+    code, _, _ = run([*train, "--log", log], capsys)
+    assert code == 0
+    bad = tmp_path / "bad.log"
+    bad.write_text("\n".join(mangle(log.read_text().splitlines())) + "\n")
+    code, _, err = run([*train, "--log", tmp_path / "again.log", "--resume", bad],
+                       capsys)
+    assert_one_error(code, err)
+    assert message in err

@@ -4,9 +4,8 @@ import pytest
 
 import ltagrank as lt
 from ltagrank.parser import (Attachment, DerivationError, DerivationNode,
-                             FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION,
-                             max_adjunction_stack)
-from oracles import derivation_universe
+                             FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION)
+from oracles import derivation_universe, stack_depth
 from toygrammars import MODIFIER_GRAMMAR, PP_GRAMMAR, parses_of, tag
 
 IMPERATIVE_GRAMMAR = """
@@ -182,11 +181,65 @@ def test_adjunction_cap():
     text = "dogs/N quickly/ADV quickly/ADV quickly/ADV quickly/ADV bark/V"
     uncapped = lt.enumerate_derivations(_forest(g, text))
     assert len(uncapped) == 1
-    assert max_adjunction_stack(g, uncapped[0]) == 4
+    assert stack_depth(g, uncapped[0]) == 4
     capped = lt.enumerate_derivations(_forest(g, text, adjunction_cap=3))
     assert capped == []
     within = _forest(g, "dogs/N quickly/ADV quickly/ADV bark/V", adjunction_cap=3)
     assert len(lt.enumerate_derivations(within)) == 1
+
+
+def _in_address_order(derivation):
+    stack = [derivation]
+    while stack:
+        node = stack.pop()
+        addresses = [att.address for att in node.attachments]
+        if addresses != sorted(addresses):
+            return False
+        stack.extend(att.child for att in node.attachments)
+    return True
+
+
+# an auxiliary with an internal node off its spine: adjoining there starts a
+# new stack instead of growing the one the auxiliary sits on
+OFF_SPINE_GRAMMAR = """
+tree Noun_Phrase : initial (NP N@)
+tree Indic_Intrans : initial (S NP^ (VP V@))
+tree Post_VP_Adverb : auxiliary (VP VP* (ADVP ADV@))
+tree Intensifier : auxiliary (ADVP DEG@ ADVP*)
+lex dogs N -> Noun_Phrase
+lex bark V -> Indic_Intrans
+lex quickly ADV -> Post_VP_Adverb
+lex very DEG -> Intensifier
+"""
+
+
+# (grammar, deepest stack in its universe up to 6 anchors): six anchors are
+# the fewest at which cap 1 drops a PP derivation and cap 3 a modifier one
+@pytest.mark.parametrize("grammar_text, deepest_stack",
+                         [(MODIFIER_GRAMMAR, 4), (PP_GRAMMAR, 2),
+                          (OFF_SPINE_GRAMMAR, 4)],
+                         ids=["modifiers", "pp", "off_spine"])
+def test_capped_enumeration_matches_oracle(grammar_text, deepest_stack):
+    # the cap is enforced while enumerating: it must drop exactly the
+    # derivations the oracle measures as too deep, and keep the order
+    g = lt.loads(grammar_text)
+    universe = derivation_universe(g, "S", 6)
+    deepest = 0
+    for words, (derivs, _) in universe.items():
+        sentence = [lt.TaggedWord(w, tuple(sorted(g.pos_tags_for_word(w))))
+                    for w in words]
+        assignment = lt.select_trees(g, sentence)
+        uncapped = lt.enumerate_derivations(lt.parse(g, sentence, assignment))
+        assert all(_in_address_order(d) for d in uncapped)
+        depths = {d: stack_depth(g, d) for d in uncapped}
+        deepest = max(deepest, *depths.values())
+        for cap in (1, 2, 3):
+            forest = lt.parse(g, sentence, assignment, adjunction_cap=cap)
+            capped = lt.enumerate_derivations(forest)
+            assert capped == [d for d in uncapped if depths[d] <= cap], (words, cap)
+            assert set(capped) == {d for d in derivs if stack_depth(g, d) <= cap}
+            assert forest.has_parse() == bool(capped)
+    assert deepest == deepest_stack
 
 
 def test_feature_checking():

@@ -24,8 +24,7 @@ def test_analyze_ranks_and_reports():
 
 
 def test_analyze_without_filters():
-    analysis = _analyze("the/D part/N is/V the/D name/N", filter_k=None,
-                        use_structural=False)
+    analysis = _analyze("the/D part/N is/V the/D name/N", filter_k=None)
     assert analysis.report is None
     assert analysis.parsed
 

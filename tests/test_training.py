@@ -74,6 +74,13 @@ def test_split_too_small():
         split(range(2), (1, 1, 1), seed=0)
 
 
+@pytest.mark.parametrize("proportions", [(math.nan, 1, 1), (1, math.inf, 1),
+                                         (1, 1, -math.inf)])
+def test_split_rejects_non_finite_proportions(proportions):
+    with pytest.raises(TrainingError):
+        split(range(4), proportions, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # objective
 
