@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import grammar as gmod
@@ -232,8 +233,7 @@ def cmd_eval(args) -> int:
 def cmd_split(args) -> int:
     with open(args.corpus) as handle:
         n = sum(1 for line in handle if line.strip())
-    proportions = _parse_proportions(args)
-    spec = training.split(range(n), proportions, args.seed)
+    spec = training.split(range(n), _parse_proportions(args, n), args.seed)
     print(f"train: {len(spec.train_ids)}  heldout: {len(spec.heldout_ids)}"
           f"  test: {len(spec.test_ids)}")
     _write_report(args.report, [
@@ -243,7 +243,12 @@ def cmd_split(args) -> int:
     return 0
 
 
-def _parse_proportions(args):
+def _parse_proportions(args, n_sentences):
+    """The three split proportions: ``--sizes``, whole numbers that sum to
+    the corpus size, or ``--ratios``, never both; the paper's 626,205,100 as
+    ratios by default.  ``training.split`` checks that they are finite."""
+    if args.sizes and args.ratios:
+        raise CliError("give --sizes or --ratios, not both")
     text = args.sizes or args.ratios or "626,205,100"
     try:
         values = [float(v) for v in text.split(",")]
@@ -251,6 +256,12 @@ def _parse_proportions(args):
         raise CliError(f"bad proportions {text!r}")
     if len(values) != 3:
         raise CliError("proportions need exactly three comma-separated numbers")
+    if args.sizes and all(math.isfinite(v) for v in values):
+        if not all(v.is_integer() for v in values):
+            raise CliError(f"--sizes {text} are not whole numbers")
+        if sum(values) != n_sentences:
+            raise CliError(f"--sizes {text} sum to {sum(values):g}, but the corpus"
+                           f" has {n_sentences} sentences")
     return values
 
 
@@ -267,8 +278,7 @@ def build_records(analyses, gold_trees, recall_mode, flatten_cats):
         gold_brackets = parseval.brackets_of(gold)
         candidates = []
         for rp in analysis.parses:
-            tree = rp.derived.root
-            scored = parseval.flatten(tree, flatten_cats) if flatten_cats else tree
+            scored = parseval.flattened_brackets(rp.derived.root, flatten_cats)
             scores = parseval.evaluate_parse(scored, gold_brackets, recall_mode)
             candidates.append(training.Candidate(rp.vector, scores))
         records[index] = training.SentenceRecord(index, candidates)
@@ -289,7 +299,7 @@ def cmd_train(args) -> int:
     flatten_cats = _flatten_categories(args)
     records = build_records(analyses, gold_trees, args.recall_mode, flatten_cats)
 
-    spec = training.split(range(len(records)), _parse_proportions(args),
+    spec = training.split(range(len(records)), _parse_proportions(args, len(records)),
                           args.split_seed if args.split_seed is not None else args.seed)
     config = training.TrainConfig(
         top_k=args.top_k, aggregation=args.aggregation,

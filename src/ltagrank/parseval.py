@@ -117,6 +117,29 @@ def brackets_of(tree) -> Bracketing:
         (node.start - base, node.end - base, node.label) for node in root.walk()))
 
 
+def flattened_brackets(tree, categories) -> Bracketing:
+    """``brackets_of(flatten(tree, categories))``, read off ``tree`` itself.
+
+    Flattening only drops nodes, and each node it keeps spans the same words
+    as in ``tree``.  A node drops out exactly when its parent is labeled in
+    ``categories`` and it is a preterminal or labeled in ``categories``.
+    """
+    root = _coerce_node(tree)
+    base = root.start
+    spans = {(0, root.end - base, root.label)}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        flat = node.label in categories
+        for child in node.children:
+            if isinstance(child, str):
+                continue
+            stack.append(child)
+            if not (flat and (child.label in categories or _is_preterminal(child))):
+                spans.add((child.start - base, child.end - base, child.label))
+    return Bracketing(root.end - base, frozenset(spans))
+
+
 def normalize(bracketing: Bracketing, unlabeled: bool = True,
               drop_single: bool = True, drop_whole: bool = True) -> Bracketing:
     spans = set()

@@ -6,6 +6,17 @@ a uniform random amount and keeps the change iff the TRAIN objective strictly
 improves.  Every accepted step re-scores HELD-OUT; three consecutive
 non-improvements there (configurable) stop the run.  The returned weights are
 the best held-out checkpoint seen, which is what the held-out set is for.
+
+TRAIN and HELD-OUT are each ranked through a ``RankCache``: every candidate's
+penalty, every sentence's top-k aggregate, and per heuristic the candidates
+that count non-zero there.  An attempt changes one weight, so it re-scores
+only the candidates non-zero at that heuristic, with the full dot product,
+and re-ranks only their sentences; on the toy grammars most heuristics count
+zero on every candidate, and their attempts re-score nothing.  Every other
+candidate's penalty is the same sum up to the sign of a zero, since its
+product at that heuristic is zero before and after (weights are finite), so
+orders, aggregates, objectives and the log equal those of re-scoring
+everything (``evaluate_set``) on every attempt.
 """
 
 from __future__ import annotations
@@ -96,26 +107,110 @@ class TrainConfig:
             raise TrainingError(f"delta_scale {self.delta_scale} is not finite")
 
 
-def sentence_scores(record: SentenceRecord, weights, top_k: int,
-                    aggregation: str) -> EvalScores | None:
-    """Rank the cached candidates and aggregate the top k; None if no parses."""
-    if not record.candidates:
-        return None
-    order = sorted(range(len(record.candidates)),
-                   key=lambda i: (score(record.candidates[i].vector, weights), i))
-    top = [record.candidates[i].scores for i in order[:top_k]]
-    return aggregate_scores(top, aggregation)
+def rank_top_k(candidates, penalties, top_k: int, aggregation: str,
+               previous=None):
+    """Order one sentence's candidates by (penalty, index) and aggregate the
+    scores of the first ``top_k``.
+
+    Returns (their indices, the aggregate), the aggregate None when there
+    are no candidates.  When ``previous``, an earlier result for the same
+    candidates, has the same indices in the same order, it is returned as it
+    is: the aggregate depends on nothing else.
+    """
+    top = tuple(sorted(range(len(candidates)), key=penalties.__getitem__)[:top_k])
+    if previous is not None and previous[0] == top:
+        return previous
+    if not top:
+        return top, None
+    return top, aggregate_scores([candidates[i].scores for i in top], aggregation)
 
 
 def evaluate_set(records: list[SentenceRecord], weights,
                  config: TrainConfig) -> CorpusScores:
-    per_sentence = [sentence_scores(r, weights, config.top_k, config.aggregation)
-                    for r in records]
+    """Score every candidate of every sentence at ``weights`` and rank them."""
+    per_sentence = []
+    for record in records:
+        penalties = [score(c.vector, weights) for c in record.candidates]
+        per_sentence.append(rank_top_k(record.candidates, penalties, config.top_k,
+                                       config.aggregation)[1])
     return corpus_scores(per_sentence)
 
 
-def objective(records: list[SentenceRecord], weights, config: TrainConfig) -> float:
-    return evaluate_set(records, weights, config).objective()
+@dataclass
+class Rescore:
+    """The ranking of a split at other weights, as far as it differs from
+    the cache it came from: sentence position -> (penalties, ranked)."""
+
+    weights: list[float]
+    sentences: dict
+    scores: CorpusScores
+
+
+class RankCache:
+    """The ranking of one split at one weight vector, updated incrementally.
+
+    Per sentence it holds each candidate's penalty and the sentence's
+    ``rank_top_k`` result; per heuristic index, the candidates whose count
+    there is non-zero, by sentence.  Moving to weights that differ at some
+    indices re-scores only the candidates non-zero at one of them, with
+    the full ``score``, and re-ranks only their sentences.  That is exact:
+    any other candidate's products at those indices are zeros before and
+    after (the weights are finite), so its penalty is the same sum up to
+    the sign of a zero, which compares equal, and every order, aggregate
+    and corpus score equals that of ``evaluate_set`` at the new weights.
+    """
+
+    def __init__(self, records: list[SentenceRecord], weights, config: TrainConfig):
+        self.records = records
+        self.config = config
+        self.weights = list(weights)
+        self.penalties = [[score(c.vector, self.weights) for c in r.candidates]
+                          for r in records]
+        self.ranked = [rank_top_k(r.candidates, penalties, config.top_k,
+                                  config.aggregation)
+                       for r, penalties in zip(records, self.penalties)]
+        self.scores = corpus_scores([aggregate for _, aggregate in self.ranked])
+        self.touching = [{} for _ in self.weights]
+        for position, record in enumerate(records):
+            for number, candidate in enumerate(record.candidates):
+                for index, count in enumerate(candidate.vector):
+                    if count:
+                        self.touching[index].setdefault(position, []).append(number)
+
+    def rescore(self, weights) -> Rescore:
+        """The ranking at ``weights``; the cache itself is left as it is."""
+        weights = list(weights)
+        changed = [i for i, (old, new) in enumerate(zip(self.weights, weights))
+                   if old != new]
+        touched = {}
+        for index in changed:
+            for position, numbers in self.touching[index].items():
+                touched.setdefault(position, set()).update(numbers)
+        sentences = {}
+        for position, numbers in touched.items():
+            candidates = self.records[position].candidates
+            penalties = list(self.penalties[position])
+            for number in numbers:
+                penalties[number] = score(candidates[number].vector, weights)
+            sentences[position] = (penalties, rank_top_k(
+                candidates, penalties, self.config.top_k, self.config.aggregation,
+                self.ranked[position]))
+        scores = self.scores
+        if any(ranked is not self.ranked[position]
+               for position, (_, ranked) in sentences.items()):
+            per_sentence = [aggregate for _, aggregate in self.ranked]
+            for position, (_, (_, aggregate)) in sentences.items():
+                per_sentence[position] = aggregate
+            scores = corpus_scores(per_sentence)
+        return Rescore(weights, sentences, scores)
+
+    def commit(self, rescore: Rescore) -> None:
+        """Move the cache to the weights of ``rescore``, which it made."""
+        self.weights = rescore.weights
+        for position, (penalties, ranked) in rescore.sentences.items():
+            self.penalties[position] = penalties
+            self.ranked[position] = ranked
+        self.scores = rescore.scores
 
 
 @dataclass(frozen=True)
@@ -170,13 +265,17 @@ def _improved(config: TrainConfig, old_scores: CorpusScores,
             and new_scores.precision_pct > old_scores.precision_pct)
 
 
-def step(state: TrainState, config: TrainConfig, train_records, heuristic_names,
-         train_scores: CorpusScores):
-    """One perturbation attempt: mutate state, return (LogEntry, new train scores).
+def step(state: TrainState, config: TrainConfig, train_cache: RankCache,
+         heuristic_names):
+    """One perturbation attempt: mutate state, return (LogEntry, TRAIN scores).
 
     Picks a heuristic uniformly at random, shifts its weight by a uniform
     draw from [-delta_scale, +delta_scale], and keeps the change iff the
-    TRAIN objective strictly improves.  Held-out bookkeeping is the caller's.
+    TRAIN objective strictly improves.  ``train_cache`` ranks TRAIN at
+    ``state.weights``; the trial re-scores only the candidates with a
+    non-zero count at the perturbed heuristic (see ``RankCache``), and an
+    accepted step commits it.  The scores returned are those at the
+    weights kept.  Held-out bookkeeping is the caller's.
     """
     rng = random.Random()
     rng.setstate(state.rng_state)
@@ -185,17 +284,17 @@ def step(state: TrainState, config: TrainConfig, train_records, heuristic_names,
     delta = rng.uniform(-config.delta_scale, config.delta_scale)
     candidate = list(state.weights)
     candidate[index] += delta
-    candidate_scores = evaluate_set(train_records, candidate, config)
-    accepted = _improved(config, train_scores, candidate_scores)
+    trial = train_cache.rescore(candidate)
+    accepted = _improved(config, train_cache.scores, trial.scores)
     if accepted:
+        train_cache.commit(trial)
         state.weights = candidate
-        state.train_objective = candidate_scores.objective()
+        state.train_objective = trial.scores.objective()
         state.accepted += 1
-        train_scores = candidate_scores
     state.rng_state = rng.getstate()
     entry = LogEntry(state.attempts, heuristic_names[index], delta,
-                     candidate_scores.objective(), accepted, None)
-    return entry, train_scores
+                     trial.scores.objective(), accepted, None)
+    return entry, train_cache.scores
 
 
 def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
@@ -203,8 +302,14 @@ def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
           resume_state: TrainState | None = None) -> TrainResult:
     """Hill-climb the weight vector on TRAIN with held-out early stopping.
 
-    Only TRAIN and HELD-OUT sentences are ever scored.  Deterministic given
-    (records, spec, config, initial weights): reruns produce identical logs.
+    Only TRAIN and HELD-OUT sentences are ever scored, each split through a
+    ``RankCache`` built once at the starting weights (``state.weights`` when
+    resuming).  Every attempt re-scores only the TRAIN candidates its
+    heuristic touches; the HELD-OUT cache stays at the last accepted weights,
+    one heuristic behind after each accepted step, and moves the same way.
+    The log, weights and state are those of re-scoring every candidate on
+    every attempt.  Deterministic given (records, spec, config, initial
+    weights): reruns produce identical logs.
     """
     train_records = [records_by_id[sid] for sid in spec.train_ids]
     heldout_records = [records_by_id[sid] for sid in spec.heldout_ids]
@@ -216,26 +321,29 @@ def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
         raise TrainingError("heuristic names do not match the weight vector")
 
     if resume_state is None:
-        rng = random.Random(config.seed)
         weights = list(initial_weights)
-        train_obj = objective(train_records, weights, config)
-        heldout_last = objective(heldout_records, weights, config)
-        state = TrainState(weights, train_obj, heldout_last, heldout_last,
-                           list(weights), 0, 0, 0, rng.getstate())
+        train_cache = RankCache(train_records, weights, config)
+        heldout_cache = RankCache(heldout_records, weights, config)
+        heldout_last = heldout_cache.scores.objective()
+        state = TrainState(weights, train_cache.scores.objective(), heldout_last,
+                           heldout_last, list(weights), 0, 0, 0,
+                           random.Random(config.seed).getstate())
     else:
         state = resume_state
         if len(state.weights) != len(names) or len(state.best_weights) != len(names):
             raise TrainingError(
                 f"resumed weight vector has {len(state.weights)} entries"
                 f" but there are {len(names)} heuristics")
+        train_cache = RankCache(train_records, state.weights, config)
+        heldout_cache = RankCache(heldout_records, state.weights, config)
 
     entries: list[LogEntry] = []
     heldout_history: list[float] = []
-    train_scores = evaluate_set(train_records, state.weights, config)
     while state.attempts < config.max_iterations and state.strikes < config.strike_limit:
-        entry, train_scores = step(state, config, train_records, names, train_scores)
+        entry, _ = step(state, config, train_cache, names)
         if entry.accepted:
-            heldout_obj = objective(heldout_records, state.weights, config)
+            heldout_cache.commit(heldout_cache.rescore(state.weights))
+            heldout_obj = heldout_cache.scores.objective()
             heldout_history.append(heldout_obj)
             if heldout_obj > state.heldout_last:
                 state.strikes = 0
@@ -296,6 +404,10 @@ def read_log_state(path) -> TrainState:
                     raise TrainingError(
                         f"{path}, line {number}: malformed state record"
                         f" ({type(exc).__name__}: {exc})") from None
+                if not all(isinstance(w, (int, float)) and math.isfinite(w)
+                           for w in state.weights + state.best_weights):
+                    raise TrainingError(f"{path}, line {number}: state record holds"
+                                        " a weight that is not a finite number")
     if state is None:
         raise TrainingError(f"no state record found in {path}")
     return state

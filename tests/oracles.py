@@ -4,13 +4,17 @@ The derivation generator enumerates complete derivations top-down from the
 grammar, with no chart, spans or packing: it picks an initial tree and a word
 that selects it, fills every substitution slot, and tries every adjunction
 subset, bounded by a total anchor budget.  Realization then linearizes a
-derivation by directly splicing nested list structures.
+derivation by directly splicing nested list structures.  The exhaustive
+trainer re-scores every cached candidate on every attempt.
 """
 
+import random
 from collections import defaultdict
 
 from ltagrank.grammar import ANCHOR, AUXILIARY, INITIAL, INTERNAL
 from ltagrank.parser import Attachment, DerivationNode
+from ltagrank.parseval import aggregate_scores, corpus_scores
+from ltagrank.training import LogEntry, TrainState
 
 
 def words_selecting(grammar):
@@ -241,3 +245,79 @@ def brute_force_crossing(cand_spans, gold_spans, length):
         if crossed:
             total += 1
     return total
+
+
+# ---------------------------------------------------------------------------
+# exhaustive trainer
+
+def reference_train(records_by_id, spec, config, initial_weights, names,
+                    resume_state=None):
+    """Hill climbing that re-scores every cached candidate of a split on
+    every attempt, from ``initial_weights`` or from ``resume_state``.
+
+    Returns (log entries, best held-out weights, final state), which
+    ``training.train`` must reproduce exactly.
+    """
+    def evaluate(records, weights):
+        per_sentence = []
+        for record in records:
+            if not record.candidates:
+                per_sentence.append(None)
+                continue
+            penalties = [sum(v * w for v, w in zip(c.vector, weights))
+                         for c in record.candidates]
+            order = sorted(range(len(penalties)), key=lambda i: (penalties[i], i))
+            top = [record.candidates[i].scores for i in order[:config.top_k]]
+            per_sentence.append(aggregate_scores(top, config.aggregation))
+        return corpus_scores(per_sentence)
+
+    def improved(old, new):
+        if config.require_all_metrics:
+            return all(getattr(new, metric) > getattr(old, metric) for metric in
+                       ("zero_crossing_pct", "recall_pct", "precision_pct"))
+        return new.objective() > old.objective()
+
+    train = [records_by_id[sid] for sid in spec.train_ids]
+    heldout = [records_by_id[sid] for sid in spec.heldout_ids]
+    rng = random.Random(config.seed)
+    if resume_state is None:
+        weights = list(initial_weights)
+        train_objective = evaluate(train, weights).objective()
+        heldout_last = best_heldout = evaluate(heldout, weights).objective()
+        best_weights = list(weights)
+        strikes = attempts = accepted = 0
+    else:
+        rng.setstate(resume_state.rng_state)
+        weights = list(resume_state.weights)
+        train_objective = resume_state.train_objective
+        heldout_last = resume_state.heldout_last
+        best_heldout = resume_state.best_heldout
+        best_weights = list(resume_state.best_weights)
+        strikes = resume_state.strikes
+        attempts = resume_state.attempts
+        accepted = resume_state.accepted
+    train_scores = evaluate(train, weights)
+    entries = []
+    while attempts < config.max_iterations and strikes < config.strike_limit:
+        attempts += 1
+        index = rng.randrange(len(weights))
+        delta = rng.uniform(-config.delta_scale, config.delta_scale)
+        trial = list(weights)
+        trial[index] += delta
+        scores = evaluate(train, trial)
+        heldout_objective = None
+        is_better = improved(train_scores, scores)
+        if is_better:
+            weights, train_scores = trial, scores
+            train_objective = scores.objective()
+            accepted += 1
+            heldout_objective = evaluate(heldout, weights).objective()
+            strikes = 0 if heldout_objective > heldout_last else strikes + 1
+            if heldout_objective > best_heldout:
+                best_heldout, best_weights = heldout_objective, list(weights)
+            heldout_last = heldout_objective
+        entries.append(LogEntry(attempts, names[index], delta, scores.objective(),
+                                is_better, heldout_objective))
+    state = TrainState(weights, train_objective, heldout_last, best_heldout,
+                       best_weights, strikes, attempts, accepted, rng.getstate())
+    return entries, list(best_weights), state

@@ -309,6 +309,27 @@ def test_split_non_finite_proportions_is_an_error(tmp_path, capsys, flag, values
     assert "finite" in err
 
 
+def test_split_sizes_and_ratios_together_is_an_error(tmp_path, capsys):
+    corpus = tmp_path / "lines.txt"
+    corpus.write_text("\n".join(f"sentence {i}" for i in range(10)) + "\n")
+    code, _, err = run(["split", corpus, "--sizes", "1,1,1", "--ratios", "8,1,1"],
+                       capsys)
+    assert_one_error(code, err)
+    assert "--sizes or --ratios" in err
+
+
+@pytest.mark.parametrize("sizes, message", [
+    ("6,2,4", "sum to 12, but the corpus has 10 sentences"),
+    ("2.5,2.5,5", "not whole numbers"),
+])
+def test_split_sizes_off_the_corpus_size_is_an_error(tmp_path, capsys, sizes, message):
+    corpus = tmp_path / "lines.txt"
+    corpus.write_text("\n".join(f"sentence {i}" for i in range(10)) + "\n")
+    code, _, err = run(["split", corpus, "--sizes", sizes], capsys)
+    assert_one_error(code, err)
+    assert message in err
+
+
 def _no_json(lines):
     return lines + ["not json"]
 
@@ -325,11 +346,26 @@ def _three_weights(lines):
     return lines[:-1] + [json.dumps(state)]
 
 
+def _infinite_weight(lines):
+    state = json.loads(lines[-1])
+    state["weights"][0] = float("inf")
+    return lines[:-1] + [json.dumps(state)]
+
+
+def _nan_best_weight(lines):
+    state = json.loads(lines[-1])
+    state["best_weights"][-1] = float("nan")
+    return lines[:-1] + [json.dumps(state)]
+
+
 @pytest.mark.parametrize("mangle, message", [
     (_no_json, "line 6: not a JSON record"),
     (_no_rng_state, "line 5: malformed state record"),
     (_three_weights, "3 entries"),
-], ids=["no_json", "no_rng_state", "three_weights"])
+    (_infinite_weight, "line 5: state record holds a weight that is not a finite"),
+    (_nan_best_weight, "line 5: state record holds a weight that is not a finite"),
+], ids=["no_json", "no_rng_state", "three_weights", "infinite_weight",
+        "nan_best_weight"])
 def test_bad_resume_log_is_an_error(tmp_path, capsys, mangle, message):
     train = ["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
              "--gold", SAMPLE / "gold.brackets", "--ratios", "3,1,1",

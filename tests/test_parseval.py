@@ -1,12 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 
 import ltagrank as lt
 import ltagrank.parseval as pv
 from ltagrank.parser import DerivedNode
-from oracles import brute_force_crossing, random_binary_bracketing
-from toygrammars import MODIFIER_GRAMMAR, parses_of
+from oracles import brute_force_crossing, derivation_universe, random_binary_bracketing
+from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR,
+                         parses_of)
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
 def test_brackets_of_spec_examples():
@@ -154,6 +158,33 @@ def test_flatten_idempotent_and_weakly_decreasing():
             assert pv.flatten(once, cats).to_string() == once.to_string()
             assert len(pv.brackets_of(once).spans) <= len(pv.brackets_of(text).spans)
             assert once.leaves() == pv.read_bracketed(text).leaves()
+
+
+def test_flattened_brackets_equal_brackets_of_flatten():
+    """On the derived parses and gold trees of sample/ and the derived trees
+    of the toy universes, under every single label and some label sets; on
+    every subtree under NP,VP."""
+    trees = list(pv.read_bracketed_corpus(SAMPLE / "gold.brackets"))
+    sample = lt.load_grammar(SAMPLE / "grammar.ltag", SAMPLE / "freq.tsv")
+    for line in (SAMPLE / "corpus.tagged").read_text().splitlines():
+        trees.extend(derived.root for _, derived in parses_of(sample, line))
+    for text in (CLAUSE_GRAMMAR, PP_GRAMMAR, MODIFIER_GRAMMAR):
+        for _, bracketings in derivation_universe(lt.loads(text), "S", 4).values():
+            trees.extend(pv.read_bracketed(b) for b in sorted(bracketings))
+    ofpp = lt.loads(OFPP_GRAMMAR)
+    trees.extend(derived.root for _, derived in parses_of(
+        ofpp, "the/D second/A part/N is/V the/D name/N of/P the/D part/N"))
+    assert len(trees) > 500
+    labels = sorted({node.label for tree in trees for node in tree.walk()})
+    category_sets = [set(), {"NP", "VP"}, {"NP", "N"}, set(labels)] + \
+        [{label} for label in labels]
+    for tree in trees:
+        for cats in category_sets:
+            assert pv.flattened_brackets(tree, frozenset(cats)) == \
+                pv.brackets_of(pv.flatten(tree, cats)), (tree.to_string(), cats)
+        for node in tree.walk():
+            assert pv.flattened_brackets(node, frozenset({"NP", "VP"})) == \
+                pv.brackets_of(pv.flatten(node, {"NP", "VP"})), node.to_string()
 
 
 def test_score_corpus_first_aggregation():

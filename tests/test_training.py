@@ -5,10 +5,14 @@ import random
 import pytest
 
 import ltagrank.training as tr
-from ltagrank.parseval import EvalScores
+from ltagrank.parseval import AGGREGATIONS, EvalScores
+from oracles import reference_train
 from ltagrank.training import (Candidate, SentenceRecord, TrainConfig,
-                               TrainingError, evaluate_set, objective, split,
-                               step, train)
+                               TrainingError, evaluate_set, split, step, train)
+
+
+def objective(records, weights, config):
+    return evaluate_set(records, weights, config).objective()
 
 
 def make_record(sid, entries):
@@ -138,9 +142,9 @@ def test_step_rejects_when_objective_cannot_improve():
     config = TrainConfig(top_k=1, aggregation="first", seed=5)
     records = [make_record(0, [((1.0, 1.0), 1, 50.0, 50.0)])]
     state = _initial_state(records, config, [1.0, 1.0])
-    scores = evaluate_set(records, state.weights, config)
+    cache = tr.RankCache(records, state.weights, config)
     for _ in range(20):
-        entry, scores = step(state, config, records, ["h0", "h1"], scores)
+        entry, scores = step(state, config, cache, ["h0", "h1"])
         assert not entry.accepted
     assert state.weights == [1.0, 1.0]
     assert state.attempts == 20
@@ -151,11 +155,11 @@ def test_step_accepts_improving_perturbation():
     config = TrainConfig(top_k=1, aggregation="first", seed=1, delta_scale=0.5)
     records = list(threshold_corpus([1.1, 1.2, 1.3]).values())
     state = _initial_state(records, config, [1.0, 1.0])
-    scores = evaluate_set(records, state.weights, config)
-    before = scores.objective()
+    before = evaluate_set(records, state.weights, config).objective()
+    cache = tr.RankCache(records, state.weights, config)
     accepted_objectives = []
     for _ in range(200):
-        entry, scores = step(state, config, records, ["h0", "h1"], scores)
+        entry, scores = step(state, config, cache, ["h0", "h1"])
         if entry.accepted:
             accepted_objectives.append(entry.train_objective)
     assert accepted_objectives, "no accepting step found"
@@ -301,3 +305,92 @@ def test_config_validation():
             TrainConfig(delta_scale=scale)
     with pytest.raises(TrainingError):
         TrainConfig(strike_limit=0)
+
+
+# ---------------------------------------------------------------------------
+# the rank cache against exhaustive re-scoring
+
+# (crossings, recall, precision) of a bad, a fair and a gold-like candidate:
+# a better top candidate raises all three metrics at once
+QUALITIES = [(3, 40.0, 50.0), (1, 75.0, 80.0), (0, 100.0, 100.0)]
+
+
+def random_records(rng, n_sentences, dims, zero_columns):
+    """Sentences of 0-9 candidates with small counts, so penalties tie; the
+    heuristics in ``zero_columns`` count 0 everywhere, and some candidates
+    repeat a vector of their sentence."""
+    records = {}
+    for sid in range(n_sentences):
+        entries = []
+        for _ in range(rng.choice([0, 1, 3, 5, 9])):
+            if entries and rng.random() < 0.25:
+                vector = rng.choice(entries)[0]
+            else:
+                vector = tuple(0 if i in zero_columns else rng.choice([0, 0, 1, 2])
+                               for i in range(dims))
+            entries.append((vector,) + rng.choice(QUALITIES))
+        records[sid] = make_record(sid, entries)
+    return records
+
+
+TRAINER_CASES = [(aggregation, strict) for aggregation in AGGREGATIONS
+                 for strict in (False, True)]
+
+
+@pytest.mark.parametrize("aggregation, strict", TRAINER_CASES)
+def test_train_matches_exhaustive_reference(aggregation, strict, tmp_path):
+    accepted = crossed = 0
+    for seed in range(4):
+        rng = random.Random(100 * seed + len(aggregation) + strict)
+        dims = 5
+        records = random_records(rng, 16, dims, zero_columns={seed % dims, 4})
+        ids = tuple(records)
+        spec = tr.SplitSpec(ids[:8], ids[8:], (), seed=0)
+        # weights start at, near and on both sides of zero, and cross it
+        initial = [rng.choice([0.0, 0.25, -0.25, 1.0]) for _ in range(dims)]
+        names = [f"h{i}" for i in range(dims)]
+        config = TrainConfig(top_k=rng.choice([1, 2, 3]), aggregation=aggregation,
+                             delta_scale=1.0, strike_limit=6, max_iterations=120,
+                             seed=seed, require_all_metrics=strict)
+        result = train(records, spec, config, initial, heuristic_names=names)
+        entries, weights, state = reference_train(records, spec, config, initial, names)
+        assert result.entries == entries
+        assert result.weights == weights
+        assert result.state == state
+        accepted += state.accepted
+        crossed += any((a > 0) != (b > 0) for a, b in zip(initial, state.weights))
+
+        # resumed from the log of a run cut halfway
+        cut = state.attempts // 2
+        half_config = TrainConfig(**{**vars(config), "max_iterations": max(cut, 1)})
+        half = train(records, spec, half_config, initial, heuristic_names=names)
+        tr.write_log(tmp_path / "half.log", half, half_config, spec)
+        resume = tr.read_log_state(tmp_path / "half.log")
+        resumed = train(records, spec, config, initial, heuristic_names=names,
+                        resume_state=resume)
+        entries, weights, state = reference_train(
+            records, spec, config, initial, names,
+            resume_state=tr.read_log_state(tmp_path / "half.log"))
+        assert resumed.entries == entries
+        assert resumed.weights == weights
+        assert resumed.state == state
+    assert accepted > 0 and crossed > 0
+
+
+def test_rank_cache_follows_any_weight_change():
+    rng = random.Random(7)
+    dims = 4
+    records = list(random_records(rng, 30, dims, zero_columns={2}).values())
+    config = TrainConfig(top_k=3, aggregation="mean_of_k")
+    weights = [1.0, 0.0, 0.5, -0.5]
+    cache = tr.RankCache(records, weights, config)
+    for _ in range(60):
+        moved = list(cache.weights)
+        for index in rng.sample(range(dims), rng.randint(0, dims)):
+            moved[index] += rng.uniform(-1.0, 1.0)
+        trial = cache.rescore(moved)
+        assert trial.scores == evaluate_set(records, moved, config)
+        if rng.random() < 0.5:
+            cache.commit(trial)
+            assert cache.scores == evaluate_set(records, moved, config)
+    assert cache.scores == evaluate_set(records, cache.weights, config)
