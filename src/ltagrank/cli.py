@@ -195,18 +195,13 @@ def cmd_eval(args) -> int:
     pairs = []
     for index, (cand_line, gold_line) in enumerate(zip(candidate_lines, gold_lines)):
         gold_tree = parseval.read_bracketed(gold_line)
-        candidates = []
-        for chunk in cand_line.split("|||"):
-            chunk = chunk.strip()
-            if chunk:
-                tree = parseval.read_bracketed(chunk)
-                if flatten_cats:
-                    tree = parseval.flatten(tree, flatten_cats)
-                candidates.append(tree)
-        for tree in candidates:
-            if tree.end != gold_tree.end:
-                print(f"error: sentence {index}: candidate has {tree.end} words,"
-                      f" gold has {gold_tree.end}", file=sys.stderr)
+        candidates = [parseval.flattened_brackets(parseval.read_bracketed(chunk),
+                                                  flatten_cats)
+                      for chunk in cand_line.split("|||") if chunk.strip()]
+        for bracketing in candidates:
+            if bracketing.length != gold_tree.end:
+                print(f"error: sentence {index}: candidate has {bracketing.length}"
+                      f" words, gold has {gold_tree.end}", file=sys.stderr)
                 return 1
         pairs.append((candidates, gold_tree))
     scores = parseval.score_corpus(pairs, top_k=args.top_k,

@@ -7,16 +7,17 @@ improves.  Every accepted step re-scores HELD-OUT; three consecutive
 non-improvements there (configurable) stop the run.  The returned weights are
 the best held-out checkpoint seen, which is what the held-out set is for.
 
-TRAIN and HELD-OUT are each ranked through a ``RankCache``: every candidate's
-penalty, every sentence's top-k aggregate, and per heuristic the candidates
-that count non-zero there.  An attempt changes one weight, so it re-scores
-only the candidates non-zero at that heuristic, with the full dot product,
-and re-ranks only their sentences; on the toy grammars most heuristics count
+TRAIN is ranked through a ``RankCache``: every candidate's penalty, every
+sentence's top-k aggregate, and per heuristic the candidates that count
+non-zero there.  An attempt changes one weight, so it re-scores only the
+candidates non-zero at that heuristic, with the full dot product, and
+re-ranks only their sentences; on the toy grammars most heuristics count
 zero on every candidate, and their attempts re-score nothing.  Every other
 candidate's penalty is the same sum up to the sign of a zero, since its
 product at that heuristic is zero before and after (weights are finite), so
 orders, aggregates, objectives and the log equal those of re-scoring
-everything (``evaluate_set``) on every attempt.
+everything (``evaluate_set``) on every attempt.  HELD-OUT is re-scored in
+full with ``evaluate_set``, once per accepted step.
 """
 
 from __future__ import annotations
@@ -59,8 +60,8 @@ class SplitSpec:
 def split(ids, proportions, seed: int) -> SplitSpec:
     """Randomly partition sentence ids into TRAIN / HELD-OUT / TEST.
 
-    ``proportions`` are three numbers: exact sizes when they sum to the
-    corpus size, otherwise ratios resolved by largest remainder.
+    ``proportions`` are three ratios resolved by largest remainder; whole
+    numbers that sum to the corpus size come out as exactly those sizes.
     """
     ids = list(ids)
     if len(ids) < 3:
@@ -70,15 +71,12 @@ def split(ids, proportions, seed: int) -> SplitSpec:
     total = sum(proportions)
     if total <= 0:
         raise TrainingError("proportions must not all be zero")
-    if total == len(ids):
-        sizes = [int(p) for p in proportions]
-    else:
-        exact = [p * len(ids) / total for p in proportions]
-        sizes = [int(x) for x in exact]
-        leftover = len(ids) - sum(sizes)
-        by_fraction = sorted(range(3), key=lambda i: (-(exact[i] - sizes[i]), i))
-        for i in range(leftover):
-            sizes[by_fraction[i % 3]] += 1
+    exact = [p * len(ids) / total for p in proportions]
+    sizes = [int(x) for x in exact]
+    leftover = len(ids) - sum(sizes)
+    by_fraction = sorted(range(3), key=lambda i: (-(exact[i] - sizes[i]), i))
+    for i in range(leftover):
+        sizes[by_fraction[i % 3]] += 1
     rng = random.Random(seed)
     shuffled = list(ids)
     rng.shuffle(shuffled)
@@ -107,22 +105,13 @@ class TrainConfig:
             raise TrainingError(f"delta_scale {self.delta_scale} is not finite")
 
 
-def rank_top_k(candidates, penalties, top_k: int, aggregation: str,
-               previous=None):
+def rank_top_k(candidates, penalties, top_k: int, aggregation: str):
     """Order one sentence's candidates by (penalty, index) and aggregate the
-    scores of the first ``top_k``.
-
-    Returns (their indices, the aggregate), the aggregate None when there
-    are no candidates.  When ``previous``, an earlier result for the same
-    candidates, has the same indices in the same order, it is returned as it
-    is: the aggregate depends on nothing else.
-    """
-    top = tuple(sorted(range(len(candidates)), key=penalties.__getitem__)[:top_k])
-    if previous is not None and previous[0] == top:
-        return previous
+    scores of the first ``top_k``; None when there are no candidates."""
+    top = sorted(range(len(candidates)), key=penalties.__getitem__)[:top_k]
     if not top:
-        return top, None
-    return top, aggregate_scores([candidates[i].scores for i in top], aggregation)
+        return None
+    return aggregate_scores([candidates[i].scores for i in top], aggregation)
 
 
 def evaluate_set(records: list[SentenceRecord], weights,
@@ -132,14 +121,14 @@ def evaluate_set(records: list[SentenceRecord], weights,
     for record in records:
         penalties = [score(c.vector, weights) for c in record.candidates]
         per_sentence.append(rank_top_k(record.candidates, penalties, config.top_k,
-                                       config.aggregation)[1])
+                                       config.aggregation))
     return corpus_scores(per_sentence)
 
 
 @dataclass
 class Rescore:
     """The ranking of a split at other weights, as far as it differs from
-    the cache it came from: sentence position -> (penalties, ranked)."""
+    the cache it came from: sentence position -> (penalties, aggregate)."""
 
     weights: list[float]
     sentences: dict
@@ -150,9 +139,9 @@ class RankCache:
     """The ranking of one split at one weight vector, updated incrementally.
 
     Per sentence it holds each candidate's penalty and the sentence's
-    ``rank_top_k`` result; per heuristic index, the candidates whose count
-    there is non-zero, by sentence.  Moving to weights that differ at some
-    indices re-scores only the candidates non-zero at one of them, with
+    ``rank_top_k`` aggregate; per heuristic index, the candidates whose
+    count there is non-zero, by sentence.  Moving to weights that differ at
+    some indices re-scores only the candidates non-zero at one of them, with
     the full ``score``, and re-ranks only their sentences.  That is exact:
     any other candidate's products at those indices are zeros before and
     after (the weights are finite), so its penalty is the same sum up to
@@ -166,10 +155,10 @@ class RankCache:
         self.weights = list(weights)
         self.penalties = [[score(c.vector, self.weights) for c in r.candidates]
                           for r in records]
-        self.ranked = [rank_top_k(r.candidates, penalties, config.top_k,
-                                  config.aggregation)
-                       for r, penalties in zip(records, self.penalties)]
-        self.scores = corpus_scores([aggregate for _, aggregate in self.ranked])
+        self.aggregates = [rank_top_k(r.candidates, penalties, config.top_k,
+                                      config.aggregation)
+                           for r, penalties in zip(records, self.penalties)]
+        self.scores = corpus_scores(self.aggregates)
         self.touching = [{} for _ in self.weights]
         for position, record in enumerate(records):
             for number, candidate in enumerate(record.candidates):
@@ -187,29 +176,23 @@ class RankCache:
             for position, numbers in self.touching[index].items():
                 touched.setdefault(position, set()).update(numbers)
         sentences = {}
+        per_sentence = list(self.aggregates)
         for position, numbers in touched.items():
             candidates = self.records[position].candidates
             penalties = list(self.penalties[position])
             for number in numbers:
                 penalties[number] = score(candidates[number].vector, weights)
-            sentences[position] = (penalties, rank_top_k(
-                candidates, penalties, self.config.top_k, self.config.aggregation,
-                self.ranked[position]))
-        scores = self.scores
-        if any(ranked is not self.ranked[position]
-               for position, (_, ranked) in sentences.items()):
-            per_sentence = [aggregate for _, aggregate in self.ranked]
-            for position, (_, (_, aggregate)) in sentences.items():
-                per_sentence[position] = aggregate
-            scores = corpus_scores(per_sentence)
-        return Rescore(weights, sentences, scores)
+            per_sentence[position] = rank_top_k(
+                candidates, penalties, self.config.top_k, self.config.aggregation)
+            sentences[position] = (penalties, per_sentence[position])
+        return Rescore(weights, sentences, corpus_scores(per_sentence))
 
     def commit(self, rescore: Rescore) -> None:
         """Move the cache to the weights of ``rescore``, which it made."""
         self.weights = rescore.weights
-        for position, (penalties, ranked) in rescore.sentences.items():
+        for position, (penalties, aggregate) in rescore.sentences.items():
             self.penalties[position] = penalties
-            self.ranked[position] = ranked
+            self.aggregates[position] = aggregate
         self.scores = rescore.scores
 
 
@@ -302,14 +285,13 @@ def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
           resume_state: TrainState | None = None) -> TrainResult:
     """Hill-climb the weight vector on TRAIN with held-out early stopping.
 
-    Only TRAIN and HELD-OUT sentences are ever scored, each split through a
+    Only TRAIN and HELD-OUT sentences are ever scored.  TRAIN goes through a
     ``RankCache`` built once at the starting weights (``state.weights`` when
-    resuming).  Every attempt re-scores only the TRAIN candidates its
-    heuristic touches; the HELD-OUT cache stays at the last accepted weights,
-    one heuristic behind after each accepted step, and moves the same way.
-    The log, weights and state are those of re-scoring every candidate on
-    every attempt.  Deterministic given (records, spec, config, initial
-    weights): reruns produce identical logs.
+    resuming), so every attempt re-scores only the TRAIN candidates its
+    heuristic touches; HELD-OUT is re-scored in full after each accepted
+    step.  The log, weights and state are those of re-scoring every
+    candidate on every attempt.  Deterministic given (records, spec, config,
+    initial weights): reruns produce identical logs.
     """
     train_records = [records_by_id[sid] for sid in spec.train_ids]
     heldout_records = [records_by_id[sid] for sid in spec.heldout_ids]
@@ -323,8 +305,7 @@ def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
     if resume_state is None:
         weights = list(initial_weights)
         train_cache = RankCache(train_records, weights, config)
-        heldout_cache = RankCache(heldout_records, weights, config)
-        heldout_last = heldout_cache.scores.objective()
+        heldout_last = evaluate_set(heldout_records, weights, config).objective()
         state = TrainState(weights, train_cache.scores.objective(), heldout_last,
                            heldout_last, list(weights), 0, 0, 0,
                            random.Random(config.seed).getstate())
@@ -335,15 +316,14 @@ def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
                 f"resumed weight vector has {len(state.weights)} entries"
                 f" but there are {len(names)} heuristics")
         train_cache = RankCache(train_records, state.weights, config)
-        heldout_cache = RankCache(heldout_records, state.weights, config)
 
     entries: list[LogEntry] = []
     heldout_history: list[float] = []
     while state.attempts < config.max_iterations and state.strikes < config.strike_limit:
         entry, _ = step(state, config, train_cache, names)
         if entry.accepted:
-            heldout_cache.commit(heldout_cache.rescore(state.weights))
-            heldout_obj = heldout_cache.scores.objective()
+            heldout_obj = evaluate_set(heldout_records, state.weights,
+                                       config).objective()
             heldout_history.append(heldout_obj)
             if heldout_obj > state.heldout_last:
                 state.strikes = 0

@@ -73,6 +73,13 @@ def test_split_partition_properties():
     assert [len(g) for g in groups] == [60, 20, 20]
 
 
+def test_split_fractional_proportions_use_largest_remainder():
+    # they sum to the corpus size, but are ratios, not sizes to truncate
+    spec = split(range(10), (2.5, 2.5, 5), seed=0)
+    assert (len(spec.train_ids), len(spec.heldout_ids), len(spec.test_ids)) == \
+        (3, 2, 5)
+
+
 def test_split_too_small():
     with pytest.raises(TrainingError):
         split(range(2), (1, 1, 1), seed=0)
