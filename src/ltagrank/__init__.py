@@ -2,7 +2,7 @@
 
 from .grammar import (ElementaryTree, FrequencyTable, Grammar, GrammarError,
                       GrammarFormatError, GrammarValidationError, TreeNode,
-                      load_frequencies, load_grammar, loads)
+                      load_grammar, loads)
 from .tagging import TaggedWord, TreeAssignment, parse_tagged_line, select_trees
 from .filtering import (FilterReport, filter_with_fallback, frequency_filter,
                         structural_filter)
@@ -13,8 +13,7 @@ from .heuristics import (HeuristicRegistry, RankedParse, default_registry,
                          extract, load_registry, load_weights, rank,
                          save_weights, score, uniform_weights, zero_weights)
 from .parseval import (Bracketing, CorpusScores, EvalScores, brackets_of,
-                       crossing, flatten, read_bracketed, recall_precision,
-                       score_corpus)
+                       evaluate_parse, flatten, read_bracketed, score_corpus)
 from .training import SentenceRecord, SplitSpec, TrainConfig, split, step, train
 from .pipeline import PipelineConfig, SentenceAnalysis, analyze_sentence
 

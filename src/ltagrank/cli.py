@@ -194,16 +194,15 @@ def cmd_eval(args) -> int:
     flatten_cats = _flatten_categories(args)
     pairs = []
     for index, (cand_line, gold_line) in enumerate(zip(candidate_lines, gold_lines)):
-        gold_tree = parseval.read_bracketed(gold_line)
-        candidates = [parseval.flattened_brackets(parseval.read_bracketed(chunk),
-                                                  flatten_cats)
+        gold = parseval.brackets_of(parseval.read_bracketed(gold_line))
+        candidates = [parseval.brackets_of(parseval.read_bracketed(chunk), flatten_cats)
                       for chunk in cand_line.split("|||") if chunk.strip()]
         for bracketing in candidates:
-            if bracketing.length != gold_tree.end:
+            if bracketing.length != gold.length:
                 print(f"error: sentence {index}: candidate has {bracketing.length}"
-                      f" words, gold has {gold_tree.end}", file=sys.stderr)
+                      f" words, gold has {gold.length}", file=sys.stderr)
                 return 1
-        pairs.append((candidates, gold_tree))
+        pairs.append((candidates, gold))
     scores = parseval.score_corpus(pairs, top_k=args.top_k,
                                    aggregation=args.aggregation,
                                    mode=args.recall_mode)
@@ -273,7 +272,7 @@ def build_records(analyses, gold_trees, recall_mode, flatten_cats):
         gold_brackets = parseval.brackets_of(gold)
         candidates = []
         for rp in analysis.parses:
-            scored = parseval.flattened_brackets(rp.derived.root, flatten_cats)
+            scored = parseval.brackets_of(rp.derived.root, flatten_cats)
             scores = parseval.evaluate_parse(scored, gold_brackets, recall_mode)
             candidates.append(training.Candidate(rp.vector, scores))
         records[index] = training.SentenceRecord(index, candidates)
@@ -291,6 +290,10 @@ def cmd_train(args) -> int:
               f" {len(gold_trees)}; first unmatched index"
               f" {min(len(analyses), len(gold_trees))}", file=sys.stderr)
         return 1
+    for index, (analysis, gold) in enumerate(zip(analyses, gold_trees)):
+        if gold.end != len(analysis.words):
+            raise CliError(f"sentence {index}: corpus has {len(analysis.words)}"
+                           f" words, gold has {gold.end}")
     flatten_cats = _flatten_categories(args)
     records = build_records(analyses, gold_trees, args.recall_mode, flatten_cats)
 

@@ -35,7 +35,6 @@ SUBSTITUTION = "substitution"
 FOOT = "foot"
 
 _MARKER_KIND = {"@": ANCHOR, "^": SUBSTITUTION, "*": FOOT}
-_KIND_MARKER = {ANCHOR: "@", SUBSTITUTION: "^", FOOT: "*", INTERNAL: ""}
 
 Address = tuple[int, ...]
 
@@ -149,10 +148,6 @@ class ElementaryTree:
         return tuple((a, n) for a, n in _walk(self.root) if n.is_leaf)
 
     @cached_property
-    def internal_addresses(self) -> tuple[Address, ...]:
-        return tuple(a for a, n in _walk(self.root) if n.kind == INTERNAL)
-
-    @cached_property
     def substitution_addresses(self) -> tuple[Address, ...]:
         return tuple(a for a, n in self.frontier if n.kind == SUBSTITUTION)
 
@@ -257,30 +252,6 @@ class Grammar:
 
     def trees_with_anchor_pos(self, pos: str) -> set[str]:
         return {name for name, tree in self.trees.items() if tree.anchor_pos == pos}
-
-    def dumps(self) -> str:
-        """Canonical text form; loading it back yields an equal Grammar."""
-        lines = []
-        for name in sorted(self.trees):
-            tree = self.trees[name]
-            lines.append(f"tree {name} : {tree.kind} {_node_text(tree.root)}")
-        for name in sorted(self.families):
-            family = self.families[name]
-            lines.append(f"family {name} = " + ", ".join(family.members))
-        for (lemma, pos) in sorted(self.lexicon):
-            entry = self.lexicon[(lemma, pos)]
-            lines.append(f"lex {lemma} {pos} -> " + ", ".join(entry.selects))
-        return "\n".join(lines) + "\n"
-
-
-def _node_text(node: TreeNode) -> str:
-    feats = ""
-    if node.features:
-        feats = "[" + ",".join(f"{k}={v}" for k, v in node.features) + "]"
-    if node.kind == INTERNAL:
-        inner = " ".join(_node_text(child) for child in node.children)
-        return f"({node.label}{feats} {inner})"
-    return f"{node.label}{_KIND_MARKER[node.kind]}{feats}"
 
 
 # ---------------------------------------------------------------------------
@@ -465,8 +436,3 @@ def parse_frequencies(text: str) -> FrequencyTable:
             raise GrammarFormatError(f"duplicate frequency entry {name!r}", lineno)
         entries[name] = prob
     return FrequencyTable(entries)
-
-
-def load_frequencies(path) -> FrequencyTable:
-    with open(path) as handle:
-        return parse_frequencies(handle.read())

@@ -65,9 +65,6 @@ class Predicate:
             raise RegistryError(f"predicate {text!r} has no values")
         return cls(mode, values)
 
-    def dump(self) -> str:
-        return f"{self.mode}:{','.join(self.values)}"
-
 
 @dataclass(frozen=True)
 class Heuristic:
@@ -102,31 +99,6 @@ class HeuristicRegistry:
 
     def names(self) -> list[str]:
         return [h.name for h in self.heuristics]
-
-    def index(self, name: str) -> int:
-        for i, h in enumerate(self.heuristics):
-            if h.name == name:
-                return i
-        raise KeyError(name)
-
-    def dumps(self) -> str:
-        lines = []
-        for h in self.heuristics:
-            if h.kind == LOCAL_TREE_TYPE:
-                lines.append(f"{h.name} {h.kind} "
-                             + (f"prefix={','.join(h.tree_pred.values)}"
-                                if h.tree_pred.mode == "prefix"
-                                else f"trees={','.join(h.tree_pred.values)}"))
-            elif h.kind == LOCAL_LEXICAL:
-                lines.append(f"{h.name} {h.kind} word={h.word} "
-                             f"prefer={h.prefer.dump()} disprefer={h.disprefer.dump()}")
-            else:
-                extra = ""
-                if h.builtin != BUILTIN_ADJUNCTIONS:
-                    extra = (f" modifier={','.join(h.modifier)}"
-                             f" sites={','.join(h.sites)}")
-                lines.append(f"{h.name} {h.kind} builtin={h.builtin}{extra}")
-        return "\n".join(lines) + "\n"
 
 
 def _default_global(builtin: str) -> Heuristic:
@@ -166,10 +138,6 @@ def default_registry() -> HeuristicRegistry:
                   disprefer=Predicate("pos", ("N",))),
     ]
     return HeuristicRegistry(rules)
-
-
-def globals_only_registry() -> HeuristicRegistry:
-    return HeuristicRegistry([])
 
 
 def parse_registry(text: str) -> HeuristicRegistry:

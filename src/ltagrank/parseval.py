@@ -1,12 +1,13 @@
 """Bracketing comparison: crossing brackets, recall, precision, flattening.
 
 Derived, gold and flattened trees are all ``parser.DerivedNode`` trees whose
-nodes carry their word spans, so a bracketing is read off the nodes.
-Candidate and gold bracketings are compared after normalization; by default
-labels are stripped and single-word and whole-sentence spans dropped, each
-step individually switchable.  Two recall conventions are supported:
-"standard" is correct/gold, "paper_literal" is candidate/gold (a pure
-constituent-count ratio, which can exceed 100 for over-bracketed parses).
+nodes carry their word spans; ``brackets_of`` reads a tree's ``Bracketing``
+off its nodes, optionally flattened, and everything else scores
+``Bracketing``s.  Before comparison both sides are normalized the paper's
+way: labels stripped, single-word and whole-sentence spans dropped.  Two
+recall conventions are supported: "standard" is correct/gold,
+"paper_literal" is candidate/gold (a pure constituent-count ratio, which
+can exceed 100 for over-bracketed parses).
 """
 
 from __future__ import annotations
@@ -99,109 +100,41 @@ class Bracketing:
     spans: frozenset  # of (start, end, label or None)
 
 
-def _coerce_node(tree):
-    if isinstance(tree, str):
-        return read_bracketed(tree)
-    root = getattr(tree, "root", None)
-    return root if root is not None else tree
+def brackets_of(root: DerivedNode, flatten=frozenset()) -> Bracketing:
+    """One labeled span per internal node, single-word and root spans
+    included, of the tree ``root`` that the function ``flatten`` makes with
+    the categories ``flatten``; with none, of ``root`` itself.
 
-
-def brackets_of(tree) -> Bracketing:
-    """One labeled span per internal node, single-word and root spans included.
-
-    Spans are read off the nodes, relative to the start of ``tree``.
-    """
-    root = _coerce_node(tree)
-    base = root.start
-    return Bracketing(root.end - base, frozenset(
-        (node.start - base, node.end - base, node.label) for node in root.walk()))
-
-
-def flattened_brackets(tree, categories) -> Bracketing:
-    """``brackets_of(flatten(tree, categories))``, read off ``tree`` itself.
-
+    Spans are read off the nodes of ``root``, relative to its start.
     Flattening only drops nodes, and each node it keeps spans the same words
-    as in ``tree``.  A node drops out exactly when its parent is labeled in
-    ``categories`` and it is a preterminal or labeled in ``categories``.
+    as in ``root``: a node drops out exactly when its parent is labeled in
+    ``flatten`` and it is a preterminal or labeled in ``flatten``.
     """
-    root = _coerce_node(tree)
     base = root.start
     spans = {(0, root.end - base, root.label)}
     stack = [root]
     while stack:
         node = stack.pop()
-        flat = node.label in categories
+        flat = node.label in flatten
         for child in node.children:
             if isinstance(child, str):
                 continue
             stack.append(child)
-            if not (flat and (child.label in categories or _is_preterminal(child))):
+            if not (flat and (child.label in flatten or _is_preterminal(child))):
                 spans.add((child.start - base, child.end - base, child.label))
     return Bracketing(root.end - base, frozenset(spans))
 
 
-def normalize(bracketing: Bracketing, unlabeled: bool = True,
-              drop_single: bool = True, drop_whole: bool = True) -> Bracketing:
-    spans = set()
-    for start, end, label in bracketing.spans:
-        if drop_single and end - start <= 1:
-            continue
-        if drop_whole and start == 0 and end == bracketing.length:
-            continue
-        spans.add((start, end, None if unlabeled else label))
-    return Bracketing(bracketing.length, frozenset(spans))
-
-
-def _coerce_normalized(tree, **flags) -> Bracketing:
-    bracketing = tree if isinstance(tree, Bracketing) else brackets_of(tree)
-    return normalize(bracketing, **flags)
+def normalize(bracketing: Bracketing) -> Bracketing:
+    """The paper's convention: labels stripped, single-word and
+    whole-sentence spans dropped."""
+    return Bracketing(bracketing.length, frozenset(
+        (start, end, None) for start, end, _ in bracketing.spans
+        if end - start > 1 and not (start == 0 and end == bracketing.length)))
 
 
 def _crosses(a, b) -> bool:
     return (a[0] < b[0] < a[1] < b[1]) or (b[0] < a[0] < b[1] < a[1])
-
-
-def _check_lengths(cand: Bracketing, gb: Bracketing) -> None:
-    if cand.length != gb.length:
-        raise ValueError(f"length mismatch: candidate {cand.length}, gold {gb.length}")
-
-
-def _crossing_count(cand: Bracketing, gb: Bracketing) -> int:
-    return sum(1 for span in cand.spans
-               if any(_crosses(span, other) for other in gb.spans))
-
-
-def _recall_precision(cand: Bracketing, gb: Bracketing, mode: str):
-    if mode not in RECALL_MODES:
-        raise ValueError(f"unknown recall mode {mode!r}")
-    if not cand.spans and not gb.spans:
-        return 100.0, 100.0
-    if not cand.spans or not gb.spans:
-        return 0.0, 0.0
-    correct = len(cand.spans & gb.spans)
-    precision = 100.0 * correct / len(cand.spans)
-    if mode == "standard":
-        recall = 100.0 * correct / len(gb.spans)
-    else:
-        recall = 100.0 * len(cand.spans) / len(gb.spans)
-    return recall, precision
-
-
-def crossing(candidate, gold, **flags) -> int:
-    """Number of candidate spans that overlap some gold span without nesting."""
-    cand = _coerce_normalized(candidate, **flags)
-    gb = _coerce_normalized(gold, **flags)
-    _check_lengths(cand, gb)
-    return _crossing_count(cand, gb)
-
-
-def recall_precision(candidate, gold, mode: str = "standard", **flags):
-    """(recall %, precision %).  When both span sets are empty both metrics are
-    100; when exactly one is empty both are 0."""
-    cand = _coerce_normalized(candidate, **flags)
-    gb = _coerce_normalized(gold, **flags)
-    _check_lengths(cand, gb)
-    return _recall_precision(cand, gb, mode)
 
 
 @dataclass(frozen=True)
@@ -215,15 +148,30 @@ class EvalScores:
     correct_count: float
 
 
-def evaluate_parse(candidate, gold, mode: str = "standard", **flags) -> EvalScores:
-    cand = _coerce_normalized(candidate, **flags)
-    gb = _coerce_normalized(gold, **flags)
-    _check_lengths(cand, gb)
-    crossings = _crossing_count(cand, gb)
-    recall, precision = _recall_precision(cand, gb, mode)
-    correct = len(cand.spans & gb.spans)
+def evaluate_parse(candidate: Bracketing, gold: Bracketing,
+                   mode: str = "standard") -> EvalScores:
+    """Crossing brackets, recall and precision of ``candidate`` against
+    ``gold``, both normalized first.  Recall is correct/gold ("standard") or
+    candidate/gold ("paper_literal").  When both span sets are empty recall
+    and precision are 100; when exactly one is empty both are 0."""
+    if mode not in RECALL_MODES:
+        raise ValueError(f"unknown recall mode {mode!r}")
+    if candidate.length != gold.length:
+        raise ValueError(f"length mismatch: candidate {candidate.length},"
+                         f" gold {gold.length}")
+    cand = normalize(candidate).spans
+    gb = normalize(gold).spans
+    crossings = sum(1 for span in cand if any(_crosses(span, other) for other in gb))
+    correct = len(cand & gb)
+    if not cand and not gb:
+        recall = precision = 100.0
+    elif not cand or not gb:
+        recall = precision = 0.0
+    else:
+        precision = 100.0 * correct / len(cand)
+        recall = 100.0 * (correct if mode == "standard" else len(cand)) / len(gb)
     return EvalScores(float(crossings), crossings == 0, recall, precision,
-                      float(len(cand.spans)), float(len(gb.spans)), float(correct))
+                      float(len(cand)), float(len(gb)), float(correct))
 
 
 def aggregate_scores(scores: list[EvalScores], aggregation: str) -> EvalScores:
@@ -284,8 +232,9 @@ def corpus_scores(per_sentence: list) -> CorpusScores:
 
 
 def score_corpus(pairs, top_k: int = 6, aggregation: str = "mean_of_k",
-                 mode: str = "standard", **flags) -> CorpusScores:
-    """Evaluate (ranked candidate parses, gold) pairs over a corpus.
+                 mode: str = "standard") -> CorpusScores:
+    """Evaluate (ranked candidate bracketings, gold bracketing) pairs over a
+    corpus.
 
     Per sentence the top ``min(top_k, available)`` parses are scored and
     collapsed with ``aggregation``; sentences with no parses are coverage
@@ -298,7 +247,7 @@ def score_corpus(pairs, top_k: int = 6, aggregation: str = "mean_of_k",
         if not candidates:
             per_sentence.append(None)
             continue
-        scores = [evaluate_parse(c, gold, mode, **flags) for c in candidates[:top_k]]
+        scores = [evaluate_parse(c, gold, mode) for c in candidates[:top_k]]
         per_sentence.append(aggregate_scores(scores, aggregation))
     return corpus_scores(per_sentence)
 
@@ -306,7 +255,7 @@ def score_corpus(pairs, top_k: int = 6, aggregation: str = "mean_of_k",
 # ---------------------------------------------------------------------------
 # flattening
 
-def flatten(tree, categories) -> DerivedNode:
+def flatten(root: DerivedNode, categories) -> DerivedNode:
     """Remove the internal structure of the given categories.
 
     Each topmost node labeled in ``categories`` keeps its label but its
@@ -315,7 +264,7 @@ def flatten(tree, categories) -> DerivedNode:
     (and are flattened internally in turn).  Returns a new ``DerivedNode``
     tree with spans from word 0.
     """
-    node = _flatten_node(_coerce_node(tree), frozenset(categories))
+    node = _flatten_node(root, frozenset(categories))
     assign_spans(node, 0)
     return node
 

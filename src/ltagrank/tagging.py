@@ -23,6 +23,8 @@ class TaggedWord:
     def __post_init__(self):
         if not self.tags:
             raise TaggedInputError(f"word {self.surface!r} has no tags")
+        if "" in self.tags:
+            raise TaggedInputError(f"word {self.surface!r} has an empty tag")
         if len(set(self.tags)) != len(self.tags):
             raise TaggedInputError(f"word {self.surface!r} has duplicate tags")
 

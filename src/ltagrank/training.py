@@ -25,7 +25,7 @@ from __future__ import annotations
 import json
 import math
 import random
-from dataclasses import dataclass, field, asdict
+from dataclasses import dataclass, asdict
 
 from .heuristics import score
 from .parseval import CorpusScores, EvalScores, aggregate_scores, corpus_scores
@@ -236,7 +236,6 @@ class TrainResult:
     weights: list[float]
     entries: list[LogEntry]
     state: TrainState
-    heldout_history: list[float] = field(default_factory=list)
 
 
 def _improved(config: TrainConfig, old_scores: CorpusScores,
@@ -318,13 +317,11 @@ def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
         train_cache = RankCache(train_records, state.weights, config)
 
     entries: list[LogEntry] = []
-    heldout_history: list[float] = []
     while state.attempts < config.max_iterations and state.strikes < config.strike_limit:
         entry, _ = step(state, config, train_cache, names)
         if entry.accepted:
             heldout_obj = evaluate_set(heldout_records, state.weights,
                                        config).objective()
-            heldout_history.append(heldout_obj)
             if heldout_obj > state.heldout_last:
                 state.strikes = 0
             else:
@@ -336,7 +333,7 @@ def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
             entry = LogEntry(entry.attempt, entry.heuristic, entry.delta,
                              entry.train_objective, True, heldout_obj)
         entries.append(entry)
-    return TrainResult(list(state.best_weights), entries, state, heldout_history)
+    return TrainResult(list(state.best_weights), entries, state)
 
 
 # ---------------------------------------------------------------------------

@@ -31,6 +31,14 @@ def words_selecting(grammar):
     return {name: sorted(words) for name, words in chosen.items()}
 
 
+def internal_addresses(node, address=()):
+    """Gorn addresses of the internal nodes under ``node``, in pre-order."""
+    if node.kind != INTERNAL:
+        return ()
+    return (address,) + tuple(a for k, child in enumerate(node.children, start=1)
+                              for a in internal_addresses(child, address + (k,)))
+
+
 def all_skeletons(grammar, start, max_anchors):
     """Every complete derivation skeleton with at most max_anchors anchors.
 
@@ -62,7 +70,7 @@ def all_skeletons(grammar, start, max_anchors):
         items = [("substitution", a, tree.node_at(a).label)
                  for a in tree.substitution_addresses]
         items += [("adjunction", a, tree.node_at(a).label)
-                  for a in tree.internal_addresses]
+                  for a in internal_addresses(tree.root)]
 
         def assign(i, left):
             if i == len(items):

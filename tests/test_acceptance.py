@@ -13,14 +13,13 @@ import pytest
 import ltagrank as lt
 import ltagrank.parseval as pv
 import ltagrank.training as tr
-from ltagrank.heuristics import globals_only_registry, score, uniform_weights
-from ltagrank.parseval import evaluate_parse
+from ltagrank.heuristics import HeuristicRegistry, score, uniform_weights
 from ltagrank.training import Candidate, SentenceRecord, TrainConfig
 from oracles import (brute_force_crossing, derivation_universe,
                      random_binary_bracketing)
 from test_filtering import FALLBACK_FREQ, FALLBACK_GRAMMAR
 from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR,
-                         PP_GRAMMAR, parses_of, tag)
+                         PP_GRAMMAR, bracketing, evaluate, parses_of, tag)
 
 
 @contextmanager
@@ -88,7 +87,7 @@ def _build_synthetic_corpus(n_sentences, n_candidates, target, seed, n_leaves=8)
         best = min(range(n_candidates), key=lambda i: scores[i])
         gold = brackets[best]
         records[sid] = SentenceRecord(sid, [
-            Candidate(v, evaluate_parse(text, gold))
+            Candidate(v, evaluate(text, gold))
             for v, text in zip(vectors, brackets)])
         gold_index[sid] = best
     return records, gold_index
@@ -127,14 +126,14 @@ def synthetic_run(tmp_path_factory):
 def test_criterion_1_crossing_oracle():
     with criterion(1, "crossing-bracket oracle"):
         started = time.perf_counter()
-        assert pv.crossing("(X (X a b) c)", "(X a (X b c))") == 1
+        assert evaluate("(X (X a b) c)", "(X a (X b c))").crossing_count == 1
         rng = random.Random(20260811)
         for _ in range(1000):
             n = rng.randint(3, 10)
             cand_text, cand_spans = random_binary_bracketing(rng, n)
             gold_text, gold_spans = random_binary_bracketing(rng, n)
             expected = brute_force_crossing(cand_spans, gold_spans, n)
-            assert pv.crossing(cand_text, gold_text) == expected
+            assert evaluate(cand_text, gold_text).crossing_count == expected
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0, f"crossing oracle took {elapsed:.1f}s"
 
@@ -211,14 +210,14 @@ def test_criterion_4_fallback_coverage():
 def test_criterion_5_ranked_parse_reproduction():
     with criterion(5, "of-PP ambiguity ranking"):
         grammar = lt.loads(OFPP_GRAMMAR)
-        registry = globals_only_registry()
+        registry = HeuristicRegistry([])
         text = ("the/D second/A part/N is/V the/D name/N of/P"
                 " your/D personal/A computer/N")
         parses = parses_of(grammar, text)
         assert len(parses) >= 3
         weights = uniform_weights(registry)
         ranked = lt.rank(grammar, parses, registry, weights)
-        pp_index = registry.index("pp_attachment_height")
+        pp_index = registry.names().index("pp_attachment_height")
 
         def attachment(parse):
             names = {name for name, _ in parse.derivation.instances()}
@@ -307,7 +306,7 @@ def test_criterion_9_determinism(tmp_path):
         config = TrainConfig(top_k=6, aggregation="first", strike_limit=5,
                              max_iterations=150, seed=77)
         blobs = []
-        registry = globals_only_registry()
+        registry = HeuristicRegistry([])
         names = registry.names() + [f"extra{i}" for i in range(3)]
         for run in range(2):
             result = tr.train(records, small_spec, config,
@@ -333,9 +332,9 @@ def test_criterion_10_flattening(universes):
             grammar, _, universe = universes[name]
             for words, (_, bracketings) in itertools.islice(universe.items(), 400):
                 for text in bracketings:
-                    before = len(pv.brackets_of(text).spans)
+                    before = len(bracketing(text).spans)
                     for cats in ({"NP", "VP"}, {"NP", "N"}):
-                        flattened = pv.flatten(text, cats)
+                        flattened = pv.flatten(pv.read_bracketed(text), cats)
                         assert len(pv.brackets_of(flattened).spans) <= before
                     checked += 1
         assert checked > 500

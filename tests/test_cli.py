@@ -264,6 +264,32 @@ def test_token_without_tag_is_an_error(tmp_path, capsys):
         assert "'part'" in err
 
 
+def test_empty_tag_is_an_error(tmp_path, capsys):
+    corpus = tmp_path / "c.tagged"
+    corpus.write_text("the/D| part/N is/V the/D name/N\n")
+    code, _, err = run(["parse", *SAMPLE_GRAMMAR, corpus], capsys)
+    assert_one_error(code, err)
+    assert "'the'" in err
+
+
+@pytest.mark.parametrize("parsed", [True, False], ids=["parsed", "no_parse"])
+def test_train_gold_of_the_wrong_length_is_an_error(tmp_path, capsys, parsed):
+    corpus = SAMPLE / "corpus.tagged"
+    gold = (SAMPLE / "gold.brackets").read_text().splitlines()
+    if not parsed:   # an unknown word: the sentence has no parse
+        corpus = tmp_path / "c.tagged"
+        corpus.write_text((SAMPLE / "corpus.tagged").read_text()
+                          .replace("the/D second/A", "zork/N second/A", 1))
+    gold[0] = "(S (NP (N dogs)))"
+    gold_path = tmp_path / "gold.brackets"
+    gold_path.write_text("\n".join(gold) + "\n")
+    code, _, err = run(["train", *SAMPLE_GRAMMAR, corpus, "--gold", gold_path,
+                        "--weights-out", tmp_path / "w.tsv",
+                        "--log", tmp_path / "log"], capsys)
+    assert_one_error(code, err)
+    assert "sentence 0" in err
+
+
 def test_eval_empty_files_is_an_error(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

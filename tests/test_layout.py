@@ -1,0 +1,43 @@
+"""Layout guard: no code in ``src/ltagrank`` that only tests call.
+
+Every function, method and class defined in the package (dunder names
+skipped) must be named somewhere besides its own definition: in the
+package's modules, in ``bench/*.py`` or in ``pyproject.toml``.  The package
+``__init__.py`` is left out, since its re-exports are not uses.
+
+The check is name-based: a name counts as used wherever it occurs as a
+whole word, so a definition whose name is common (``parse``, ``names``)
+passes trivially even if nothing calls it.
+"""
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "ltagrank"
+
+
+def definitions():
+    """(module file name, defined name) for every def and class in the package."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if not (node.name.startswith("__") and node.name.endswith("__")):
+                    yield path.name, node.name
+
+
+def word_counts():
+    files = [p for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"]
+    files += sorted((ROOT / "bench").glob("*.py")) + [ROOT / "pyproject.toml"]
+    return Counter(word for path in files
+                   for word in re.findall(r"\w+", path.read_text()))
+
+
+def test_no_definition_is_used_only_by_tests():
+    counts = word_counts()
+    unused = sorted(f"{module}: {name}" for module, name in definitions()
+                    if counts[name] <= 1)
+    assert not unused, "defined but named nowhere else in src/, bench/ or " \
+        "pyproject.toml:\n" + "\n".join(unused)

@@ -8,35 +8,35 @@ import ltagrank.parseval as pv
 from ltagrank.parser import DerivedNode
 from oracles import brute_force_crossing, derivation_universe, random_binary_bracketing
 from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR,
-                         parses_of)
+                         bracketing, evaluate, parses_of)
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
 def test_brackets_of_spec_examples():
-    b = pv.brackets_of("(S (NP a) (VP b))")
+    b = bracketing("(S (NP a) (VP b))")
     assert b.length == 2
     assert b.spans == {(0, 2, "S"), (0, 1, "NP"), (1, 2, "VP")}
-    flat = pv.brackets_of("(S a b c)")
+    flat = bracketing("(S a b c)")
     assert flat.spans == {(0, 3, "S")}
 
 
 def test_brackets_round_trip():
     tree = pv.read_bracketed("(S (NP (D the) (N dogs)) (VP (V bark)))")
-    assert pv.brackets_of(tree.to_string()) == pv.brackets_of(tree)
+    assert bracketing(tree.to_string()) == pv.brackets_of(tree)
 
 
 def test_derived_gold_and_flattened_trees_share_one_type():
     g = lt.loads(MODIFIER_GRAMMAR)
     for _, derived in parses_of(g, "big/A old/A dogs/N bark/V quickly/ADV"):
         text = derived.to_string()
-        flat = pv.flatten(derived, {"NP"})
+        flat = pv.flatten(derived.root, {"NP"})
         assert type(derived.root) is type(pv.read_bracketed(text)) is type(flat) \
             is DerivedNode
-        assert flat.to_string() == pv.flatten(text, {"NP"}).to_string()
+        assert flat.to_string() == pv.flatten(pv.read_bracketed(text), {"NP"}).to_string()
         # spans read off every subtree, relative to its first word
         for node in derived.root.walk():
-            assert pv.brackets_of(node) == pv.brackets_of(node.to_string())
+            assert pv.brackets_of(node) == bracketing(node.to_string())
 
 
 def test_malformed_bracket_string():
@@ -53,45 +53,50 @@ def test_malformed_bracket_string():
 
 
 def test_crossing_abc_example():
-    assert pv.crossing("(X (X a b) c)", "(X a (X b c))") == 1
-    assert pv.crossing("(X a (X b c))", "(X a (X b c))") == 0
+    assert evaluate("(X (X a b) c)", "(X a (X b c))").crossing_count == 1
+    assert evaluate("(X a (X b c))", "(X a (X b c))").crossing_count == 0
 
 
 def test_crossing_derived_example():
     # candidate {(1,4),(2,4)} vs gold {(0,2),(2,4)}: only (1,4) crosses
-    assert pv.crossing("(X a (X b (X c d)))", "(X (X a b) (X c d))") == 1
+    assert evaluate("(X a (X b (X c d)))", "(X (X a b) (X c d))").crossing_count == 1
 
 
 def test_crossing_self_is_zero():
     rng = random.Random(11)
     for _ in range(100):
         text, _ = random_binary_bracketing(rng, rng.randint(2, 9))
-        assert pv.crossing(text, text) == 0
+        assert evaluate(text, text).crossing_count == 0
 
 
 def test_containment_is_not_crossing():
-    assert pv.crossing("(X (X a b) c d)", "(X (X a b c) d)") == 0
+    assert evaluate("(X (X a b) c d)", "(X (X a b c) d)").crossing_count == 0
 
 
 def test_crossing_length_mismatch():
     with pytest.raises(ValueError):
-        pv.crossing("(X a b)", "(X a b c)")
+        evaluate("(X a b)", "(X a b c)")
+
+
+def recall_precision(candidate, gold, mode="standard"):
+    scores = evaluate(candidate, gold, mode)
+    return scores.recall_pct, scores.precision_pct
 
 
 def test_recall_precision_examples():
-    recall, precision = pv.recall_precision("(X a (X b (X c d)))", "(X (X a b) (X c d))")
+    recall, precision = recall_precision("(X a (X b (X c d)))", "(X (X a b) (X c d))")
     assert (recall, precision) == (50.0, 50.0)
-    recall_lit, precision_lit = pv.recall_precision(
+    recall_lit, precision_lit = recall_precision(
         "(X a (X b (X c d)))", "(X (X a b) (X c d))", mode="paper_literal")
     assert (recall_lit, precision_lit) == (100.0, 50.0)
-    assert pv.recall_precision("(X (X a b) c)", "(X (X a b) c)") == (100.0, 100.0)
+    assert recall_precision("(X (X a b) c)", "(X (X a b) c)") == (100.0, 100.0)
 
 
 def test_recall_precision_empty_cases():
     # flat candidate: no spans after normalization
-    assert pv.recall_precision("(S a b c)", "(S (X a b) c)") == (0.0, 0.0)
-    assert pv.recall_precision("(S (X a b) c)", "(S a b c)") == (0.0, 0.0)
-    assert pv.recall_precision("(S a b)", "(S a b)") == (100.0, 100.0)
+    assert recall_precision("(S a b c)", "(S (X a b) c)") == (0.0, 0.0)
+    assert recall_precision("(S (X a b) c)", "(S a b c)") == (0.0, 0.0)
+    assert recall_precision("(S a b)", "(S a b)") == (100.0, 100.0)
 
 
 def test_precision_equals_recall_when_counts_match():
@@ -100,10 +105,10 @@ def test_precision_equals_recall_when_counts_match():
         n = rng.randint(3, 9)
         cand, _ = random_binary_bracketing(rng, n)
         gold, _ = random_binary_bracketing(rng, n)
-        cb = pv.normalize(pv.brackets_of(cand))
-        gb = pv.normalize(pv.brackets_of(gold))
+        cb = pv.normalize(bracketing(cand))
+        gb = pv.normalize(bracketing(gold))
         if len(cb.spans) == len(gb.spans):
-            recall, precision = pv.recall_precision(cand, gold)
+            recall, precision = recall_precision(cand, gold)
             assert recall == precision
 
 
@@ -114,7 +119,7 @@ def test_crossing_matches_brute_force():
         cand_text, cand_spans = random_binary_bracketing(rng, n)
         gold_text, gold_spans = random_binary_bracketing(rng, n)
         expected = brute_force_crossing(cand_spans, gold_spans, n)
-        assert pv.crossing(cand_text, gold_text) == expected
+        assert evaluate(cand_text, gold_text).crossing_count == expected
 
 
 def test_flatten_np_example():
@@ -131,7 +136,9 @@ def test_flatten_outside_categories_preserved():
     tree = pv.read_bracketed("(NP (G your) (N (N personal) (N computer)))")
     out = pv.flatten(tree, {"NP"})
     assert out.to_string() == "(NP your (N (N personal) (N computer)))"
-    spans = pv.normalize(pv.brackets_of(out), drop_whole=False).spans
+    # unlabeled multi-word spans, the whole sentence kept
+    spans = {(start, end, None) for start, end, _ in pv.brackets_of(out).spans
+             if end - start > 1}
     assert spans == {(0, 3, None), (1, 3, None)}
 
 
@@ -154,14 +161,16 @@ def test_flatten_idempotent_and_weakly_decreasing():
         samples.append(text)
     for text in samples:
         for cats in ({"NP", "N"}, {"NP", "VP"}, {"X"}):
-            once = pv.flatten(text, cats)
+            once = pv.flatten(pv.read_bracketed(text), cats)
             assert pv.flatten(once, cats).to_string() == once.to_string()
-            assert len(pv.brackets_of(once).spans) <= len(pv.brackets_of(text).spans)
+            assert len(pv.brackets_of(once).spans) <= len(bracketing(text).spans)
             assert once.leaves() == pv.read_bracketed(text).leaves()
 
 
 def test_flattened_brackets_equal_brackets_of_flatten():
-    """On the derived parses and gold trees of sample/ and the derived trees
+    """``brackets_of(tree, cats) == brackets_of(flatten(tree, cats))``.
+
+    On the derived parses and gold trees of sample/ and the derived trees
     of the toy universes, under every single label and some label sets; on
     every subtree under NP,VP."""
     trees = list(pv.read_bracketed_corpus(SAMPLE / "gold.brackets"))
@@ -180,16 +189,16 @@ def test_flattened_brackets_equal_brackets_of_flatten():
         [{label} for label in labels]
     for tree in trees:
         for cats in category_sets:
-            assert pv.flattened_brackets(tree, frozenset(cats)) == \
+            assert pv.brackets_of(tree, frozenset(cats)) == \
                 pv.brackets_of(pv.flatten(tree, cats)), (tree.to_string(), cats)
         for node in tree.walk():
-            assert pv.flattened_brackets(node, frozenset({"NP", "VP"})) == \
+            assert pv.brackets_of(node, frozenset({"NP", "VP"})) == \
                 pv.brackets_of(pv.flatten(node, {"NP", "VP"})), node.to_string()
 
 
 def test_score_corpus_first_aggregation():
-    gold = "(X (X a b) (X c d))"
-    crossing_once = "(X a (X b (X c d)))"   # one crossing span
+    gold = bracketing("(X (X a b) (X c d))")
+    crossing_once = bracketing("(X a (X b (X c d)))")   # one crossing span
     pairs = [([gold], gold), ([crossing_once, gold], gold)]
     scores = pv.score_corpus(pairs, top_k=1, aggregation="first")
     assert scores.zero_crossing_pct == 50.0
@@ -197,8 +206,8 @@ def test_score_corpus_first_aggregation():
 
 
 def test_score_corpus_best_and_mean():
-    gold = "(X (X a b) (X c d))"
-    near = "(X a (X b (X c d)))"
+    gold = bracketing("(X (X a b) (X c d))")
+    near = bracketing("(X a (X b (X c d)))")
     pairs = [([near, gold, near], gold)]
     best = pv.score_corpus(pairs, top_k=3, aggregation="best_of_k")
     assert best.crossing_avg == 0.0
@@ -209,7 +218,7 @@ def test_score_corpus_best_and_mean():
 
 
 def test_score_corpus_zero_parse_sentences():
-    gold = "(X (X a b) c)"
+    gold = bracketing("(X (X a b) c)")
     scores = pv.score_corpus([([gold], gold), ([], gold)], top_k=6,
                              aggregation="first")
     assert scores.coverage_failures == 1
@@ -220,8 +229,7 @@ def test_score_corpus_zero_parse_sentences():
 
 
 def test_normalization_flags():
-    b = pv.brackets_of("(S (NP a) (VP b c))")
-    full = pv.normalize(b, unlabeled=False, drop_single=False, drop_whole=False)
+    full = bracketing("(S (NP a) (VP b c))")
     assert full.spans == {(0, 3, "S"), (0, 1, "NP"), (1, 3, "VP")}
-    default = pv.normalize(b)
+    default = pv.normalize(full)
     assert default.spans == {(1, 3, None)}

@@ -22,6 +22,9 @@ def test_tagged_line_errors():
         lt.parse_tagged_line("dogs/N|N bark/V")
     with pytest.raises(TaggedInputError):
         lt.parse_tagged_line("dogs/ bark/V")
+    for token in ("the/D|", "the/|D", "the/D||N", "the/|"):
+        with pytest.raises(TaggedInputError, match="empty tag"):
+            lt.parse_tagged_line(f"{token} dogs/N")
 
 
 def test_select_trees_single_tag_counts():

@@ -205,7 +205,8 @@ def test_three_strikes_terminates():
     assert result.state.strikes == 3
     assert result.state.accepted == 3
     assert result.state.attempts < 5000
-    assert result.heldout_history == [result.heldout_history[0]] * 3
+    heldout = [e.heldout_objective for e in result.entries if e.accepted]
+    assert heldout == [heldout[0]] * 3
 
 
 def test_train_recovers_threshold_corpus():
@@ -233,7 +234,7 @@ def test_best_heldout_checkpoint_returned():
     heldout = [records[i] for i in spec.heldout_ids]
     returned = objective(heldout, result.weights, config)
     assert returned == result.state.best_heldout
-    assert all(returned >= h for h in result.heldout_history)
+    assert all(returned >= e.heldout_objective for e in result.entries if e.accepted)
 
 
 def test_train_never_touches_test_records():

@@ -126,3 +126,13 @@ def parses_of(grammar, text, start="S", adjunction_cap=None):
                       adjunction_cap=adjunction_cap)
     return [(d, lt.derive(grammar, d, words))
             for d in lt.enumerate_derivations(forest)]
+
+
+def bracketing(text):
+    """The ``Bracketing`` of a bracket string, e.g. ``(X (X a b) c)``."""
+    return lt.brackets_of(lt.read_bracketed(text))
+
+
+def evaluate(candidate, gold, mode="standard"):
+    """``evaluate_parse`` of two bracket strings."""
+    return lt.evaluate_parse(bracketing(candidate), bracketing(gold), mode)
