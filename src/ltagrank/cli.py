@@ -91,18 +91,7 @@ def _fmt(value: float) -> str:
 # commands
 
 def cmd_check(args) -> int:
-    try:
-        grammar = _load_grammar(args)
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except gmod.GrammarValidationError as exc:
-        for issue in exc.issues:
-            print(f"error: {issue}", file=sys.stderr)
-        return 1
-    except gmod.GrammarError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    grammar = _load_grammar(args)
     initial = sum(1 for t in grammar.trees.values() if t.kind == gmod.INITIAL)
     print(f"trees: {len(grammar.trees)} ({initial} initial,"
           f" {len(grammar.trees) - initial} auxiliary)")
@@ -185,10 +174,9 @@ def cmd_eval(args) -> int:
     candidate_lines = _read_candidate_lines(args.parses)  # blank line = no parse
     gold_lines = [line for line in _read_candidate_lines(args.gold) if line.strip()]
     if len(candidate_lines) != len(gold_lines):
-        print(f"error: {args.parses} has {len(candidate_lines)} sentences but"
-              f" {args.gold} has {len(gold_lines)}; first unmatched index"
-              f" {min(len(candidate_lines), len(gold_lines))}", file=sys.stderr)
-        return 1
+        raise CliError(f"{args.parses} has {len(candidate_lines)} sentences but"
+                       f" {args.gold} has {len(gold_lines)}; first unmatched index"
+                       f" {min(len(candidate_lines), len(gold_lines))}")
     if not gold_lines:
         raise CliError(f"{args.gold} has no sentences")
     flatten_cats = _flatten_categories(args)
@@ -199,9 +187,8 @@ def cmd_eval(args) -> int:
                       for chunk in cand_line.split("|||") if chunk.strip()]
         for bracketing in candidates:
             if bracketing.length != gold.length:
-                print(f"error: sentence {index}: candidate has {bracketing.length}"
-                      f" words, gold has {gold.length}", file=sys.stderr)
-                return 1
+                raise CliError(f"sentence {index}: candidate has {bracketing.length}"
+                               f" words, gold has {gold.length}")
         pairs.append((candidates, gold))
     scores = parseval.score_corpus(pairs, top_k=args.top_k,
                                    aggregation=args.aggregation,
@@ -286,10 +273,9 @@ def cmd_train(args) -> int:
     analyses = _analyze_corpus(args, grammar, registry, initial)
     gold_trees = parseval.read_bracketed_corpus(args.gold)
     if len(gold_trees) != len(analyses):
-        print(f"error: corpus has {len(analyses)} sentences but gold has"
-              f" {len(gold_trees)}; first unmatched index"
-              f" {min(len(analyses), len(gold_trees))}", file=sys.stderr)
-        return 1
+        raise CliError(f"corpus has {len(analyses)} sentences but gold has"
+                       f" {len(gold_trees)}; first unmatched index"
+                       f" {min(len(analyses), len(gold_trees))}")
     for index, (analysis, gold) in enumerate(zip(analyses, gold_trees)):
         if gold.end != len(analysis.words):
             raise CliError(f"sentence {index}: corpus has {len(analysis.words)}"
@@ -433,11 +419,8 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (CliError, gmod.GrammarError, hmod.RegistryError, training.TrainingError,
-            parseval.BracketFormatError, TaggedInputError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except FileNotFoundError as exc:
+    except (CliError, gmod.GrammarError, gmod.BracketFormatError, hmod.RegistryError,
+            training.TrainingError, TaggedInputError, OSError, UnicodeDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

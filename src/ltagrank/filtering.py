@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grammar import ANCHOR, SUBSTITUTION, FrequencyTable, Grammar
+from .grammar import FrequencyTable, Grammar
 from .tagging import TreeAssignment
 
 
@@ -41,21 +41,12 @@ def _profile(grammar: Grammar, name: str):
     """(left obligatory count, right obligatory count, left substitution
     categories, right substitution categories) of a tree's frontier."""
     tree = grammar.trees[name]
-    left = right = 0
-    left_cats: set[str] = set()
-    right_cats: set[str] = set()
-    seen_anchor = False
-    for _, node in tree.frontier:
-        if node.kind == ANCHOR:
-            seen_anchor = True
-        elif node.kind == SUBSTITUTION:
-            if seen_anchor:
-                right += 1
-                right_cats.add(node.label)
-            else:
-                left += 1
-                left_cats.add(node.label)
-    return left, right, left_cats, right_cats
+    anchor = tree.leaf_position[tree.anchor_address]
+    left, right = [], []
+    for address in tree.substitution_addresses:
+        side = left if tree.leaf_position[address] < anchor else right
+        side.append(tree.node_at(address).label)
+    return len(left), len(right), set(left), set(right)
 
 
 def structural_filter(grammar: Grammar, sentence, assignment: TreeAssignment) -> TreeAssignment:

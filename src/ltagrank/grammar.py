@@ -13,6 +13,9 @@ carry a marker: ``label@`` is the anchor, ``label^`` a substitution slot and
 map written ``label[attr=val,attr=val]`` (after the marker, for leaves).
 Blank lines and ``#`` comments are ignored.
 
+``read_tree`` reads bracket notation, for tree lines here and treebank lines
+in ``parseval``; each caller adds its own rules on labels and leaves.
+
 Tree unigram frequencies live in a separate two-column file with lines of
 the form ``tree_name<TAB>probability``.
 
@@ -58,6 +61,18 @@ class GrammarFormatError(GrammarError):
         if line is not None:
             where = f" (line {line}" + (f", column {column}" if column is not None else "") + ")"
         super().__init__(message + where)
+
+
+class BracketFormatError(ValueError):
+    """Malformed bracket notation.  ``position`` is the offset of the
+    offending token, or of the '(' of an unclosed, unlabeled or empty node;
+    ``label_position`` is that of the latter two's label slot, if any."""
+
+    def __init__(self, reason, position, label_position=None):
+        self.reason = reason
+        self.position = position
+        self.label_position = position if label_position is None else label_position
+        super().__init__(f"{reason} (at character {position})")
 
 
 class GrammarValidationError(GrammarError):
@@ -159,6 +174,11 @@ class ElementaryTree:
         return frozenset(self.foot_address[:i] for i in range(len(self.foot_address) + 1))
 
     @cached_property
+    def leaf_position(self) -> dict[Address, int]:
+        """Leaf address -> its index in the frontier."""
+        return {a: i for i, (a, _) in enumerate(self.frontier)}
+
+    @cached_property
     def modifier_info(self) -> tuple[str, str] | None:
         """(category, side) of the modifier material of an auxiliary tree.
 
@@ -168,24 +188,15 @@ class ElementaryTree:
         """
         if self.foot_address is None:
             return None
-        mod_address = None
-        for i in range(1, len(self.anchor_address) + 1):
-            prefix = self.anchor_address[:i]
-            if prefix not in self.spine:
-                mod_address = prefix
-                break
-        if mod_address is None:
-            return None
-        leaf_addresses = [a for a, _ in self.frontier]
-        foot_pos = leaf_addresses.index(self.foot_address)
-        anchor_pos = leaf_addresses.index(self.anchor_address)
+        foot_pos = self.leaf_position[self.foot_address]
         # material on both sides of the foot makes the height heuristics moot
-        before = any(i < foot_pos for i, a in enumerate(leaf_addresses) if a != self.foot_address)
-        after = any(i > foot_pos for i, a in enumerate(leaf_addresses) if a != self.foot_address)
-        if before and after:
+        if 0 < foot_pos < len(self.frontier) - 1:
             return None
-        side = "left" if anchor_pos < foot_pos else "right"
-        return self.node_at(mod_address).label, side
+        # the anchor is a leaf other than the foot, so its path leaves the spine
+        depth = next(i for i in range(1, len(self.anchor_address) + 1)
+                     if self.anchor_address[:i] not in self.spine)
+        side = "left" if self.leaf_position[self.anchor_address] < foot_pos else "right"
+        return self.node_at(self.anchor_address[:depth]).label, side
 
 
 def _walk(node: TreeNode, address: Address = ()):
@@ -285,48 +296,78 @@ def _parse_token(text: str, lineno: int, column: int):
     return label, kind, _parse_features(feats or "", lineno, column)
 
 
-def _parse_tree_expr(text: str, lineno: int, offset: int) -> TreeNode:
-    tokens = [(m.group(0), offset + m.start() + 1) for m in _TOKEN.finditer(text)]
+def token_offsets(text: str) -> list[int]:
+    """The offset in ``text`` of each token that ``read_tree`` reads."""
+    return [m.start() for m in _TOKEN.finditer(text)]
+
+
+def read_tree(text: str):
+    """Read one tree in bracket notation, ``(label child ...)``, or a bare atom.
+
+    Returns its nested form: an atom is ``(text, k, None)`` and a node is
+    ``(label, k, children)``, where ``k`` numbers the atom or the label among
+    the tokens of ``text``, at offset ``token_offsets(text)[k]``.  Offsets
+    are left to callers that need them: treebank lines need none, and taking
+    them adds about half to the time of reading one.
+    Raises ``BracketFormatError`` for an unclosed '(', a stray ')', a '('
+    without a label, a node without children, or material after the tree.
+    """
+    tokens = _TOKEN.findall(text)
     pos = 0
 
-    def parse_node() -> TreeNode:
-        nonlocal pos
-        if pos >= len(tokens):
-            raise GrammarFormatError("unexpected end of tree expression", lineno)
-        token, column = tokens[pos]
-        pos += 1
-        if token == "(":
-            if pos >= len(tokens):
-                raise GrammarFormatError("unterminated '('", lineno, column)
-            head, head_col = tokens[pos]
-            pos += 1
-            label, kind, feats = _parse_token(head, lineno, head_col)
-            if kind != INTERNAL:
-                raise GrammarFormatError(
-                    f"marked node {head!r} cannot have children", lineno, head_col)
-            children = []
-            while pos < len(tokens) and tokens[pos][0] != ")":
-                children.append(parse_node())
-            if pos >= len(tokens):
-                raise GrammarFormatError("missing ')'", lineno, column)
-            pos += 1  # consume ')'
-            if not children:
-                raise GrammarFormatError(
-                    f"internal node {label!r} needs at least one child", lineno, head_col)
-            return TreeNode(label, INTERNAL, tuple(children), feats)
-        if token == ")":
-            raise GrammarFormatError("unexpected ')'", lineno, column)
-        label, kind, feats = _parse_token(token, lineno, column)
-        if kind == INTERNAL:
-            raise GrammarFormatError(
-                f"leaf {token!r} must be marked with one of @ ^ *", lineno, column)
-        return TreeNode(label, kind, (), feats)
+    def error(reason, k, label_k=None):
+        starts = token_offsets(text) + [len(text)]
+        return BracketFormatError(reason, starts[k], starts[k if label_k is None else label_k])
 
-    node = parse_node()
-    if pos != len(tokens):
-        raise GrammarFormatError("trailing material after tree expression",
-                                 lineno, tokens[pos][1])
-    return node
+    def read():
+        nonlocal pos
+        k = pos
+        token = tokens[k]
+        pos += 1
+        if token == ")":
+            raise error("unexpected ')'", k)
+        if token != "(":
+            return token, k, None
+        if pos == len(tokens) or tokens[pos] in "()":
+            raise error("'(' without a label", k, pos if pos < len(tokens) else k)
+        label = tokens[pos]
+        pos += 1
+        children = []
+        while pos < len(tokens) and tokens[pos] != ")":
+            children.append(read())
+        if pos == len(tokens):
+            raise error("missing ')'", k)
+        pos += 1
+        if not children:
+            raise error(f"node {label!r} has no children", k, k + 1)
+        return label, k + 1, children
+
+    if not tokens:
+        raise error("no tree", 0)
+    form = read()
+    if pos < len(tokens):
+        raise error("trailing material after tree", pos)
+    return form
+
+
+def _parse_tree_expr(text: str, lineno: int, offset: int) -> TreeNode:
+    try:
+        form = read_tree(text)
+    except BracketFormatError as exc:
+        raise GrammarFormatError(exc.reason, lineno, offset + exc.label_position + 1) from None
+    starts = token_offsets(text)
+
+    def build(form) -> TreeNode:
+        token, k, children = form
+        column = offset + starts[k] + 1
+        label, kind, feats = _parse_token(token, lineno, column)
+        if (children is None) == (kind == INTERNAL):  # leaves, and only leaves, are marked
+            raise GrammarFormatError(
+                f"leaf {token!r} must be marked with one of @ ^ *" if children is None
+                else f"marked node {token!r} cannot have children", lineno, column)
+        return TreeNode(label, kind, tuple(build(child) for child in children or ()), feats)
+
+    return build(form)
 
 
 def _split_names(text: str, lineno: int) -> tuple[str, ...]:
@@ -356,10 +397,7 @@ def loads(text: str, freq_text: str | None = None) -> Grammar:
                 raise GrammarFormatError(f"unknown tree kind {kind!r}", lineno)
             if name in trees:
                 raise GrammarFormatError(f"duplicate tree {name!r}", lineno)
-            try:
-                root = _parse_tree_expr(expr, lineno, raw.index(expr))
-            except ValueError as exc:
-                raise GrammarFormatError(str(exc), lineno)
+            root = _parse_tree_expr(expr, lineno, raw.index(expr))
             try:
                 trees[name] = ElementaryTree.build(name, kind, root)
             except GrammarValidationError as exc:

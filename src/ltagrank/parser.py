@@ -257,15 +257,11 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
         post(("node", name, position, tree.anchor_address, "top",
               position, position + 1, None, None), ("anchor",))
         if tree.kind == AUXILIARY:
-            leaf_addresses = [a for a, _ in tree.frontier]
-            foot_first = leaf_addresses.index(tree.foot_address) < leaf_addresses.index(
-                tree.anchor_address)
-            for i in range(n):
-                for j in range(i + 1, n + 1):
-                    if foot_first and j > position:
-                        continue
-                    if not foot_first and i < position + 1:
-                        continue
+            leaf_pos = tree.leaf_position
+            foot_first = leaf_pos[tree.foot_address] < leaf_pos[tree.anchor_address]
+            lo, hi = (0, position) if foot_first else (position + 1, n)
+            for i in range(lo, hi):
+                for j in range(i + 1, hi + 1):
                     post(("node", name, position, tree.foot_address, "top",
                           i, j, i, j), ("foot",))
 

@@ -1,7 +1,9 @@
 """Bracketing comparison: crossing brackets, recall, precision, flattening.
 
 Derived, gold and flattened trees are all ``parser.DerivedNode`` trees whose
-nodes carry their word spans; ``brackets_of`` reads a tree's ``Bracketing``
+nodes carry their word spans.  ``read_bracketed`` reads gold and candidate
+lines through ``grammar.read_tree``, the one bracket reader, and keeps
+labels and words verbatim; ``brackets_of`` reads a tree's ``Bracketing``
 off its nodes, optionally flattened, and everything else scores
 ``Bracketing``s.  Before comparison both sides are normalized the paper's
 way: labels stripped, single-word and whole-sentence spans dropped.  Two
@@ -15,18 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean
 
+from .grammar import BracketFormatError, read_tree
 from .parser import DerivedNode, assign_spans
 
 AGGREGATIONS = ("first", "best_of_k", "mean_of_k")
 RECALL_MODES = ("standard", "paper_literal")
-
-
-class BracketFormatError(ValueError):
-    def __init__(self, message, position=None):
-        self.position = position
-        if position is not None:
-            message = f"{message} (at character {position})"
-        super().__init__(message)
 
 
 def read_bracketed(text: str) -> DerivedNode:
@@ -34,64 +29,23 @@ def read_bracketed(text: str) -> DerivedNode:
 
     Returns the root of a ``DerivedNode`` tree with spans from word 0.
     """
-    tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch in "()":
-            tokens.append((ch, i))
-            i += 1
-        elif ch.isspace():
-            i += 1
-        else:
-            j = i
-            while j < len(text) and not text[j].isspace() and text[j] not in "()":
-                j += 1
-            tokens.append((text[i:j], i))
-            i = j
-    pos = 0
+    words = text.lstrip()
+    if not words.startswith("("):
+        raise BracketFormatError("expected '('", len(text) - len(words))
+    root = _derived(read_tree(text))
+    assign_spans(root, 0)
+    return root
 
-    def parse_node():
-        nonlocal pos
-        if pos >= len(tokens):
-            raise BracketFormatError("unexpected end of input", len(text))
-        token, where = tokens[pos]
-        if token != "(":
-            raise BracketFormatError(f"expected '(' but found {token!r}", where)
-        pos += 1
-        if pos >= len(tokens) or tokens[pos][0] in "()":
-            raise BracketFormatError("missing node label", where)
-        label = tokens[pos][0]
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos][0] != ")":
-            if tokens[pos][0] == "(":
-                children.append(parse_node())
-            else:
-                children.append(tokens[pos][0])
-                pos += 1
-        if pos >= len(tokens):
-            raise BracketFormatError("missing ')'", where)
-        pos += 1
-        if not children:
-            raise BracketFormatError(f"node {label!r} has no children", where)
-        return DerivedNode(label, children)
 
-    node = parse_node()
-    if pos != len(tokens):
-        raise BracketFormatError("trailing material after tree", tokens[pos][1])
-    assign_spans(node, 0)
-    return node
+def _derived(form) -> DerivedNode:
+    label, _, children = form
+    return DerivedNode(label, [child[0] if child[2] is None else _derived(child)
+                               for child in children])
 
 
 def read_bracketed_corpus(path) -> list[DerivedNode]:
-    trees = []
     with open(path) as handle:
-        for raw in handle:
-            line = raw.strip()
-            if line:
-                trees.append(read_bracketed(line))
-    return trees
+        return [read_bracketed(line.strip()) for line in handle if line.strip()]
 
 
 @dataclass(frozen=True)

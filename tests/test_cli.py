@@ -405,3 +405,32 @@ def test_bad_resume_log_is_an_error(tmp_path, capsys, mangle, message):
                        capsys)
     assert_one_error(code, err)
     assert message in err
+
+
+def test_grammar_path_that_is_a_directory_is_an_error(capsys):
+    for argv in (["check", SAMPLE],
+                 ["parse", "--grammar", SAMPLE, SAMPLE / "corpus.tagged"]):
+        code, _, err = run(argv, capsys)
+        assert_one_error(code, err)
+
+
+def test_corpus_that_cannot_be_decoded_is_an_error(tmp_path, capsys):
+    corpus = tmp_path / "c.tagged"
+    corpus.write_bytes(b"\xff\xfethe/D part/N\n")
+    code, _, err = run(["parse", *SAMPLE_GRAMMAR, corpus], capsys)
+    assert_one_error(code, err)
+
+
+def test_report_path_that_is_a_directory_is_an_error(tmp_path, capsys):
+    code, _, err = run(["parse", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                        "--report", tmp_path], capsys)
+    assert_one_error(code, err)
+
+
+def test_check_names_every_validation_issue_on_one_line(tmp_path, capsys):
+    bad = tmp_path / "bad.ltag"
+    bad.write_text("tree Broken_Aux : auxiliary (VP ADV@ NP*)\n"
+                   "tree Two_Anchors : initial (NP D@ N@)\n")
+    code, _, err = run(["check", bad], capsys)
+    assert_one_error(code, err)
+    assert "Broken_Aux" in err and "Two_Anchors" in err and "; " in err

@@ -186,3 +186,50 @@ def test_frequency_table():
 def test_duplicate_tree_name_rejected():
     with pytest.raises(GrammarFormatError):
         lt.loads("tree T : initial (NP N@)\ntree T : initial (NP N@)\n")
+
+
+# ---------------------------------------------------------------------------
+# tree lines: each format error names its line, and its column points at the
+# offending token (columns count from 1 in the raw line)
+
+TREE_PREFIX = "  tree T :  initial  "
+
+
+@pytest.mark.parametrize("expr, at", [
+    ("(S NP^ (VP V@ NP^)", 0),     # unclosed '(': at that '('
+    ("(", 0),                      # unclosed '(' at the end of the expression
+    ("(NP N@))", 7),               # stray ')' after the tree
+    (")", 0),                      # stray ')' in place of the tree
+    ("(NP () N@)", 5),             # '(' without a label: at the token in its place
+    ("((NP N@))", 1),
+    ("(NP (D) N@)", 5),            # empty node: at its label
+    ("(NP N@) x", 8),              # trailing material: at its first token
+    ("(NP N@) (NP N@)", 8),
+], ids=["unclosed", "unclosed_at_end", "stray_close", "lone_close", "unlabeled",
+        "unlabeled_nested", "empty_node", "trailing_atom", "trailing_tree"])
+def test_tree_line_error_positions(expr, at):
+    with pytest.raises(GrammarFormatError) as err:
+        lt.loads(f"# a comment line\n{TREE_PREFIX}{expr}\n")
+    assert err.value.line == 2
+    assert err.value.column == len(TREE_PREFIX) + at + 1
+
+
+def test_tree_line_may_be_a_single_marked_leaf():
+    tree = lt.loads("tree D_alpha : initial D@[num=sg]\n").trees["D_alpha"]
+    assert tree.root == TreeNode("D", ANCHOR, (), (("num", "sg"),))
+    assert tree.anchor_address == ()
+
+
+@pytest.mark.parametrize("expr, at", [
+    ("(NP D^ N)", 7),              # an unmarked leaf
+    ("N", 0),                      # an unmarked leaf as the whole tree
+    ("(NP (N@ D^))", 5),           # a marked node with children: at its label
+    ("(N@[a=b] D^)", 1),
+    ("(NP N@[a])", 4),             # a feature without '='
+], ids=["unmarked_leaf", "unmarked_root_leaf", "marked_internal",
+        "marked_root_internal", "bad_feature"])
+def test_tree_line_marker_and_feature_errors(expr, at):
+    with pytest.raises(GrammarFormatError) as err:
+        lt.loads(f"{TREE_PREFIX}{expr}\n")
+    assert err.value.line == 1
+    assert err.value.column == len(TREE_PREFIX) + at + 1

@@ -1,4 +1,5 @@
-"""Layout guard: no code in ``src/ltagrank`` that only tests call.
+"""Layout guards: no code in ``src/ltagrank`` that only tests call, and
+one place that prints error lines.
 
 Every function, method and class defined in the package (dunder names
 skipped) must be named somewhere besides its own definition: in the
@@ -8,6 +9,9 @@ package's modules, in ``bench/*.py`` or in ``pyproject.toml``.  The package
 The check is name-based: a name counts as used wherever it occurs as a
 whole word, so a definition whose name is common (``parse``, ``names``)
 passes trivially even if nothing calls it.
+
+Bad input gets one ``error:`` line, printed by ``cli.main`` alone: commands
+raise, and ``main`` reports.
 """
 
 import ast
@@ -41,3 +45,21 @@ def test_no_definition_is_used_only_by_tests():
                     if counts[name] <= 1)
     assert not unused, "defined but named nowhere else in src/, bench/ or " \
         "pyproject.toml:\n" + "\n".join(unused)
+
+
+def test_error_lines_are_printed_only_by_cli_main():
+    """Every string or f-string part in the package that contains 'error:'
+    lies inside ``cli.main``.  The check is text-based: it finds the literal
+    text, so an error line pieced together from separate parts escapes it."""
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        main = [(node.lineno, node.end_lineno) for node in tree.body
+                if path.name == "cli.py" and isinstance(node, ast.FunctionDef)
+                and node.name == "main"]
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                    and "error:" in node.value
+                    and not any(lo <= node.lineno <= hi for lo, hi in main)):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, "'error:' outside cli.main:\n" + "\n".join(stray)

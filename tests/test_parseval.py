@@ -233,3 +233,36 @@ def test_normalization_flags():
     assert full.spans == {(0, 3, "S"), (0, 1, "NP"), (1, 3, "VP")}
     default = pv.normalize(full)
     assert default.spans == {(1, 3, None)}
+
+
+# ---------------------------------------------------------------------------
+# treebank lines: each format error's position is the offset of the
+# offending token; errors about a node point at its '('
+
+@pytest.mark.parametrize("text, at", [
+    ("(S (NP dogs) (VP bark)", 0),  # unclosed '(': at that '('
+    ("(S (NP dogs) (VP bark", 13),
+    ("(S dogs))", 8),               # stray ')' after the tree
+    (")", 0),                       # stray ')' in place of the tree
+    ("(S () dogs)", 3),             # '(' without a label
+    ("((S dogs))", 0),
+    ("(S (NP) dogs)", 3),           # empty node
+    ("(S dogs) bark", 9),           # trailing material: at its first token
+    ("(S dogs) (S bark)", 9),
+    ("dogs", 0),                    # a bare word is not a tree
+    ("  dogs bark", 2),
+    ("", 0),                        # nothing at all: at the end of the text
+], ids=["unclosed", "unclosed_inner", "stray_close", "lone_close", "unlabeled",
+        "unlabeled_nested", "empty_node", "trailing_atom", "trailing_tree",
+        "bare_word", "bare_words", "empty"])
+def test_treebank_line_error_positions(text, at):
+    with pytest.raises(pv.BracketFormatError) as err:
+        pv.read_bracketed(text)
+    assert err.value.position == at
+
+
+def test_treebank_labels_and_words_are_read_verbatim():
+    # markers and feature brackets mean nothing in a treebank line
+    tree = pv.read_bracketed("(N@ D^ dogs[x])")
+    assert tree.label == "N@" and tree.children == ["D^", "dogs[x]"]
+    assert (tree.start, tree.end) == (0, 2)
