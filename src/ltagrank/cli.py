@@ -165,7 +165,7 @@ def cmd_rank(args) -> int:
 
 
 def _read_candidate_lines(path):
-    with open(path) as handle:
+    with gmod.open_text(path) as handle:
         return [line.rstrip("\n") for line in handle]
 
 
@@ -212,7 +212,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_split(args) -> int:
-    with open(args.corpus) as handle:
+    with gmod.open_text(args.corpus) as handle:
         n = sum(1 for line in handle if line.strip())
     spec = training.split(range(n), _parse_proportions(args, n), args.seed)
     print(f"train: {len(spec.train_ids)}  heldout: {len(spec.heldout_ids)}"
@@ -420,7 +420,7 @@ def main(argv=None) -> int:
     try:
         return args.func(args)
     except (CliError, gmod.GrammarError, gmod.BracketFormatError, hmod.RegistryError,
-            training.TrainingError, TaggedInputError, OSError, UnicodeDecodeError) as exc:
+            training.TrainingError, TaggedInputError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -44,8 +44,8 @@ def _profile(grammar: Grammar, name: str):
     anchor = tree.leaf_position[tree.anchor_address]
     left, right = [], []
     for address in tree.substitution_addresses:
-        side = left if tree.leaf_position[address] < anchor else right
-        side.append(tree.node_at(address).label)
+        half = left if tree.leaf_position[address] < anchor else right
+        half.append(tree.node_at(address).label)
     return len(left), len(right), set(left), set(right)
 
 

@@ -25,7 +25,9 @@ child of the node at ``a`` is ``a + (k,)``, counting children from 1.
 
 from __future__ import annotations
 
+import errno
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -121,7 +123,8 @@ class ElementaryTree:
 
     @classmethod
     def build(cls, name: str, kind: str, root: TreeNode) -> "ElementaryTree":
-        """Validate the shape of ``root`` and derive the anchor/foot addresses."""
+        """Validate the shape of ``root`` and derive the anchor/foot addresses.
+        ``kind`` is INITIAL or AUXILIARY; ``loads`` rejects any other."""
         issues = []
         anchors = []
         feet = []
@@ -140,11 +143,8 @@ class ElementaryTree:
                     f"auxiliary tree {name!r} has foot label {feet[0][1].label!r}"
                     f" but root label {root.label!r}"
                 )
-        elif kind == INITIAL:
-            if feet:
-                issues.append(f"initial tree {name!r} may not contain foot nodes")
-        else:
-            issues.append(f"tree {name!r} has unknown kind {kind!r}")
+        elif feet:
+            issues.append(f"initial tree {name!r} may not contain foot nodes")
         if issues:
             raise GrammarValidationError(issues)
         anchor_address, anchor_node = anchors[0]
@@ -179,24 +179,15 @@ class ElementaryTree:
         return {a: i for i, (a, _) in enumerate(self.frontier)}
 
     @cached_property
-    def modifier_info(self) -> tuple[str, str] | None:
-        """(category, side) of the modifier material of an auxiliary tree.
-
-        The modifier is the highest non-spine subtree containing the anchor;
-        side is 'left' or 'right' of the foot in frontier order.  None for
-        initial trees and for auxiliaries with material on both sides.
-        """
+    def modifier_label(self) -> str | None:
+        """Label of an auxiliary tree's modifier material: the highest node
+        off the spine on the anchor's path.  None for initial trees."""
         if self.foot_address is None:
-            return None
-        foot_pos = self.leaf_position[self.foot_address]
-        # material on both sides of the foot makes the height heuristics moot
-        if 0 < foot_pos < len(self.frontier) - 1:
             return None
         # the anchor is a leaf other than the foot, so its path leaves the spine
         depth = next(i for i in range(1, len(self.anchor_address) + 1)
                      if self.anchor_address[:i] not in self.spine)
-        side = "left" if self.leaf_position[self.anchor_address] < foot_pos else "right"
-        return self.node_at(self.anchor_address[:depth]).label, side
+        return self.node_at(self.anchor_address[:depth]).label
 
 
 def _walk(node: TreeNode, address: Address = ()):
@@ -443,13 +434,24 @@ def loads(text: str, freq_text: str | None = None) -> Grammar:
     return Grammar(trees, families, lexicon, freq)
 
 
+@contextmanager
+def open_text(path):
+    """``open(path)`` for reading text, except that text which cannot be
+    decoded raises an ``OSError`` that names ``path``."""
+    with open(path) as handle:
+        try:
+            yield handle
+        except UnicodeDecodeError as exc:
+            raise OSError(errno.EILSEQ, str(exc), str(path)) from None
+
+
 def load_grammar(path, freq_path=None) -> Grammar:
     """Load a grammar file, optionally together with its frequency table."""
-    with open(path) as handle:
+    with open_text(path) as handle:
         text = handle.read()
     freq_text = None
     if freq_path is not None:
-        with open(freq_path) as handle:
+        with open_text(freq_path) as handle:
             freq_text = handle.read()
     return loads(text, freq_text)
 

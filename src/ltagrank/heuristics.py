@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .grammar import Grammar
+from .grammar import Grammar, open_text
 from .parser import DerivationNode, DerivedTree
 
 LOCAL_TREE_TYPE = "local_tree_type"
@@ -191,7 +191,7 @@ def _heuristic_from(name, kind, options) -> Heuristic:
 
 
 def load_registry(path) -> HeuristicRegistry:
-    with open(path) as handle:
+    with open_text(path) as handle:
         return parse_registry(handle.read())
 
 
@@ -226,33 +226,39 @@ def extract(registry: HeuristicRegistry, grammar: Grammar,
     return tuple(counts)
 
 
+def _modifier_edge(record) -> str | None:
+    """The edge of its host that the record's modifier lies on, read off the
+    final spans: "start" on the left, "end" on the right.  None, which the
+    heights score 0, when material lies on both sides: the auxiliary has
+    material on both sides of its foot, or a tree adjoined at its root does.
+    """
+    root, host = record.root_node, record.host_node
+    left = root.start < host.start
+    if left and host.end < root.end:
+        return None
+    return "start" if left else "end"
+
+
 def _bypassed_lower(record, sites) -> int:
-    # attachment sites of matching category below the chosen host, adjacent
-    # to the modifier span on its side
-    if record.side is None:
+    # attachment sites below the chosen host that share its modifier-side edge
+    edge = _modifier_edge(record)
+    if edge is None:
         return 0
-    count = 0
-    for node in record.host_node.walk():
-        if node is record.host_node or node.label not in sites:
-            continue
-        if record.side == "right" and node.end == record.mod_span[0]:
-            count += 1
-        elif record.side == "left" and node.start == record.mod_span[1]:
-            count += 1
-    return count
+    host = record.host_node
+    at = getattr(host, edge)
+    return sum(1 for node in host.walk()
+               if node is not host and node.label in sites and getattr(node, edge) == at)
 
 
 def _bypassed_higher(record, sites) -> int:
-    if record.side is None:
+    # attachment sites above the modifier that share its outer edge
+    edge = _modifier_edge(record)
+    if edge is None:
         return 0
-    count = 0
-    node = record.root_node.parent
+    at = getattr(record.root_node, edge)
+    count, node = 0, record.root_node.parent
     while node is not None:
-        if node.label in sites:
-            if record.side == "right" and node.end == record.mod_span[1]:
-                count += 1
-            elif record.side == "left" and node.start == record.mod_span[0]:
-                count += 1
+        count += node.label in sites and getattr(node, edge) == at
         node = node.parent
     return count
 
@@ -297,7 +303,7 @@ def load_weights(path, registry: HeuristicRegistry) -> list[float]:
     """Read a weights file; names must match the registry order exactly."""
     weights = []
     names = registry.names()
-    with open(path) as handle:
+    with open_text(path) as handle:
         rows = [line.strip() for line in handle if line.strip() and not line.startswith("#")]
     if len(rows) != len(names):
         raise RegistryError(f"weights file has {len(rows)} rows, registry has {len(names)}")

@@ -123,13 +123,12 @@ class DerivedNode:
 
 @dataclass(eq=False)
 class AdjunctionRecord:
-    """Provenance of one adjunction in a derived tree, for the ranking heuristics."""
+    """Provenance of one adjunction in a derived tree, for the ranking
+    heuristics, which read the modifier's side off the two nodes' spans."""
 
-    root_node: DerivedNode   # the spliced-in top half
+    root_node: DerivedNode   # outermost spliced-in top: the auxiliary's root or one adjoined there
     host_node: DerivedNode   # the original node, now under the foot position
-    modifier_label: str | None
-    side: str | None         # which side of the host the modifier sits on
-    mod_span: tuple[int, int] | None = None
+    modifier_label: str | None  # the auxiliary's ``ElementaryTree.modifier_label``
 
 
 @dataclass(eq=False, repr=False)
@@ -385,19 +384,6 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
     if leaves != list(words[top.start:top.end]):
         raise DerivationError(
             f"derived yield {leaves!r} does not match words {list(words)!r}")
-
-    for record in records:
-        left = (record.root_node.start, record.host_node.start)
-        right = (record.host_node.end, record.root_node.end)
-        if left[0] < left[1] and right[0] < right[1]:
-            record.side = None  # wrapping auxiliary; height heuristics skip it
-            record.mod_span = None
-        elif left[0] < left[1]:
-            record.side = "left"
-            record.mod_span = left
-        else:
-            record.side = "right"
-            record.mod_span = right
     return DerivedTree(top, list(words), records)
 
 
@@ -490,10 +476,7 @@ def _build(grammar, derivation, words, records, anchors, check_features):
                 siblings, index = slots[att.address]
                 siblings[index] = child_top
             foot_siblings[foot_index] = target
-            info = child_tree.modifier_info
-            records.append(AdjunctionRecord(
-                child_top, target,
-                info[0] if info else None, info[1] if info else None))
+            records.append(AdjunctionRecord(child_top, target, child_tree.modifier_label))
         else:
             raise DerivationError(f"unknown operation {att.op!r}")
 

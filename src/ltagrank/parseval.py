@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from statistics import mean
 
-from .grammar import BracketFormatError, read_tree
+from .grammar import BracketFormatError, open_text, read_tree
 from .parser import DerivedNode, assign_spans
 
 AGGREGATIONS = ("first", "best_of_k", "mean_of_k")
@@ -44,7 +44,7 @@ def _derived(form) -> DerivedNode:
 
 
 def read_bracketed_corpus(path) -> list[DerivedNode]:
-    with open(path) as handle:
+    with open_text(path) as handle:
         return [read_bracketed(line.strip()) for line in handle if line.strip()]
 
 
@@ -60,21 +60,19 @@ def brackets_of(root: DerivedNode, flatten=frozenset()) -> Bracketing:
     the categories ``flatten``; with none, of ``root`` itself.
 
     Spans are read off the nodes of ``root``, relative to its start.
-    Flattening only drops nodes, and each node it keeps spans the same words
-    as in ``root``: a node drops out exactly when its parent is labeled in
-    ``flatten`` and it is a preterminal or labeled in ``flatten``.
+    Flattening only drops nodes (``_drops_out``), and each node it keeps
+    spans the same words as in ``root``.
     """
     base = root.start
     spans = {(0, root.end - base, root.label)}
     stack = [root]
     while stack:
         node = stack.pop()
-        flat = node.label in flatten
         for child in node.children:
             if isinstance(child, str):
                 continue
             stack.append(child)
-            if not (flat and (child.label in flatten or _is_preterminal(child))):
+            if not _drops_out(node, child, flatten):
                 spans.add((child.start - base, child.end - base, child.label))
     return Bracketing(root.end - base, frozenset(spans))
 
@@ -97,9 +95,6 @@ class EvalScores:
     zero_crossing: bool
     recall_pct: float
     precision_pct: float
-    candidate_count: float
-    gold_count: float
-    correct_count: float
 
 
 def evaluate_parse(candidate: Bracketing, gold: Bracketing,
@@ -124,8 +119,7 @@ def evaluate_parse(candidate: Bracketing, gold: Bracketing,
     else:
         precision = 100.0 * correct / len(cand)
         recall = 100.0 * (correct if mode == "standard" else len(cand)) / len(gb)
-    return EvalScores(float(crossings), crossings == 0, recall, precision,
-                      float(len(cand)), float(len(gb)), float(correct))
+    return EvalScores(float(crossings), crossings == 0, recall, precision)
 
 
 def aggregate_scores(scores: list[EvalScores], aggregation: str) -> EvalScores:
@@ -139,15 +133,8 @@ def aggregate_scores(scores: list[EvalScores], aggregation: str) -> EvalScores:
     if aggregation == "best_of_k":
         return min(scores, key=lambda s: (s.crossing_count, -s.recall_pct, -s.precision_pct))
     crossing_avg = mean(s.crossing_count for s in scores)
-    return EvalScores(
-        crossing_avg,
-        crossing_avg == 0,
-        mean(s.recall_pct for s in scores),
-        mean(s.precision_pct for s in scores),
-        mean(s.candidate_count for s in scores),
-        mean(s.gold_count for s in scores),
-        mean(s.correct_count for s in scores),
-    )
+    return EvalScores(crossing_avg, crossing_avg == 0, mean(s.recall_pct for s in scores),
+                      mean(s.precision_pct for s in scores))
 
 
 @dataclass(frozen=True)
@@ -218,30 +205,28 @@ def flatten(root: DerivedNode, categories) -> DerivedNode:
     (and are flattened internally in turn).  Returns a new ``DerivedNode``
     tree with spans from word 0.
     """
-    node = _flatten_node(root, frozenset(categories))
-    assign_spans(node, 0)
-    return node
+    categories = frozenset(categories)
+
+    def copy(node):
+        children = []
+        for child in node.children:
+            if isinstance(child, str):
+                children.append(child)
+            elif _drops_out(node, child, categories):
+                children.extend(copy(child).children)
+            else:
+                children.append(copy(child))
+        return DerivedNode(node.label, children)
+
+    flat = copy(root)
+    assign_spans(flat, 0)
+    return flat
 
 
-def _is_preterminal(node) -> bool:
-    return bool(node.children) and all(isinstance(c, str) for c in node.children)
-
-
-def _flatten_node(node, cats):
-    if isinstance(node, str):
-        return node
-    if node.label in cats:
-        return DerivedNode(node.label, list(_gather(node, cats)))
-    return DerivedNode(node.label, [_flatten_node(child, cats) for child in node.children])
-
-
-def _gather(node, cats):
-    for child in node.children:
-        if isinstance(child, str):
-            yield child
-        elif _is_preterminal(child):
-            yield from child.children
-        elif child.label in cats:
-            yield from _gather(child, cats)
-        else:
-            yield _flatten_node(child, cats)
+def _drops_out(parent, child, categories) -> bool:
+    """The flattening rule: a child of a node labeled in ``categories`` drops
+    out, its children taking its place, when it is a preterminal or is
+    itself labeled in ``categories``."""
+    return parent.label in categories and (
+        child.label in categories
+        or bool(child.children) and all(isinstance(c, str) for c in child.children))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .grammar import Grammar
+from .grammar import Grammar, open_text
 
 
 class TaggedInputError(Exception):
@@ -53,7 +53,7 @@ def parse_tagged_line(line: str) -> list[TaggedWord]:
 
 def read_tagged_corpus(path) -> list[list[TaggedWord]]:
     sentences = []
-    with open(path) as handle:
+    with open_text(path) as handle:
         for raw in handle:
             line = raw.strip()
             if line:

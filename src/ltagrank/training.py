@@ -27,6 +27,7 @@ import math
 import random
 from dataclasses import dataclass, asdict
 
+from .grammar import open_text
 from .heuristics import score
 from .parseval import CorpusScores, EvalScores, aggregate_scores, corpus_scores
 
@@ -368,7 +369,7 @@ def write_log(path, result: TrainResult, config: TrainConfig, spec: SplitSpec) -
 def read_log_state(path) -> TrainState:
     """Recover the trainer state from the end of a log, for --resume."""
     state = None
-    with open(path) as handle:
+    with open_text(path) as handle:
         for number, line in enumerate(handle, start=1):
             try:
                 record = json.loads(line)

@@ -421,6 +421,18 @@ def test_corpus_that_cannot_be_decoded_is_an_error(tmp_path, capsys):
     assert_one_error(code, err)
 
 
+@pytest.mark.parametrize("which", ["corpus", "grammar", "gold"])
+def test_file_that_cannot_be_decoded_is_named(tmp_path, capsys, which):
+    bad = tmp_path / f"bad.{which}"
+    bad.write_bytes(b"\xff\xfethe/D part/N\n")
+    argv = {"corpus": ["parse", *SAMPLE_GRAMMAR, bad],
+            "grammar": ["parse", "--grammar", bad, SAMPLE / "corpus.tagged"],
+            "gold": ["eval", SAMPLE / "gold.brackets", "--gold", bad]}[which]
+    code, _, err = run(argv, capsys)
+    assert_one_error(code, err)
+    assert str(bad) in err
+
+
 def test_report_path_that_is_a_directory_is_an_error(tmp_path, capsys):
     code, _, err = run(["parse", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
                         "--report", tmp_path], capsys)

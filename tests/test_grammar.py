@@ -62,6 +62,14 @@ def test_format_error_carries_line_number():
     assert err.value.line == 2
 
 
+def test_unknown_tree_kind_names_its_line():
+    text = "tree A : initial (NP N@)\n\ntree X : weird (S V@)\n"
+    with pytest.raises(GrammarFormatError) as err:
+        lt.loads(text)
+    assert err.value.line == 3
+    assert "weird" in str(err.value)
+
+
 def test_leaf_without_marker_rejected():
     with pytest.raises(GrammarFormatError):
         lt.loads("tree T : initial (NP N)\n")
@@ -135,11 +143,11 @@ def test_spine_and_modifier_info():
     pp = g.trees["PP_Attaches_to_NP"]
     assert pp.foot_address == (1,)
     assert pp.spine == {(), (1,)}
-    assert pp.modifier_info == ("PP", "right")
+    assert pp.modifier_label == "PP"
     g2 = lt.loads(MODIFIER_GRAMMAR)
-    assert g2.trees["Pre_VP_Adverb"].modifier_info == ("ADV", "left")
-    assert g2.trees["Adjective"].modifier_info == ("A", "left")
-    assert g2.trees["Noun_Deep"].modifier_info is None
+    assert g2.trees["Pre_VP_Adverb"].modifier_label == "ADV"
+    assert g2.trees["Adjective"].modifier_label == "A"
+    assert g2.trees["Noun_Deep"].modifier_label is None
 
 
 def test_tree_node_invariants():

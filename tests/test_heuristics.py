@@ -69,6 +69,26 @@ def test_pp_height_spec_example():
     assert heights == {"VP": 1.0, "NP": 0.0}
 
 
+def test_pp_with_determiner_at_its_root_wraps_its_host():
+    # "the" adjoins at the outer PP auxiliary's root, so that PP's record
+    # has material on both sides of its host and the PP height skips it
+    g = lt.loads(OFPP_GRAMMAR)
+    reg = HeuristicRegistry([])
+    pp_index = reg.names().index("pp_attachment_height")
+    parses = parses_of(g, "part/N is/V the/D name/N of/P part/N of/P part/N",
+                       adjunction_cap=3)
+    assert len(parses) == 9
+    target = ("(S (NP (N part)) (VP (V is) (NP (D the) (NP (NP (NP (N name))"
+              " (PP (P of) (NP (N part)))) (PP (P of) (NP (N part)))))))")
+    [(derivation, derived)] = [p for p in parses if p[1].to_string() == target]
+    assert extract(reg, g, derivation, derived)[pp_index] == 0.0
+    outer = max((rec for rec in derived.adjunctions if rec.modifier_label == "PP"),
+                key=lambda rec: rec.host_node.end - rec.host_node.start)
+    root, host = outer.root_node, outer.host_node
+    assert (host.start, host.end) == (3, 6)
+    assert root.start < host.start and host.end < root.end
+
+
 def test_adjective_height_direction():
     g = lt.loads(MODIFIER_GRAMMAR)
     reg = HeuristicRegistry([])

@@ -19,7 +19,7 @@ def make_record(sid, entries):
     candidates = []
     for vector, crossing, recall, precision in entries:
         scores = EvalScores(float(crossing), crossing == 0, float(recall),
-                            float(precision), 0.0, 0.0, 0.0)
+                            float(precision))
         candidates.append(Candidate(tuple(float(x) for x in vector), scores))
     return SentenceRecord(sid, candidates)
 
