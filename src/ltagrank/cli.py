@@ -291,16 +291,19 @@ def cmd_train(args) -> int:
         max_iterations=args.max_iterations, seed=args.seed,
         require_all_metrics=args.require_all_metrics)
     resume_state = training.read_log_state(args.resume) if args.resume else None
+    earlier = training.read_log_attempts(args.resume) if args.resume else []
     result = training.train(records, spec, config, initial,
                             heuristic_names=registry.names(),
                             resume_state=resume_state)
 
     hmod.save_weights(args.weights_out, registry, result.weights)
-    training.write_log(args.log, result, config, spec)
+    training.write_log(args.log, result, config, spec, earlier)
 
     rows = []
     for group_name, ids in (("HELD-OUT", spec.heldout_ids), ("TEST", spec.test_ids)):
         group = [records[sid] for sid in ids]
+        if not group:
+            continue
         for label, weights in (
                 ("No heuristics", hmod.zero_weights(registry)),
                 ("No preference", hmod.uniform_weights(registry)),

@@ -8,11 +8,14 @@ the weight-vector layout.  Registry files hold one declaration per line:
     NAME local_lexical     word=of prefer=tree:X disprefer=tree:Y
     NAME global_structural builtin=pp_attachment_height modifier=PP sites=NP,VP
 
-Lexical predicates are ``pos:TAG``, ``tree:NAME[,NAME...]`` or ``prefix:STR``
-and are tested against the anchoring (POS, tree name) of the rule's word.
-The three structural builtins (adjunction_count, pp_attachment_height,
-adj_attachment_height) are always present; a registry file that omits them
-gets them appended with default settings.
+Lexical predicates are ``pos:TAG``, ``tree:NAME[,NAME...]`` or ``prefix:STR``.
+A local rule counts the tree instances whose anchoring (POS, tree name) its
+``disprefer`` matches; a tree-type rule's ``prefix=``/``trees=`` is its
+``disprefer``, and a lexical rule counts only the instances of its word.
+The default registry is ``STOCK_REGISTRY``, the local rules of
+``sample/registry.txt``, plus the three structural builtins
+(adjunction_count, pp_attachment_height, adj_attachment_height), which are
+always present: a registry that omits them gets them with default settings.
 
 Weights files are ``heuristic_name<TAB>weight`` lines in registry order.
 """
@@ -34,6 +37,18 @@ BUILTIN_PP_HEIGHT = "pp_attachment_height"
 BUILTIN_ADJ_HEIGHT = "adj_attachment_height"
 GLOBAL_BUILTINS = (BUILTIN_ADJUNCTIONS, BUILTIN_PP_HEIGHT, BUILTIN_ADJ_HEIGHT)
 
+# clause-type and function-word rules; the registry appends the builtins
+STOCK_REGISTRY = """\
+disprefer_relative_clause local_tree_type prefix=Rel_Cl
+disprefer_topicalization local_tree_type prefix=Topic
+disprefer_predicative local_tree_type prefix=Pred
+prefer_of_np_modifier local_lexical word=of prefer=tree:PP_Attaches_to_NP disprefer=tree:PP_Attaches_to_VP
+prefer_this_determiner local_lexical word=this prefer=pos:D disprefer=pos:N
+prefer_to_verb local_lexical word=to prefer=pos:V disprefer=pos:P
+prefer_that_complementizer local_lexical word=that prefer=pos:Comp disprefer=pos:D
+prefer_which_complementizer local_lexical word=which prefer=pos:Comp disprefer=pos:N
+"""
+
 
 class RegistryError(Exception):
     pass
@@ -46,7 +61,7 @@ class Predicate:
     mode: str  # "pos" | "tree" | "prefix"
     values: tuple[str, ...]
 
-    def matches(self, pos: str | None, tree_name: str) -> bool:
+    def matches(self, pos: str, tree_name: str) -> bool:
         if self.mode == "pos":
             return pos in self.values
         if self.mode == "tree":
@@ -70,8 +85,7 @@ class Predicate:
 class Heuristic:
     name: str
     kind: str
-    tree_pred: Predicate | None = None
-    word: str | None = None
+    word: str | None = None  # None: every anchoring counts
     prefer: Predicate | None = None
     disprefer: Predicate | None = None
     builtin: str | None = None
@@ -112,32 +126,8 @@ def _default_global(builtin: str) -> Heuristic:
 
 
 def default_registry() -> HeuristicRegistry:
-    """The stock registry: clause-type and function-word rules plus the
-    three structural builtins."""
-    rules = [
-        Heuristic("disprefer_relative_clause", LOCAL_TREE_TYPE,
-                  tree_pred=Predicate("prefix", ("Rel_Cl",))),
-        Heuristic("disprefer_topicalization", LOCAL_TREE_TYPE,
-                  tree_pred=Predicate("prefix", ("Topic",))),
-        Heuristic("disprefer_predicative", LOCAL_TREE_TYPE,
-                  tree_pred=Predicate("prefix", ("Pred",))),
-        Heuristic("prefer_of_np_modifier", LOCAL_LEXICAL, word="of",
-                  prefer=Predicate("tree", ("PP_Attaches_to_NP",)),
-                  disprefer=Predicate("tree", ("PP_Attaches_to_VP",))),
-        Heuristic("prefer_this_determiner", LOCAL_LEXICAL, word="this",
-                  prefer=Predicate("pos", ("D",)),
-                  disprefer=Predicate("pos", ("N",))),
-        Heuristic("prefer_to_verb", LOCAL_LEXICAL, word="to",
-                  prefer=Predicate("pos", ("V",)),
-                  disprefer=Predicate("pos", ("P",))),
-        Heuristic("prefer_that_complementizer", LOCAL_LEXICAL, word="that",
-                  prefer=Predicate("pos", ("Comp",)),
-                  disprefer=Predicate("pos", ("D",))),
-        Heuristic("prefer_which_complementizer", LOCAL_LEXICAL, word="which",
-                  prefer=Predicate("pos", ("Comp",)),
-                  disprefer=Predicate("pos", ("N",))),
-    ]
-    return HeuristicRegistry(rules)
+    """The stock registry: ``STOCK_REGISTRY`` plus the three builtins."""
+    return parse_registry(STOCK_REGISTRY)
 
 
 def parse_registry(text: str) -> HeuristicRegistry:
@@ -171,7 +161,7 @@ def _heuristic_from(name, kind, options) -> Heuristic:
             pred = Predicate("tree", tuple(options["trees"].split(",")))
         else:
             raise RegistryError(f"{name}: local_tree_type needs prefix= or trees=")
-        return Heuristic(name, kind, tree_pred=pred)
+        return Heuristic(name, kind, disprefer=pred)
     if kind == LOCAL_LEXICAL:
         missing = {"word", "prefer", "disprefer"} - options.keys()
         if missing:
@@ -201,19 +191,15 @@ def load_registry(path) -> HeuristicRegistry:
 def extract(registry: HeuristicRegistry, grammar: Grammar,
             derivation: DerivationNode, derived: DerivedTree) -> tuple[float, ...]:
     """Count each registry heuristic's matches in one (derivation, derived) pair."""
-    instances = derivation.instances()
+    anchorings = [(grammar.trees[name].anchor_pos, name, derived.words[anchor].lower())
+                  for name, anchor in derivation.instances()]
     counts = []
     for h in registry.heuristics:
-        if h.kind == LOCAL_TREE_TYPE:
-            value = sum(1 for name, _ in instances if h.tree_pred.matches(None, name))
-        elif h.kind == LOCAL_LEXICAL:
-            value = 0
-            for name, anchor in instances:
-                if derived.words[anchor].lower() != h.word.lower():
-                    continue
-                tree = grammar.trees[name]
-                if h.disprefer.matches(tree.anchor_pos, name):
-                    value += 1
+        if h.kind != GLOBAL_STRUCTURAL:
+            word = None if h.word is None else h.word.lower()
+            value = sum(1 for pos, name, anchored in anchorings
+                        if (word is None or anchored == word)
+                        and h.disprefer.matches(pos, name))
         elif h.builtin == BUILTIN_ADJUNCTIONS:
             value = len(derived.adjunctions)
         elif h.builtin == BUILTIN_PP_HEIGHT:

@@ -279,8 +279,7 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
     def merge_dot(dot_key, top_key):
         _, name, position, parent, done, i, _, dfi, dfj = dot_key
         _, _, _, _, _, _, j2, cfi, cfj = top_key
-        if dfi is not None and cfi is not None:
-            return
+        # an item carries only its own tree's foot span, and a tree has one foot
         fi, fj = (dfi, dfj) if dfi is not None else (cfi, cfj)
         post(("dot", name, position, parent, done + 1, i, j2, fi, fj),
              ("step", dot_key, top_key))
@@ -362,8 +361,9 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
            check_features: bool = False) -> DerivedTree:
     """Carry out the derivation's substitutions and adjunctions bottom-up.
 
-    ``words`` is the sentence; anchor indices index into it.  Structural
-    problems (bad address, category mismatch, duplicate adjunction) raise
+    ``words`` is the whole sentence: each anchor must sit at its index and
+    the yield must equal ``words``.  These and other structural problems
+    (bad address, category mismatch, duplicate adjunction) raise
     DerivationError; with ``check_features`` on, clashing atomic features
     raise FeatureConflict instead (absent attributes unify with anything).
     """
@@ -372,16 +372,10 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
     top, _ = _build(grammar, derivation, words, records, anchors, check_features)
 
     assign_spans(top, 0)
-    offsets = {index - node.start for node, index in anchors}
-    if len(offsets) != 1:
+    if any(node.start != index for node, index in anchors):
         raise DerivationError("anchor positions are inconsistent with the word order")
-    offset = offsets.pop()
-    if offset:
-        for node in top.walk():
-            node.start += offset
-            node.end += offset
     leaves = top.leaves()
-    if leaves != list(words[top.start:top.end]):
+    if leaves != list(words):
         raise DerivationError(
             f"derived yield {leaves!r} does not match words {list(words)!r}")
     return DerivedTree(top, list(words), records)

@@ -23,13 +23,15 @@ class PipelineConfig:
 
 @dataclass
 class SentenceAnalysis:
-    sentence: list
     words: list[str]
     assignment: TreeAssignment
     report: FilterReport | None
     forest: ParseForest
     parses: list[RankedParse]
-    derivation_count: int
+
+    @property
+    def derivation_count(self) -> int:
+        return len(self.parses)
 
     @property
     def parsed(self) -> bool:
@@ -71,5 +73,4 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
             continue
         pairs.append((derivation, derived))
     ranked = rank(grammar, pairs, registry, weights)
-    return SentenceAnalysis(sentence, words, assignment, report, forest,
-                            ranked, len(pairs))
+    return SentenceAnalysis(words, assignment, report, forest, ranked)

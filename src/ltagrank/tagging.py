@@ -35,9 +35,6 @@ class TreeAssignment:
 
     candidates: list[list[str]]
 
-    def __len__(self):
-        return len(self.candidates)
-
 
 def parse_tagged_line(line: str) -> list[TaggedWord]:
     words = []

@@ -226,7 +226,12 @@ class TrainState:
 
     @classmethod
     def from_dict(cls, d: dict) -> "TrainState":
+        """The state of a state record; raises KeyError, TypeError, IndexError
+        or ValueError on a record that ``step`` could not continue from."""
         rng_state = (d["rng_state"][0], tuple(d["rng_state"][1]), d["rng_state"][2])
+        random.Random().setstate(rng_state)
+        if not all(type(d[key]) is int for key in ("strikes", "attempts", "accepted")):
+            raise TypeError("strikes, attempts and accepted must be integers")
         return cls(list(d["weights"]), d["train_objective"], d["heldout_last"],
                    d["best_heldout"], list(d["best_weights"]), d["strikes"],
                    d["attempts"], d["accepted"], rng_state)
@@ -340,7 +345,9 @@ def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
 # ---------------------------------------------------------------------------
 # log serialization
 
-def log_lines(result: TrainResult, config: TrainConfig, spec: SplitSpec):
+def log_lines(result: TrainResult, config: TrainConfig, spec: SplitSpec, earlier=()):
+    """The log's records: the config, then ``earlier`` (the attempt records
+    of the log a run resumed from, verbatim), the run's attempts and its state."""
     yield json.dumps({"type": "config", "top_k": config.top_k,
                       "aggregation": config.aggregation,
                       "delta_scale": config.delta_scale,
@@ -351,6 +358,7 @@ def log_lines(result: TrainResult, config: TrainConfig, spec: SplitSpec):
                       "split_seed": spec.seed,
                       "sizes": [len(spec.train_ids), len(spec.heldout_ids),
                                 len(spec.test_ids)]})
+    yield from earlier
     for entry in result.entries:
         yield json.dumps({"type": "attempt", "attempt": entry.attempt,
                           "heuristic": entry.heuristic, "delta": entry.delta,
@@ -360,9 +368,10 @@ def log_lines(result: TrainResult, config: TrainConfig, spec: SplitSpec):
     yield json.dumps({"type": "state", **result.state.to_dict()})
 
 
-def write_log(path, result: TrainResult, config: TrainConfig, spec: SplitSpec) -> None:
+def write_log(path, result: TrainResult, config: TrainConfig, spec: SplitSpec,
+              earlier=()) -> None:
     with open(path, "w") as handle:
-        for line in log_lines(result, config, spec):
+        for line in log_lines(result, config, spec, earlier):
             handle.write(line + "\n")
 
 
@@ -378,7 +387,7 @@ def read_log_state(path) -> TrainState:
             if isinstance(record, dict) and record.get("type") == "state":
                 try:
                     state = TrainState.from_dict(record)
-                except (KeyError, TypeError, IndexError) as exc:
+                except (KeyError, TypeError, IndexError, ValueError) as exc:
                     raise TrainingError(
                         f"{path}, line {number}: malformed state record"
                         f" ({type(exc).__name__}: {exc})") from None
@@ -389,3 +398,11 @@ def read_log_state(path) -> TrainState:
     if state is None:
         raise TrainingError(f"no state record found in {path}")
     return state
+
+
+def read_log_attempts(path) -> list[str]:
+    """The attempt records of a log that ``read_log_state`` accepts, verbatim."""
+    with open_text(path) as handle:
+        records = [(line.rstrip("\n"), json.loads(line)) for line in handle]
+    return [line for line, record in records
+            if isinstance(record, dict) and record.get("type") == "attempt"]

@@ -384,14 +384,34 @@ def _nan_best_weight(lines):
     return lines[:-1] + [json.dumps(state)]
 
 
+def _rng_state_of_the_wrong_size(lines):
+    state = json.loads(lines[-1])
+    state["rng_state"] = [3, [1, 2], None]
+    return lines[:-1] + [json.dumps(state)]
+
+
+def _attempts_a_string(lines):
+    state = json.loads(lines[-1])
+    state["attempts"] = str(state["attempts"])
+    return lines[:-1] + [json.dumps(state)]
+
+
+def _no_state(lines):
+    return lines[:-1]
+
+
 @pytest.mark.parametrize("mangle, message", [
     (_no_json, "line 6: not a JSON record"),
     (_no_rng_state, "line 5: malformed state record"),
     (_three_weights, "3 entries"),
     (_infinite_weight, "line 5: state record holds a weight that is not a finite"),
     (_nan_best_weight, "line 5: state record holds a weight that is not a finite"),
+    (_rng_state_of_the_wrong_size, "line 5: malformed state record"),
+    (_attempts_a_string, "line 5: malformed state record"),
+    (_no_state, "no state record found in"),
 ], ids=["no_json", "no_rng_state", "three_weights", "infinite_weight",
-        "nan_best_weight"])
+        "nan_best_weight", "rng_state_of_the_wrong_size", "attempts_a_string",
+        "no_state"])
 def test_bad_resume_log_is_an_error(tmp_path, capsys, mangle, message):
     train = ["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
              "--gold", SAMPLE / "gold.brackets", "--ratios", "3,1,1",
@@ -446,3 +466,115 @@ def test_check_names_every_validation_issue_on_one_line(tmp_path, capsys):
     code, _, err = run(["check", bad], capsys)
     assert_one_error(code, err)
     assert "Broken_Aux" in err and "Two_Anchors" in err and "; " in err
+
+
+
+# ---------------------------------------------------------------------------
+# the sample registry is the stock registry
+
+def test_rank_with_the_sample_registry_prints_the_golden_ranking(tmp_path, monkeypatch,
+                                                                  capsys):
+    monkeypatch.chdir(tmp_path)
+    code, out, _ = run([*GOLDEN_COMMANDS["rank"], "--registry", SAMPLE / "registry.txt"],
+                       capsys)
+    assert code == 0
+    assert out == (GOLDEN / "rank.out").read_text()
+
+
+# ---------------------------------------------------------------------------
+# training runs
+
+TRAIN = ["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+         "--gold", SAMPLE / "gold.brackets", "--seed", "9"]
+
+
+def test_train_with_an_empty_test_split(tmp_path, capsys):
+    code, out, _ = run([*TRAIN, "--ratios", "1,1,0", "--max-iterations", "20",
+                        "--weights-out", tmp_path / "w.tsv", "--log", tmp_path / "log"],
+                       capsys)
+    assert code == 0
+    groups = [line.split()[0] for line in out.splitlines()[1:] if line.strip()]
+    assert groups.count("HELD-OUT") == 3 and "TEST" not in groups
+    assert json.loads((tmp_path / "log").read_text().splitlines()[0])["sizes"] == [3, 2, 0]
+
+
+@pytest.mark.parametrize("same_log", [True, False], ids=["same_log", "new_log"])
+def test_resumed_run_keeps_the_earlier_attempts(tmp_path, capsys, same_log):
+    train = [*TRAIN, "--ratios", "3,1,1", "--strike-limit", "1000"]
+    code, _, _ = run([*train, "--max-iterations", "40", "--weights-out",
+                      tmp_path / "full.tsv", "--log", tmp_path / "full.log"], capsys)
+    assert code == 0
+    half = tmp_path / "half.log"
+    code, _, _ = run([*train, "--max-iterations", "20", "--weights-out",
+                      tmp_path / "half.tsv", "--log", half], capsys)
+    assert code == 0
+    log = half if same_log else tmp_path / "resumed.log"
+    code, _, _ = run([*train, "--max-iterations", "40", "--weights-out",
+                      tmp_path / "resumed.tsv", "--log", log, "--resume", half], capsys)
+    assert code == 0
+    assert log.read_bytes() == (tmp_path / "full.log").read_bytes()
+    assert (tmp_path / "resumed.tsv").read_bytes() == (tmp_path / "full.tsv").read_bytes()
+    attempts = [json.loads(line) for line in log.read_text().splitlines()[1:-1]]
+    assert [record["attempt"] for record in attempts] == list(range(1, 41))
+
+
+# ---------------------------------------------------------------------------
+# more bad input: one error line, exit code 1
+
+@pytest.mark.parametrize("text, message", [
+    ("tree X initial (NP N@)\n", "malformed tree line (line 1)"),
+    ("tree T : initial (NP N@)\nfamily F\n", "malformed family line (line 2)"),
+    ("tree T : initial (NP N@)\nfamily F = T\nfamily F = T\n",
+     "duplicate family 'F' (line 3)"),
+    ("lex dog N\n", "malformed lexicon line (line 1)"),
+    ("lex dog N -> ,\n", "empty name list (line 1)"),
+    ("# frob\nfrob X\n", "unrecognized declaration 'frob' (line 2)"),
+    ("tree X : initial (NP N@!)\n", "bad node token 'N@!' (line 1, column 22)"),
+    ("tree A : auxiliary (NP D@ NP^)\n", "auxiliary tree 'A' must have exactly one foot,"
+                                         " found 0"),
+], ids=["tree_line", "family_line", "duplicate_family", "lex_line", "empty_names",
+        "unrecognized", "bad_token", "no_foot"])
+def test_grammar_file_errors(tmp_path, capsys, text, message):
+    grammar = tmp_path / "g.ltag"
+    grammar.write_text(text)
+    code, _, err = run(["check", grammar], capsys)
+    assert_one_error(code, err)
+    assert message in err
+
+
+def test_frequency_line_of_three_columns_is_an_error(tmp_path, capsys):
+    freq = tmp_path / "freq.tsv"
+    freq.write_text("# tree probability\n\nNoun_Phrase\t0.5\nDeterminer\t0.2\t0.1\n")
+    code, _, err = run(["check", SAMPLE / "grammar.ltag", "--freq", freq], capsys)
+    assert_one_error(code, err)
+    assert "(line 4)" in err
+
+
+def test_eval_candidate_of_the_wrong_length_is_an_error(tmp_path, capsys):
+    parses, gold = tmp_path / "parses.txt", tmp_path / "gold.txt"
+    parses.write_text("(X a b c)\n")
+    gold.write_text("(X a b)\n")
+    code, _, err = run(["eval", parses, "--gold", gold], capsys)
+    assert_one_error(code, err)
+    assert "sentence 0: candidate has 3 words, gold has 2" in err
+
+
+@pytest.mark.parametrize("ratios, message", [
+    ("1,x,1", "bad proportions '1,x,1'"),
+    ("1,1", "exactly three"),
+    ("0,0,0", "must not all be zero"),
+], ids=["not_a_number", "two_numbers", "all_zero"])
+def test_split_bad_ratios_is_an_error(tmp_path, capsys, ratios, message):
+    corpus = tmp_path / "lines.txt"
+    corpus.write_text("a\nb\nc\nd\n")
+    code, _, err = run(["split", corpus, "--ratios", ratios], capsys)
+    assert_one_error(code, err)
+    assert message in err
+
+
+def test_rank_prints_no_parse(tmp_path, capsys):
+    corpus = tmp_path / "c.tagged"
+    corpus.write_text("the/D part/N\n")
+    code, out, _ = run(["rank", *SAMPLE_GRAMMAR, corpus], capsys)
+    assert code == 0
+    assert out.splitlines() == ["[0] the part", "  NO PARSE"]

@@ -191,6 +191,18 @@ def test_frequency_table():
         parse_frequencies("A\t0.1\nA\t0.2\n")
 
 
+def test_frequency_table_skips_comments_and_blank_lines():
+    table = parse_frequencies("# tree\tprobability\n\nA\t0.25  # common\n   \nB\t1\n")
+    assert table.entries == {"A": 0.25, "B": 1.0}
+
+
+def test_lexicon_lines_for_one_word_and_pos_accumulate():
+    g = lt.loads("tree A : initial (NP N@)\ntree B : initial (NP N@)\n"
+                 "lex dog N -> A\nlex dog N -> B, A\n")
+    assert g.lexicon[("dog", "N")].selects == ("A", "B")
+    assert g.trees_for_word("dog", "N") == {"A", "B"}
+
+
 def test_duplicate_tree_name_rejected():
     with pytest.raises(GrammarFormatError):
         lt.loads("tree T : initial (NP N@)\ntree T : initial (NP N@)\n")

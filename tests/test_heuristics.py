@@ -1,13 +1,16 @@
 import random
+from pathlib import Path
 
 import pytest
 
 import ltagrank as lt
 from ltagrank.heuristics import (GLOBAL_BUILTINS, Heuristic, HeuristicRegistry,
                                  Predicate, RegistryError, default_registry,
-                                 extract, load_weights, parse_registry, rank,
-                                 save_weights, score, uniform_weights, zero_weights)
+                                 extract, load_registry, load_weights, parse_registry,
+                                 rank, save_weights, score, uniform_weights, zero_weights)
 from toygrammars import MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR, parses_of
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
 
 def test_default_registry_contents():
@@ -17,15 +20,19 @@ def test_default_registry_contents():
     assert reg.names()[0] == "disprefer_relative_clause"
 
 
+def test_sample_registry_is_the_stock_registry():
+    assert load_registry(SAMPLE / "registry.txt") == default_registry()
+
+
 def test_builtins_always_appended():
     reg = HeuristicRegistry([Heuristic("only_rule", "local_tree_type",
-                                       tree_pred=Predicate("prefix", ("X",)))])
+                                       disprefer=Predicate("prefix", ("X",)))])
     assert set(GLOBAL_BUILTINS) <= set(reg.names())
     assert len(reg) == 4
 
 
 def test_duplicate_names_rejected():
-    h = Heuristic("dup", "local_tree_type", tree_pred=Predicate("prefix", ("X",)))
+    h = Heuristic("dup", "local_tree_type", disprefer=Predicate("prefix", ("X",)))
     with pytest.raises(RegistryError):
         HeuristicRegistry([h, h])
 
