@@ -253,14 +253,21 @@ def _flatten_categories(args):
 
 
 def build_records(analyses, gold_trees, recall_mode, flatten_cats):
-    """Cache each sentence's candidate vectors and gold metrics for training."""
+    """Cache each sentence's candidate vectors and gold metrics for training.
+
+    Many parses flatten to one bracketing; each distinct one is scored once.
+    """
     records = {}
     for index, (analysis, gold) in enumerate(zip(analyses, gold_trees)):
         gold_brackets = parseval.brackets_of(gold)
+        scored = {}  # Bracketing -> EvalScores
         candidates = []
         for rp in analysis.parses:
-            scored = parseval.brackets_of(rp.derived.root, flatten_cats)
-            scores = parseval.evaluate_parse(scored, gold_brackets, recall_mode)
+            bracketing = parseval.brackets_of(rp.derived.root, flatten_cats)
+            scores = scored.get(bracketing)
+            if scores is None:
+                scores = scored[bracketing] = parseval.evaluate_parse(
+                    bracketing, gold_brackets, recall_mode)
             candidates.append(training.Candidate(rp.vector, scores))
         records[index] = training.SentenceRecord(index, candidates)
     return records

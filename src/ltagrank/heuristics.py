@@ -12,6 +12,8 @@ Lexical predicates are ``pos:TAG``, ``tree:NAME[,NAME...]`` or ``prefix:STR``.
 A local rule counts the tree instances whose anchoring (POS, tree name) its
 ``disprefer`` matches; a tree-type rule's ``prefix=``/``trees=`` is its
 ``disprefer``, and a lexical rule counts only the instances of its word.
+Only ``disprefer`` counts: a lexical rule's ``prefer=`` is required and
+checked, but read no further.
 The default registry is ``STOCK_REGISTRY``, the local rules of
 ``sample/registry.txt``, plus the three structural builtins
 (adjunction_count, pp_attachment_height, adj_attachment_height), which are
@@ -86,7 +88,6 @@ class Heuristic:
     name: str
     kind: str
     word: str | None = None  # None: every anchoring counts
-    prefer: Predicate | None = None
     disprefer: Predicate | None = None
     builtin: str | None = None
     modifier: tuple[str, ...] = ()
@@ -166,8 +167,8 @@ def _heuristic_from(name, kind, options) -> Heuristic:
         missing = {"word", "prefer", "disprefer"} - options.keys()
         if missing:
             raise RegistryError(f"{name}: local_lexical needs {sorted(missing)}")
+        Predicate.parse(options["prefer"])  # checked, never counted
         return Heuristic(name, kind, word=options["word"],
-                         prefer=Predicate.parse(options["prefer"]),
                          disprefer=Predicate.parse(options["disprefer"]))
     if kind == GLOBAL_STRUCTURAL:
         builtin = options.get("builtin", name)
@@ -189,17 +190,29 @@ def load_registry(path) -> HeuristicRegistry:
 # feature extraction and scoring
 
 def extract(registry: HeuristicRegistry, grammar: Grammar,
-            derivation: DerivationNode, derived: DerivedTree) -> tuple[float, ...]:
-    """Count each registry heuristic's matches in one (derivation, derived) pair."""
-    anchorings = [(grammar.trees[name].anchor_pos, name, derived.words[anchor].lower())
-                  for name, anchor in derivation.instances()]
+            derivation: DerivationNode, derived: DerivedTree,
+            anchoring_counts: dict | None = None) -> tuple[float, ...]:
+    """Count each registry heuristic's matches in one (derivation, derived) pair.
+
+    A local rule's count is a sum over the tree instances, and what one
+    instance adds depends only on its anchoring: the tree and the word at its
+    anchor.  ``anchoring_counts``, a dict kept across the parses of one
+    sentence, memoizes that by (tree name, anchor index); ``rank`` passes one.
+    """
+    if anchoring_counts is None:
+        anchoring_counts = {}
+    local = [0] * len(registry.heuristics)
+    for instance in derivation.instances():
+        matched = anchoring_counts.get(instance)
+        if matched is None:
+            matched = anchoring_counts[instance] = _matching_rules(
+                registry, grammar, instance[0], derived.words[instance[1]])
+        for index in matched:
+            local[index] += 1
     counts = []
-    for h in registry.heuristics:
+    for index, h in enumerate(registry.heuristics):
         if h.kind != GLOBAL_STRUCTURAL:
-            word = None if h.word is None else h.word.lower()
-            value = sum(1 for pos, name, anchored in anchorings
-                        if (word is None or anchored == word)
-                        and h.disprefer.matches(pos, name))
+            value = local[index]
         elif h.builtin == BUILTIN_ADJUNCTIONS:
             value = len(derived.adjunctions)
         elif h.builtin == BUILTIN_PP_HEIGHT:
@@ -210,6 +223,17 @@ def extract(registry: HeuristicRegistry, grammar: Grammar,
                         if rec.modifier_label in h.modifier)
         counts.append(float(value))
     return tuple(counts)
+
+
+def _matching_rules(registry, grammar, tree_name, word) -> tuple[int, ...]:
+    """Registry positions of the local rules whose ``disprefer`` matches the
+    anchoring of ``tree_name`` at ``word``; words compare case-insensitively."""
+    pos = grammar.trees[tree_name].anchor_pos
+    word = word.lower()
+    return tuple(index for index, h in enumerate(registry.heuristics)
+                 if h.kind != GLOBAL_STRUCTURAL
+                 and (h.word is None or h.word.lower() == word)
+                 and h.disprefer.matches(pos, tree_name))
 
 
 def _modifier_edge(record) -> str | None:
@@ -270,8 +294,9 @@ def rank(grammar: Grammar, parses, registry: HeuristicRegistry, weights) -> list
     Ties keep the parser's canonical enumeration order (the sort is stable).
     """
     ranked = []
+    anchoring_counts = {}
     for derivation, derived in parses:
-        vector = extract(registry, grammar, derivation, derived)
+        vector = extract(registry, grammar, derivation, derived, anchoring_counts)
         ranked.append(RankedParse(derivation, derived, vector, score(vector, weights)))
     ranked.sort(key=lambda rp: rp.penalty)
     return ranked

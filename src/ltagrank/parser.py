@@ -17,7 +17,11 @@ Each item holds its distinct ways (the deductions that posted it) in the
 order they were first derived.  Enumeration unpacks them lazily in that
 order, and the adjunction cap is enforced there: a way that would stack
 adjunctions along a spine deeper than the cap is skipped before anything
-under it is enumerated.
+under it is enumerated.  One enumeration builds the derivations of each
+elementary-tree instance once, per instance root item and stacking depth,
+and every substitution or adjunction that reaches that root replays them:
+parses share ``DerivationNode``s, which are frozen.  ``derive`` builds a
+fresh ``DerivedNode`` tree per parse, so parses never share those.
 
 Conventions enforced here: every word anchors exactly one elementary tree
 per derivation, at most one adjunction per node, and no adjunction at
@@ -152,7 +156,12 @@ class _Item:
 
 
 class ParseForest:
-    """Packed derivations of one sentence; immutable once parsing finishes."""
+    """Packed derivations of one sentence; immutable once parsing finishes.
+
+    ``iter_derivations`` unpacks them in canonical order, lazily: it builds
+    only what the derivations pulled so far need.  Within one call each
+    sub-derivation is built once, and the parses that contain it share it.
+    """
 
     def __init__(self, grammar, chart, goals, adjunction_cap):
         self.grammar = grammar
@@ -161,17 +170,44 @@ class ParseForest:
         self.adjunction_cap = adjunction_cap
 
     def iter_derivations(self):
-        for goal in self._goals:
-            yield from self._instance_derivations(goal, 0)
+        # one memo per call: (instance root key, chain) -> (nodes built so
+        # far, the generator that builds the rest)
+        memo = {}
+        try:
+            for goal in self._goals:
+                yield from self._shared_derivations(goal, 0, memo)
+        finally:
+            # the suspended generators in the memo refer to the memo, a
+            # cycle: clearing it lets reference counting free them all
+            memo.clear()
 
-    def _instance_derivations(self, root_key, chain):
+    def _shared_derivations(self, root_key, chain, memo):
+        # the first way to reach an instance root builds its derivations as
+        # it pulls them; every later way replays the nodes built so far and
+        # pulls the rest, so each sub-derivation is built once and shared
+        entry = memo.get((root_key, chain))
+        if entry is None:
+            entry = memo[(root_key, chain)] = (
+                [], self._instance_derivations(root_key, chain, memo))
+        built, source = entry
+        index = 0
+        while True:
+            if index == len(built):
+                node = next(source, None)
+                if node is None:
+                    return
+                built.append(node)
+            yield built[index]
+            index += 1
+
+    def _instance_derivations(self, root_key, chain, memo):
         # chain: adjunctions stacked along a spine down to this instance's root
         tree_name, anchor = root_key[1], root_key[2]
         spine = self.grammar.trees[tree_name].spine
-        for atts in self._attachments(root_key, spine, chain):
+        for atts in self._attachments(root_key, spine, chain, memo):
             yield DerivationNode(tree_name, anchor, atts)
 
-    def _attachments(self, key, spine, chain):
+    def _attachments(self, key, spine, chain, memo):
         # restartable recursive generators keep enumeration lazy; every
         # attachment tuple comes out in address order
         address = key[3]
@@ -181,22 +217,22 @@ class ParseForest:
             if kind in ("anchor", "foot"):
                 yield ()
             elif kind in ("no_adjoin", "first", "complete"):
-                yield from self._attachments(way[1], spine, chain)
+                yield from self._attachments(way[1], spine, chain, memo)
             elif kind == "subst":
-                for child in self._instance_derivations(way[1], 0):
+                for child in self._shared_derivations(way[1], 0, memo):
                     yield (Attachment(child, OP_SUBSTITUTION, address),)
             elif kind == "adjoin":
                 depth = chain + 1 if address in spine else 1
                 if cap is not None and depth > cap:
                     continue
                 aux_key, host_key = way[1], way[2]
-                for host_atts in self._attachments(host_key, spine, chain):
-                    for child in self._instance_derivations(aux_key, depth):
+                for host_atts in self._attachments(host_key, spine, chain, memo):
+                    for child in self._shared_derivations(aux_key, depth, memo):
                         yield (Attachment(child, OP_ADJUNCTION, address),) + host_atts
             elif kind == "step":
                 dot_key, child_key = way[1], way[2]
-                for left in self._attachments(dot_key, spine, chain):
-                    for right in self._attachments(child_key, spine, chain):
+                for left in self._attachments(dot_key, spine, chain, memo):
+                    for right in self._attachments(child_key, spine, chain, memo):
                         yield left + right
             else:  # pragma: no cover
                 raise AssertionError(f"unknown way {kind}")
@@ -391,21 +427,8 @@ def _build(grammar, derivation, words, records, anchors, check_features):
 
     by_address: dict[Address, DerivedNode] = {}
     slots: dict[Address, tuple[list, int]] = {}  # (parent's children, index)
-
-    def clone(tnode, address):
-        node = DerivedNode(tnode.label, [], dict(tnode.features))
-        by_address[address] = node
-        if tnode.kind == ANCHOR:
-            node.children = [words[derivation.anchor_index]]
-            anchors.append((node, derivation.anchor_index))
-        elif tnode.kind == INTERNAL:
-            for index, child in enumerate(tnode.children):
-                child_address = address + (index + 1,)
-                node.children.append(clone(child, child_address))
-                slots[child_address] = (node.children, index)
-        return node
-
-    top = clone(tree.root, ())
+    top = _clone(tree.root, (), words, derivation.anchor_index, anchors,
+                 by_address, slots)
 
     seen: set[Address] = set()
     for att in derivation.attachments:
@@ -475,6 +498,23 @@ def _build(grammar, derivation, words, records, anchors, check_features):
             raise DerivationError(f"unknown operation {att.op!r}")
 
     return top, slots.get(tree.foot_address)
+
+
+def _clone(tnode, address, words, anchor_index, anchors, by_address, slots):
+    # a module function, not a closure over _build's state: a closure that
+    # calls itself is a reference cycle, which only the cyclic collector frees
+    node = DerivedNode(tnode.label, [], dict(tnode.features))
+    by_address[address] = node
+    if tnode.kind == ANCHOR:
+        node.children = [words[anchor_index]]
+        anchors.append((node, anchor_index))
+    elif tnode.kind == INTERNAL:
+        for index, child in enumerate(tnode.children):
+            child_address = address + (index + 1,)
+            node.children.append(_clone(child, child_address, words, anchor_index,
+                                        anchors, by_address, slots))
+            slots[child_address] = (node.children, index)
+    return node
 
 
 def assign_spans(node: DerivedNode, start: int) -> int:

@@ -4,15 +4,18 @@ The derivation generator enumerates complete derivations top-down from the
 grammar, with no chart, spans or packing: it picks an initial tree and a word
 that selects it, fills every substitution slot, and tries every adjunction
 subset, bounded by a total anchor budget.  Realization then linearizes a
-derivation by directly splicing nested list structures.  The exhaustive
-trainer re-scores every cached candidate on every attempt.
+derivation by directly splicing nested list structures.  The reference
+unpacker reads a parse forest's chart the plain way, rebuilding every
+sub-derivation each time a way reaches it, and fixes the canonical order.
+The exhaustive trainer re-scores every cached candidate on every attempt.
 """
 
 import random
 from collections import defaultdict
 
 from ltagrank.grammar import ANCHOR, AUXILIARY, INITIAL, INTERNAL
-from ltagrank.parser import Attachment, DerivationNode
+from ltagrank.parser import (OP_ADJUNCTION, OP_SUBSTITUTION, Attachment,
+                             DerivationNode)
 from ltagrank.parseval import aggregate_scores, corpus_scores
 from ltagrank.training import LogEntry, TrainState
 
@@ -205,6 +208,50 @@ def stack_depth(grammar, derivation, chain=0) -> int:
             depth = 1
         best = max(best, stack_depth(grammar, att.child, depth))
     return best
+
+
+def reference_derivations(forest):
+    """The forest's derivations, all of them, in canonical order.
+
+    Unpacks the chart with nested generators that share nothing: each way
+    that reaches an elementary-tree instance enumerates that instance's
+    derivations again, and each adjunction is checked against the cap as
+    the way is met.
+    """
+    chart, trees, cap = forest._chart, forest.grammar.trees, forest.adjunction_cap
+
+    def instance(root_key, chain):
+        tree_name, anchor = root_key[1], root_key[2]
+        for atts in attachments(root_key, trees[tree_name].spine, chain):
+            yield DerivationNode(tree_name, anchor, atts)
+
+    def attachments(key, spine, chain):
+        address = key[3]
+        for way in chart[key].ways:
+            kind = way[0]
+            if kind in ("anchor", "foot"):
+                yield ()
+            elif kind in ("no_adjoin", "first", "complete"):
+                yield from attachments(way[1], spine, chain)
+            elif kind == "subst":
+                for child in instance(way[1], 0):
+                    yield (Attachment(child, OP_SUBSTITUTION, address),)
+            elif kind == "adjoin":
+                depth = chain + 1 if address in spine else 1
+                if cap is not None and depth > cap:
+                    continue
+                for host_atts in attachments(way[2], spine, chain):
+                    for child in instance(way[1], depth):
+                        yield (Attachment(child, OP_ADJUNCTION, address),) + host_atts
+            elif kind == "step":
+                for left in attachments(way[1], spine, chain):
+                    for right in attachments(way[2], spine, chain):
+                        yield left + right
+            else:
+                raise AssertionError(f"unknown way {kind}")
+
+    return [derivation for goal in forest._goals
+            for derivation in instance(goal, 0)]
 
 
 def untagged_candidates(grammar, word):

@@ -15,11 +15,10 @@ import ltagrank.parseval as pv
 import ltagrank.training as tr
 from ltagrank.heuristics import HeuristicRegistry, score, uniform_weights
 from ltagrank.training import Candidate, SentenceRecord, TrainConfig
-from oracles import (brute_force_crossing, derivation_universe,
-                     random_binary_bracketing)
+from oracles import brute_force_crossing, random_binary_bracketing
 from test_filtering import FALLBACK_FREQ, FALLBACK_GRAMMAR
-from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR,
-                         PP_GRAMMAR, bracketing, evaluate, parses_of, tag)
+from toygrammars import (CLAUSE_GRAMMAR, OFPP_GRAMMAR, bracketing, evaluate,
+                         parses_of, tag)
 
 
 @contextmanager
@@ -47,22 +46,7 @@ def _parse_words(grammar, words, filtered=False):
 
 
 # ---------------------------------------------------------------------------
-# shared fixtures
-
-@pytest.fixture(scope="module")
-def universes():
-    """Brute-force derivation universes (up to 7 anchors) for the toy grammars."""
-    out = {}
-    start = time.perf_counter()
-    for name, text in [("clauses", CLAUSE_GRAMMAR), ("pp", PP_GRAMMAR),
-                       ("modifiers", MODIFIER_GRAMMAR)]:
-        grammar = lt.loads(text)
-        vocab = sorted({w for (w, _) in grammar.lexicon})
-        assert len(vocab) == 10
-        out[name] = (grammar, vocab, derivation_universe(grammar, "S", 7))
-    out["_generation_seconds"] = time.perf_counter() - start
-    return out
-
+# shared fixtures (the derivation universes live in conftest.py)
 
 def _build_synthetic_corpus(n_sentences, n_candidates, target, seed, n_leaves=8):
     """Sentences whose gold parse is the candidate a hidden weight vector picks."""

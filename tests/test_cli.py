@@ -7,7 +7,10 @@ from pathlib import Path
 import pytest
 
 import ltagrank
-from ltagrank.cli import main
+from ltagrank import parseval
+from ltagrank.cli import build_records, main
+from ltagrank.training import Candidate, SentenceRecord
+from toygrammars import OFPP_GRAMMAR
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
@@ -578,3 +581,34 @@ def test_rank_prints_no_parse(tmp_path, capsys):
     code, out, _ = run(["rank", *SAMPLE_GRAMMAR, corpus], capsys)
     assert code == 0
     assert out.splitlines() == ["[0] the part", "  NO PARSE"]
+
+
+@pytest.mark.parametrize("mode", ["standard", "paper_literal"])
+def test_build_records_scores_each_bracketing_once(monkeypatch, mode):
+    # the records equal a fresh scoring of every candidate, while each
+    # distinct flattened bracketing is scored only once
+    grammar = ltagrank.loads(OFPP_GRAMMAR)
+    registry = ltagrank.default_registry()
+    words = "the second part is the name".split() + ["of", "the", "part"] * 3
+    sentence = [ltagrank.TaggedWord(w, tuple(sorted(grammar.pos_tags_for_word(w))))
+                for w in words]
+    analysis = ltagrank.analyze_sentence(
+        grammar, sentence, registry, ltagrank.uniform_weights(registry),
+        ltagrank.PipelineConfig(adjunction_cap=3))
+    gold = ltagrank.read_bracketed(analysis.parses[-1].derived.to_string())
+    flat = frozenset({"NP", "VP"})
+    scored = []
+    original = parseval.evaluate_parse
+
+    def counted(candidate, gold, mode):
+        scored.append(candidate)
+        return original(candidate, gold, mode)
+
+    monkeypatch.setattr(parseval, "evaluate_parse", counted)
+    records = build_records([analysis], [gold], mode, flat)
+    gold_brackets = parseval.brackets_of(gold)
+    expected = [Candidate(rp.vector, original(parseval.brackets_of(rp.derived.root, flat),
+                                             gold_brackets, mode))
+                for rp in analysis.parses]
+    assert records == {0: SentenceRecord(0, expected)}
+    assert len(scored) == len(set(scored)) < len(expected)

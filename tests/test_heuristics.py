@@ -44,6 +44,11 @@ def test_registry_parse_errors():
         parse_registry("bad local_lexical word=of\n")
     with pytest.raises(RegistryError):
         parse_registry("x global_structural builtin=unknown_builtin\n")
+    # prefer= is never counted, but it is still required and checked
+    with pytest.raises(RegistryError):
+        parse_registry("bad local_lexical word=of disprefer=pos:N\n")
+    with pytest.raises(RegistryError):
+        parse_registry("bad local_lexical word=of prefer=N disprefer=pos:N\n")
 
 
 def test_score_arithmetic():
@@ -137,6 +142,50 @@ def test_of_lexical_preference_counts():
         counts[key] = extract(reg, g, derivation, derived)[of_index]
     # dispreferred analysis (VP modifier) counts once, preferred not at all
     assert counts == {"VP": 1.0, "NP": 0.0}
+
+
+MIXED_CASE_GRAMMAR = OFPP_GRAMMAR + """
+lex Of P -> PP_Attaches_to_NP, PP_Attaches_to_VP
+lex THIS D -> Determiner
+lex THIS N -> Noun_Phrase
+"""
+
+# local rules around a builtin, so local and global counts interleave
+MIXED_CASE_REGISTRY = """
+of_rule local_lexical word=of prefer=tree:PP_Attaches_to_NP disprefer=tree:PP_Attaches_to_VP
+pp_height global_structural builtin=pp_attachment_height
+this_rule local_lexical word=This prefer=pos:D disprefer=pos:N
+determiners local_tree_type prefix=Det
+"""
+
+
+@pytest.mark.parametrize("text", [
+    "THIS/D|N is/V the/D name/N Of/P THIS/D|N part/N of/P the/D computer/N",
+    "the/D second/A part/N is/V THIS/D|N Of/P the/D name/N Of/P your/D computer/N",
+])
+def test_rank_counts_each_anchoring_once_as_extract_would(text):
+    # rank memoizes each anchoring's local counts across the sentence's
+    # parses; the vectors must be those of a fresh extract per parse
+    g = lt.loads(MIXED_CASE_GRAMMAR)
+    reg = parse_registry(MIXED_CASE_REGISTRY)
+    parses = parses_of(g, text, adjunction_cap=3)
+    assert len(parses) > 1
+    ranked = rank(g, parses, reg, zero_weights(reg))
+    assert [rp.derivation for rp in ranked] == [d for d, _ in parses]
+    names = reg.names()
+    for rp, (derivation, derived) in zip(ranked, parses):
+        assert rp.vector == extract(reg, g, derivation, derived)
+        anchored = [(name, derived.words[anchor])
+                    for name, anchor in derivation.instances()]
+        assert rp.vector[names.index("of_rule")] == sum(
+            1 for name, word in anchored
+            if word in ("of", "Of") and name == "PP_Attaches_to_VP")
+        assert rp.vector[names.index("this_rule")] == sum(
+            1 for name, word in anchored if word == "THIS" and name == "Noun_Phrase")
+        assert rp.vector[names.index("determiners")] == sum(
+            1 for name, _ in anchored if name == "Determiner")
+    for rule in ("of_rule", "this_rule"):
+        assert any(rp.vector[names.index(rule)] for rp in ranked), rule
 
 
 def test_rank_prefers_low_np_attachment():

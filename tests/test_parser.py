@@ -1,12 +1,15 @@
+import gc
 import random
+import types
 
 import pytest
 
 import ltagrank as lt
+from ltagrank import parser
 from ltagrank.parser import (Attachment, DerivationError, DerivationNode,
                              FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION)
-from oracles import derivation_universe, stack_depth
-from toygrammars import MODIFIER_GRAMMAR, PP_GRAMMAR, parses_of, tag
+from oracles import derivation_universe, reference_derivations, stack_depth
+from toygrammars import MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR, parses_of, tag
 
 IMPERATIVE_GRAMMAR = """
 tree Imperative_Intrans : initial (S (VP V@))
@@ -300,3 +303,128 @@ def test_forest_counts():
     assert len(lt.enumerate_derivations(forest)) == 2
     assert len(lt.enumerate_derivations(forest, 1)) == 1
     assert forest.has_parse()
+
+
+# ---------------------------------------------------------------------------
+# shared unpacking: the same derivations, in the same order, built once
+
+CAPS = (None, 1, 2, 3)
+
+
+def _tagged(grammar, words):
+    return [lt.TaggedWord(w, tuple(sorted(grammar.pos_tags_for_word(w))))
+            for w in words]
+
+
+def _ladder_forest(grammar, pps, cap):
+    # "the second part is the name" and ``pps`` times "of the part", under
+    # the structural filter: 6 + 3 * pps words
+    words = "the second part is the name".split() + ["of", "the", "part"] * pps
+    sentence = _tagged(grammar, words)
+    assignment = lt.structural_filter(grammar, sentence,
+                                      lt.select_trees(grammar, sentence))
+    return lt.parse(grammar, sentence, assignment, adjunction_cap=cap)
+
+
+def test_enumeration_order_matches_reference_on_universes(universes):
+    # one sweep over every universe sentence, the caps taken in turn
+    turn = 0
+    for name in ("clauses", "pp", "modifiers"):
+        grammar, _, universe = universes[name]
+        for words in universe:
+            cap = CAPS[turn % len(CAPS)]
+            turn += 1
+            sentence = _tagged(grammar, words)
+            forest = lt.parse(grammar, sentence, lt.select_trees(grammar, sentence),
+                              adjunction_cap=cap)
+            assert lt.enumerate_derivations(forest) == reference_derivations(forest), \
+                (name, words, cap)
+
+
+@pytest.mark.parametrize("cap", CAPS, ids=str)
+def test_enumeration_order_matches_reference_on_ladder(cap):
+    g = lt.loads(OFPP_GRAMMAR)
+    for pps in range(6):
+        forest = _ladder_forest(g, pps, cap)
+        reference = reference_derivations(forest)
+        assert lt.enumerate_derivations(forest) == reference, (pps, cap)
+        for limit in (0, 1, 2, 7, len(reference) // 2, len(reference) + 1):
+            assert lt.enumerate_derivations(forest, limit) == reference[:limit]
+        assert forest.has_parse() == bool(reference)
+
+
+@pytest.fixture
+def constructions(monkeypatch):
+    """Counts the DerivationNodes the parser builds from here on."""
+    count = [0]
+
+    class Counted(DerivationNode):
+        def __init__(self, *args, **kwargs):
+            count[0] += 1
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(parser, "DerivationNode", Counted)
+    return count
+
+
+def test_full_enumeration_builds_each_sub_derivation_once(constructions):
+    # 21 words, cap 3: 1039 parses from 3,524 nodes; rebuilding every
+    # sub-derivation per way took 15,695
+    forest = _ladder_forest(lt.loads(OFPP_GRAMMAR), 5, 3)
+    derivations = lt.enumerate_derivations(forest)
+    assert len(derivations) == 1039
+    assert constructions[0] <= 3524
+
+
+def test_first_parse_and_has_parse_stay_lazy(constructions):
+    # 30 words, cap 3: the first parse needs at most 34 nodes
+    forest = _ladder_forest(lt.loads(OFPP_GRAMMAR), 8, 3)
+    assert len(lt.enumerate_derivations(forest, 1)) == 1
+    assert constructions[0] <= 34
+    constructions[0] = 0
+    assert forest.has_parse()
+    assert constructions[0] <= 34
+
+
+def test_derive_leaves_no_garbage_cycles_of_its_own():
+    # derive's scratch state is freed by reference counting; what the
+    # collector still finds is the derived tree itself, kept cyclic by the
+    # nodes' parent links
+    g = lt.loads(PP_GRAMMAR)
+    [derivation, *_] = lt.enumerate_derivations(
+        _forest(g, "saw/V the/D man/N with/P the/D telescope/N"))
+    words = "saw the man with the telescope".split()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        derived = lt.derive(g, derivation, words)
+        nodes = list(derived.root.walk())
+        for node in nodes:
+            node.parent = None
+        del derived, node, nodes
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _parser_generators():
+    return [o for o in gc.get_objects() if isinstance(o, types.GeneratorType)
+            and o.gi_code.co_filename == parser.__file__]
+
+
+def test_stopped_enumeration_leaves_no_generators_to_collect():
+    # a stopped enumeration leaves suspended generators in its memo, which
+    # refer back to the memo; reference counting must still free them
+    forest = _ladder_forest(lt.loads(OFPP_GRAMMAR), 4, 3)
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        assert forest.has_parse()
+        assert len(lt.enumerate_derivations(forest, 5)) == 5
+        assert _parser_generators() == []
+    finally:
+        if enabled:
+            gc.enable()
