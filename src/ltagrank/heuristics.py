@@ -219,8 +219,8 @@ def extract(registry: HeuristicRegistry, grammar: Grammar,
             value = sum(_bypassed_lower(rec, h.sites) for rec in derived.adjunctions
                         if rec.modifier_label in h.modifier)
         else:
-            value = sum(_bypassed_higher(rec, h.sites) for rec in derived.adjunctions
-                        if rec.modifier_label in h.modifier)
+            value = sum(_bypassed_higher(rec, h.sites, derived.root)
+                        for rec in derived.adjunctions if rec.modifier_label in h.modifier)
         counts.append(float(value))
     return tuple(counts)
 
@@ -260,16 +260,25 @@ def _bypassed_lower(record, sites) -> int:
                if node is not host and node.label in sites and getattr(node, edge) == at)
 
 
-def _bypassed_higher(record, sites) -> int:
-    # attachment sites above the modifier that share its outer edge
+def _bypassed_higher(record, sites, root) -> int:
+    # attachment sites above the modifier that share its outer edge.  Nodes
+    # have no parent link, so the ancestors are found going down from the
+    # tree's root: siblings' spans are disjoint, so exactly one child of each
+    # ancestor contains the modifier's span
     edge = _modifier_edge(record)
     if edge is None:
         return 0
-    at = getattr(record.root_node, edge)
-    count, node = 0, record.root_node.parent
-    while node is not None:
+    modifier = record.root_node
+    at, start, end = getattr(modifier, edge), modifier.start, modifier.end
+    count, node = 0, root
+    while node is not modifier:
         count += node.label in sites and getattr(node, edge) == at
-        node = node.parent
+        for child in node.children:
+            if not isinstance(child, str) and child.start <= start and end <= child.end:
+                node = child
+                break
+        else:
+            raise ValueError("the modifier is not in the tree")
     return count
 
 

@@ -20,8 +20,11 @@ adjunctions along a spine deeper than the cap is skipped before anything
 under it is enumerated.  One enumeration builds the derivations of each
 elementary-tree instance once, per instance root item and stacking depth,
 and every substitution or adjunction that reaches that root replays them:
-parses share ``DerivationNode``s, which are frozen.  ``derive`` builds a
-fresh ``DerivedNode`` tree per parse, so parses never share those.
+parses share ``DerivationNode``s, which are frozen.  Given one ``subtrees``
+dict per sentence, ``derive`` builds the subtree of each substituted
+``DerivationNode`` once and every later parse that substitutes it reuses it:
+parses share derived subtrees too.  So derived trees are read-only (copy one
+with ``parseval.flatten(root, ())``), and their nodes have no parent link.
 
 Conventions enforced here: every word anchors exactly one elementary tree
 per derivation, at most one adjunction per node, and no adjunction at
@@ -92,7 +95,8 @@ class DerivedNode:
     The one tree type of the toolkit: ``derive`` builds derived trees from
     it, and ``parseval.read_bracketed`` and ``parseval.flatten`` build gold
     and flattened trees.  ``assign_spans`` fills in each node's word span
-    ``[start, end)`` and its ``parent``.
+    ``[start, end)``.  A node has no parent link: the parses of a sentence
+    share subtrees, so a node can sit in many trees, and a tree is read-only.
     """
 
     label: str
@@ -100,7 +104,6 @@ class DerivedNode:
     features: dict = field(default_factory=dict)
     start: int = -1
     end: int = -1
-    parent: "DerivedNode | None" = None
 
     def __repr__(self):
         return f"<DerivedNode {self.label} [{self.start},{self.end})>"
@@ -160,7 +163,8 @@ class ParseForest:
 
     ``iter_derivations`` unpacks them in canonical order, lazily: it builds
     only what the derivations pulled so far need.  Within one call each
-    sub-derivation is built once, and the parses that contain it share it.
+    sub-derivation is built once, and the parses that contain it share it;
+    ``derive`` with one ``subtrees`` dict then shares their derived subtrees.
     """
 
     def __init__(self, grammar, chart, goals, adjunction_cap):
@@ -393,8 +397,11 @@ def _unify(target: dict, incoming: dict, where: str) -> dict:
     return merged
 
 
+_OUT_OF_ORDER = "anchor positions are inconsistent with the word order"
+
+
 def derive(grammar: Grammar, derivation: DerivationNode, words,
-           check_features: bool = False) -> DerivedTree:
+           check_features: bool = False, subtrees: dict | None = None) -> DerivedTree:
     """Carry out the derivation's substitutions and adjunctions bottom-up.
 
     ``words`` is the whole sentence: each anchor must sit at its index and
@@ -402,22 +409,36 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
     (bad address, category mismatch, duplicate adjunction) raise
     DerivationError; with ``check_features`` on, clashing atomic features
     raise FeatureConflict instead (absent attributes unify with anything).
+
+    ``subtrees``, a dict kept across the parses of one sentence under one
+    ``check_features`` setting, shares derived subtrees between them;
+    ``analyze_sentence`` passes one, and without it the call uses a dict of
+    its own.  A substituted initial tree's subtree is fixed by its
+    ``DerivationNode``: its anchors fix its words, and every adjunction into
+    it is inside it.  So the dict maps each substituted node,
+    by identity, to its subtree, whose spans are written once, and to that
+    subtree's adjunction records and anchors; every later parse that
+    substitutes the node reuses them.  The trees returned are read-only;
+    ``parseval.flatten(root, ())`` makes a private copy of one.
     """
+    subtrees = {} if subtrees is None else subtrees
     records: list[AdjunctionRecord] = []
     anchors: list[tuple[DerivedNode, int]] = []
-    top, _ = _build(grammar, derivation, words, records, anchors, check_features)
+    top, _ = _build(grammar, derivation, words, records, anchors, check_features,
+                    subtrees)
 
     assign_spans(top, 0)
     if any(node.start != index for node, index in anchors):
-        raise DerivationError("anchor positions are inconsistent with the word order")
-    leaves = top.leaves()
-    if leaves != list(words):
+        raise DerivationError(_OUT_OF_ORDER)
+    # every leaf is an anchor's word: with each anchor at its index, the
+    # yield is ``words`` exactly when there are as many anchors as words
+    if len(anchors) != len(words):
         raise DerivationError(
-            f"derived yield {leaves!r} does not match words {list(words)!r}")
+            f"derived yield {top.leaves()!r} does not match words {list(words)!r}")
     return DerivedTree(top, list(words), records)
 
 
-def _build(grammar, derivation, words, records, anchors, check_features):
+def _build(grammar, derivation, words, records, anchors, check_features, subtrees):
     tree = grammar.trees.get(derivation.tree)
     if tree is None:
         raise DerivationError(f"unknown elementary tree {derivation.tree!r}")
@@ -458,12 +479,13 @@ def _build(grammar, derivation, words, records, anchors, check_features):
                 raise DerivationError(
                     f"substituting {child_tree.root.label!r} tree {att.child.tree!r}"
                     f" at {target.label!r} node of {derivation.tree!r}")
-            child_top, _ = _build(grammar, att.child, words, records, anchors,
-                                  check_features)
+            child_top = _substituted(grammar, att.child, words, records, anchors,
+                                     check_features, subtrees)
             if check_features:
-                child_top.features = _unify(
-                    child_top.features, target.features,
-                    f"substitution at {format_address(att.address)}")
+                # checked, not stored: nothing reads a substituted root's
+                # merged features again, and other parses may share the root
+                _unify(child_top.features, target.features,
+                       f"substitution at {format_address(att.address)}")
             siblings, index = slots[att.address]
             siblings[index] = child_top
         elif att.op == OP_ADJUNCTION:
@@ -478,8 +500,9 @@ def _build(grammar, derivation, words, records, anchors, check_features):
                 raise DerivationError(
                     f"adjoining {child_tree.root.label!r} tree {att.child.tree!r}"
                     f" at {target.label!r} node of {derivation.tree!r}")
+            # an auxiliary tree is built per use: what lands at its foot varies
             child_top, (foot_siblings, foot_index) = _build(
-                grammar, att.child, words, records, anchors, check_features)
+                grammar, att.child, words, records, anchors, check_features, subtrees)
             if check_features:
                 child_top.features = _unify(
                     child_top.features, target.features,
@@ -500,6 +523,26 @@ def _build(grammar, derivation, words, records, anchors, check_features):
     return top, slots.get(tree.foot_address)
 
 
+def _substituted(grammar, child, words, records, anchors, check_features, subtrees):
+    """The subtree of the initial tree ``child`` for a substitution, its
+    records and anchors appended; built once per ``subtrees`` dict."""
+    entry = subtrees.get(id(child))
+    if entry is None:
+        own_records, own_anchors = [], []
+        top, _ = _build(grammar, child, words, own_records, own_anchors,
+                        check_features, subtrees)
+        # laid out once, where its first word is: its leftmost anchor's
+        # index.  A subtree built out of order raises here or at the anchor
+        # check of every parse that uses it
+        assign_spans(top, min(index for _, index in own_anchors))
+        # the entry holds ``child`` so that its id is not reused
+        entry = subtrees[id(child)] = (child, top, own_records, own_anchors)
+    _, top, own_records, own_anchors = entry
+    records.extend(own_records)
+    anchors.extend(own_anchors)
+    return top
+
+
 def _clone(tnode, address, words, anchor_index, anchors, by_address, slots):
     # a module function, not a closure over _build's state: a closure that
     # calls itself is a reference cycle, which only the cyclic collector frees
@@ -518,15 +561,23 @@ def _clone(tnode, address, words, anchor_index, anchors, by_address, slots):
 
 
 def assign_spans(node: DerivedNode, start: int) -> int:
-    """Set the span and parent of every node below ``node``, whose first word
-    is word ``start``; returns the end of its span."""
+    """Set the span of every node below ``node``, whose first word is word
+    ``start``; returns the end of its span.
+
+    A node below that has a span already heads a subtree laid out before,
+    which parses share: its spans are not rewritten, and it must start where
+    it lands, or the anchors are out of order (DerivationError).
+    """
     node.start = start
     position = start
     for child in node.children:
-        if isinstance(child, DerivedNode):
-            child.parent = node
-            position = assign_spans(child, position)
-        else:
+        if isinstance(child, str):
             position += 1
+        elif child.start < 0:
+            position = assign_spans(child, position)
+        elif child.start == position:
+            position = child.end
+        else:
+            raise DerivationError(_OUT_OF_ORDER)
     node.end = position
     return position

@@ -65,10 +65,11 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
 
     derivations = enumerate_derivations(forest, config.max_parses)
     pairs = []
+    subtrees = {}  # shared by this sentence's derived trees
     for derivation in derivations:
         try:
             derived = derive(grammar, derivation, words,
-                             check_features=config.check_features)
+                             check_features=config.check_features, subtrees=subtrees)
         except FeatureConflict:
             continue
         pairs.append((derivation, derived))

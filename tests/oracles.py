@@ -7,15 +7,19 @@ subset, bounded by a total anchor budget.  Realization then linearizes a
 derivation by directly splicing nested list structures.  The reference
 unpacker reads a parse forest's chart the plain way, rebuilding every
 sub-derivation each time a way reaches it, and fixes the canonical order.
+The reference deriver builds a fresh derived tree per derivation, sharing
+no node with any other tree, and checks its yield word by word.
 The exhaustive trainer re-scores every cached candidate on every attempt.
 """
 
 import random
 from collections import defaultdict
 
-from ltagrank.grammar import ANCHOR, AUXILIARY, INITIAL, INTERNAL
-from ltagrank.parser import (OP_ADJUNCTION, OP_SUBSTITUTION, Attachment,
-                             DerivationNode)
+from ltagrank.grammar import (ANCHOR, AUXILIARY, INITIAL, INTERNAL, SUBSTITUTION,
+                              format_address)
+from ltagrank.parser import (OP_ADJUNCTION, OP_SUBSTITUTION, AdjunctionRecord,
+                             Attachment, DerivationError, DerivationNode,
+                             DerivedNode, DerivedTree, FeatureConflict)
 from ltagrank.parseval import aggregate_scores, corpus_scores
 from ltagrank.training import LogEntry, TrainState
 
@@ -252,6 +256,129 @@ def reference_derivations(forest):
 
     return [derivation for goal in forest._goals
             for derivation in instance(goal, 0)]
+
+
+def reference_derive(grammar, derivation, words, check_features=False):
+    """``parser.derive`` without shared subtrees: every call builds a whole
+    new tree, writes every span, and compares the yield with ``words``.
+
+    The same checks raise the same errors with the same messages; the merged
+    features of a substituted root are stored on it.
+    """
+    records, anchors = [], []
+
+    def unify(target, incoming, where):
+        merged = dict(target)
+        for key, value in incoming.items():
+            if key in merged and merged[key] != value:
+                raise FeatureConflict(
+                    f"feature {key!r} is {merged[key]!r} vs {value!r} at {where}")
+            merged[key] = value
+        return merged
+
+    def clone(tnode, address, anchor_index, by_address, slots):
+        node = DerivedNode(tnode.label, [], dict(tnode.features))
+        by_address[address] = node
+        if tnode.kind == ANCHOR:
+            node.children = [words[anchor_index]]
+            anchors.append((node, anchor_index))
+        elif tnode.kind == INTERNAL:
+            for index, child in enumerate(tnode.children):
+                child_address = address + (index + 1,)
+                node.children.append(clone(child, child_address, anchor_index,
+                                           by_address, slots))
+                slots[child_address] = (node.children, index)
+        return node
+
+    def build(derivation):
+        tree = grammar.trees.get(derivation.tree)
+        if tree is None:
+            raise DerivationError(f"unknown elementary tree {derivation.tree!r}")
+        if not 0 <= derivation.anchor_index < len(words):
+            raise DerivationError(
+                f"anchor index {derivation.anchor_index} outside the sentence")
+        by_address, slots = {}, {}
+        top = clone(tree.root, (), derivation.anchor_index, by_address, slots)
+        seen = set()
+        for att in derivation.attachments:
+            where = format_address(att.address)
+            if att.address in seen:
+                raise DerivationError(
+                    f"two attachments at address {where} of {derivation.tree!r}")
+            seen.add(att.address)
+            target = by_address.get(att.address)
+            if target is None:
+                raise DerivationError(f"{derivation.tree!r} has no node at {where}")
+            target_kind = tree.node_at(att.address).kind
+            child_tree = grammar.trees.get(att.child.tree)
+            if child_tree is None:
+                raise DerivationError(f"unknown elementary tree {att.child.tree!r}")
+            if att.op == OP_SUBSTITUTION:
+                if target_kind != SUBSTITUTION:
+                    raise DerivationError(f"substitution at non-substitution node"
+                                          f" {where} of {derivation.tree!r}")
+                if child_tree.kind != INITIAL:
+                    raise DerivationError(
+                        f"cannot substitute auxiliary tree {att.child.tree!r}")
+                if child_tree.root.label != target.label:
+                    raise DerivationError(
+                        f"substituting {child_tree.root.label!r} tree {att.child.tree!r}"
+                        f" at {target.label!r} node of {derivation.tree!r}")
+                child_top, _ = build(att.child)
+                if check_features:
+                    child_top.features = unify(child_top.features, target.features,
+                                               f"substitution at {where}")
+                siblings, index = slots[att.address]
+                siblings[index] = child_top
+            elif att.op == OP_ADJUNCTION:
+                if target_kind != INTERNAL:
+                    raise DerivationError(f"adjunction at {target_kind} node"
+                                          f" {where} of {derivation.tree!r}")
+                if child_tree.kind != AUXILIARY:
+                    raise DerivationError(f"cannot adjoin initial tree {att.child.tree!r}")
+                if child_tree.root.label != target.label:
+                    raise DerivationError(
+                        f"adjoining {child_tree.root.label!r} tree {att.child.tree!r}"
+                        f" at {target.label!r} node of {derivation.tree!r}")
+                child_top, (foot_siblings, foot_index) = build(att.child)
+                if check_features:
+                    child_top.features = unify(child_top.features, target.features,
+                                               f"adjunction at {where}")
+                    target.features = unify(target.features,
+                                            foot_siblings[foot_index].features,
+                                            f"foot of {att.child.tree!r}")
+                if target is top:
+                    top = child_top
+                else:
+                    siblings, index = slots[att.address]
+                    siblings[index] = child_top
+                foot_siblings[foot_index] = target
+                records.append(AdjunctionRecord(child_top, target,
+                                                child_tree.modifier_label))
+            else:
+                raise DerivationError(f"unknown operation {att.op!r}")
+        return top, slots.get(tree.foot_address)
+
+    def spans(node, start):
+        node.start = position = start
+        for child in node.children:
+            position = position + 1 if isinstance(child, str) else spans(child, position)
+        node.end = position
+        return position
+
+    def yield_of(node):
+        return [word for child in node.children
+                for word in ([child] if isinstance(child, str) else yield_of(child))]
+
+    top, _ = build(derivation)
+    spans(top, 0)
+    if any(node.start != index for node, index in anchors):
+        raise DerivationError("anchor positions are inconsistent with the word order")
+    leaves = yield_of(top)
+    if leaves != list(words):
+        raise DerivationError(
+            f"derived yield {leaves!r} does not match words {list(words)!r}")
+    return DerivedTree(top, list(words), records)
 
 
 def untagged_candidates(grammar, word):

@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -9,8 +10,10 @@ import pytest
 import ltagrank
 from ltagrank import parseval
 from ltagrank.cli import build_records, main
+from ltagrank.heuristics import default_registry, uniform_weights
+from ltagrank.pipeline import PipelineConfig, analyze_sentence
 from ltagrank.training import Candidate, SentenceRecord
-from toygrammars import OFPP_GRAMMAR
+from toygrammars import OFPP_GRAMMAR, tag
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
@@ -519,6 +522,41 @@ def test_resumed_run_keeps_the_earlier_attempts(tmp_path, capsys, same_log):
     assert (tmp_path / "resumed.tsv").read_bytes() == (tmp_path / "full.tsv").read_bytes()
     attempts = [json.loads(line) for line in log.read_text().splitlines()[1:-1]]
     assert [record["attempt"] for record in attempts] == list(range(1, 41))
+
+
+def test_train_on_high_attachment_gold_accepts_a_step(tmp_path, capsys):
+    # the gold parse of each of-PP sentence is the one that weights
+    # preferring high PP attachment rank first, as the benchmark's hidden
+    # weights do; the uniform start weights prefer low attachment, so the
+    # trainer has a step to accept, unlike on sample/
+    grammar = ltagrank.loads(OFPP_GRAMMAR)
+    registry = default_registry()
+    hidden = uniform_weights(registry)
+    hidden[registry.names().index("pp_attachment_height")] = -1.0
+    lines = ["the/D name/N is/V the/D part/N" + "".join(f" of/P the/D {noun}/N"
+                                                      for noun in nouns)
+             for pps in (1, 2)
+             for nouns in itertools.product(("part", "name", "computer"), repeat=pps)]
+    config = PipelineConfig(filter_k=None, adjunction_cap=3)
+    gold = [analyze_sentence(grammar, tag(line), registry, hidden, config)
+            .parses[0].derived.to_string() for line in lines]
+    paths = {name: tmp_path / name for name in ("grammar.ltag", "corpus.tagged",
+                                                "gold.brackets", "weights.tsv", "log")}
+    paths["grammar.ltag"].write_text(OFPP_GRAMMAR)
+    paths["corpus.tagged"].write_text("\n".join(lines) + "\n")
+    paths["gold.brackets"].write_text("\n".join(gold) + "\n")
+    code, out, _ = run(["train", "--grammar", paths["grammar.ltag"], paths["corpus.tagged"],
+                        "--gold", paths["gold.brackets"], "--ratios", "2,1,1",
+                        "--max-iterations", "30", "--weights-out", paths["weights.tsv"],
+                        "--log", paths["log"]], capsys)
+    assert code == 0
+    records = [json.loads(line) for line in paths["log"].read_text().splitlines()]
+    assert any(r["accepted"] for r in records if r["type"] == "attempt")
+    assert records[-1]["type"] == "state"
+    written = [float(line.split("\t")[1])
+               for line in paths["weights.tsv"].read_text().splitlines()]
+    assert written == records[-1]["best_weights"]
+    assert written != uniform_weights(registry)
 
 
 # ---------------------------------------------------------------------------

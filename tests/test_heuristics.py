@@ -4,11 +4,14 @@ from pathlib import Path
 import pytest
 
 import ltagrank as lt
+from ltagrank import heuristics
 from ltagrank.heuristics import (GLOBAL_BUILTINS, Heuristic, HeuristicRegistry,
                                  Predicate, RegistryError, default_registry,
                                  extract, load_registry, load_weights, parse_registry,
                                  rank, save_weights, score, uniform_weights, zero_weights)
-from toygrammars import MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR, parses_of
+from ltagrank.parseval import flatten
+from ltagrank.pipeline import PipelineConfig, analyze_sentence
+from toygrammars import MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR, parses_of, tag
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
@@ -111,6 +114,43 @@ def test_adjective_height_direction():
         site = "NP" if "Adjective_NP" in names else "N"
         heights.add((site, extract(reg, g, derivation, derived)[adj_index]))
     assert heights == {("NP", 0.0), ("N", 1.0)}
+
+
+def test_higher_sites_are_found_among_the_modifiers_ancestors():
+    # nodes have no parent link, so _bypassed_higher goes down from the root
+    # to the modifier; its ancestors, read off a parent map, must agree, in
+    # trees that share subtrees
+    g = lt.loads(OFPP_GRAMMAR)
+    registry = default_registry()
+    text = "the/D second/A part/N is/V the/D name/N" + " of/P the/D part/N" * 3
+    analysis = analyze_sentence(g, tag(text), registry, uniform_weights(registry),
+                                PipelineConfig(filter_k=None, adjunction_cap=3))
+    checked = 0
+    for rp in analysis.parses:
+        root = rp.derived.root
+        parent = {id(child): node for node in root.walk() for child in node.children
+                  if not isinstance(child, str)}
+        for record in rp.derived.adjunctions:
+            modifier, ancestors = record.root_node, []
+            node = parent.get(id(modifier))
+            while node is not None:
+                ancestors.append(node)
+                node = parent.get(id(node))
+            edge = heuristics._modifier_edge(record)
+            for sites in (("NP", "VP"), ("N", "NP")):
+                expected = 0 if edge is None else sum(
+                    node.label in sites and getattr(node, edge) == getattr(modifier, edge)
+                    for node in ancestors)
+                assert heuristics._bypassed_higher(record, sites, root) == expected
+                checked += expected > 0
+    assert checked > 0
+    # read against a tree that does not hold its modifier, here a copy of its
+    # own tree, a record is an error, not an endless descent
+    derived = analysis.parses[0].derived
+    record = next(rec for rec in derived.adjunctions
+                  if heuristics._modifier_edge(rec) is not None)
+    with pytest.raises(ValueError):
+        heuristics._bypassed_higher(record, ("NP", "VP"), flatten(derived.root, ()))
 
 
 def test_relative_clause_count():

@@ -6,10 +6,13 @@ import pytest
 
 import ltagrank as lt
 from ltagrank import parser
+from ltagrank.heuristics import default_registry, extract
 from ltagrank.parser import (Attachment, DerivationError, DerivationNode,
                              FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION)
-from oracles import derivation_universe, reference_derivations, stack_depth
-from toygrammars import MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR, parses_of, tag
+from oracles import (derivation_universe, reference_derivations, reference_derive,
+                     stack_depth)
+from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR,
+                         parses_of, tag)
 
 IMPERATIVE_GRAMMAR = """
 tree Imperative_Intrans : initial (S (VP V@))
@@ -316,11 +319,14 @@ def _tagged(grammar, words):
             for w in words]
 
 
+def _ladder_words(pps):
+    # "the second part is the name" and ``pps`` times "of the part": 6 + 3 * pps words
+    return "the second part is the name".split() + ["of", "the", "part"] * pps
+
+
 def _ladder_forest(grammar, pps, cap):
-    # "the second part is the name" and ``pps`` times "of the part", under
-    # the structural filter: 6 + 3 * pps words
-    words = "the second part is the name".split() + ["of", "the", "part"] * pps
-    sentence = _tagged(grammar, words)
+    # under the structural filter
+    sentence = _tagged(grammar, _ladder_words(pps))
     assignment = lt.structural_filter(grammar, sentence,
                                       lt.select_trees(grammar, sentence))
     return lt.parse(grammar, sentence, assignment, adjunction_cap=cap)
@@ -387,22 +393,22 @@ def test_first_parse_and_has_parse_stay_lazy(constructions):
 
 
 def test_derive_leaves_no_garbage_cycles_of_its_own():
-    # derive's scratch state is freed by reference counting; what the
-    # collector still finds is the derived tree itself, kept cyclic by the
-    # nodes' parent links
+    # derive's scratch state and the derived trees, with a subtrees dict of
+    # their own or one shared by all parses, are acyclic: reference
+    # counting frees them all
     g = lt.loads(PP_GRAMMAR)
-    [derivation, *_] = lt.enumerate_derivations(
+    derivations = lt.enumerate_derivations(
         _forest(g, "saw/V the/D man/N with/P the/D telescope/N"))
     words = "saw the man with the telescope".split()
     gc.collect()
     enabled = gc.isenabled()
     gc.disable()
     try:
-        derived = lt.derive(g, derivation, words)
-        nodes = list(derived.root.walk())
-        for node in nodes:
-            node.parent = None
-        del derived, node, nodes
+        derived = lt.derive(g, derivations[0], words)
+        assert not hasattr(derived.root, "parent")
+        subtrees = {}
+        shared = [lt.derive(g, d, words, subtrees=subtrees) for d in derivations]
+        del derived, shared, subtrees
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -428,3 +434,150 @@ def test_stopped_enumeration_leaves_no_generators_to_collect():
     finally:
         if enabled:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# shared derived subtrees: the same trees as the unshared reference deriver
+
+FEATURE_GRAMMAR = """
+tree Noun : initial (NP N@)
+tree Noun_Sg : initial (NP[num=sg] N@)
+tree Noun_Pl : initial (NP[num=pl] N@)
+tree Det_Sg : auxiliary (NP[num=sg] D@ NP*)
+tree Verb_Sg : initial (S NP^[num=sg] (VP V@ NP^))
+tree Verb_Pl : initial (S NP^[num=pl] (VP V@ NP^))
+tree PP_Attaches_to_NP : auxiliary (NP NP* (PP P@ NP^))
+tree PP_Attaches_to_VP : auxiliary (VP VP* (PP P@ NP^))
+lex sheep N -> Noun
+lex dog N -> Noun_Sg
+lex dogs N -> Noun_Pl
+lex a D -> Det_Sg
+lex see V -> Verb_Sg, Verb_Pl
+lex with P -> PP_Attaches_to_NP, PP_Attaches_to_VP
+"""
+
+FEATURE_SENTENCES = ["sheep see sheep", "sheep see a dog with dogs",
+                     "a sheep see dogs with a sheep with sheep",
+                     "a dogs see sheep with a dog", "dogs see a sheep with dogs"]
+
+REGISTRY = default_registry()
+SETTINGS = [(cap, check_features) for cap in (None, 3) for check_features in (False, True)]
+
+
+def _facts(derived):
+    """What a derived tree shows: its bracketing, every node's label and
+    span in walk order, and every adjunction record's spans and label."""
+    return (derived.to_string(),
+            [(node.label, node.start, node.end) for node in derived.root.walk()],
+            [((rec.root_node.start, rec.root_node.end),
+              (rec.host_node.start, rec.host_node.end), rec.modifier_label)
+             for rec in derived.adjunctions])
+
+
+def _check_shared_derive(grammar, forest, words, check_features):
+    """``derive`` with one ``subtrees`` dict over all of a forest's parses
+    equals ``reference_derive`` parse by parse; returns how many parses
+    were derived and how many had a feature conflict."""
+    subtrees, anchoring_counts = {}, {}
+    derived_count = conflicts = 0
+    for derivation in lt.enumerate_derivations(forest):
+        try:
+            expected = reference_derive(grammar, derivation, words, check_features)
+        except FeatureConflict as exc:
+            with pytest.raises(FeatureConflict) as raised:
+                lt.derive(grammar, derivation, words, check_features, subtrees)
+            assert str(raised.value) == str(exc)
+            conflicts += 1
+            continue
+        derived = lt.derive(grammar, derivation, words, check_features, subtrees)
+        assert _facts(derived) == _facts(expected), (words, check_features)
+        assert extract(REGISTRY, grammar, derivation, derived, anchoring_counts) == \
+            extract(REGISTRY, grammar, derivation, expected, anchoring_counts)
+        derived_count += 1
+    return derived_count, conflicts
+
+
+def test_shared_derive_matches_reference_on_universes(universes):
+    # one sweep over every universe sentence, the settings taken in turn
+    turn = 0
+    for name in ("clauses", "pp", "modifiers"):
+        grammar, _, universe = universes[name]
+        for words in universe:
+            cap, check_features = SETTINGS[turn % len(SETTINGS)]
+            turn += 1
+            sentence = _tagged(grammar, words)
+            forest = lt.parse(grammar, sentence, lt.select_trees(grammar, sentence),
+                              adjunction_cap=cap)
+            _check_shared_derive(grammar, forest, list(words), check_features)
+
+
+@pytest.mark.parametrize("cap", (None, 3), ids=str)
+def test_shared_derive_matches_reference_on_ladder(cap):
+    # 6 to 21 words
+    g = lt.loads(OFPP_GRAMMAR)
+    for pps in range(6):
+        forest = _ladder_forest(g, pps, cap)
+        for check_features in (False, True):
+            _check_shared_derive(g, forest, _ladder_words(pps), check_features)
+
+
+def test_shared_derive_matches_reference_under_features():
+    # conflicts inside shared subtrees (a/D on dogs/N) and at substitution
+    # slots, next to parses that pass
+    g = lt.loads(FEATURE_GRAMMAR)
+    totals = [0, 0]
+    for text in FEATURE_SENTENCES:
+        words = text.split()
+        sentence = _tagged(g, words)
+        for cap, check_features in SETTINGS:
+            forest = lt.parse(g, sentence, lt.select_trees(g, sentence),
+                              adjunction_cap=cap)
+            counts = _check_shared_derive(g, forest, words, check_features)
+            totals = [total + count for total, count in zip(totals, counts)]
+    derived_count, conflicts = totals
+    assert derived_count > 0 and conflicts > 0
+
+
+def _spans(derived):
+    return [(node.label, node.start, node.end) for node in derived.root.walk()]
+
+
+DITRANSITIVE_GRAMMAR = """
+tree Noun_Phrase : initial (NP N@)
+tree Ditransitive : initial (S NP^ (VP V@ NP^ NP^))
+lex dogs N -> Noun_Phrase
+lex cats N -> Noun_Phrase
+lex bones N -> Noun_Phrase
+lex give V -> Ditransitive
+"""
+
+
+@pytest.mark.parametrize("misplaced_first", [False, True], ids=["placed_first", "misplaced_first"])
+def test_shared_subtree_at_the_wrong_position_is_an_error(misplaced_first):
+    # the two objects swapped: "bones" lands at word 2 and "cats" at word 3,
+    # though their shared subtrees start at words 3 and 2.  Every anchor's
+    # own span is right, so only the landing check sees the swap
+    g = lt.loads(DITRANSITIVE_GRAMMAR)
+    words = ["dogs", "give", "cats", "bones"]
+    dogs, cats, bones = (DerivationNode("Noun_Phrase", index) for index in (0, 2, 3))
+    placed, misplaced = (
+        DerivationNode("Ditransitive", 1, (
+            Attachment(dogs, OP_SUBSTITUTION, (1,)),
+            Attachment(first, OP_SUBSTITUTION, (2, 2)),
+            Attachment(second, OP_SUBSTITUTION, (2, 3))))
+        for first, second in ((cats, bones), (bones, cats)))
+    message = "anchor positions are inconsistent with the word order"
+    with pytest.raises(DerivationError, match=message):
+        reference_derive(g, misplaced, words)
+    subtrees = {}
+    if misplaced_first:
+        with pytest.raises(DerivationError, match=message):
+            lt.derive(g, misplaced, words, subtrees=subtrees)
+    derived = lt.derive(g, placed, words, subtrees=subtrees)
+    assert {id(cats), id(bones)} <= subtrees.keys()
+    before = _spans(derived)
+    assert before == _spans(reference_derive(g, placed, words))
+    with pytest.raises(DerivationError, match=message):
+        lt.derive(g, misplaced, words, subtrees=subtrees)
+    assert _spans(derived) == before
+    assert derived.to_string() == "(S (NP (N dogs)) (VP (V give) (NP (N cats)) (NP (N bones))))"

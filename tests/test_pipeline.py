@@ -5,10 +5,13 @@ from toygrammars import FREQ_TEXT, OFPP_GRAMMAR, tag
 
 
 def _analyze(text, **kwargs):
-    grammar = lt.loads(OFPP_GRAMMAR, FREQ_TEXT)
+    return _analyze_with(lt.loads(OFPP_GRAMMAR, FREQ_TEXT), text, PipelineConfig(**kwargs))
+
+
+def _analyze_with(grammar, text, config):
     registry = default_registry()
-    return analyze_sentence(grammar, tag(text), registry,
-                            uniform_weights(registry), PipelineConfig(**kwargs))
+    return analyze_sentence(grammar, tag(text), registry, uniform_weights(registry),
+                            config)
 
 
 def test_analyze_ranks_and_reports():
@@ -63,3 +66,31 @@ lex bark V -> Verb_Pl
                               PipelineConfig(filter_k=None, check_features=True))
     assert relaxed.parsed
     assert not strict.parsed
+
+
+def test_feature_context_of_a_shared_subtree_keeps_both_parses():
+    # both verb trees substitute the one featureless NP of "sheep": checking
+    # it against NP^[num=sg] must leave nothing behind that clashes with
+    # NP^[num=pl] in the next parse, which shares the NP's subtree
+    grammar = lt.loads("""
+tree Noun : initial (NP N@)
+tree Verb_Sg : initial (S NP^[num=sg] (VP V@))
+tree Verb_Pl : initial (S NP^[num=pl] (VP V@))
+lex sheep N -> Noun
+lex run V -> Verb_Sg, Verb_Pl
+""")
+    analysis = _analyze_with(grammar, "sheep/N run/V",
+                             PipelineConfig(filter_k=None, check_features=True))
+    assert sorted(rp.derivation.tree for rp in analysis.parses) == ["Verb_Pl", "Verb_Sg"]
+
+
+def test_parses_share_derived_subtrees():
+    # 21 words, cap 3: the 1039 parses hold 12,378 distinct derived nodes;
+    # a fresh tree per parse held 49,872
+    grammar = lt.loads(OFPP_GRAMMAR)
+    text = "the/D second/A part/N is/V the/D name/N" + " of/P the/D part/N" * 5
+    analysis = _analyze_with(grammar, text, PipelineConfig(filter_k=None,
+                                                           adjunction_cap=3))
+    assert analysis.derivation_count == 1039
+    nodes = {id(node) for rp in analysis.parses for node in rp.derived.root.walk()}
+    assert len(nodes) <= 12378
