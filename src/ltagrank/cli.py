@@ -63,24 +63,17 @@ def _write_report(path, records) -> None:
 
 
 def _config_record(args) -> dict:
-    config = {key: value for key, value in sorted(vars(args).items())
-              if key not in ("func",) and not callable(value)}
-    config = {key: str(value) if not isinstance(
-        value, (int, float, bool, str, type(None))) else value
-        for key, value in config.items()}
+    config = {key: value if isinstance(value, (int, float, bool, str, type(None)))
+              else str(value)
+              for key, value in sorted(vars(args).items()) if not callable(value)}
     return {"type": "config", "command": args.command, **config}
 
 
 def _table(headers, rows) -> str:
-    widths = [len(h) for h in headers]
-    text_rows = [[str(cell) for cell in row] for row in rows]
-    for row in text_rows:
-        for i, cell in enumerate(row):
-            widths[i] = max(widths[i], len(cell))
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths))]
-    for row in text_rows:
-        lines.append("  ".join(cell.ljust(w) for cell, w in zip(row, widths)))
-    return "\n".join(lines)
+    text_rows = [headers] + [[str(cell) for cell in row] for row in rows]
+    widths = [max(map(len, column)) for column in zip(*text_rows)]
+    return "\n".join("  ".join(cell.ljust(w) for cell, w in zip(row, widths))
+                     for row in text_rows)
 
 
 def _fmt(value: float) -> str:
@@ -297,8 +290,7 @@ def cmd_train(args) -> int:
         delta_scale=args.delta_scale, strike_limit=args.strike_limit,
         max_iterations=args.max_iterations, seed=args.seed,
         require_all_metrics=args.require_all_metrics)
-    resume_state = training.read_log_state(args.resume) if args.resume else None
-    earlier = training.read_log_attempts(args.resume) if args.resume else []
+    resume_state, earlier = training.read_log(args.resume) if args.resume else (None, [])
     result = training.train(records, spec, config, initial,
                             heuristic_names=registry.names(),
                             resume_state=resume_state)

@@ -304,41 +304,40 @@ def read_tree(text: str):
     without a label, a node without children, or material after the tree.
     """
     tokens = _TOKEN.findall(text)
-    pos = 0
-
-    def error(reason, k, label_k=None):
-        starts = token_offsets(text) + [len(text)]
-        return BracketFormatError(reason, starts[k], starts[k if label_k is None else label_k])
-
-    def read():
-        nonlocal pos
-        k = pos
-        token = tokens[k]
-        pos += 1
-        if token == ")":
-            raise error("unexpected ')'", k)
-        if token != "(":
-            return token, k, None
-        if pos == len(tokens) or tokens[pos] in "()":
-            raise error("'(' without a label", k, pos if pos < len(tokens) else k)
-        label = tokens[pos]
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] != ")":
-            children.append(read())
-        if pos == len(tokens):
-            raise error("missing ')'", k)
-        pos += 1
-        if not children:
-            raise error(f"node {label!r} has no children", k, k + 1)
-        return label, k + 1, children
-
     if not tokens:
-        raise error("no tree", 0)
-    form = read()
+        raise _bracket_error(text, "no tree", 0)
+    form, pos = _read_form(text, tokens, 0)
     if pos < len(tokens):
-        raise error("trailing material after tree", pos)
+        raise _bracket_error(text, "trailing material after tree", pos)
     return form
+
+
+def _read_form(text, tokens, k):
+    """The nested form whose first token is token ``k`` of ``text``, and the
+    number of the token after it.  A module function, as ``_tree_node`` is:
+    a closure that calls itself is a reference cycle."""
+    token = tokens[k]
+    if token == ")":
+        raise _bracket_error(text, "unexpected ')'", k)
+    if token != "(":
+        return (token, k, None), k + 1
+    if k + 1 == len(tokens) or tokens[k + 1] in "()":
+        raise _bracket_error(text, "'(' without a label", k,
+                             k + 1 if k + 1 < len(tokens) else k)
+    label, pos, children = tokens[k + 1], k + 2, []
+    while pos < len(tokens) and tokens[pos] != ")":
+        child, pos = _read_form(text, tokens, pos)
+        children.append(child)
+    if pos == len(tokens):
+        raise _bracket_error(text, "missing ')'", k)
+    if not children:
+        raise _bracket_error(text, f"node {label!r} has no children", k, k + 1)
+    return (label, k + 1, children), pos + 1
+
+
+def _bracket_error(text, reason, k, label_k=None) -> BracketFormatError:
+    starts = token_offsets(text) + [len(text)]
+    return BracketFormatError(reason, starts[k], starts[k if label_k is None else label_k])
 
 
 def _parse_tree_expr(text: str, lineno: int, offset: int) -> TreeNode:
@@ -346,19 +345,19 @@ def _parse_tree_expr(text: str, lineno: int, offset: int) -> TreeNode:
         form = read_tree(text)
     except BracketFormatError as exc:
         raise GrammarFormatError(exc.reason, lineno, offset + exc.label_position + 1) from None
-    starts = token_offsets(text)
+    return _tree_node(form, token_offsets(text), lineno, offset)
 
-    def build(form) -> TreeNode:
-        token, k, children = form
-        column = offset + starts[k] + 1
-        label, kind, feats = _parse_token(token, lineno, column)
-        if (children is None) == (kind == INTERNAL):  # leaves, and only leaves, are marked
-            raise GrammarFormatError(
-                f"leaf {token!r} must be marked with one of @ ^ *" if children is None
-                else f"marked node {token!r} cannot have children", lineno, column)
-        return TreeNode(label, kind, tuple(build(child) for child in children or ()), feats)
 
-    return build(form)
+def _tree_node(form, starts, lineno: int, offset: int) -> TreeNode:
+    token, k, children = form
+    column = offset + starts[k] + 1
+    label, kind, feats = _parse_token(token, lineno, column)
+    if (children is None) == (kind == INTERNAL):  # leaves, and only leaves, are marked
+        raise GrammarFormatError(
+            f"leaf {token!r} must be marked with one of @ ^ *" if children is None
+            else f"marked node {token!r} cannot have children", lineno, column)
+    return TreeNode(label, kind, tuple(_tree_node(child, starts, lineno, offset)
+                                       for child in children or ()), feats)
 
 
 def _split_names(text: str, lineno: int) -> tuple[str, ...]:

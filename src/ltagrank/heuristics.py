@@ -25,7 +25,7 @@ Weights files are ``heuristic_name<TAB>weight`` lines in registry order.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .grammar import Grammar, open_text
 from .parser import DerivationNode, DerivedTree
@@ -77,10 +77,15 @@ class Predicate:
         mode, _, rest = text.partition(":")
         if mode not in ("pos", "tree", "prefix"):
             raise RegistryError(f"unknown predicate mode {mode!r}")
-        values = tuple(v for v in rest.split(",") if v)
-        if not values:
-            raise RegistryError(f"predicate {text!r} has no values")
-        return cls(mode, values)
+        return cls(mode, _values(rest, f"predicate {text!r}"))
+
+
+def _values(text: str, what: str) -> tuple[str, ...]:
+    """A registry list's comma-separated items; empty ones are dropped."""
+    values = tuple(v for v in text.split(",") if v)
+    if not values:
+        raise RegistryError(f"{what} has no values")
+    return values
 
 
 @dataclass(frozen=True)
@@ -157,9 +162,9 @@ def parse_registry(text: str) -> HeuristicRegistry:
 def _heuristic_from(name, kind, options) -> Heuristic:
     if kind == LOCAL_TREE_TYPE:
         if "prefix" in options:
-            pred = Predicate("prefix", tuple(options["prefix"].split(",")))
+            pred = Predicate("prefix", _values(options["prefix"], f"{name}: prefix="))
         elif "trees" in options:
-            pred = Predicate("tree", tuple(options["trees"].split(",")))
+            pred = Predicate("tree", _values(options["trees"], f"{name}: trees="))
         else:
             raise RegistryError(f"{name}: local_tree_type needs prefix= or trees=")
         return Heuristic(name, kind, disprefer=pred)
@@ -174,10 +179,9 @@ def _heuristic_from(name, kind, options) -> Heuristic:
         builtin = options.get("builtin", name)
         if builtin not in GLOBAL_BUILTINS:
             raise RegistryError(f"{name}: unknown builtin {builtin!r}")
-        base = _default_global(builtin)
-        modifier = tuple(options["modifier"].split(",")) if "modifier" in options else base.modifier
-        sites = tuple(options["sites"].split(",")) if "sites" in options else base.sites
-        return Heuristic(name, kind, builtin=builtin, modifier=modifier, sites=sites)
+        lists = {key: _values(options[key], f"{name}: {key}=")
+                 for key in ("modifier", "sites") if key in options}
+        return replace(_default_global(builtin), name=name, **lists)
     raise RegistryError(f"{name}: unknown heuristic kind {kind!r}")
 
 
@@ -250,14 +254,18 @@ def _modifier_edge(record) -> str | None:
 
 
 def _bypassed_lower(record, sites) -> int:
-    # attachment sites below the chosen host that share its modifier-side edge
+    # attachment sites below the chosen host that share its modifier-side
+    # edge.  Every node spans at least one word, so those are the nodes on
+    # the host's leftmost ("start") or rightmost ("end") path
     edge = _modifier_edge(record)
     if edge is None:
         return 0
-    host = record.host_node
-    at = getattr(host, edge)
-    return sum(1 for node in host.walk()
-               if node is not host and node.label in sites and getattr(node, edge) == at)
+    side = 0 if edge == "start" else -1
+    count, node = 0, record.host_node.children[side]
+    while not isinstance(node, str):
+        count += node.label in sites
+        node = node.children[side]
+    return count
 
 
 def _bypassed_higher(record, sites, root) -> int:

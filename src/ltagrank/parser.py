@@ -108,12 +108,6 @@ class DerivedNode:
     def __repr__(self):
         return f"<DerivedNode {self.label} [{self.start},{self.end})>"
 
-    def walk(self):
-        yield self
-        for child in self.children:
-            if isinstance(child, DerivedNode):
-                yield from child.walk()
-
     def leaves(self) -> list[str]:
         out = []
         for child in self.children:

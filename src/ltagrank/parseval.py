@@ -205,22 +205,22 @@ def flatten(root: DerivedNode, categories) -> DerivedNode:
     (and are flattened internally in turn).  Returns a new ``DerivedNode``
     tree with spans from word 0.
     """
-    categories = frozenset(categories)
-
-    def copy(node):
-        children = []
-        for child in node.children:
-            if isinstance(child, str):
-                children.append(child)
-            elif _drops_out(node, child, categories):
-                children.extend(copy(child).children)
-            else:
-                children.append(copy(child))
-        return DerivedNode(node.label, children)
-
-    flat = copy(root)
+    flat = _flat_copy(root, frozenset(categories))
     assign_spans(flat, 0)
     return flat
+
+
+def _flat_copy(node, categories) -> DerivedNode:
+    # a module function: a closure that calls itself is a reference cycle
+    children = []
+    for child in node.children:
+        if isinstance(child, str):
+            children.append(child)
+        elif _drops_out(node, child, categories):
+            children.extend(_flat_copy(child, categories).children)
+        else:
+            children.append(_flat_copy(child, categories))
+    return DerivedNode(node.label, children)
 
 
 def _drops_out(parent, child, categories) -> bool:

@@ -232,6 +232,9 @@ class TrainState:
         random.Random().setstate(rng_state)
         if not all(type(d[key]) is int for key in ("strikes", "attempts", "accepted")):
             raise TypeError("strikes, attempts and accepted must be integers")
+        if not all(_finite(d[key]) for key in ("train_objective", "heldout_last",
+                                               "best_heldout")):
+            raise ValueError("the objectives must be finite numbers")
         return cls(list(d["weights"]), d["train_objective"], d["heldout_last"],
                    d["best_heldout"], list(d["best_weights"]), d["strikes"],
                    d["attempts"], d["accepted"], rng_state)
@@ -375,34 +378,33 @@ def write_log(path, result: TrainResult, config: TrainConfig, spec: SplitSpec,
             handle.write(line + "\n")
 
 
-def read_log_state(path) -> TrainState:
-    """Recover the trainer state from the end of a log, for --resume."""
-    state = None
+def read_log(path) -> tuple[TrainState, list[str]]:
+    """The trainer state at the end of a log and the log's attempt records,
+    verbatim, for --resume."""
+    state, attempts = None, []
     with open_text(path) as handle:
         for number, line in enumerate(handle, start=1):
             try:
                 record = json.loads(line)
             except ValueError:
                 raise TrainingError(f"{path}, line {number}: not a JSON record") from None
-            if isinstance(record, dict) and record.get("type") == "state":
+            kind = record.get("type") if isinstance(record, dict) else None
+            if kind == "attempt":
+                attempts.append(line.rstrip("\n"))
+            elif kind == "state":
                 try:
                     state = TrainState.from_dict(record)
                 except (KeyError, TypeError, IndexError, ValueError) as exc:
                     raise TrainingError(
                         f"{path}, line {number}: malformed state record"
                         f" ({type(exc).__name__}: {exc})") from None
-                if not all(isinstance(w, (int, float)) and math.isfinite(w)
-                           for w in state.weights + state.best_weights):
+                if not all(_finite(w) for w in state.weights + state.best_weights):
                     raise TrainingError(f"{path}, line {number}: state record holds"
                                         " a weight that is not a finite number")
     if state is None:
         raise TrainingError(f"no state record found in {path}")
-    return state
+    return state, attempts
 
 
-def read_log_attempts(path) -> list[str]:
-    """The attempt records of a log that ``read_log_state`` accepts, verbatim."""
-    with open_text(path) as handle:
-        records = [(line.rstrip("\n"), json.loads(line)) for line in handle]
-    return [line for line, record in records
-            if isinstance(record, dict) and record.get("type") == "attempt"]
+def _finite(value) -> bool:
+    return isinstance(value, (int, float)) and math.isfinite(value)

@@ -8,7 +8,8 @@ derivation by directly splicing nested list structures.  The reference
 unpacker reads a parse forest's chart the plain way, rebuilding every
 sub-derivation each time a way reaches it, and fixes the canonical order.
 The reference deriver builds a fresh derived tree per derivation, sharing
-no node with any other tree, and checks its yield word by word.
+no node with any other tree, and checks its yield word by word.  The lower
+attachment height is counted over the host's whole subtree.
 The exhaustive trainer re-scores every cached candidate on every attempt.
 """
 
@@ -17,6 +18,7 @@ from collections import defaultdict
 
 from ltagrank.grammar import (ANCHOR, AUXILIARY, INITIAL, INTERNAL, SUBSTITUTION,
                               format_address)
+from ltagrank.heuristics import _modifier_edge
 from ltagrank.parser import (OP_ADJUNCTION, OP_SUBSTITUTION, AdjunctionRecord,
                              Attachment, DerivationError, DerivationNode,
                              DerivedNode, DerivedTree, FeatureConflict)
@@ -379,6 +381,30 @@ def reference_derive(grammar, derivation, words, check_features=False):
         raise DerivationError(
             f"derived yield {leaves!r} does not match words {list(words)!r}")
     return DerivedTree(top, list(words), records)
+
+
+def nodes(root):
+    """The ``DerivedNode``s of the tree ``root``, in pre-order."""
+    out, stack = [], [root]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(child for child in reversed(node.children)
+                     if not isinstance(child, str))
+    return out
+
+
+def reference_bypassed_lower(record, sites):
+    """``heuristics._bypassed_lower`` by its definition: the nodes of the
+    host's whole subtree, host excluded, that are labelled in ``sites`` and
+    share the host's modifier-side edge."""
+    edge = _modifier_edge(record)
+    if edge is None:
+        return 0
+    host = record.host_node
+    at = getattr(host, edge)
+    return sum(1 for node in nodes(host)
+               if node is not host and node.label in sites and getattr(node, edge) == at)
 
 
 def untagged_candidates(grammar, word):

@@ -406,6 +406,18 @@ def _no_state(lines):
     return lines[:-1]
 
 
+def _heldout_last_a_string(lines):
+    state = json.loads(lines[-1])
+    state["heldout_last"] = "abc"
+    return lines[:-1] + [json.dumps(state)]
+
+
+def _best_heldout_null(lines):
+    state = json.loads(lines[-1])
+    state["best_heldout"] = None
+    return lines[:-1] + [json.dumps(state)]
+
+
 @pytest.mark.parametrize("mangle, message", [
     (_no_json, "line 6: not a JSON record"),
     (_no_rng_state, "line 5: malformed state record"),
@@ -415,9 +427,11 @@ def _no_state(lines):
     (_rng_state_of_the_wrong_size, "line 5: malformed state record"),
     (_attempts_a_string, "line 5: malformed state record"),
     (_no_state, "no state record found in"),
+    (_heldout_last_a_string, "line 5: malformed state record (ValueError: the objectives"),
+    (_best_heldout_null, "line 5: malformed state record (ValueError: the objectives"),
 ], ids=["no_json", "no_rng_state", "three_weights", "infinite_weight",
         "nan_best_weight", "rng_state_of_the_wrong_size", "attempts_a_string",
-        "no_state"])
+        "no_state", "heldout_last_a_string", "best_heldout_null"])
 def test_bad_resume_log_is_an_error(tmp_path, capsys, mangle, message):
     train = ["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
              "--gold", SAMPLE / "gold.brackets", "--ratios", "3,1,1",
@@ -431,6 +445,21 @@ def test_bad_resume_log_is_an_error(tmp_path, capsys, mangle, message):
                        capsys)
     assert_one_error(code, err)
     assert message in err
+
+
+@pytest.mark.parametrize("old, new", [
+    ("prefix=Rel_Cl", "prefix="), ("prefix=Topic", "prefix=,"),
+    ("prefix=Pred", "trees="), ("modifier=PP", "modifier="), ("sites=N,NP", "sites=,"),
+])
+def test_registry_list_with_no_items_is_an_error(tmp_path, capsys, old, new):
+    lines = (SAMPLE / "registry.txt").read_text().splitlines()
+    number = next(n for n, line in enumerate(lines, start=1) if old in line)
+    registry = tmp_path / "registry.txt"
+    registry.write_text("\n".join(lines).replace(old, new) + "\n")
+    code, _, err = run(["rank", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                        "--registry", registry], capsys)
+    assert_one_error(code, err)
+    assert f"line {number}: " in err and "has no values" in err
 
 
 def test_grammar_path_that_is_a_directory_is_an_error(capsys):

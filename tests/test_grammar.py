@@ -1,4 +1,6 @@
+import gc
 import random
+from pathlib import Path
 
 import pytest
 
@@ -253,3 +255,20 @@ def test_tree_line_marker_and_feature_errors(expr, at):
         lt.loads(f"{TREE_PREFIX}{expr}\n")
     assert err.value.line == 1
     assert err.value.column == len(TREE_PREFIX) + at + 1
+
+
+def test_loading_leaves_no_garbage_cycles():
+    # the tree readers are module functions: a closure that calls itself
+    # would leave a reference cycle per tree line
+    text = (Path(__file__).resolve().parent.parent / "sample" / "grammar.ltag").read_text()
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        grammar = lt.loads(text)
+        assert grammar.trees
+        del grammar
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()

@@ -11,6 +11,7 @@ from ltagrank.heuristics import (GLOBAL_BUILTINS, Heuristic, HeuristicRegistry,
                                  rank, save_weights, score, uniform_weights, zero_weights)
 from ltagrank.parseval import flatten
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
+from oracles import nodes
 from toygrammars import MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR, parses_of, tag
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
@@ -128,7 +129,7 @@ def test_higher_sites_are_found_among_the_modifiers_ancestors():
     checked = 0
     for rp in analysis.parses:
         root = rp.derived.root
-        parent = {id(child): node for node in root.walk() for child in node.children
+        parent = {id(child): node for node in nodes(root) for child in node.children
                   if not isinstance(child, str)}
         for record in rp.derived.adjunctions:
             modifier, ancestors = record.root_node, []
@@ -153,21 +154,39 @@ def test_higher_sites_are_found_among_the_modifiers_ancestors():
         heuristics._bypassed_higher(record, ("NP", "VP"), flatten(derived.root, ()))
 
 
-def test_relative_clause_count():
-    grammar = lt.loads("""
+RELATIVE_CLAUSE_GRAMMAR = """
 tree Noun_Phrase : initial (NP N@)
 tree Rel_Cl_Stub : auxiliary (NP NP* C@)
 tree Indic_Intrans : initial (S NP^ (VP V@))
 lex dogs N -> Noun_Phrase
 lex that C -> Rel_Cl_Stub
 lex bark V -> Indic_Intrans
-""")
+"""
+
+
+def test_relative_clause_count():
+    grammar = lt.loads(RELATIVE_CLAUSE_GRAMMAR)
     reg = default_registry()
     parses = parses_of(grammar, "dogs/N that/C bark/V")
     assert len(parses) == 1
     vector = extract(reg, grammar, *parses[0])
     assert vector[reg.names().index("disprefer_relative_clause")] == 1.0
     assert vector[reg.names().index("disprefer_topicalization")] == 0.0
+
+
+def test_registry_lists_drop_empty_items():
+    # as predicates do: an empty item matches no tree, not every tree
+    grammar = lt.loads(RELATIVE_CLAUSE_GRAMMAR)
+    [(derivation, derived)] = parses_of(grammar, "dogs/N that/C bark/V")
+    counts = [extract(parse_registry(f"rc local_tree_type {option}\n"), grammar,
+                      derivation, derived)[0]
+              for option in ("prefix=Rel_Cl", "prefix=Rel_Cl,", "prefix=,Rel_Cl,,",
+                             "trees=Rel_Cl_Stub,", "trees=,Rel_Cl_Stub")]
+    assert counts == [1.0] * 5
+    registry = parse_registry("pp global_structural builtin=pp_attachment_height"
+                              " modifier=PP, sites=,NP,,VP\n")
+    assert registry.heuristics[0].modifier == ("PP",)
+    assert registry.heuristics[0].sites == ("NP", "VP")
 
 
 def test_of_lexical_preference_counts():

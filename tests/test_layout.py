@@ -12,6 +12,9 @@ passes trivially even if nothing calls it.
 
 Bad input gets one ``error:`` line, printed by ``cli.main`` alone: commands
 raise, and ``main`` reports.
+
+No function nested in another names itself: a closure that calls itself
+is a reference cycle, which only the cyclic collector frees.
 """
 
 import ast
@@ -63,3 +66,22 @@ def test_error_lines_are_printed_only_by_cli_main():
                     and not any(lo <= node.lineno <= hi for lo, hi in main)):
                 stray.append(f"{path.name}:{node.lineno}")
     assert not stray, "'error:' outside cli.main:\n" + "\n".join(stray)
+
+
+def test_no_nested_function_names_itself():
+    """No function defined inside another function in the package has its
+    own name in its body.  The check is an AST name check: it looks for a
+    ``Name`` node with the function's name, so a nested function that
+    reaches itself another way, say through an attribute, escapes it."""
+    found = set()
+    for path in sorted(PACKAGE.glob("*.py")):
+        for outer in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(outer, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            for inner in ast.walk(outer):
+                if (inner is not outer
+                        and isinstance(inner, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and any(isinstance(node, ast.Name) and node.id == inner.name
+                                for node in ast.walk(inner))):
+                    found.add(f"{path.name}:{inner.lineno} {inner.name}")
+    assert not found, "nested functions that name themselves:\n" + "\n".join(sorted(found))

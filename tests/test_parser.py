@@ -5,12 +5,12 @@ import types
 import pytest
 
 import ltagrank as lt
-from ltagrank import parser
+from ltagrank import heuristics, parser
 from ltagrank.heuristics import default_registry, extract
 from ltagrank.parser import (Attachment, DerivationError, DerivationNode,
                              FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION)
-from oracles import (derivation_universe, reference_derivations, reference_derive,
-                     stack_depth)
+from oracles import (derivation_universe, nodes, reference_bypassed_lower,
+                     reference_derivations, reference_derive, stack_depth)
 from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR,
                          parses_of, tag)
 
@@ -466,18 +466,27 @@ SETTINGS = [(cap, check_features) for cap in (None, 3) for check_features in (Fa
 
 def _facts(derived):
     """What a derived tree shows: its bracketing, every node's label and
-    span in walk order, and every adjunction record's spans and label."""
+    span in pre-order, and every adjunction record's spans and label."""
     return (derived.to_string(),
-            [(node.label, node.start, node.end) for node in derived.root.walk()],
+            [(node.label, node.start, node.end) for node in nodes(derived.root)],
             [((rec.root_node.start, rec.root_node.end),
               (rec.host_node.start, rec.host_node.end), rec.modifier_label)
              for rec in derived.adjunctions])
 
 
+def _labels(node):
+    return {node.label}.union(*(_labels(child) for child in node.children))
+
+
 def _check_shared_derive(grammar, forest, words, check_features):
     """``derive`` with one ``subtrees`` dict over all of a forest's parses
-    equals ``reference_derive`` parse by parse; returns how many parses
-    were derived and how many had a feature conflict."""
+    equals ``reference_derive`` parse by parse, and every record's lower
+    attachment height, read off the host's edge path with every label of
+    the grammar a site, equals the count over the host's whole subtree;
+    returns how many parses were derived and how many had a feature
+    conflict.  The edge path's sites are among the whole subtree's, so
+    equal counts mean equal sets."""
+    sites = set().union(*(_labels(tree.root) for tree in grammar.trees.values()))
     subtrees, anchoring_counts = {}, {}
     derived_count = conflicts = 0
     for derivation in lt.enumerate_derivations(forest):
@@ -493,6 +502,9 @@ def _check_shared_derive(grammar, forest, words, check_features):
         assert _facts(derived) == _facts(expected), (words, check_features)
         assert extract(REGISTRY, grammar, derivation, derived, anchoring_counts) == \
             extract(REGISTRY, grammar, derivation, expected, anchoring_counts)
+        for record in derived.adjunctions:
+            assert heuristics._bypassed_lower(record, sites) == \
+                reference_bypassed_lower(record, sites)
         derived_count += 1
     return derived_count, conflicts
 
@@ -539,7 +551,7 @@ def test_shared_derive_matches_reference_under_features():
 
 
 def _spans(derived):
-    return [(node.label, node.start, node.end) for node in derived.root.walk()]
+    return [(node.label, node.start, node.end) for node in nodes(derived.root)]
 
 
 DITRANSITIVE_GRAMMAR = """

@@ -1,3 +1,4 @@
+import gc
 import random
 from pathlib import Path
 
@@ -6,7 +7,8 @@ import pytest
 import ltagrank as lt
 import ltagrank.parseval as pv
 from ltagrank.parser import DerivedNode
-from oracles import brute_force_crossing, derivation_universe, random_binary_bracketing
+from oracles import (brute_force_crossing, derivation_universe, nodes,
+                     random_binary_bracketing)
 from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR,
                          bracketing, evaluate, parses_of)
 
@@ -35,7 +37,7 @@ def test_derived_gold_and_flattened_trees_share_one_type():
             is DerivedNode
         assert flat.to_string() == pv.flatten(pv.read_bracketed(text), {"NP"}).to_string()
         # spans read off every subtree, relative to its first word
-        for node in derived.root.walk():
+        for node in nodes(derived.root):
             assert pv.brackets_of(node) == bracketing(node.to_string())
 
 
@@ -167,6 +169,23 @@ def test_flatten_idempotent_and_weakly_decreasing():
             assert once.leaves() == pv.read_bracketed(text).leaves()
 
 
+def test_reading_and_flattening_leave_no_garbage_cycles():
+    # the bracket reader and flatten's copy are module functions: a closure
+    # that calls itself would leave a reference cycle per call
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        trees = pv.read_bracketed_corpus(SAMPLE / "gold.brackets")
+        assert len(trees) == 5
+        flat = pv.flatten(trees[0], {"NP", "VP"})
+        del trees, flat
+        assert gc.collect() == 0
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def test_flattened_brackets_equal_brackets_of_flatten():
     """``brackets_of(tree, cats) == brackets_of(flatten(tree, cats))``.
 
@@ -184,14 +203,14 @@ def test_flattened_brackets_equal_brackets_of_flatten():
     trees.extend(derived.root for _, derived in parses_of(
         ofpp, "the/D second/A part/N is/V the/D name/N of/P the/D part/N"))
     assert len(trees) > 500
-    labels = sorted({node.label for tree in trees for node in tree.walk()})
+    labels = sorted({node.label for tree in trees for node in nodes(tree)})
     category_sets = [set(), {"NP", "VP"}, {"NP", "N"}, set(labels)] + \
         [{label} for label in labels]
     for tree in trees:
         for cats in category_sets:
             assert pv.brackets_of(tree, frozenset(cats)) == \
                 pv.brackets_of(pv.flatten(tree, cats)), (tree.to_string(), cats)
-        for node in tree.walk():
+        for node in nodes(tree):
             assert pv.brackets_of(node, frozenset({"NP", "VP"})) == \
                 pv.brackets_of(pv.flatten(node, {"NP", "VP"})), node.to_string()
 

@@ -1,6 +1,7 @@
 import ltagrank as lt
 from ltagrank.heuristics import default_registry, uniform_weights
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
+from oracles import nodes
 from toygrammars import FREQ_TEXT, OFPP_GRAMMAR, tag
 
 
@@ -92,5 +93,5 @@ def test_parses_share_derived_subtrees():
     analysis = _analyze_with(grammar, text, PipelineConfig(filter_k=None,
                                                            adjunction_cap=3))
     assert analysis.derivation_count == 1039
-    nodes = {id(node) for rp in analysis.parses for node in rp.derived.root.walk()}
-    assert len(nodes) <= 12378
+    distinct = {id(node) for rp in analysis.parses for node in nodes(rp.derived.root)}
+    assert len(distinct) <= 12378

@@ -283,7 +283,7 @@ def test_resume_matches_uninterrupted_run(tmp_path):
     half = train(records, spec, half_config, [1.0, 1.0])
     log_path = tmp_path / "train.log"
     tr.write_log(log_path, half, half_config, spec)
-    state = tr.read_log_state(log_path)
+    state, _ = tr.read_log(log_path)
     resumed = train(records, spec, full_config, [1.0, 1.0], resume_state=state)
 
     assert half.entries + resumed.entries == full.entries
@@ -373,12 +373,12 @@ def test_train_matches_exhaustive_reference(aggregation, strict, tmp_path):
         half_config = TrainConfig(**{**vars(config), "max_iterations": max(cut, 1)})
         half = train(records, spec, half_config, initial, heuristic_names=names)
         tr.write_log(tmp_path / "half.log", half, half_config, spec)
-        resume = tr.read_log_state(tmp_path / "half.log")
+        resume, _ = tr.read_log(tmp_path / "half.log")
         resumed = train(records, spec, config, initial, heuristic_names=names,
                         resume_state=resume)
         entries, weights, state = reference_train(
             records, spec, config, initial, names,
-            resume_state=tr.read_log_state(tmp_path / "half.log"))
+            resume_state=tr.read_log(tmp_path / "half.log")[0])
         assert resumed.entries == entries
         assert resumed.weights == weights
         assert resumed.state == state
