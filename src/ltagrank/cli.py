@@ -248,21 +248,18 @@ def _flatten_categories(args):
 def build_records(analyses, gold_trees, recall_mode, flatten_cats):
     """Cache each sentence's candidate vectors and gold metrics for training.
 
-    Many parses flatten to one bracketing; each distinct one is scored once.
+    ``parseval.evaluate_derived`` scores a sentence's candidates together,
+    so each shared subtree is scored against the gold once, and each
+    candidate costs only its own part.
     """
     records = {}
     for index, (analysis, gold) in enumerate(zip(analyses, gold_trees)):
-        gold_brackets = parseval.brackets_of(gold)
-        scored = {}  # Bracketing -> EvalScores
-        candidates = []
-        for rp in analysis.parses:
-            bracketing = parseval.brackets_of(rp.derived.root, flatten_cats)
-            scores = scored.get(bracketing)
-            if scores is None:
-                scores = scored[bracketing] = parseval.evaluate_parse(
-                    bracketing, gold_brackets, recall_mode)
-            candidates.append(training.Candidate(rp.vector, scores))
-        records[index] = training.SentenceRecord(index, candidates)
+        scores = parseval.evaluate_derived([rp.derived for rp in analysis.parses],
+                                           parseval.brackets_of(gold), flatten_cats,
+                                           recall_mode)
+        records[index] = training.SentenceRecord(index, [
+            training.Candidate(rp.vector, score)
+            for rp, score in zip(analysis.parses, scores)])
     return records
 
 

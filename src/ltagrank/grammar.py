@@ -314,25 +314,41 @@ def read_tree(text: str):
 
 def _read_form(text, tokens, k):
     """The nested form whose first token is token ``k`` of ``text``, and the
-    number of the token after it.  A module function, as ``_tree_node`` is:
-    a closure that calls itself is a reference cycle."""
-    token = tokens[k]
-    if token == ")":
-        raise _bracket_error(text, "unexpected ')'", k)
-    if token != "(":
-        return (token, k, None), k + 1
-    if k + 1 == len(tokens) or tokens[k + 1] in "()":
-        raise _bracket_error(text, "'(' without a label", k,
-                             k + 1 if k + 1 < len(tokens) else k)
-    label, pos, children = tokens[k + 1], k + 2, []
-    while pos < len(tokens) and tokens[pos] != ")":
-        child, pos = _read_form(text, tokens, pos)
-        children.append(child)
-    if pos == len(tokens):
-        raise _bracket_error(text, "missing ')'", k)
-    if not children:
-        raise _bracket_error(text, f"node {label!r} has no children", k, k + 1)
-    return (label, k + 1, children), pos + 1
+    number of the token after it.  The nodes being read are kept on a stack
+    of its own, so a tree may nest deeper than Python's recursion limit."""
+    opened = []  # per node being read: the number of its '(' and its children
+    pos = k
+    while True:
+        token = tokens[pos]
+        if token == ")":
+            raise _bracket_error(text, "unexpected ')'", pos)
+        if token == "(":
+            if pos + 1 == len(tokens) or tokens[pos + 1] in "()":
+                raise _bracket_error(text, "'(' without a label", pos,
+                                     pos + 1 if pos + 1 < len(tokens) else pos)
+            opened.append((pos, []))
+            pos += 2
+        else:
+            if not opened:
+                return (token, pos, None), pos + 1
+            opened[-1][1].append((token, pos, None))
+            pos += 1
+        # close the nodes that end here; the innermost one reads on otherwise
+        while True:
+            start, children = opened[-1]
+            if pos == len(tokens):
+                raise _bracket_error(text, "missing ')'", start)
+            if tokens[pos] != ")":
+                break
+            label = tokens[start + 1]
+            if not children:
+                raise _bracket_error(text, f"node {label!r} has no children",
+                                     start, start + 1)
+            opened.pop()
+            form, pos = (label, start + 1, children), pos + 1
+            if not opened:
+                return form, pos
+            opened[-1][1].append(form)
 
 
 def _bracket_error(text, reason, k, label_k=None) -> BracketFormatError:

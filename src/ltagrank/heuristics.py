@@ -19,6 +19,10 @@ The default registry is ``STOCK_REGISTRY``, the local rules of
 (adjunction_count, pp_attachment_height, adj_attachment_height), which are
 always present: a registry that omits them gets them with default settings.
 
+Every count is a sum over a parse's tree instances or adjunction records,
+so ``extract`` reads what a subtree the parses of a sentence share adds
+once per sentence, and per parse only its own part (``DerivedTree.parts``).
+
 Weights files are ``heuristic_name<TAB>weight`` lines in registry order.
 """
 
@@ -28,7 +32,7 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .grammar import Grammar, open_text
-from .parser import DerivationNode, DerivedTree
+from .parser import OP_ADJUNCTION, DerivationNode, DerivedTree
 
 LOCAL_TREE_TYPE = "local_tree_type"
 LOCAL_LEXICAL = "local_lexical"
@@ -195,38 +199,90 @@ def load_registry(path) -> HeuristicRegistry:
 
 def extract(registry: HeuristicRegistry, grammar: Grammar,
             derivation: DerivationNode, derived: DerivedTree,
-            anchoring_counts: dict | None = None) -> tuple[float, ...]:
-    """Count each registry heuristic's matches in one (derivation, derived) pair.
+            table: dict | None = None) -> tuple[float, ...]:
+    """Count each registry heuristic's matches in one (derivation, derived)
+    pair that ``derive`` made.
 
-    A local rule's count is a sum over the tree instances, and what one
-    instance adds depends only on its anchoring: the tree and the word at its
-    anchor.  ``anchoring_counts``, a dict kept across the parses of one
-    sentence, memoizes that by (tree name, anchor index); ``rank`` passes one.
+    Every count is a sum over the parse's own part and its shared subtrees
+    (``DerivedTree.parts``), and what a shared subtree adds is fixed for the
+    sentence.  ``table``, a dict kept across the parses of one sentence and
+    one registry, holds each shared subtree's ``_summary``, each anchoring's
+    matching local rules and, under None, the registry's structural
+    heuristics; ``rank`` passes one, and without it the call uses a dict of
+    its own.  So a parse costs its own part and one lookup per outermost
+    shared subtree.
     """
-    if anchoring_counts is None:
-        anchoring_counts = {}
-    local = [0] * len(registry.heuristics)
-    for instance in derivation.instances():
-        matched = anchoring_counts.get(instance)
-        if matched is None:
-            matched = anchoring_counts[instance] = _matching_rules(
-                registry, grammar, instance[0], derived.words[instance[1]])
-        for index in matched:
-            local[index] += 1
-    counts = []
-    for index, h in enumerate(registry.heuristics):
-        if h.kind != GLOBAL_STRUCTURAL:
-            value = local[index]
-        elif h.builtin == BUILTIN_ADJUNCTIONS:
-            value = len(derived.adjunctions)
-        elif h.builtin == BUILTIN_PP_HEIGHT:
-            value = sum(_bypassed_lower(rec, h.sites) for rec in derived.adjunctions
-                        if rec.modifier_label in h.modifier)
-        else:
-            value = sum(_bypassed_higher(rec, h.sites, derived.root)
-                        for rec in derived.adjunctions if rec.modifier_label in h.modifier)
-        counts.append(float(value))
+    if table is None:
+        table = {}
+    structural = table.get(None)
+    if structural is None:
+        structural = table[None] = [(index, h)
+                                    for index, h in enumerate(registry.heuristics)
+                                    if h.kind == GLOBAL_STRUCTURAL]
+    local, values = _summary(registry, grammar, structural, derived.words,
+                             derivation, derived, table)
+    counts = [0.0] * len(registry.heuristics)
+    for index, count in local:
+        counts[index] = float(count)
+    for (index, h), value in zip(structural, values):
+        counts[index] = float(value[0] if h.builtin == BUILTIN_ADJ_HEIGHT else value)
     return tuple(counts)
+
+
+def _summary(registry, grammar, structural, words, derivation, part, table):
+    """What ``part``, a ``DerivedTree`` or ``SharedSubtree`` built from
+    ``derivation``, adds to the counts of a parse that contains it.
+
+    Returns ``(local, values)``: the (registry index, count) pairs of the
+    local rules, and one value per ``structural`` heuristic.  That is the
+    adjunction count, the ``pp_attachment_height`` sum, or, for
+    ``adj_attachment_height``, the triple of ``_adj_height``.  The summaries
+    of ``part.parts`` are read from ``table``, or made and put there.
+    """
+    local = {}
+    # the part's own tree instances: ``derive`` makes every substituted
+    # subtree a shared one, so they are the root tree of ``derivation`` and
+    # what is adjoined there, recursively.  A substituted tree with nothing
+    # attached adds only its one instance: it is counted here, and skipped
+    # among the parts below
+    stack = [derivation]
+    while stack:
+        node = stack.pop()
+        instance = (node.tree, node.anchor_index)
+        matched = table.get(instance)
+        if matched is None:
+            matched = table[instance] = _matching_rules(
+                registry, grammar, node.tree, words[node.anchor_index])
+        for index in matched:
+            local[index] = local.get(index, 0) + 1
+        for att in node.attachments:
+            if att.op == OP_ADJUNCTION or not att.child.attachments:
+                stack.append(att.child)
+    subs = []
+    for sub in part.parts:
+        if not sub.derivation.attachments:
+            continue
+        summary = table.get(sub)
+        if summary is None:
+            summary = table[sub] = _summary(registry, grammar, structural, words,
+                                            sub.derivation, sub, table)
+        for index, count in summary[0]:
+            local[index] = local.get(index, 0) + count
+        subs.append((sub.root, summary[1]))
+    records, values = part.records, []
+    for position, (_, h) in enumerate(structural):
+        if h.builtin == BUILTIN_ADJ_HEIGHT:
+            values.append(_adj_height(records, subs, position, h, part.root))
+            continue
+        if h.builtin == BUILTIN_ADJUNCTIONS:
+            value = len(records)
+        else:
+            value = sum(_bypassed_lower(rec, h.sites) for rec in records
+                        if rec.modifier_label in h.modifier)
+        for _, sub_values in subs:
+            value += sub_values[position]
+        values.append(value)
+    return tuple(local.items()), values
 
 
 def _matching_rules(registry, grammar, tree_name, word) -> tuple[int, ...]:
@@ -268,25 +324,59 @@ def _bypassed_lower(record, sites) -> int:
     return count
 
 
-def _bypassed_higher(record, sites, root) -> int:
-    # attachment sites above the modifier that share its outer edge.  Nodes
-    # have no parent link, so the ancestors are found going down from the
-    # tree's root: siblings' spans are disjoint, so exactly one child of each
-    # ancestor contains the modifier's span
-    edge = _modifier_edge(record)
-    if edge is None:
-        return 0
-    modifier = record.root_node
-    at, start, end = getattr(modifier, edge), modifier.start, modifier.end
-    count, node = 0, root
-    while node is not modifier:
-        count += node.label in sites and getattr(node, edge) == at
-        for child in node.children:
+def _adj_height(records, subs, position, h, root) -> tuple[int, int, int]:
+    """``adj_attachment_height``, the heuristic ``h``, of a part whose own
+    records are ``records``, whose root is ``root`` and whose shared
+    subtrees' roots and values are ``subs``: (sum, open at start, open at
+    end), the triple of a subtree being at ``position`` of its values.
+
+    The sum counts, per modifier, the sites above it up to ``root``.  A
+    modifier whose start (end) is the root's is open at that edge: in a
+    tree that contains the part, the sites above ``root`` that share that
+    edge are its sites too.  They are no other modifier's, whose start
+    (end) lies after (before) the root's.
+    """
+    total = open_start = open_end = 0
+    for rec in records:
+        if rec.modifier_label in h.modifier:
+            edge = _modifier_edge(rec)
+            if edge is not None:
+                modifier = rec.root_node
+                total += _sites_above(modifier, edge, h.sites, root)
+                if edge == "start":
+                    open_start += modifier.start == root.start
+                else:
+                    open_end += modifier.end == root.end
+    for sub_root, sub_values in subs:
+        sub_total, sub_start, sub_end = sub_values[position]
+        total += sub_total
+        if sub_start:
+            total += sub_start * _sites_above(sub_root, "start", h.sites, root)
+            if sub_root.start == root.start:
+                open_start += sub_start
+        if sub_end:
+            total += sub_end * _sites_above(sub_root, "end", h.sites, root)
+            if sub_root.end == root.end:
+                open_end += sub_end
+    return total, open_start, open_end
+
+
+def _sites_above(node, edge, sites, root) -> int:
+    # nodes from ``root`` down to ``node``, itself excluded, labelled in
+    # ``sites`` that share its start or end (``edge``).  Nodes have no
+    # parent link, so the path is found going down from ``root``: siblings'
+    # spans are disjoint, so exactly one child of each ancestor contains
+    # the node's span
+    at, start, end = getattr(node, edge), node.start, node.end
+    count, current = 0, root
+    while current is not node:
+        count += current.label in sites and getattr(current, edge) == at
+        for child in current.children:
             if not isinstance(child, str) and child.start <= start and end <= child.end:
-                node = child
+                current = child
                 break
         else:
-            raise ValueError("the modifier is not in the tree")
+            raise ValueError("the node is not below the root")
     return count
 
 
@@ -311,9 +401,9 @@ def rank(grammar: Grammar, parses, registry: HeuristicRegistry, weights) -> list
     Ties keep the parser's canonical enumeration order (the sort is stable).
     """
     ranked = []
-    anchoring_counts = {}
+    table = {}  # shared subtree summaries and anchorings, for this sentence
     for derivation, derived in parses:
-        vector = extract(registry, grammar, derivation, derived, anchoring_counts)
+        vector = extract(registry, grammar, derivation, derived, table)
         ranked.append(RankedParse(derivation, derived, vector, score(vector, weights)))
     ranked.sort(key=lambda rp: rp.penalty)
     return ranked

@@ -67,16 +67,6 @@ class DerivationNode:
     anchor_index: int
     attachments: tuple[Attachment, ...] = ()  # in address order
 
-    def instances(self):
-        """All (tree name, anchor index) pairs in this derivation."""
-        out = []
-        stack = [self]
-        while stack:
-            node = stack.pop()
-            out.append((node.tree, node.anchor_index))
-            stack.extend(att.child for att in node.attachments)
-        return out
-
     def to_dict(self) -> dict:
         return {
             "tree": self.tree,
@@ -132,11 +122,36 @@ class AdjunctionRecord:
     modifier_label: str | None  # the auxiliary's ``ElementaryTree.modifier_label``
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
+class SharedSubtree:
+    """The derived subtree of one substituted ``DerivationNode``, built once
+    per sentence and shared by every parse that substitutes it.
+
+    Like a ``DerivedTree`` it is its own part, with the adjunction
+    ``records`` there, plus the outermost shared subtrees, ``parts``, that
+    its own part substitutes.
+    """
+
+    derivation: DerivationNode
+    root: DerivedNode
+    records: tuple[AdjunctionRecord, ...]
+    parts: tuple["SharedSubtree", ...]
+
+
+@dataclass(eq=False, repr=False, slots=True)
 class DerivedTree:
+    """One parse's derived tree: its own part and the shared subtrees in it.
+
+    ``records`` holds the adjunctions of the parse's own part, the nodes
+    that are not in a shared subtree, and ``parts`` the outermost shared
+    subtrees that part substitutes.  Its every adjunction record lies in
+    the own part or, recursively, in one of the parts.
+    """
+
     root: DerivedNode
     words: list[str]
-    adjunctions: list[AdjunctionRecord]
+    records: tuple[AdjunctionRecord, ...]
+    parts: tuple[SharedSubtree, ...]
 
     def to_string(self) -> str:
         return self.root.to_string()
@@ -409,17 +424,22 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
     ``analyze_sentence`` passes one, and without it the call uses a dict of
     its own.  A substituted initial tree's subtree is fixed by its
     ``DerivationNode``: its anchors fix its words, and every adjunction into
-    it is inside it.  So the dict maps each substituted node,
-    by identity, to its subtree, whose spans are written once, and to that
-    subtree's adjunction records and anchors; every later parse that
-    substitutes the node reuses them.  The trees returned are read-only;
-    ``parseval.flatten(root, ())`` makes a private copy of one.
+    it is inside it.  So the dict maps each substituted node, by identity,
+    to its ``SharedSubtree``, whose spans are written once, and to its
+    anchors, which the checks of every parse that substitutes it read.
+    Every substitution goes through the dict, so a parse's own part is its
+    derivation's root tree and the auxiliary trees adjoined there,
+    recursively; the tree returned records that part's adjunctions and the
+    outermost shared subtrees it substitutes, not theirs.  The trees
+    returned are read-only; ``parseval.flatten(root, ())`` makes a private
+    copy of one.
     """
     subtrees = {} if subtrees is None else subtrees
     records: list[AdjunctionRecord] = []
+    parts: list[SharedSubtree] = []
     anchors: list[tuple[DerivedNode, int]] = []
-    top, _ = _build(grammar, derivation, words, records, anchors, check_features,
-                    subtrees)
+    top, _ = _build(grammar, derivation, words, records, parts, anchors,
+                    check_features, subtrees)
 
     assign_spans(top, 0)
     if any(node.start != index for node, index in anchors):
@@ -429,10 +449,11 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
     if len(anchors) != len(words):
         raise DerivationError(
             f"derived yield {top.leaves()!r} does not match words {list(words)!r}")
-    return DerivedTree(top, list(words), records)
+    return DerivedTree(top, list(words), tuple(records), tuple(parts))
 
 
-def _build(grammar, derivation, words, records, anchors, check_features, subtrees):
+def _build(grammar, derivation, words, records, parts, anchors, check_features,
+           subtrees):
     tree = grammar.trees.get(derivation.tree)
     if tree is None:
         raise DerivationError(f"unknown elementary tree {derivation.tree!r}")
@@ -473,7 +494,7 @@ def _build(grammar, derivation, words, records, anchors, check_features, subtree
                 raise DerivationError(
                     f"substituting {child_tree.root.label!r} tree {att.child.tree!r}"
                     f" at {target.label!r} node of {derivation.tree!r}")
-            child_top = _substituted(grammar, att.child, words, records, anchors,
+            child_top = _substituted(grammar, att.child, words, parts, anchors,
                                      check_features, subtrees)
             if check_features:
                 # checked, not stored: nothing reads a substituted root's
@@ -496,7 +517,8 @@ def _build(grammar, derivation, words, records, anchors, check_features, subtree
                     f" at {target.label!r} node of {derivation.tree!r}")
             # an auxiliary tree is built per use: what lands at its foot varies
             child_top, (foot_siblings, foot_index) = _build(
-                grammar, att.child, words, records, anchors, check_features, subtrees)
+                grammar, att.child, words, records, parts, anchors, check_features,
+                subtrees)
             if check_features:
                 child_top.features = _unify(
                     child_top.features, target.features,
@@ -517,24 +539,26 @@ def _build(grammar, derivation, words, records, anchors, check_features, subtree
     return top, slots.get(tree.foot_address)
 
 
-def _substituted(grammar, child, words, records, anchors, check_features, subtrees):
-    """The subtree of the initial tree ``child`` for a substitution, its
-    records and anchors appended; built once per ``subtrees`` dict."""
+def _substituted(grammar, child, words, parts, anchors, check_features, subtrees):
+    """The root of the initial tree ``child``'s subtree for a substitution,
+    whose ``SharedSubtree`` is appended to ``parts`` and its anchors to
+    ``anchors``; built once per ``subtrees`` dict."""
     entry = subtrees.get(id(child))
     if entry is None:
-        own_records, own_anchors = [], []
-        top, _ = _build(grammar, child, words, own_records, own_anchors,
+        own_records, own_parts, own_anchors = [], [], []
+        top, _ = _build(grammar, child, words, own_records, own_parts, own_anchors,
                         check_features, subtrees)
         # laid out once, where its first word is: its leftmost anchor's
         # index.  A subtree built out of order raises here or at the anchor
         # check of every parse that uses it
         assign_spans(top, min(index for _, index in own_anchors))
-        # the entry holds ``child`` so that its id is not reused
-        entry = subtrees[id(child)] = (child, top, own_records, own_anchors)
-    _, top, own_records, own_anchors = entry
-    records.extend(own_records)
+        # the shared subtree holds ``child``, so that its id is not reused
+        entry = subtrees[id(child)] = (
+            SharedSubtree(child, top, tuple(own_records), tuple(own_parts)), own_anchors)
+    shared, own_anchors = entry
+    parts.append(shared)
     anchors.extend(own_anchors)
-    return top
+    return shared.root
 
 
 def _clone(tnode, address, words, anchor_index, anchors, by_address, slots):

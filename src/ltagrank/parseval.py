@@ -4,18 +4,22 @@ Derived, gold and flattened trees are all ``parser.DerivedNode`` trees whose
 nodes carry their word spans.  ``read_bracketed`` reads gold and candidate
 lines through ``grammar.read_tree``, the one bracket reader, and keeps
 labels and words verbatim; ``brackets_of`` reads a tree's ``Bracketing``
-off its nodes, optionally flattened, and everything else scores
-``Bracketing``s.  Before comparison both sides are normalized the paper's
-way: labels stripped, single-word and whole-sentence spans dropped.  Two
-recall conventions are supported: "standard" is correct/gold,
-"paper_literal" is candidate/gold (a pure constituent-count ratio, which
-can exceed 100 for over-bracketed parses).
+off its nodes, optionally flattened, and ``evaluate_parse`` scores a
+candidate ``Bracketing`` against a gold one.  Before comparison both sides
+are normalized the paper's way: labels stripped, single-word and
+whole-sentence spans dropped.  Two recall conventions are supported:
+"standard" is correct/gold, "paper_literal" is candidate/gold (a pure
+constituent-count ratio, which can exceed 100 for over-bracketed parses).
+
+``evaluate_derived`` gives the same scores for all the parses ``derive``
+made of one sentence at once.  The counts they come from are sums over a
+candidate's distinct spans, so it reads each subtree the parses share once
+and each parse's own part once (``DerivedTree.parts``).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from statistics import mean
 
 from .grammar import BracketFormatError, open_text, read_tree
 from .parser import DerivedNode, assign_spans
@@ -32,15 +36,31 @@ def read_bracketed(text: str) -> DerivedNode:
     words = text.lstrip()
     if not words.startswith("("):
         raise BracketFormatError("expected '('", len(text) - len(words))
-    root = _derived(read_tree(text))
-    assign_spans(root, 0)
-    return root
+    return _derived(read_tree(text))
 
 
 def _derived(form) -> DerivedNode:
-    label, _, children = form
-    return DerivedNode(label, [child[0] if child[2] is None else _derived(child)
-                               for child in children])
+    """The ``DerivedNode`` tree of a nested form of ``read_tree``, with spans
+    from word 0.  Like the reader it keeps a stack of its own, so a tree
+    may nest deeper than Python's recursion limit."""
+    root = DerivedNode(form[0], [], start=0)
+    position = 0
+    stack = [(root, iter(form[2]))]
+    while stack:
+        node, rest = stack[-1]
+        for label, _, children in rest:
+            if children is None:
+                node.children.append(label)
+                position += 1
+            else:
+                child = DerivedNode(label, [], start=position)
+                node.children.append(child)
+                stack.append((child, iter(children)))
+                break
+        else:
+            node.end = position
+            stack.pop()
+    return root
 
 
 def read_bracketed_corpus(path) -> list[DerivedNode]:
@@ -111,15 +131,117 @@ def evaluate_parse(candidate: Bracketing, gold: Bracketing,
     cand = normalize(candidate).spans
     gb = normalize(gold).spans
     crossings = sum(1 for span in cand if any(_crosses(span, other) for other in gb))
-    correct = len(cand & gb)
-    if not cand and not gb:
+    return _scores(len(cand), len(cand & gb), crossings, len(gb), mode)
+
+
+def _scores(candidates, correct, crossings, gold, mode) -> EvalScores:
+    """``evaluate_parse``'s scores of a candidate with ``candidates``
+    normalized spans, ``correct`` of them in the gold's ``gold`` and
+    ``crossings`` crossing them."""
+    if not candidates and not gold:
         recall = precision = 100.0
-    elif not cand or not gb:
+    elif not candidates or not gold:
         recall = precision = 0.0
     else:
-        precision = 100.0 * correct / len(cand)
-        recall = 100.0 * (correct if mode == "standard" else len(cand)) / len(gb)
+        precision = 100.0 * correct / candidates
+        recall = 100.0 * (correct if mode == "standard" else candidates) / gold
     return EvalScores(float(crossings), crossings == 0, recall, precision)
+
+
+def evaluate_derived(parses, gold: Bracketing, flatten=frozenset(),
+                     mode: str = "standard") -> list[EvalScores]:
+    """``evaluate_parse(brackets_of(derived.root, flatten), gold, mode)`` for
+    each ``DerivedTree`` of ``parses``, the parses that ``derive`` made of
+    one sentence, read off each parse's own part and shared subtrees
+    (``DerivedTree.parts``).
+
+    The three counts the scores come from, of candidate spans, correct ones
+    and crossing ones, are sums over a candidate's distinct normalized
+    spans, and those inside a shared subtree are fixed for the sentence.  So
+    one table holds each shared subtree's ``_counts`` and each span's two
+    bits (correct, crossing), and a parse costs its own part and one lookup
+    per outermost shared subtree.
+    """
+    if mode not in RECALL_MODES:
+        raise ValueError(f"unknown recall mode {mode!r}")
+    gold_spans = frozenset((start, end) for start, end, _ in normalize(gold).spans)
+    table, scored, out = {}, {}, []
+    for derived in parses:
+        length = derived.root.end  # a parse starts at word 0
+        if length != gold.length:
+            raise ValueError(f"length mismatch: candidate {length}, gold {gold.length}")
+        counts = _counts(derived, length, gold_spans, flatten, table)[:3]
+        scores = scored.get(counts)
+        if scores is None:
+            scores = scored[counts] = _scores(*counts, len(gold_spans), mode)
+        out.append(scores)
+    return out
+
+
+def _counts(part, length, gold, flatten, table):
+    """(spans, correct, crossing, root inside) of ``part``, a ``DerivedTree``
+    or ``SharedSubtree``: how many distinct normalized spans the nodes
+    strictly below its root have that flattening with ``flatten`` keeps,
+    how many of them are in ``gold`` and cross it, and whether the root's
+    own span is among them.  ``table`` memoizes the counts of the shared
+    subtrees and the bits of the spans (``_span_bits``).
+
+    Two nodes share a span only along a unary chain, so the spans inside a
+    shared subtree meet those of the rest of a tree at most in the
+    subtree's root span, and only when that is inside it too.
+    """
+    root = part.root
+    subs = {id(sub.root): sub for sub in part.parts}
+    own, below = set(), []
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        for child in node.children:
+            if isinstance(child, str):
+                continue
+            start, end = child.start, child.end
+            if end - start > 1 and not (start == 0 and end == length) \
+                    and not _drops_out(node, child, flatten):
+                own.add((start, end))
+            sub = subs.get(id(child))
+            if sub is None:
+                stack.append(child)
+            else:
+                below.append(sub)
+    spans, correct, crossing = len(own), 0, 0
+    for span in own:
+        is_correct, is_crossing = _span_bits(span, gold, table)
+        correct += is_correct
+        crossing += is_crossing
+    root_span = (root.start, root.end)
+    inside = root_span in own
+    for sub in below:
+        counts = table.get(sub)
+        if counts is None:
+            counts = table[sub] = _counts(sub, length, gold, flatten, table)
+        sub_spans, sub_correct, sub_crossing, sub_inside = counts
+        spans += sub_spans
+        correct += sub_correct
+        crossing += sub_crossing
+        if sub_inside:
+            span = (sub.root.start, sub.root.end)
+            if span in own:  # counted twice
+                is_correct, is_crossing = _span_bits(span, gold, table)
+                spans -= 1
+                correct -= is_correct
+                crossing -= is_crossing
+            inside = inside or span == root_span
+    return spans, correct, crossing, inside
+
+
+def _span_bits(span, gold, table) -> tuple[bool, bool]:
+    """Whether the normalized ``span`` is in ``gold`` and whether it crosses
+    one of its spans, memoized in ``table``."""
+    bits = table.get(span)
+    if bits is None:
+        bits = table[span] = (span in gold,
+                              any(_crosses(span, other) for other in gold))
+    return bits
 
 
 def aggregate_scores(scores: list[EvalScores], aggregation: str) -> EvalScores:
@@ -132,9 +254,26 @@ def aggregate_scores(scores: list[EvalScores], aggregation: str) -> EvalScores:
         return scores[0]
     if aggregation == "best_of_k":
         return min(scores, key=lambda s: (s.crossing_count, -s.recall_pct, -s.precision_pct))
-    crossing_avg = mean(s.crossing_count for s in scores)
-    return EvalScores(crossing_avg, crossing_avg == 0, mean(s.recall_pct for s in scores),
-                      mean(s.precision_pct for s in scores))
+    crossing_avg = _mean(s.crossing_count for s in scores)
+    return EvalScores(crossing_avg, crossing_avg == 0, _mean(s.recall_pct for s in scores),
+                      _mean(s.precision_pct for s in scores))
+
+
+def _mean(values) -> float:
+    """``statistics.mean`` of finite floats, which rounds their exact sum
+    divided by their number once, at a fraction of its cost.  The running
+    sum is exact: an integer over a power of two, the largest denominator
+    of a value so far, and Python rounds an integer quotient correctly."""
+    total = shift = count = 0
+    for value in values:
+        numerator, denominator = value.as_integer_ratio()
+        bits = denominator.bit_length() - 1  # the denominator is 2 ** bits
+        if bits > shift:
+            total <<= bits - shift
+            shift = bits
+        total += numerator << (shift - bits)
+        count += 1
+    return total / (count << shift)
 
 
 @dataclass(frozen=True)
@@ -166,7 +305,7 @@ def corpus_scores(per_sentence: list) -> CorpusScores:
         n_sentences=n,
         coverage_failures=n - len(scored),
         zero_crossing_pct=100.0 * zero_hits / n,
-        crossing_avg=mean(s.crossing_count for s in scored) if scored else 0.0,
+        crossing_avg=_mean(s.crossing_count for s in scored) if scored else 0.0,
         recall_pct=sum(s.recall_pct for s in scored) / n,
         precision_pct=sum(s.precision_pct for s in scored) / n,
     )

@@ -109,7 +109,15 @@ class TrainConfig:
 def rank_top_k(candidates, penalties, top_k: int, aggregation: str):
     """Order one sentence's candidates by (penalty, index) and aggregate the
     scores of the first ``top_k``; None when there are no candidates."""
-    top = sorted(range(len(candidates)), key=penalties.__getitem__)[:top_k]
+    return _aggregate(candidates, _top(penalties, top_k), aggregation)
+
+
+def _top(penalties, top_k: int) -> tuple[int, ...]:
+    """The indices of the first ``top_k`` candidates by (penalty, index)."""
+    return tuple(sorted(range(len(penalties)), key=penalties.__getitem__)[:top_k])
+
+
+def _aggregate(candidates, top, aggregation: str):
     if not top:
         return None
     return aggregate_scores([candidates[i].scores for i in top], aggregation)
@@ -129,7 +137,8 @@ def evaluate_set(records: list[SentenceRecord], weights,
 @dataclass
 class Rescore:
     """The ranking of a split at other weights, as far as it differs from
-    the cache it came from: sentence position -> (penalties, aggregate)."""
+    the cache it came from: sentence position -> (penalties, top-k indices,
+    aggregate)."""
 
     weights: list[float]
     sentences: dict
@@ -139,11 +148,13 @@ class Rescore:
 class RankCache:
     """The ranking of one split at one weight vector, updated incrementally.
 
-    Per sentence it holds each candidate's penalty and the sentence's
-    ``rank_top_k`` aggregate; per heuristic index, the candidates whose
-    count there is non-zero, by sentence.  Moving to weights that differ at
-    some indices re-scores only the candidates non-zero at one of them, with
-    the full ``score``, and re-ranks only their sentences.  That is exact:
+    Per sentence it holds each candidate's penalty, the indices of its top
+    ``top_k`` candidates and their ``rank_top_k`` aggregate; per heuristic
+    index, the candidates whose count there is non-zero, by sentence.
+    Moving to weights that differ at some indices re-scores only the
+    candidates non-zero at one of them, with the full ``score``, and
+    re-ranks only their sentences; a sentence whose top indices stay the
+    same keeps its aggregate, which they alone fix.  That is exact:
     any other candidate's products at those indices are zeros before and
     after (the weights are finite), so its penalty is the same sum up to
     the sign of a zero, which compares equal, and every order, aggregate
@@ -156,9 +167,9 @@ class RankCache:
         self.weights = list(weights)
         self.penalties = [[score(c.vector, self.weights) for c in r.candidates]
                           for r in records]
-        self.aggregates = [rank_top_k(r.candidates, penalties, config.top_k,
-                                      config.aggregation)
-                           for r, penalties in zip(records, self.penalties)]
+        self.tops = [_top(penalties, config.top_k) for penalties in self.penalties]
+        self.aggregates = [_aggregate(r.candidates, top, config.aggregation)
+                           for r, top in zip(records, self.tops)]
         self.scores = corpus_scores(self.aggregates)
         self.touching = [{} for _ in self.weights]
         for position, record in enumerate(records):
@@ -183,16 +194,19 @@ class RankCache:
             penalties = list(self.penalties[position])
             for number in numbers:
                 penalties[number] = score(candidates[number].vector, weights)
-            per_sentence[position] = rank_top_k(
-                candidates, penalties, self.config.top_k, self.config.aggregation)
-            sentences[position] = (penalties, per_sentence[position])
+            top = _top(penalties, self.config.top_k)
+            if top != self.tops[position]:
+                per_sentence[position] = _aggregate(candidates, top,
+                                                    self.config.aggregation)
+            sentences[position] = (penalties, top, per_sentence[position])
         return Rescore(weights, sentences, corpus_scores(per_sentence))
 
     def commit(self, rescore: Rescore) -> None:
         """Move the cache to the weights of ``rescore``, which it made."""
         self.weights = rescore.weights
-        for position, (penalties, aggregate) in rescore.sentences.items():
+        for position, (penalties, top, aggregate) in rescore.sentences.items():
             self.penalties[position] = penalties
+            self.tops[position] = top
             self.aggregates[position] = aggregate
         self.scores = rescore.scores
 

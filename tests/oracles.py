@@ -8,8 +8,10 @@ derivation by directly splicing nested list structures.  The reference
 unpacker reads a parse forest's chart the plain way, rebuilding every
 sub-derivation each time a way reaches it, and fixes the canonical order.
 The reference deriver builds a fresh derived tree per derivation, sharing
-no node with any other tree, and checks its yield word by word.  The lower
-attachment height is counted over the host's whole subtree.
+no node with any other tree, and checks its yield word by word.  The
+reference extractor and scorer read each parse whole: every tree instance,
+every adjunction record and every node.  The lower attachment height is
+counted over the host's whole subtree.
 The exhaustive trainer re-scores every cached candidate on every attempt.
 """
 
@@ -18,12 +20,13 @@ from collections import defaultdict
 
 from ltagrank.grammar import (ANCHOR, AUXILIARY, INITIAL, INTERNAL, SUBSTITUTION,
                               format_address)
-from ltagrank.heuristics import _modifier_edge
+from ltagrank.heuristics import (BUILTIN_ADJUNCTIONS, BUILTIN_PP_HEIGHT,
+                                 GLOBAL_STRUCTURAL, _matching_rules, _modifier_edge)
 from ltagrank.parser import (OP_ADJUNCTION, OP_SUBSTITUTION, AdjunctionRecord,
                              Attachment, DerivationError, DerivationNode,
                              DerivedNode, DerivedTree, FeatureConflict)
-from ltagrank.parseval import aggregate_scores, corpus_scores
-from ltagrank.training import LogEntry, TrainState
+from ltagrank.parseval import aggregate_scores, brackets_of, corpus_scores, evaluate_parse
+from ltagrank.training import Candidate, LogEntry, SentenceRecord, TrainState
 
 
 def words_selecting(grammar):
@@ -380,7 +383,7 @@ def reference_derive(grammar, derivation, words, check_features=False):
     if leaves != list(words):
         raise DerivationError(
             f"derived yield {leaves!r} does not match words {list(words)!r}")
-    return DerivedTree(top, list(words), records)
+    return DerivedTree(top, list(words), records, [])
 
 
 def nodes(root):
@@ -389,9 +392,92 @@ def nodes(root):
     while stack:
         node = stack.pop()
         out.append(node)
-        stack.extend(child for child in reversed(node.children)
-                     if not isinstance(child, str))
+        stack.extend([child for child in reversed(node.children)
+                      if child.__class__ is not str])
     return out
+
+
+def instances(derivation):
+    """Every (tree name, anchor index) pair of the derivation."""
+    out, stack = [], [derivation]
+    while stack:
+        node = stack.pop()
+        out.append((node.tree, node.anchor_index))
+        stack.extend(att.child for att in node.attachments)
+    return out
+
+
+def adjunctions(derived):
+    """Every adjunction record of a derived tree: its own part's and, in
+    turn, those of its shared subtrees."""
+    out, stack = [], [derived]
+    while stack:
+        part = stack.pop()
+        out.extend(part.records)
+        stack.extend(part.parts)
+    return out
+
+
+def reference_extract(registry, grammar, derivation, derived, rules=None):
+    """``heuristics.extract`` parse by parse: every tree instance of the
+    derivation and every adjunction record of the derived tree, the lower
+    height counted over the host's whole subtree and the higher one over
+    the modifier's ancestors, found by identity.  ``rules``, a dict kept
+    across calls with one registry and grammar, memoizes the local rules
+    each (tree name, word) matches."""
+    rules = {} if rules is None else rules
+    local = [0] * len(registry.heuristics)
+    for tree_name, anchor in instances(derivation):
+        key = (tree_name, derived.words[anchor])
+        if key not in rules:
+            rules[key] = _matching_rules(registry, grammar, *key)
+        for index in rules[key]:
+            local[index] += 1
+    records = adjunctions(derived)
+    parent = {id(child): node for node in nodes(derived.root)
+              for child in node.children if not isinstance(child, str)}
+    counts = []
+    for index, h in enumerate(registry.heuristics):
+        matching = [rec for rec in records if rec.modifier_label in h.modifier]
+        if h.kind != GLOBAL_STRUCTURAL:
+            value = local[index]
+        elif h.builtin == BUILTIN_ADJUNCTIONS:
+            value = len(records)
+        elif h.builtin == BUILTIN_PP_HEIGHT:
+            value = sum(reference_bypassed_lower(rec, h.sites) for rec in matching)
+        else:
+            value = sum(_bypassed_higher(rec, h.sites, parent) for rec in matching)
+        counts.append(float(value))
+    return tuple(counts)
+
+
+def _bypassed_higher(record, sites, parent):
+    # the modifier's ancestors labelled in ``sites`` that share its outer edge
+    edge = _modifier_edge(record)
+    if edge is None:
+        return 0
+    at, count, node = getattr(record.root_node, edge), 0, record.root_node
+    while id(node) in parent:
+        node = parent[id(node)]
+        count += node.label in sites and getattr(node, edge) == at
+    return count
+
+
+def reference_records(analyses, gold_trees, recall_mode, flatten_cats):
+    """``cli.build_records`` parse by parse: every candidate's bracketing
+    read whole with ``brackets_of`` and scored with ``evaluate_parse``.  A
+    derived tree met again, in an analysis given twice, is read once."""
+    records, brackets = {}, {}
+    for index, (analysis, gold) in enumerate(zip(analyses, gold_trees)):
+        gold_brackets = brackets_of(gold)
+        candidates = []
+        for rp in analysis.parses:
+            if id(rp.derived) not in brackets:
+                brackets[id(rp.derived)] = brackets_of(rp.derived.root, flatten_cats)
+            candidates.append(Candidate(rp.vector, evaluate_parse(
+                brackets[id(rp.derived)], gold_brackets, recall_mode)))
+        records[index] = SentenceRecord(index, candidates)
+    return records
 
 
 def reference_bypassed_lower(record, sites):

@@ -15,7 +15,7 @@ import ltagrank.parseval as pv
 import ltagrank.training as tr
 from ltagrank.heuristics import HeuristicRegistry, score, uniform_weights
 from ltagrank.training import Candidate, SentenceRecord, TrainConfig
-from oracles import brute_force_crossing, random_binary_bracketing
+from oracles import brute_force_crossing, instances, random_binary_bracketing
 from test_filtering import FALLBACK_FREQ, FALLBACK_GRAMMAR
 from toygrammars import (CLAUSE_GRAMMAR, OFPP_GRAMMAR, bracketing, evaluate,
                          parses_of, tag)
@@ -204,7 +204,7 @@ def test_criterion_5_ranked_parse_reproduction():
         pp_index = registry.names().index("pp_attachment_height")
 
         def attachment(parse):
-            names = {name for name, _ in parse.derivation.instances()}
+            names = {name for name, _ in instances(parse.derivation)}
             return "VP" if "PP_Attaches_to_VP" in names else "NP"
 
         assert attachment(ranked[0]) == "NP"

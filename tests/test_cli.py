@@ -296,6 +296,42 @@ def test_train_gold_of_the_wrong_length_is_an_error(tmp_path, capsys, parsed):
     assert "sentence 0" in err
 
 
+DEEP = 1200  # nesting levels, more than Python's recursion limit allows
+
+
+def test_eval_reads_brackets_nested_deeper_than_the_recursion_limit(tmp_path, capsys):
+    closed = tmp_path / "closed.brackets"
+    closed.write_text("(X " * DEEP + "w" + ")" * DEEP + "\n")
+    code, out, _ = run(["eval", closed, "--gold", closed], capsys)
+    assert code == 0
+    assert "100.00" in out
+    unclosed = tmp_path / "unclosed.brackets"
+    unclosed.write_text("(X " * DEEP + "\n")
+    code, _, err = run(["eval", unclosed, "--gold", unclosed], capsys)
+    assert_one_error(code, err)
+    assert "missing ')'" in err
+
+
+@pytest.mark.parametrize("closed", [True, False], ids=["closed", "unclosed"])
+def test_train_reads_gold_nested_deeper_than_the_recursion_limit(tmp_path, capsys,
+                                                                 closed):
+    # the first gold tree wrapped in DEEP whole-sentence nodes, which scoring
+    # drops; or opened DEEP times and never closed
+    gold = (SAMPLE / "gold.brackets").read_text().splitlines()
+    gold[0] = "(X " * DEEP + gold[0] + (")" * DEEP if closed else "")
+    gold_path = tmp_path / "gold.brackets"
+    gold_path.write_text("\n".join(gold) + "\n")
+    code, out, err = run(["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                          "--gold", gold_path, "--max-iterations", "5",
+                          "--weights-out", tmp_path / "w.tsv",
+                          "--log", tmp_path / "log"], capsys)
+    if closed:
+        assert code == 0 and "Preferences Trained" in out
+    else:
+        assert_one_error(code, err)
+        assert "missing ')'" in err
+
+
 def test_eval_empty_files_is_an_error(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")
@@ -652,8 +688,9 @@ def test_rank_prints_no_parse(tmp_path, capsys):
 
 @pytest.mark.parametrize("mode", ["standard", "paper_literal"])
 def test_build_records_scores_each_bracketing_once(monkeypatch, mode):
-    # the records equal a fresh scoring of every candidate, while each
-    # distinct flattened bracketing is scored only once
+    # the records equal a fresh scoring of every candidate, while no
+    # candidate's bracketing is built and scored: parseval.evaluate_derived
+    # scores each shared subtree once and each candidate's own part
     grammar = ltagrank.loads(OFPP_GRAMMAR)
     registry = ltagrank.default_registry()
     words = "the second part is the name".split() + ["of", "the", "part"] * 3
@@ -678,4 +715,4 @@ def test_build_records_scores_each_bracketing_once(monkeypatch, mode):
                                              gold_brackets, mode))
                 for rp in analysis.parses]
     assert records == {0: SentenceRecord(0, expected)}
-    assert len(scored) == len(set(scored)) < len(expected)
+    assert scored == [] and len(expected) > 1

@@ -11,7 +11,7 @@ from ltagrank.heuristics import (GLOBAL_BUILTINS, Heuristic, HeuristicRegistry,
                                  rank, save_weights, score, uniform_weights, zero_weights)
 from ltagrank.parseval import flatten
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
-from oracles import nodes
+from oracles import adjunctions, instances, nodes
 from toygrammars import MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR, parses_of, tag
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
@@ -79,7 +79,7 @@ def test_pp_height_spec_example():
     heights = {}
     for derivation, derived in parses_of(
             g, "saw/V the/D man/N with/P the/D telescope/N"):
-        names = {name for name, _ in derivation.instances()}
+        names = {name for name, _ in instances(derivation)}
         key = "VP" if "PP_Attaches_to_VP" in names else "NP"
         heights[key] = extract(reg, g, derivation, derived)[pp_index]
     assert heights == {"VP": 1.0, "NP": 0.0}
@@ -98,7 +98,7 @@ def test_pp_with_determiner_at_its_root_wraps_its_host():
               " (PP (P of) (NP (N part)))) (PP (P of) (NP (N part)))))))")
     [(derivation, derived)] = [p for p in parses if p[1].to_string() == target]
     assert extract(reg, g, derivation, derived)[pp_index] == 0.0
-    outer = max((rec for rec in derived.adjunctions if rec.modifier_label == "PP"),
+    outer = max((rec for rec in adjunctions(derived) if rec.modifier_label == "PP"),
                 key=lambda rec: rec.host_node.end - rec.host_node.start)
     root, host = outer.root_node, outer.host_node
     assert (host.start, host.end) == (3, 6)
@@ -111,15 +111,15 @@ def test_adjective_height_direction():
     adj_index = reg.names().index("adj_attachment_height")
     heights = set()
     for derivation, derived in parses_of(g, "big/A dogs/N bark/V"):
-        names = {name for name, _ in derivation.instances()}
+        names = {name for name, _ in instances(derivation)}
         site = "NP" if "Adjective_NP" in names else "N"
         heights.add((site, extract(reg, g, derivation, derived)[adj_index]))
     assert heights == {("NP", 0.0), ("N", 1.0)}
 
 
 def test_higher_sites_are_found_among_the_modifiers_ancestors():
-    # nodes have no parent link, so _bypassed_higher goes down from the root
-    # to the modifier; its ancestors, read off a parent map, must agree, in
+    # nodes have no parent link, so _sites_above goes down from the root to
+    # the modifier; its ancestors, read off a parent map, must agree, in
     # trees that share subtrees
     g = lt.loads(OFPP_GRAMMAR)
     registry = default_registry()
@@ -131,7 +131,7 @@ def test_higher_sites_are_found_among_the_modifiers_ancestors():
         root = rp.derived.root
         parent = {id(child): node for node in nodes(root) for child in node.children
                   if not isinstance(child, str)}
-        for record in rp.derived.adjunctions:
+        for record in adjunctions(rp.derived):
             modifier, ancestors = record.root_node, []
             node = parent.get(id(modifier))
             while node is not None:
@@ -139,19 +139,22 @@ def test_higher_sites_are_found_among_the_modifiers_ancestors():
                 node = parent.get(id(node))
             edge = heuristics._modifier_edge(record)
             for sites in (("NP", "VP"), ("N", "NP")):
-                expected = 0 if edge is None else sum(
+                if edge is None:
+                    continue
+                expected = sum(
                     node.label in sites and getattr(node, edge) == getattr(modifier, edge)
                     for node in ancestors)
-                assert heuristics._bypassed_higher(record, sites, root) == expected
+                assert heuristics._sites_above(modifier, edge, sites, root) == expected
                 checked += expected > 0
     assert checked > 0
     # read against a tree that does not hold its modifier, here a copy of its
     # own tree, a record is an error, not an endless descent
     derived = analysis.parses[0].derived
-    record = next(rec for rec in derived.adjunctions
+    record = next(rec for rec in adjunctions(derived)
                   if heuristics._modifier_edge(rec) is not None)
     with pytest.raises(ValueError):
-        heuristics._bypassed_higher(record, ("NP", "VP"), flatten(derived.root, ()))
+        heuristics._sites_above(record.root_node, heuristics._modifier_edge(record),
+                                ("NP", "VP"), flatten(derived.root, ()))
 
 
 RELATIVE_CLAUSE_GRAMMAR = """
@@ -196,7 +199,7 @@ def test_of_lexical_preference_counts():
     counts = {}
     for derivation, derived in parses_of(
             g, "saw/V the/D man/N of/P the/D park/N"):
-        names = {name for name, _ in derivation.instances()}
+        names = {name for name, _ in instances(derivation)}
         key = "VP" if "PP_Attaches_to_VP" in names else "NP"
         counts[key] = extract(reg, g, derivation, derived)[of_index]
     # dispreferred analysis (VP modifier) counts once, preferred not at all
@@ -235,7 +238,7 @@ def test_rank_counts_each_anchoring_once_as_extract_would(text):
     for rp, (derivation, derived) in zip(ranked, parses):
         assert rp.vector == extract(reg, g, derivation, derived)
         anchored = [(name, derived.words[anchor])
-                    for name, anchor in derivation.instances()]
+                    for name, anchor in instances(derivation)]
         assert rp.vector[names.index("of_rule")] == sum(
             1 for name, word in anchored
             if word in ("of", "Of") and name == "PP_Attaches_to_VP")
@@ -252,7 +255,7 @@ def test_rank_prefers_low_np_attachment():
     reg = default_registry()
     parses = parses_of(g, "saw/V the/D man/N with/P the/D telescope/N")
     ranked = rank(g, parses, reg, uniform_weights(reg))
-    top_names = {name for name, _ in ranked[0].derivation.instances()}
+    top_names = {name for name, _ in instances(ranked[0].derivation)}
     assert "PP_Attaches_to_NP" in top_names
 
 

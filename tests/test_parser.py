@@ -6,11 +6,15 @@ import pytest
 
 import ltagrank as lt
 from ltagrank import heuristics, parser
-from ltagrank.heuristics import default_registry, extract
-from ltagrank.parser import (Attachment, DerivationError, DerivationNode,
-                             FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION)
-from oracles import (derivation_universe, nodes, reference_bypassed_lower,
-                     reference_derivations, reference_derive, stack_depth)
+from ltagrank.cli import build_records
+from ltagrank.heuristics import RankedParse, default_registry, extract
+from ltagrank.parser import (Attachment, DerivationError, DerivationNode, DerivedNode,
+                             FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION,
+                             assign_spans)
+from ltagrank.parseval import RECALL_MODES
+from oracles import (adjunctions, derivation_universe, nodes, reference_bypassed_lower,
+                     reference_derivations, reference_derive, reference_extract,
+                     reference_records, stack_depth)
 from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR,
                          parses_of, tag)
 
@@ -462,34 +466,53 @@ FEATURE_SENTENCES = ["sheep see sheep", "sheep see a dog with dogs",
 
 REGISTRY = default_registry()
 SETTINGS = [(cap, check_features) for cap in (None, 3) for check_features in (False, True)]
+SCORINGS = [(flatten, mode) for flatten in (frozenset(), frozenset({"NP", "VP"}))
+            for mode in RECALL_MODES]
 
 
 def _facts(derived):
     """What a derived tree shows: its bracketing, every node's label and
-    span in pre-order, and every adjunction record's spans and label."""
+    span in pre-order, and every adjunction record's spans and label, in
+    no particular order."""
     return (derived.to_string(),
             [(node.label, node.start, node.end) for node in nodes(derived.root)],
-            [((rec.root_node.start, rec.root_node.end),
-              (rec.host_node.start, rec.host_node.end), rec.modifier_label)
-             for rec in derived.adjunctions])
+            sorted((((rec.root_node.start, rec.root_node.end),
+                     (rec.host_node.start, rec.host_node.end), rec.modifier_label)
+                    for rec in adjunctions(derived)), key=str))
 
 
 def _labels(node):
     return {node.label}.union(*(_labels(child) for child in node.children))
 
 
-def _check_shared_derive(grammar, forest, words, check_features):
-    """``derive`` with one ``subtrees`` dict over all of a forest's parses
-    equals ``reference_derive`` parse by parse, and every record's lower
-    attachment height, read off the host's edge path with every label of
-    the grammar a site, equals the count over the host's whole subtree;
-    returns how many parses were derived and how many had a feature
-    conflict.  The edge path's sites are among the whole subtree's, so
-    equal counts mean equal sets."""
+def _left_branching(words):
+    """A gold tree that crosses the right-branching parses of ``words``."""
+    node = DerivedNode("X", list(words[:2]))
+    for word in words[2:]:
+        node = DerivedNode("X", [node, word])
+    assign_spans(node, 0)
+    return node
+
+
+def _check_shared_derive(grammar, derivations, words, check_features, scoring):
+    """``derive`` with one ``subtrees`` dict over all of a forest's
+    ``derivations`` equals ``reference_derive`` parse by parse; returns how
+    many parses were derived and how many had a feature conflict.
+
+    With one table over the parses, ``extract`` equals ``reference_extract``
+    on the unshared tree, and every record's lower attachment height, read
+    off the host's edge path with every label of the grammar a site, equals
+    the count over the host's whole subtree: the edge path's sites are
+    among the whole subtree's, so equal counts mean equal sets.  And, given
+    a ``scoring``, one of ``SCORINGS``, ``build_records`` equals
+    ``reference_records`` against two golds, the last parse and a
+    left-branching tree, with its flattening and recall mode.
+    """
     sites = set().union(*(_labels(tree.root) for tree in grammar.trees.values()))
-    subtrees, anchoring_counts = {}, {}
-    derived_count = conflicts = 0
-    for derivation in lt.enumerate_derivations(forest):
+    subtrees, table, rules = {}, {}, {}
+    ranked = []
+    conflicts = 0
+    for derivation in derivations:
         try:
             expected = reference_derive(grammar, derivation, words, check_features)
         except FeatureConflict as exc:
@@ -500,37 +523,80 @@ def _check_shared_derive(grammar, forest, words, check_features):
             continue
         derived = lt.derive(grammar, derivation, words, check_features, subtrees)
         assert _facts(derived) == _facts(expected), (words, check_features)
-        assert extract(REGISTRY, grammar, derivation, derived, anchoring_counts) == \
-            extract(REGISTRY, grammar, derivation, expected, anchoring_counts)
-        for record in derived.adjunctions:
+        vector = extract(REGISTRY, grammar, derivation, derived, table)
+        assert vector == reference_extract(REGISTRY, grammar, derivation, expected, rules)
+        for record in adjunctions(derived):
             assert heuristics._bypassed_lower(record, sites) == \
                 reference_bypassed_lower(record, sites)
-        derived_count += 1
-    return derived_count, conflicts
+        ranked.append(RankedParse(derivation, derived, vector, 0.0))
+    if scoring:
+        _check_scores(ranked, words, scoring)
+    return len(ranked), conflicts
+
+
+def _check_scores(ranked, words, scoring):
+    """``build_records`` equals ``reference_records`` on the ranked parses
+    of ``words`` against two golds, the last parse and a left-branching
+    tree, with the flattening and recall mode of ``scoring``."""
+    if ranked:
+        analyses = [types.SimpleNamespace(parses=ranked)] * 2
+        golds = [ranked[-1].derived.root, _left_branching(words)]
+        flatten, mode = scoring
+        assert build_records(analyses, golds, mode, flatten) == \
+            reference_records(analyses, golds, mode, flatten)
+
+
+def _check_vectors_and_scores(grammar, derivations, words, scoring):
+    """With one ``subtrees`` dict and one table over the parses, ``extract``
+    equals ``reference_extract``, which reads each shared tree whole, and
+    ``build_records`` equals ``reference_records``."""
+    subtrees, table, rules = {}, {}, {}
+    ranked = []
+    for derivation in derivations:
+        derived = lt.derive(grammar, derivation, words, subtrees=subtrees)
+        vector = extract(REGISTRY, grammar, derivation, derived, table)
+        assert vector == reference_extract(REGISTRY, grammar, derivation, derived, rules)
+        ranked.append(RankedParse(derivation, derived, vector, 0.0))
+    _check_scores(ranked, words, scoring)
 
 
 def test_shared_derive_matches_reference_on_universes(universes):
-    # one sweep over every universe sentence, the settings taken in turn
+    # one sweep over every universe sentence: the enumeration order equals
+    # the reference unpacker's, and the derived trees, vectors and scores
+    # equal the references'.  The caps, the feature checks and the scorings
+    # are taken in turn, so that 32 turns take every combination
     turn = 0
     for name in ("clauses", "pp", "modifiers"):
         grammar, _, universe = universes[name]
         for words in universe:
-            cap, check_features = SETTINGS[turn % len(SETTINGS)]
+            cap = CAPS[turn % len(CAPS)]
+            check_features = bool(turn // len(CAPS) % 2)
+            scoring = SCORINGS[turn // (2 * len(CAPS)) % len(SCORINGS)]
             turn += 1
             sentence = _tagged(grammar, words)
             forest = lt.parse(grammar, sentence, lt.select_trees(grammar, sentence),
                               adjunction_cap=cap)
-            _check_shared_derive(grammar, forest, list(words), check_features)
+            derivations = lt.enumerate_derivations(forest)
+            assert derivations == reference_derivations(forest), (name, words, cap)
+            _check_shared_derive(grammar, derivations, list(words), check_features,
+                                 scoring)
 
 
 @pytest.mark.parametrize("cap", (None, 3), ids=str)
 def test_shared_derive_matches_reference_on_ladder(cap):
-    # 6 to 21 words
+    # 6 to 21 words, the scorings taken in turn.  The grammar has no
+    # features, so the trees are the same with feature checks on: their
+    # vectors are checked again, not their scores.  Under the cap, the
+    # vectors and scores at 24 words too, where subtrees nest deeper
     g = lt.loads(OFPP_GRAMMAR)
     for pps in range(6):
-        forest = _ladder_forest(g, pps, cap)
-        for check_features in (False, True):
-            _check_shared_derive(g, forest, _ladder_words(pps), check_features)
+        derivations = lt.enumerate_derivations(_ladder_forest(g, pps, cap))
+        _check_shared_derive(g, derivations, _ladder_words(pps), False,
+                             SCORINGS[pps % len(SCORINGS)])
+        _check_shared_derive(g, derivations, _ladder_words(pps), True, None)
+    if cap is not None:
+        _check_vectors_and_scores(g, lt.enumerate_derivations(_ladder_forest(g, 6, cap)),
+                                  _ladder_words(6), SCORINGS[(6 + cap) % len(SCORINGS)])
 
 
 def test_shared_derive_matches_reference_under_features():
@@ -538,16 +604,49 @@ def test_shared_derive_matches_reference_under_features():
     # slots, next to parses that pass
     g = lt.loads(FEATURE_GRAMMAR)
     totals = [0, 0]
-    for text in FEATURE_SENTENCES:
+    for number, text in enumerate(FEATURE_SENTENCES):
         words = text.split()
         sentence = _tagged(g, words)
-        for cap, check_features in SETTINGS:
+        for turn, (cap, check_features) in enumerate(SETTINGS, start=number):
             forest = lt.parse(g, sentence, lt.select_trees(g, sentence),
                               adjunction_cap=cap)
-            counts = _check_shared_derive(g, forest, words, check_features)
+            counts = _check_shared_derive(g, lt.enumerate_derivations(forest), words,
+                                          check_features, SCORINGS[turn % len(SCORINGS)])
             totals = [total + count for total, count in zip(totals, counts)]
     derived_count, conflicts = totals
     assert derived_count > 0 and conflicts > 0
+
+
+# noun phrases nested at their left (Of_Phrase) and right edges, whose
+# modifiers at those edges stay open through two levels of shared subtrees
+NESTED_GRAMMAR = """
+tree Noun_Deep : initial (NP (N N@))
+tree Adjective : auxiliary (N A@ N*)
+tree Adjective_NP : auxiliary (NP A@ NP*)
+tree Post_Adjective : auxiliary (NP NP* A@)
+tree Of_Phrase : initial (NP NP^ (PP P@ NP^))
+tree Indic_Intrans : initial (S NP^ (VP V@))
+lex dogs N -> Noun_Deep
+lex cats N -> Noun_Deep
+lex big A -> Adjective, Adjective_NP
+lex galore A -> Post_Adjective
+lex of P -> Of_Phrase
+lex bark V -> Indic_Intrans
+"""
+
+NESTED_SENTENCES = ["big dogs of cats of dogs bark", "dogs of cats of dogs galore bark",
+                    "big dogs of big cats galore of dogs galore bark"]
+
+
+def test_shared_derive_matches_reference_on_nested_modifiers():
+    g = lt.loads(NESTED_GRAMMAR)
+    for turn, text in enumerate(NESTED_SENTENCES):
+        words = text.split()
+        sentence = _tagged(g, words)
+        forest = lt.parse(g, sentence, lt.select_trees(g, sentence))
+        derived_count, _ = _check_shared_derive(g, lt.enumerate_derivations(forest), words,
+                                                False, SCORINGS[turn % len(SCORINGS)])
+        assert derived_count > 1
 
 
 def _spans(derived):
