@@ -105,9 +105,16 @@ class Heuristic:
 
 @dataclass
 class HeuristicRegistry:
-    """Ordered heuristics; the order defines the weight-vector layout."""
+    """Ordered heuristics; the order defines the weight-vector layout.
+
+    A registry is changed only in ``__post_init__``, which appends the
+    missing builtins: the local rules each anchoring matches are memoized
+    on it for its lifetime.
+    """
 
     heuristics: list[Heuristic] = field(default_factory=list)
+    # (anchor POS, tree name, lower-cased word) -> ``_matching_rules``
+    _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         names = [h.name for h in self.heuristics]
@@ -287,13 +294,19 @@ def _summary(registry, grammar, structural, words, derivation, part, table):
 
 def _matching_rules(registry, grammar, tree_name, word) -> tuple[int, ...]:
     """Registry positions of the local rules whose ``disprefer`` matches the
-    anchoring of ``tree_name`` at ``word``; words compare case-insensitively."""
+    anchoring of ``tree_name`` at ``word``; words compare case-insensitively.
+    Memoized on the registry, across sentences and grammars."""
     pos = grammar.trees[tree_name].anchor_pos
     word = word.lower()
-    return tuple(index for index, h in enumerate(registry.heuristics)
-                 if h.kind != GLOBAL_STRUCTURAL
-                 and (h.word is None or h.word.lower() == word)
-                 and h.disprefer.matches(pos, tree_name))
+    key = (pos, tree_name, word)
+    matched = registry._rules.get(key)
+    if matched is None:
+        matched = registry._rules[key] = tuple(
+            index for index, h in enumerate(registry.heuristics)
+            if h.kind != GLOBAL_STRUCTURAL
+            and (h.word is None or h.word.lower() == word)
+            and h.disprefer.matches(pos, tree_name))
+    return matched
 
 
 def _modifier_edge(record) -> str | None:

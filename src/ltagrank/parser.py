@@ -23,8 +23,11 @@ and every substitution or adjunction that reaches that root replays them:
 parses share ``DerivationNode``s, which are frozen.  Given one ``subtrees``
 dict per sentence, ``derive`` builds the subtree of each substituted
 ``DerivationNode`` once and every later parse that substitutes it reuses it:
-parses share derived subtrees too.  So derived trees are read-only (copy one
+parses share derived subtrees too, and each anchor node, which the
+(tree, word) it anchors fixes.  So derived trees are read-only (copy one
 with ``parseval.flatten(root, ())``), and their nodes have no parent link.
+In the same way a chart shares one item among all its anchor axioms and
+one among all its foot axioms.
 
 Conventions enforced here: every word anchors exactly one elementary tree
 per derivation, at most one adjunction per node, and no adjunction at
@@ -145,7 +148,8 @@ class DerivedTree:
     ``records`` holds the adjunctions of the parse's own part, the nodes
     that are not in a shared subtree, and ``parts`` the outermost shared
     subtrees that part substitutes.  Its every adjunction record lies in
-    the own part or, recursively, in one of the parts.
+    the own part or, recursively, in one of the parts.  ``words`` is the
+    sentence as given to ``derive``, one list for all the parses of it.
     """
 
     root: DerivedNode
@@ -163,8 +167,9 @@ class DerivedTree:
 class _Item:
     __slots__ = ("ways",)
 
-    def __init__(self):
-        self.ways = {}  # distinct ways, in first-derived order; values unused
+    def __init__(self, way=None):
+        # distinct ways, in first-derived order; values unused
+        self.ways = {} if way is None else {way: None}
 
 
 class ParseForest:
@@ -174,6 +179,8 @@ class ParseForest:
     only what the derivations pulled so far need.  Within one call each
     sub-derivation is built once, and the parses that contain it share it;
     ``derive`` with one ``subtrees`` dict then shares their derived subtrees.
+    The chart maps every anchor axiom's key to one item, and every foot
+    axiom's key to another: no other deduction posts to such a key.
     """
 
     def __init__(self, grammar, chart, goals, adjunction_cap):
@@ -261,7 +268,9 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
     Returns a forest packing every derivation over the candidates; an empty
     forest is a normal outcome, not an error.  ``adjunction_cap``, when set,
     bounds the number of adjunctions stacked along one spine path: the
-    forest's enumeration skips every derivation deeper than that.
+    forest's enumeration skips every derivation deeper than that.  An
+    axiom's item holds only its axiom's way, so all the anchor axioms of
+    the forest share one item, and all the foot axioms another.
     """
     n = len(sentence)
     if n == 0:
@@ -298,20 +307,27 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
             agenda.append(key)
         item.ways[way] = None
 
+    def post_axiom(key, item):
+        if key not in chart:
+            chart[key] = item
+            agenda.append(key)
+
     # axioms: anchors scan their word; feet of auxiliaries may match any span
-    # on their side of the anchor
+    # on their side of the anchor.  Only axioms post at anchor and foot
+    # nodes, so their items are shared
+    anchor_item, foot_item = _Item(("anchor",)), _Item(("foot",))
     for name, position in instances:
         tree = grammar.trees[name]
-        post(("node", name, position, tree.anchor_address, "top",
-              position, position + 1, None, None), ("anchor",))
+        post_axiom(("node", name, position, tree.anchor_address, "top",
+                    position, position + 1, None, None), anchor_item)
         if tree.kind == AUXILIARY:
             leaf_pos = tree.leaf_position
             foot_first = leaf_pos[tree.foot_address] < leaf_pos[tree.anchor_address]
             lo, hi = (0, position) if foot_first else (position + 1, n)
             for i in range(lo, hi):
                 for j in range(i + 1, hi + 1):
-                    post(("node", name, position, tree.foot_address, "top",
-                          i, j, i, j), ("foot",))
+                    post_axiom(("node", name, position, tree.foot_address, "top",
+                                i, j, i, j), foot_item)
 
     def advance_parent(key):
         # a finished node feeds its parent's dotted traversal
@@ -413,58 +429,62 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
            check_features: bool = False, subtrees: dict | None = None) -> DerivedTree:
     """Carry out the derivation's substitutions and adjunctions bottom-up.
 
-    ``words`` is the whole sentence: each anchor must sit at its index and
-    the yield must equal ``words``.  These and other structural problems
-    (bad address, category mismatch, duplicate adjunction) raise
-    DerivationError; with ``check_features`` on, clashing atomic features
-    raise FeatureConflict instead (absent attributes unify with anything).
+    ``words`` is the whole sentence, which the tree returned holds: each
+    anchor must sit at its index and the yield must equal ``words``.  These
+    and other structural problems (bad address, category mismatch,
+    duplicate adjunction) raise DerivationError; with ``check_features`` on,
+    clashing atomic features raise FeatureConflict instead (absent
+    attributes unify with anything).
 
     ``subtrees``, a dict kept across the parses of one sentence under one
-    ``check_features`` setting, shares derived subtrees between them;
+    ``check_features`` setting, shares derived nodes between them;
     ``analyze_sentence`` passes one, and without it the call uses a dict of
-    its own.  A substituted initial tree's subtree is fixed by its
-    ``DerivationNode``: its anchors fix its words, and every adjunction into
-    it is inside it.  So the dict maps each substituted node, by identity,
-    to its ``SharedSubtree``, whose spans are written once, and to its
-    anchors, which the checks of every parse that substitutes it read.
-    Every substitution goes through the dict, so a parse's own part is its
-    derivation's root tree and the auxiliary trees adjoined there,
-    recursively; the tree returned records that part's adjunctions and the
-    outermost shared subtrees it substitutes, not theirs.  The trees
-    returned are read-only; ``parseval.flatten(root, ())`` makes a private
-    copy of one.
+    its own.  An anchor node is fixed by its tree and anchor index, and no
+    operation targets it: the dict maps each (tree name, anchor index) to
+    one anchor node, laid out at its index when it is made.  A substituted
+    initial tree's subtree is fixed by its ``DerivationNode``: its anchors
+    fix its words, and every adjunction into it is inside it.  So the dict
+    maps each substituted node, by identity, to its ``SharedSubtree``,
+    whose spans are written once.  Every substitution goes through the
+    dict, so a parse's own part is its derivation's root tree and the
+    auxiliary trees adjoined there, recursively; the tree returned records
+    that part's adjunctions and the outermost shared subtrees it
+    substitutes, not theirs.  Laying out the own part checks where each
+    anchor and shared subtree lands, so a parse's checks cost only that
+    part.  The trees returned are read-only; ``parseval.flatten(root, ())``
+    makes a private copy of one.
     """
     subtrees = {} if subtrees is None else subtrees
     records: list[AdjunctionRecord] = []
     parts: list[SharedSubtree] = []
-    anchors: list[tuple[DerivedNode, int]] = []
-    top, _ = _build(grammar, derivation, words, records, parts, anchors,
-                    check_features, subtrees)
-
-    assign_spans(top, 0)
-    if any(node.start != index for node, index in anchors):
-        raise DerivationError(_OUT_OF_ORDER)
-    # every leaf is an anchor's word: with each anchor at its index, the
-    # yield is ``words`` exactly when there are as many anchors as words
-    if len(anchors) != len(words):
+    top, _ = _build(grammar, derivation, words, records, parts, check_features,
+                    subtrees)
+    # every anchor lands at its index or raises here.  Only anchors have
+    # words, one each, so the yield is ``words`` exactly when the tree spans
+    # as many words
+    if _land(top, 0) != len(words):
         raise DerivationError(
             f"derived yield {top.leaves()!r} does not match words {list(words)!r}")
-    return DerivedTree(top, list(words), tuple(records), tuple(parts))
+    return DerivedTree(top, words, tuple(records), tuple(parts))
 
 
-def _build(grammar, derivation, words, records, parts, anchors, check_features,
-           subtrees):
+def _build(grammar, derivation, words, records, parts, check_features, subtrees):
     tree = grammar.trees.get(derivation.tree)
     if tree is None:
         raise DerivationError(f"unknown elementary tree {derivation.tree!r}")
-    if not 0 <= derivation.anchor_index < len(words):
-        raise DerivationError(
-            f"anchor index {derivation.anchor_index} outside the sentence")
+    at = derivation.anchor_index
+    if not 0 <= at < len(words):
+        raise DerivationError(f"anchor index {at} outside the sentence")
+
+    anchor = subtrees.get((derivation.tree, at))
+    if anchor is None:
+        tnode = tree.node_at(tree.anchor_address)
+        anchor = subtrees[(derivation.tree, at)] = DerivedNode(
+            tnode.label, [words[at]], dict(tnode.features), at, at + 1)
 
     by_address: dict[Address, DerivedNode] = {}
     slots: dict[Address, tuple[list, int]] = {}  # (parent's children, index)
-    top = _clone(tree.root, (), words, derivation.anchor_index, anchors,
-                 by_address, slots)
+    top = _clone(tree.root, (), anchor, by_address, slots)
 
     seen: set[Address] = set()
     for att in derivation.attachments:
@@ -494,7 +514,7 @@ def _build(grammar, derivation, words, records, parts, anchors, check_features,
                 raise DerivationError(
                     f"substituting {child_tree.root.label!r} tree {att.child.tree!r}"
                     f" at {target.label!r} node of {derivation.tree!r}")
-            child_top = _substituted(grammar, att.child, words, parts, anchors,
+            child_top = _substituted(grammar, att.child, words, parts,
                                      check_features, subtrees)
             if check_features:
                 # checked, not stored: nothing reads a substituted root's
@@ -517,8 +537,7 @@ def _build(grammar, derivation, words, records, parts, anchors, check_features,
                     f" at {target.label!r} node of {derivation.tree!r}")
             # an auxiliary tree is built per use: what lands at its foot varies
             child_top, (foot_siblings, foot_index) = _build(
-                grammar, att.child, words, records, parts, anchors, check_features,
-                subtrees)
+                grammar, att.child, words, records, parts, check_features, subtrees)
             if check_features:
                 child_top.features = _unify(
                     child_top.features, target.features,
@@ -539,63 +558,78 @@ def _build(grammar, derivation, words, records, parts, anchors, check_features,
     return top, slots.get(tree.foot_address)
 
 
-def _substituted(grammar, child, words, parts, anchors, check_features, subtrees):
+def _substituted(grammar, child, words, parts, check_features, subtrees):
     """The root of the initial tree ``child``'s subtree for a substitution,
-    whose ``SharedSubtree`` is appended to ``parts`` and its anchors to
-    ``anchors``; built once per ``subtrees`` dict."""
-    entry = subtrees.get(id(child))
-    if entry is None:
-        own_records, own_parts, own_anchors = [], [], []
-        top, _ = _build(grammar, child, words, own_records, own_parts, own_anchors,
+    whose ``SharedSubtree`` is appended to ``parts``; built once per
+    ``subtrees`` dict."""
+    shared = subtrees.get(id(child))
+    if shared is None:
+        own_records, own_parts = [], []
+        top, _ = _build(grammar, child, words, own_records, own_parts,
                         check_features, subtrees)
-        # laid out once, where its first word is: its leftmost anchor's
-        # index.  A subtree built out of order raises here or at the anchor
-        # check of every parse that uses it
-        assign_spans(top, min(index for _, index in own_anchors))
+        # laid out once, where its first word is.  A subtree whose anchors
+        # are out of order raises here, and is not kept
+        _land(top, _first_word(top))
         # the shared subtree holds ``child``, so that its id is not reused
-        entry = subtrees[id(child)] = (
-            SharedSubtree(child, top, tuple(own_records), tuple(own_parts)), own_anchors)
-    shared, own_anchors = entry
+        shared = subtrees[id(child)] = SharedSubtree(
+            child, top, tuple(own_records), tuple(own_parts))
     parts.append(shared)
-    anchors.extend(own_anchors)
     return shared.root
 
 
-def _clone(tnode, address, words, anchor_index, anchors, by_address, slots):
+def _clone(tnode, address, anchor, by_address, slots):
     # a module function, not a closure over _build's state: a closure that
     # calls itself is a reference cycle, which only the cyclic collector frees
-    node = DerivedNode(tnode.label, [], dict(tnode.features))
-    by_address[address] = node
     if tnode.kind == ANCHOR:
-        node.children = [words[anchor_index]]
-        anchors.append((node, anchor_index))
-    elif tnode.kind == INTERNAL:
+        node = anchor
+    else:
+        node = DerivedNode(tnode.label, [], dict(tnode.features))
+    by_address[address] = node
+    if tnode.kind == INTERNAL:
         for index, child in enumerate(tnode.children):
             child_address = address + (index + 1,)
-            node.children.append(_clone(child, child_address, words, anchor_index,
-                                        anchors, by_address, slots))
+            node.children.append(_clone(child, child_address, anchor, by_address, slots))
             slots[child_address] = (node.children, index)
     return node
+
+
+def _first_word(node) -> int:
+    # only anchors have words, and every node laid out before, an anchor or
+    # a shared subtree's root, spans some: so the first such node in
+    # pre-order starts the first word of the subtree ``node`` heads
+    stack = [node]
+    while True:
+        node = stack.pop()
+        if node.start >= 0:
+            return node.start
+        stack.extend(reversed(node.children))
 
 
 def assign_spans(node: DerivedNode, start: int) -> int:
     """Set the span of every node below ``node``, whose first word is word
     ``start``; returns the end of its span.
 
-    A node below that has a span already heads a subtree laid out before,
-    which parses share: its spans are not rewritten, and it must start where
-    it lands, or the anchors are out of order (DerivationError).
+    A node below that has a span already is an anchor node or heads a
+    subtree laid out before, which parses share: its spans are not
+    rewritten, and it must start where it lands, or the anchors are out of
+    order (DerivationError).
     """
     node.start = start
     position = start
     for child in node.children:
         if isinstance(child, str):
             position += 1
-        elif child.start < 0:
-            position = assign_spans(child, position)
-        elif child.start == position:
-            position = child.end
         else:
-            raise DerivationError(_OUT_OF_ORDER)
+            position = _land(child, position)
     node.end = position
     return position
+
+
+def _land(node: DerivedNode, position: int) -> int:
+    """Lay ``node`` out from word ``position`` unless it has a span already,
+    which must then start there; returns the end of its span."""
+    if node.start < 0:
+        return assign_spans(node, position)
+    if node.start != position:
+        raise DerivationError(_OUT_OF_ORDER)
+    return node.end

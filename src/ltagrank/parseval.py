@@ -125,13 +125,28 @@ def evaluate_parse(candidate: Bracketing, gold: Bracketing,
     and precision are 100; when exactly one is empty both are 0."""
     if mode not in RECALL_MODES:
         raise ValueError(f"unknown recall mode {mode!r}")
-    if candidate.length != gold.length:
+    return _evaluate(candidate, gold.length, _gold_spans(gold), {}, mode)
+
+
+def _gold_spans(gold: Bracketing) -> frozenset:
+    """The (start, end) pairs of the normalized ``gold``."""
+    return frozenset((start, end) for start, end, _ in normalize(gold).spans)
+
+
+def _evaluate(candidate, length, gold, table, mode) -> EvalScores:
+    """``evaluate_parse`` of ``candidate`` against a gold of ``length``
+    words whose normalized spans are ``gold`` (``_gold_spans``); ``table``
+    memoizes the bits of the spans (``_span_bits``) for that gold."""
+    if candidate.length != length:
         raise ValueError(f"length mismatch: candidate {candidate.length},"
-                         f" gold {gold.length}")
+                         f" gold {length}")
     cand = normalize(candidate).spans
-    gb = normalize(gold).spans
-    crossings = sum(1 for span in cand if any(_crosses(span, other) for other in gb))
-    return _scores(len(cand), len(cand & gb), crossings, len(gb), mode)
+    correct = crossings = 0
+    for start, end, _ in cand:
+        is_correct, is_crossing = _span_bits((start, end), gold, table)
+        correct += is_correct
+        crossings += is_crossing
+    return _scores(len(cand), correct, crossings, len(gold), mode)
 
 
 def _scores(candidates, correct, crossings, gold, mode) -> EvalScores:
@@ -164,7 +179,7 @@ def evaluate_derived(parses, gold: Bracketing, flatten=frozenset(),
     """
     if mode not in RECALL_MODES:
         raise ValueError(f"unknown recall mode {mode!r}")
-    gold_spans = frozenset((start, end) for start, end, _ in normalize(gold).spans)
+    gold_spans = _gold_spans(gold)
     table, scored, out = {}, {}, []
     for derived in parses:
         length = derived.root.end  # a parse starts at word 0
@@ -316,18 +331,22 @@ def score_corpus(pairs, top_k: int = 6, aggregation: str = "mean_of_k",
     """Evaluate (ranked candidate bracketings, gold bracketing) pairs over a
     corpus.
 
-    Per sentence the top ``min(top_k, available)`` parses are scored and
-    collapsed with ``aggregation``; sentences with no parses are coverage
-    failures.
+    Per sentence the top ``min(top_k, available)`` parses are scored as
+    ``evaluate_parse`` scores them, the gold normalized once, and collapsed
+    with ``aggregation``; sentences with no parses are coverage failures.
     """
     if top_k < 1:
         raise ValueError("top_k must be at least 1")
+    if mode not in RECALL_MODES:
+        raise ValueError(f"unknown recall mode {mode!r}")
     per_sentence = []
     for candidates, gold in pairs:
         if not candidates:
             per_sentence.append(None)
             continue
-        scores = [evaluate_parse(c, gold, mode) for c in candidates[:top_k]]
+        gold_spans, table = _gold_spans(gold), {}
+        scores = [_evaluate(c, gold.length, gold_spans, table, mode)
+                  for c in candidates[:top_k]]
         per_sentence.append(aggregate_scores(scores, aggregation))
     return corpus_scores(per_sentence)
 

@@ -12,9 +12,9 @@ from ltagrank.parser import (Attachment, DerivationError, DerivationNode, Derive
                              FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION,
                              assign_spans)
 from ltagrank.parseval import RECALL_MODES
-from oracles import (adjunctions, derivation_universe, nodes, reference_bypassed_lower,
-                     reference_derivations, reference_derive, reference_extract,
-                     reference_records, stack_depth)
+from oracles import (adjunctions, derivation_universe, instances, nodes,
+                     reference_bypassed_lower, reference_derivations, reference_derive,
+                     reference_extract, reference_records, stack_depth)
 from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR,
                          parses_of, tag)
 
@@ -336,8 +336,20 @@ def _ladder_forest(grammar, pps, cap):
     return lt.parse(grammar, sentence, assignment, adjunction_cap=cap)
 
 
+def _axiom_items(forest):
+    """The distinct items of the forest's anchor axioms and of its foot
+    axioms, each checked to hold only its axiom's way."""
+    found = []
+    for kind in ("anchor", "foot"):
+        items = {id(item): item for item in forest._chart.values() if (kind,) in item.ways}
+        assert all(list(item.ways) == [(kind,)] for item in items.values())
+        found.append(items)
+    return found
+
+
 def test_enumeration_order_matches_reference_on_universes(universes):
-    # one sweep over every universe sentence, the caps taken in turn
+    # one sweep over every universe sentence, the caps taken in turn.  Each
+    # forest holds one item per axiom kind too
     turn = 0
     for name in ("clauses", "pp", "modifiers"):
         grammar, _, universe = universes[name]
@@ -349,6 +361,8 @@ def test_enumeration_order_matches_reference_on_universes(universes):
                               adjunction_cap=cap)
             assert lt.enumerate_derivations(forest) == reference_derivations(forest), \
                 (name, words, cap)
+            anchor, foot = _axiom_items(forest)
+            assert len(anchor) == 1 and len(foot) <= 1, (name, words)
 
 
 @pytest.mark.parametrize("cap", CAPS, ids=str)
@@ -417,6 +431,36 @@ def test_derive_leaves_no_garbage_cycles_of_its_own():
     finally:
         if enabled:
             gc.enable()
+
+
+def test_parses_share_anchor_nodes():
+    # 21 words, cap 3: every tree instance of the 1039 parses holds the one
+    # anchor node of its (tree, anchor index), and the parses hold 7,753
+    # distinct derived nodes; an anchor node per instance made 12,378
+    g = lt.loads(OFPP_GRAMMAR)
+    words = _ladder_words(5)
+    derivations = lt.enumerate_derivations(_ladder_forest(g, 5, 3))
+    subtrees, derived = {}, []
+    for derivation in derivations:
+        derived.append(lt.derive(g, derivation, words, subtrees=subtrees))
+        preterminals = [node for node in nodes(derived[-1].root)
+                        if isinstance(node.children[0], str)]
+        assert sorted(map(id, preterminals)) == \
+            sorted(id(subtrees[instance]) for instance in instances(derivation))
+    distinct = {id(node) for tree in derived for node in nodes(tree.root)}
+    assert len(derived) == 1039 and len(distinct) <= 7753
+
+
+@pytest.mark.parametrize("pps, chart_items, foot_items",
+                         [(2, 891, 292), (4, 2956, 1002), (5, 4661, 1591)])
+def test_ladder_chart_keeps_its_items_and_shares_axiom_items(pps, chart_items, foot_items):
+    # 12, 18 and 21 words: as many chart items and foot axioms as with an
+    # item per key, and one item per axiom kind
+    forest = _ladder_forest(lt.loads(OFPP_GRAMMAR), pps, 3)
+    anchor, foot = _axiom_items(forest)
+    assert len(anchor) == len(foot) == 1
+    assert len(forest._chart) == chart_items
+    assert sum(("foot",) in item.ways for item in forest._chart.values()) == foot_items
 
 
 def _parser_generators():
@@ -690,5 +734,44 @@ def test_shared_subtree_at_the_wrong_position_is_an_error(misplaced_first):
     assert before == _spans(reference_derive(g, placed, words))
     with pytest.raises(DerivationError, match=message):
         lt.derive(g, misplaced, words, subtrees=subtrees)
+    assert _spans(derived) == before
+    assert derived.to_string() == "(S (NP (N dogs)) (VP (V give) (NP (N cats)) (NP (N bones))))"
+
+
+@pytest.mark.parametrize("case", ["anchor_used_twice", "anchor_off_its_index"])
+def test_malformed_derivation_leaves_shared_anchor_nodes_as_they_were(case):
+    # after a valid parse has made every anchor node: "cats", word 2,
+    # anchors a second Noun_Phrase at word 3, or, with no subject, "give"
+    # lands at word 0.  Either raises, and writes no span a parse shares
+    g = lt.loads(DITRANSITIVE_GRAMMAR)
+    words = ["dogs", "give", "cats", "bones"]
+    dogs, cats, bones = (DerivationNode("Noun_Phrase", index) for index in (0, 2, 3))
+    placed = DerivationNode("Ditransitive", 1, (
+        Attachment(dogs, OP_SUBSTITUTION, (1,)),
+        Attachment(cats, OP_SUBSTITUTION, (2, 2)),
+        Attachment(bones, OP_SUBSTITUTION, (2, 3))))
+    malformed = {
+        "anchor_used_twice": DerivationNode("Ditransitive", 1, (
+            Attachment(dogs, OP_SUBSTITUTION, (1,)),
+            Attachment(cats, OP_SUBSTITUTION, (2, 2)),
+            Attachment(DerivationNode("Noun_Phrase", 2), OP_SUBSTITUTION, (2, 3)))),
+        "anchor_off_its_index": DerivationNode("Ditransitive", 1, (
+            Attachment(cats, OP_SUBSTITUTION, (2, 2)),
+            Attachment(bones, OP_SUBSTITUTION, (2, 3)))),
+    }[case]
+    message = "anchor positions are inconsistent with the word order"
+    with pytest.raises(DerivationError, match=message):
+        reference_derive(g, malformed, words)
+    subtrees = {}
+    derived = lt.derive(g, placed, words, subtrees=subtrees)
+    anchors = {key: subtrees[key] for key in instances(placed)}
+    spans = {key: (node.start, node.end) for key, node in anchors.items()}
+    assert spans == {("Ditransitive", 1): (1, 2), ("Noun_Phrase", 0): (0, 1),
+                     ("Noun_Phrase", 2): (2, 3), ("Noun_Phrase", 3): (3, 4)}
+    before = _spans(derived)
+    with pytest.raises(DerivationError, match=message):
+        lt.derive(g, malformed, words, subtrees=subtrees)
+    assert {key: subtrees[key] for key in instances(placed)} == anchors
+    assert {key: (node.start, node.end) for key, node in anchors.items()} == spans
     assert _spans(derived) == before
     assert derived.to_string() == "(S (NP (N dogs)) (VP (V give) (NP (N cats)) (NP (N bones))))"
