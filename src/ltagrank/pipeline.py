@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 from dataclasses import dataclass
 
 from .filtering import FilterReport, filter_with_fallback, structural_filter
@@ -45,33 +46,50 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
     The frequency cut only applies when the grammar actually carries a
     frequency table; without one the cut would be an arbitrary name-order
     truncation.
+
+    The cyclic garbage collector is paused for the whole call.  Everything
+    the call builds (chart, derivations, derived trees, ranked parses) is
+    acyclic, so reference counting alone frees all of it that is dropped,
+    and a collection during the call would free nothing: it would only
+    trace live objects, again and again.  On return or raise the caller's
+    collector state is restored; when the collector was on, one young
+    collection first traces the call's survivors once, so that the
+    caller's next allocation does not pay for it.  The pause is
+    process-wide, which is safe because the toolkit runs one thread.
     """
-    config = config or PipelineConfig()
-    words = [w.surface for w in sentence]
-    assignment = select_trees(grammar, sentence,
-                              open_class_fallback=config.open_class_fallback)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        config = config or PipelineConfig()
+        words = [w.surface for w in sentence]
+        assignment = select_trees(grammar, sentence,
+                                  open_class_fallback=config.open_class_fallback)
 
-    def parse_fn(g, s, a):
-        return parse(g, s, a, start=config.start, adjunction_cap=config.adjunction_cap)
+        def parse_fn(g, s, a):
+            return parse(g, s, a, start=config.start, adjunction_cap=config.adjunction_cap)
 
-    report = None
-    filter_k = config.filter_k if grammar.freq.entries else None
-    if filter_k is not None:
-        forest, report = filter_with_fallback(
-            grammar, sentence, assignment, grammar.freq, filter_k, parse_fn)
-    else:
-        forest = parse_fn(grammar, sentence,
-                          structural_filter(grammar, sentence, assignment))
+        report = None
+        filter_k = config.filter_k if grammar.freq.entries else None
+        if filter_k is not None:
+            forest, report = filter_with_fallback(
+                grammar, sentence, assignment, grammar.freq, filter_k, parse_fn)
+        else:
+            forest = parse_fn(grammar, sentence,
+                              structural_filter(grammar, sentence, assignment))
 
-    derivations = enumerate_derivations(forest, config.max_parses)
-    pairs = []
-    subtrees = {}  # shared by this sentence's derived trees
-    for derivation in derivations:
-        try:
-            derived = derive(grammar, derivation, words,
-                             check_features=config.check_features, subtrees=subtrees)
-        except FeatureConflict:
-            continue
-        pairs.append((derivation, derived))
-    ranked = rank(grammar, pairs, registry, weights)
-    return SentenceAnalysis(words, assignment, report, forest, ranked)
+        derivations = enumerate_derivations(forest, config.max_parses)
+        pairs = []
+        subtrees = {}  # shared by this sentence's derived trees
+        for derivation in derivations:
+            try:
+                derived = derive(grammar, derivation, words,
+                                 check_features=config.check_features, subtrees=subtrees)
+            except FeatureConflict:
+                continue
+            pairs.append((derivation, derived))
+        ranked = rank(grammar, pairs, registry, weights)
+        return SentenceAnalysis(words, assignment, report, forest, ranked)
+    finally:
+        if enabled:
+            gc.collect(0)
+            gc.enable()

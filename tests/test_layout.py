@@ -15,6 +15,11 @@ raise, and ``main`` reports.
 
 No function nested in another names itself: a closure that calls itself
 is a reference cycle, which only the cyclic collector frees.
+
+Only ``pipeline.analyze_sentence`` touches the ``gc`` module: it pauses the
+cyclic collector for each sentence.  The pause is exact only while
+everything it covers is acyclic, which the pipeline tests check for the
+code it runs today; a pause elsewhere would cover code no such test checks.
 """
 
 import ast
@@ -85,3 +90,25 @@ def test_no_nested_function_names_itself():
                                 for node in ast.walk(inner))):
                     found.add(f"{path.name}:{inner.lineno} {inner.name}")
     assert not found, "nested functions that name themselves:\n" + "\n".join(sorted(found))
+
+
+def test_only_analyze_sentence_touches_the_collector():
+    """No module but ``pipeline.py`` imports ``gc``, and every name ``gc``
+    in ``pipeline.py`` lies inside ``analyze_sentence``.  The check is an
+    AST check: a module reached another way, say through ``importlib``,
+    escapes it."""
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        allowed = [(node.lineno, node.end_lineno) for node in tree.body
+                   if path.name == "pipeline.py" and isinstance(node, ast.FunctionDef)
+                   and node.name == "analyze_sentence"]
+        for node in ast.walk(tree):
+            imported = (isinstance(node, ast.Import)
+                        and any(alias.name == "gc" for alias in node.names)
+                        or isinstance(node, ast.ImportFrom) and node.module == "gc")
+            named = (isinstance(node, ast.Name) and node.id == "gc"
+                     and not any(lo <= node.lineno <= hi for lo, hi in allowed))
+            if named or (imported and path.name != "pipeline.py"):
+                stray.append(f"{path.name}:{node.lineno}")
+    assert not stray, "gc used outside pipeline.analyze_sentence:\n" + "\n".join(stray)

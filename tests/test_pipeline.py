@@ -1,8 +1,29 @@
+import gc
+import weakref
+from contextlib import contextmanager
+
+import pytest
+
 import ltagrank as lt
+from ltagrank.grammar import LexEntry
 from ltagrank.heuristics import default_registry, uniform_weights
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
 from oracles import nodes
+from test_acceptance import _tagged
+from test_filtering import FALLBACK_FREQ, FALLBACK_GRAMMAR
 from toygrammars import FREQ_TEXT, OFPP_GRAMMAR, tag
+
+FEATURE_GRAMMAR = """
+tree Noun_Sg : initial (NP[num=sg] N@)
+tree Verb_Pl : initial (S NP^[num=pl] (VP V@))
+lex dog N -> Noun_Sg
+lex bark V -> Verb_Pl
+"""
+
+
+def _ladder(pps):
+    # the of-PP ladder: 6 + 3 * pps words
+    return "the/D second/A part/N is/V the/D name/N" + " of/P the/D part/N" * pps
 
 
 def _analyze(text, **kwargs):
@@ -53,12 +74,7 @@ def test_tree_assignment_items():
 
 
 def test_feature_checking_drops_conflicting_parse():
-    grammar = lt.loads("""
-tree Noun_Sg : initial (NP[num=sg] N@)
-tree Verb_Pl : initial (S NP^[num=pl] (VP V@))
-lex dog N -> Noun_Sg
-lex bark V -> Verb_Pl
-""")
+    grammar = lt.loads(FEATURE_GRAMMAR)
     registry = default_registry()
     weights = uniform_weights(registry)
     relaxed = analyze_sentence(grammar, tag("dog/N bark/V"), registry, weights,
@@ -89,9 +105,115 @@ def test_parses_share_derived_subtrees():
     # 21 words, cap 3: the 1039 parses hold 12,378 distinct derived nodes;
     # a fresh tree per parse held 49,872
     grammar = lt.loads(OFPP_GRAMMAR)
-    text = "the/D second/A part/N is/V the/D name/N" + " of/P the/D part/N" * 5
-    analysis = _analyze_with(grammar, text, PipelineConfig(filter_k=None,
+    analysis = _analyze_with(grammar, _ladder(5), PipelineConfig(filter_k=None,
                                                            adjunction_cap=3))
     assert analysis.derivation_count == 1039
     distinct = {id(node) for rp in analysis.parses for node in nodes(rp.derived.root)}
     assert len(distinct) <= 12378
+
+
+@contextmanager
+def _collector(on):
+    """Run the block with the cyclic collector on or off, then restore it.
+
+    The objects made before the block are frozen for its length, so a
+    collection inside it traces only what the block made, not the whole
+    test session's heap.
+    """
+    enabled = gc.isenabled()
+    gc.enable() if on else gc.disable()
+    gc.freeze()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+        gc.enable() if enabled else gc.disable()
+
+
+def test_analysis_leaves_no_garbage_cycles(universes):
+    # analyze_sentence pauses the collector, which is exact only while all
+    # it builds is acyclic: with the collector off, the dropped analyses
+    # must leave it nothing to find, on the error paths too
+    registry = default_registry()
+    weights = uniform_weights(registry)
+    universe = []
+    for name in ("clauses", "pp", "modifiers"):
+        grammar, _, sentences = universes[name]
+        universe += [(grammar, words) for words in sentences if len(words) <= 6]
+    ofpp = lt.loads(OFPP_GRAMMAR, FREQ_TEXT)
+    fallback = lt.loads(FALLBACK_GRAMMAR, FALLBACK_FREQ)
+    ghost = lt.loads(OFPP_GRAMMAR)
+    ghost.lexicon[("ghost", "N")] = LexEntry("ghost", "N", ("No_Such_Tree",))
+    groups = {
+        "universe": [(grammar, _tagged(grammar, words), PipelineConfig())
+                     for grammar, words in universe[::7]],
+        "ladder": [(ofpp, tag(_ladder(pps)), PipelineConfig(adjunction_cap=3))
+                   for pps in (2, 3, 4, 5)],
+        "fallback": [(fallback, tag(text), PipelineConfig())
+                     for text in ("dogs/N run/V|N", "the/D dogs/N run/V", "run/N|V",
+                                  "the/D the/D", "the/D run/N run/V|N")],
+        "features": [(lt.loads(FEATURE_GRAMMAR), tag("dog/N bark/V"),
+                      PipelineConfig(filter_k=None, check_features=True))],
+    }
+    assert len(groups["universe"]) > 500
+    with _collector(False):
+        for name, cases in groups.items():
+            for grammar, sentence, config in cases:
+                analyze_sentence(grammar, sentence, registry, weights, config)
+            assert gc.collect() == 0, name
+        with pytest.raises(ValueError):
+            analyze_sentence(ofpp, [], registry, weights)
+        assert gc.collect() == 0, "empty sentence"
+        with pytest.raises(KeyError):
+            analyze_sentence(ghost, tag("ghost/N"), registry, weights)
+        assert gc.collect() == 0, "unknown tree"
+
+
+def _collections(grammar, sentence):
+    """(generations of the collections run while analyze_sentence handles
+    ``sentence``, the type of the ValueError it raised or None).  Nothing
+    but the call runs while the collections are recorded."""
+    registry = default_registry()
+    weights = uniform_weights(registry)
+    config = PipelineConfig(adjunction_cap=3)
+    generations, raised = [], None
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        analyze_sentence(grammar, sentence, registry, weights, config)
+    except ValueError as exc:
+        raised = type(exc)
+    finally:
+        gc.callbacks.remove(record)
+    return generations, raised
+
+
+def test_analysis_runs_one_young_collection_when_the_collector_is_on():
+    grammar, sentence = lt.loads(OFPP_GRAMMAR, FREQ_TEXT), tag(_ladder(5))
+    with _collector(True):
+        assert _collections(grammar, sentence) == ([0], None)
+        assert gc.isenabled()
+        assert _collections(grammar, []) == ([0], ValueError)
+        assert gc.isenabled()
+
+
+def test_analysis_leaves_a_paused_collector_alone():
+    class Cycle:
+        pass
+
+    grammar, sentence = lt.loads(OFPP_GRAMMAR, FREQ_TEXT), tag(_ladder(5))
+    with _collector(False):
+        cycle = Cycle()
+        cycle.me = cycle
+        alive = weakref.ref(cycle)
+        del cycle
+        assert _collections(grammar, sentence) == ([], None)
+        assert _collections(grammar, []) == ([], ValueError)
+        assert not gc.isenabled()
+        assert alive() is not None
+        gc.collect()
+        assert alive() is None
