@@ -122,8 +122,11 @@ def filter_with_fallback(grammar: Grammar, sentence, assignment: TreeAssignment,
     """Filter, parse, and retry without the frequency cut if nothing parses.
 
     Returns (forest, FilterReport).  The report's per-position counts always
-    describe the full filter pipeline; fallback_triggered records whether the
-    result came from the retry.
+    describe the full filter pipeline.  fallback_triggered is True whenever
+    the first parse, of the frequency-cut candidates, finds nothing.  The
+    retry then runs only if the frequency cut removed some candidate;
+    otherwise it would parse the same input, and the first, empty forest is
+    returned.
     """
     structural = structural_filter(grammar, sentence, assignment)
     frequent = frequency_filter(structural, freq, k)

@@ -179,6 +179,11 @@ class ElementaryTree:
         return {a: i for i, (a, _) in enumerate(self.frontier)}
 
     @cached_property
+    def shapes(self) -> dict[Address, tuple[str, int]]:
+        """Node address -> (label, child count), for every node."""
+        return {a: (n.label, len(n.children)) for a, n in _walk(self.root)}
+
+    @cached_property
     def modifier_label(self) -> str | None:
         """Label of an auxiliary tree's modifier material: the highest node
         off the spine on the anchor's path.  None for initial trees."""

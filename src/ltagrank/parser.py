@@ -261,6 +261,15 @@ class ParseForest:
         return next(self.iter_derivations(), None) is not None
 
 
+def _foot_words(tree, position: int, n: int) -> range:
+    """The words an auxiliary's foot may span when its anchor is at
+    ``position``: those on the foot's side of the anchor."""
+    leaf_pos = tree.leaf_position
+    if leaf_pos[tree.foot_address] < leaf_pos[tree.anchor_address]:
+        return range(0, position)
+    return range(position + 1, n)
+
+
 def parse(grammar: Grammar, sentence, assignment, start: str = "S",
           adjunction_cap: int | None = None) -> ParseForest:
     """Parse a tagged sentence given its per-position candidate trees.
@@ -271,41 +280,47 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
     forest's enumeration skips every derivation deeper than that.  An
     axiom's item holds only its axiom's way, so all the anchor axioms of
     the forest share one item, and all the foot axioms another.
+
+    A sentence with a dead position gets an empty chart, with no deduction
+    run.  A position is dead when it has no candidate, or when each of its
+    candidates is an auxiliary tree with no word on its foot's side.  That
+    is exact: every derivation anchors one tree at every word, and a foot
+    spans at least one word, so no derivation exists either way.
     """
     n = len(sentence)
     if n == 0:
         raise ValueError("cannot parse an empty sentence")
+    trees = grammar.trees
     for position, names in enumerate(assignment.candidates):
         for name in names:
-            if name not in grammar.trees:
+            if name not in trees:
                 raise DerivationError(
                     f"assignment at position {position} references unknown tree {name!r}")
+
+    if any(not any(trees[name].kind == INITIAL or _foot_words(trees[name], position, n)
+                   for name in names)
+           for position, names in enumerate(assignment.candidates)):
+        return ParseForest(grammar, {}, [], adjunction_cap)
 
     chart: dict[tuple, _Item] = {}
     agenda: deque = deque()
     goals: list[tuple] = []
-
     aux_roots = defaultdict(list)    # (label, fi, fj) -> root-top keys of auxiliaries
     adj_hosts = defaultdict(list)    # (label, i, j) -> bot keys at internal nodes
     child_tops = defaultdict(list)   # (tree, anchor, address, i) -> top keys
     dots_open = defaultdict(list)    # (tree, anchor, parent, done, j) -> dot keys
-
     subst_slots = defaultdict(list)  # category -> (tree, anchor, address)
-    instances = []
-    for position, names in enumerate(assignment.candidates):
-        for name in names:
-            instances.append((name, position))
+    shapes = {}                      # tree -> its (label, child count) per address
+    initial = set()                  # the initial trees among the candidates
+    instances = [(name, position) for position, names in enumerate(assignment.candidates)
+                 for name in names]
     for name, position in instances:
-        tree = grammar.trees[name]
+        tree = trees[name]
+        shapes[name] = tree.shapes
+        if tree.kind == INITIAL:
+            initial.add(name)
         for address in tree.substitution_addresses:
-            subst_slots[tree.node_at(address).label].append((name, position, address))
-
-    def post(key, way):
-        item = chart.get(key)
-        if item is None:
-            item = chart[key] = _Item()
-            agenda.append(key)
-        item.ways[way] = None
+            subst_slots[tree.shapes[address][0]].append((name, position, address))
 
     def post_axiom(key, item):
         if key not in chart:
@@ -317,86 +332,125 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
     # nodes, so their items are shared
     anchor_item, foot_item = _Item(("anchor",)), _Item(("foot",))
     for name, position in instances:
-        tree = grammar.trees[name]
+        tree = trees[name]
         post_axiom(("node", name, position, tree.anchor_address, "top",
                     position, position + 1, None, None), anchor_item)
         if tree.kind == AUXILIARY:
-            leaf_pos = tree.leaf_position
-            foot_first = leaf_pos[tree.foot_address] < leaf_pos[tree.anchor_address]
-            lo, hi = (0, position) if foot_first else (position + 1, n)
-            for i in range(lo, hi):
-                for j in range(i + 1, hi + 1):
+            words = _foot_words(tree, position, n)
+            for i in words:
+                for j in range(i + 1, words.stop + 1):
                     post_axiom(("node", name, position, tree.foot_address, "top",
                                 i, j, i, j), foot_item)
 
-    def advance_parent(key):
-        # a finished node feeds its parent's dotted traversal
-        _, name, position, address, _, i, j, fi, fj = key
-        child_tops[(name, position, address, i)].append(key)
-        parent = address[:-1]
-        child_no = address[-1]
-        if child_no == 1:
-            post(("dot", name, position, parent, 1, i, j, fi, fj), ("first", key))
-        else:
-            for dot_key in dots_open[(name, position, parent, child_no - 1, i)]:
-                merge_dot(dot_key, key)
-
-    def merge_dot(dot_key, top_key):
-        _, name, position, parent, done, i, _, dfi, dfj = dot_key
-        _, _, _, _, _, _, j2, cfi, cfj = top_key
-        # an item carries only its own tree's foot span, and a tree has one foot
-        fi, fj = (dfi, dfj) if dfi is not None else (cfi, cfj)
-        post(("dot", name, position, parent, done + 1, i, j2, fi, fj),
-             ("step", dot_key, top_key))
-
-    def process_node(key):
-        _, name, position, address, layer, i, j, fi, fj = key
-        tree = grammar.trees[name]
-        label = tree.node_at(address).label
-        if layer == "bot":
-            post(("node", name, position, address, "top", i, j, fi, fj),
-                 ("no_adjoin", key))
+    # the deduction loop: each post of a derived item is inlined, and a
+    # node's label and child count come from its tree's shape table.  A key
+    # is ("node", tree, anchor, address, layer, i, j, foot_i, foot_j) or
+    # ("dot", tree, anchor, parent, children done, i, j, foot_i, foot_j)
+    get, append = chart.get, agenda.append
+    while agenda:
+        key = agenda.popleft()
+        kind, name, position, address, layer, i, j, fi, fj = key
+        if kind == "dot":
+            # a dotted traversal of ``address``'s children, ``layer`` done
+            if layer == shapes[name][address][1]:
+                new = ("node", name, position, address, "bot", i, j, fi, fj)
+                way = ("complete", key)
+                item = get(new)
+                if item is None:
+                    chart[new] = _Item(way)
+                    append(new)
+                else:
+                    item.ways[way] = None
+                continue
+            dots_open[(name, position, address, layer, j)].append(key)
+            for top_key in child_tops.get((name, position, address + (layer + 1,), j), ()):
+                # an item carries only its own tree's foot span, and a tree
+                # has one foot
+                if fi is None:
+                    new = ("dot", name, position, address, layer + 1, i, top_key[6],
+                           top_key[7], top_key[8])
+                else:
+                    new = ("dot", name, position, address, layer + 1, i, top_key[6], fi, fj)
+                way = ("step", key, top_key)
+                item = get(new)
+                if item is None:
+                    chart[new] = _Item(way)
+                    append(new)
+                else:
+                    item.ways[way] = None
+        elif layer == "bot":
+            label = shapes[name][address][0]
+            new = ("node", name, position, address, "top", i, j, fi, fj)
+            way = ("no_adjoin", key)
+            item = get(new)
+            if item is None:
+                chart[new] = _Item(way)
+                append(new)
+            else:
+                item.ways[way] = None
             adj_hosts[(label, i, j)].append(key)
-            for aux_key in aux_roots[(label, i, j)]:
-                _, _, _, _, _, ai, aj, _, _ = aux_key
-                post(("node", name, position, address, "top", ai, aj, fi, fj),
-                     ("adjoin", aux_key, key))
-            return
-        # layer == "top"
-        if address:
-            advance_parent(key)
-            return
-        if tree.kind == INITIAL:
-            for host_name, host_position, host_address in subst_slots[label]:
-                post(("node", host_name, host_position, host_address, "top",
-                      i, j, None, None), ("subst", key))
+            for aux_key in aux_roots.get((label, i, j), ()):
+                new = ("node", name, position, address, "top", aux_key[5], aux_key[6], fi, fj)
+                way = ("adjoin", aux_key, key)
+                item = get(new)
+                if item is None:
+                    chart[new] = _Item(way)
+                    append(new)
+                else:
+                    item.ways[way] = None
+        elif address:
+            # a finished node feeds its parent's dotted traversal
+            child_tops[(name, position, address, i)].append(key)
+            parent, child_no = address[:-1], address[-1]
+            if child_no == 1:
+                new = ("dot", name, position, parent, 1, i, j, fi, fj)
+                way = ("first", key)
+                item = get(new)
+                if item is None:
+                    chart[new] = _Item(way)
+                    append(new)
+                else:
+                    item.ways[way] = None
+                continue
+            for dot_key in dots_open.get((name, position, parent, child_no - 1, i), ()):
+                if dot_key[7] is None:
+                    new = ("dot", name, position, parent, child_no, dot_key[5], j, fi, fj)
+                else:
+                    new = ("dot", name, position, parent, child_no, dot_key[5], j,
+                           dot_key[7], dot_key[8])
+                way = ("step", dot_key, key)
+                item = get(new)
+                if item is None:
+                    chart[new] = _Item(way)
+                    append(new)
+                else:
+                    item.ways[way] = None
+        elif name in initial:
+            label = shapes[name][()][0]
+            way = ("subst", key)
+            for host_name, host_position, host_address in subst_slots.get(label, ()):
+                new = ("node", host_name, host_position, host_address, "top", i, j, None, None)
+                item = get(new)
+                if item is None:
+                    chart[new] = _Item(way)
+                    append(new)
+                else:
+                    item.ways[way] = None
             if label == start and i == 0 and j == n:
                 goals.append(key)
         else:
+            label = shapes[name][()][0]
             aux_roots[(label, fi, fj)].append(key)
-            for host_key in adj_hosts[(label, fi, fj)]:
-                _, hname, hpos, haddr, _, _, _, hfi, hfj = host_key
-                post(("node", hname, hpos, haddr, "top", i, j, hfi, hfj),
-                     ("adjoin", key, host_key))
-
-    def process_dot(key):
-        _, name, position, parent, done, i, j, fi, fj = key
-        tree = grammar.trees[name]
-        node = tree.node_at(parent)
-        if done == len(node.children):
-            post(("node", name, position, parent, "bot", i, j, fi, fj),
-                 ("complete", key))
-            return
-        dots_open[(name, position, parent, done, j)].append(key)
-        for top_key in child_tops[(name, position, parent + (done + 1,), j)]:
-            merge_dot(key, top_key)
-
-    while agenda:
-        key = agenda.popleft()
-        if key[0] == "node":
-            process_node(key)
-        else:
-            process_dot(key)
+            for host_key in adj_hosts.get((label, fi, fj), ()):
+                new = ("node", host_key[1], host_key[2], host_key[3], "top", i, j,
+                       host_key[7], host_key[8])
+                way = ("adjoin", key, host_key)
+                item = get(new)
+                if item is None:
+                    chart[new] = _Item(way)
+                    append(new)
+                else:
+                    item.ways[way] = None
 
     return ParseForest(grammar, chart, goals, adjunction_cap)
 

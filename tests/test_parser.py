@@ -1,4 +1,5 @@
 import gc
+import hashlib
 import random
 import types
 
@@ -461,6 +462,87 @@ def test_ladder_chart_keeps_its_items_and_shares_axiom_items(pps, chart_items, f
     assert len(anchor) == len(foot) == 1
     assert len(forest._chart) == chart_items
     assert sum(("foot",) in item.ways for item in forest._chart.values()) == foot_items
+
+
+def _chart_digest(forests):
+    """sha256 of each forest's chart keys in insertion order, each item's
+    ways in order, and its goals: the order of deduction, which fixes the
+    order of enumeration and so how ranking ties break."""
+    digest = hashlib.sha256()
+    for forest in forests:
+        for key, item in forest._chart.items():
+            digest.update(repr((key, list(item.ways))).encode())
+        digest.update(repr(forest._goals).encode())
+    return digest.hexdigest()
+
+
+# recorded with the parser whose agenda loop called ``node_at`` per item
+CHART_DIGESTS = {
+    12: "e371f5b252a10586355b72db4d922959bd9756ef9dd642c183d0e869399243ce",
+    15: "7f85c480c62b6786887dd57cff9c33267c40c19fa01e1887c307e02ea91b19b6",
+    "clauses": "ea32a2eeb3cac46286a216ee1bebda28643d6cd40f103e2ed87176279bba87cb",
+    "pp": "bb28aa3d44df426eb17bc00064cdaa1d8bc13b064884e39a801f4a0ef85ad577",
+    "modifiers": "1e4d2ff78f190cb38e63677cfc4d98af62c43a593e06540b00a8c6e50fa9eac1",
+}
+
+
+def test_chart_keeps_its_deduction_order(universes):
+    # the ladder at 12 and 15 words, and every 7th universe sentence of at
+    # most 5 words
+    g = lt.loads(OFPP_GRAMMAR)
+    found = {6 + 3 * pps: _chart_digest([_ladder_forest(g, pps, 3)]) for pps in (2, 3)}
+    for name in ("clauses", "pp", "modifiers"):
+        grammar, _, universe = universes[name]
+        sentences = [_tagged(grammar, words)
+                     for words in sorted(w for w in universe if len(w) <= 5)[::7]]
+        found[name] = _chart_digest(
+            lt.parse(grammar, sentence, lt.select_trees(grammar, sentence))
+            for sentence in sentences)
+    assert found == CHART_DIGESTS
+
+
+# two grammars with the same tree names, and other labels and shapes
+SHAPE_GRAMMARS = ("""
+tree Noun : initial (NP N@)
+tree Verb : initial (S NP^ (VP V@ NP^))
+tree Mod : auxiliary (NP A@ NP*)
+lex dogs N -> Noun
+lex cats N -> Noun
+lex see V -> Verb
+lex big A -> Mod
+""", """
+tree Noun : initial (NP (NB N@))
+tree Verb : initial (S (VP NP^ V@) NP^)
+tree Mod : auxiliary (NB NB* (AP A@))
+lex dogs N -> Noun
+lex cats N -> Noun
+lex see V -> Verb
+lex big A -> Mod
+""")
+
+
+def test_parse_reads_the_shapes_of_the_grammar_it_is_given():
+    # a parse must read nothing left from an earlier grammar, even one with
+    # the same tree names whose memory, and so whose id, a later one reuses
+    universes = {text: derivation_universe(lt.loads(text), "S", 4) for text in SHAPE_GRAMMARS}
+    assert ("big", "dogs", "see", "cats") in universes[SHAPE_GRAMMARS[0]]
+    assert ("dogs", "big", "see", "cats") in universes[SHAPE_GRAMMARS[1]]
+    earlier = None
+    for turn in range(4):
+        for text in SHAPE_GRAMMARS:
+            loaded = lt.loads(text)
+            # made right after reference counting frees the earlier grammar,
+            # the new grammar object likely takes its place
+            del earlier
+            grammar = lt.Grammar(loaded.trees, loaded.families, loaded.lexicon, loaded.freq)
+            del loaded
+            for words, (derivations, _) in universes[text].items():
+                sentence = _tagged(grammar, words)
+                forest = lt.parse(grammar, sentence, lt.select_trees(grammar, sentence))
+                found = lt.enumerate_derivations(forest)
+                assert found == reference_derivations(forest), (turn, words)
+                assert set(found) == derivations, (turn, words)
+            earlier, grammar, forest = grammar, None, None
 
 
 def _parser_generators():

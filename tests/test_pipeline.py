@@ -66,6 +66,49 @@ def test_analyze_unknown_word_unparsed():
     assert analysis.assignment.candidates[0] == []
 
 
+def _report(befores, removed_structure):
+    # no parse, and the frequency cut removes nothing from these sentences
+    return {"fallback_triggered": True,
+            "positions": [{"before": before, "removed_structure": removed,
+                           "removed_frequency": 0, "survivors": before - removed}
+                          for before, removed in zip(befores, removed_structure)]}
+
+
+# the 18-word ladder and a tail word that no tree can anchor there: the
+# preposition and the verb lose their trees to the structural filter, and
+# the determiner keeps its tree, whose foot has no word to its right; and a
+# word the lexicon does not know.  (text, report with the frequency cut)
+DEAD_SENTENCES = {
+    "P": (_ladder(4) + " of/P", _report([1] * 6 + [2, 1, 1] * 4 + [2], [0] * 18 + [2])),
+    "D": (_ladder(4) + " the/D", _report([1] * 6 + [2, 1, 1] * 4 + [1], [0] * 19)),
+    "V": (_ladder(4) + " is/V", _report([1] * 6 + [2, 1, 1] * 4 + [1], [0] * 18 + [1])),
+    "unknown": ("zork/N is/V the/D name/N", _report([0, 1, 1, 1], [0, 1, 0, 0])),
+}
+
+
+@pytest.mark.parametrize("filter_k", (None, 3), ids=str)
+@pytest.mark.parametrize("case", DEAD_SENTENCES)
+def test_dead_sentence_builds_no_chart(case, filter_k):
+    # a position that no candidate can anchor leaves no derivation, so the
+    # parser posts no item; the filter report is the same as with a full chart
+    text, report = DEAD_SENTENCES[case]
+    grammar = lt.loads(OFPP_GRAMMAR, FREQ_TEXT)
+    sentence = tag(text)
+    assignment = lt.structural_filter(grammar, sentence, lt.select_trees(grammar, sentence))
+    if filter_k is not None:
+        assignment = lt.frequency_filter(assignment, grammar.freq, filter_k)
+    forest = lt.parse(grammar, sentence, assignment, adjunction_cap=3)
+    assert len(forest._chart) == 0
+    assert not forest.has_parse()
+    analysis = _analyze_with(grammar, text, PipelineConfig(filter_k=filter_k,
+                                                           adjunction_cap=3))
+    assert analysis.parses == []
+    if filter_k is None:
+        assert analysis.report is None
+    else:
+        assert analysis.report.to_dict() == report
+
+
 def test_tree_assignment_items():
     grammar = lt.loads(OFPP_GRAMMAR)
     assignment = lt.select_trees(grammar, tag("the/D part/N"))
