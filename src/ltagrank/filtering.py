@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grammar import FrequencyTable, Grammar
+from .parser import check_trees_known
 from .tagging import TreeAssignment
 
 
@@ -39,12 +40,12 @@ class FilterReport:
 
 def _profile(grammar: Grammar, name: str):
     """(left obligatory count, right obligatory count, left substitution
-    categories, right substitution categories) of a tree's frontier."""
+    categories, right substitution categories) of a tree's frontier.  The
+    leaves of a tree are in the order of their addresses."""
     tree = grammar.trees[name]
-    anchor = tree.leaf_position[tree.anchor_address]
     left, right = [], []
     for address in tree.substitution_addresses:
-        half = left if tree.leaf_position[address] < anchor else right
+        half = left if address < tree.anchor_address else right
         half.append(tree.node_at(address).label)
     return len(left), len(right), set(left), set(right)
 
@@ -57,8 +58,11 @@ def structural_filter(grammar: Grammar, sentence, assignment: TreeAssignment) ->
     on either side of i, or when a substitution slot's category has no
     candidate tree rooted in it anywhere on the corresponding side.  Removals
     are iterated to a fixed point; both tests stay sound because a removed
-    tree could not have supplied material to any other candidate.
+    tree could not have supplied material to any other candidate.  A
+    candidate that names no tree of the grammar raises DerivationError, as
+    in ``parse``.
     """
+    check_trees_known(grammar, assignment)
     n = len(sentence)
     candidates = [list(names) for names in assignment.candidates]
     profiles = {}

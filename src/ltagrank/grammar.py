@@ -105,10 +105,6 @@ class TreeNode:
         if self.kind != INTERNAL and self.children:
             raise ValueError(f"{self.kind} node {self.label!r} cannot have children")
 
-    @property
-    def is_leaf(self) -> bool:
-        return self.kind != INTERNAL
-
 
 @dataclass(frozen=True)
 class ElementaryTree:
@@ -158,13 +154,9 @@ class ElementaryTree:
         return node
 
     @cached_property
-    def frontier(self) -> tuple[tuple[Address, TreeNode], ...]:
-        """Leaf (address, node) pairs in left-to-right order."""
-        return tuple((a, n) for a, n in _walk(self.root) if n.is_leaf)
-
-    @cached_property
     def substitution_addresses(self) -> tuple[Address, ...]:
-        return tuple(a for a, n in self.frontier if n.kind == SUBSTITUTION)
+        """Substitution leaves' addresses, in left-to-right order."""
+        return tuple(a for a, n in _walk(self.root) if n.kind == SUBSTITUTION)
 
     @cached_property
     def spine(self) -> frozenset[Address]:
@@ -172,11 +164,6 @@ class ElementaryTree:
         if self.foot_address is None:
             return frozenset()
         return frozenset(self.foot_address[:i] for i in range(len(self.foot_address) + 1))
-
-    @cached_property
-    def leaf_position(self) -> dict[Address, int]:
-        """Leaf address -> its index in the frontier."""
-        return {a: i for i, (a, _) in enumerate(self.frontier)}
 
     @cached_property
     def shapes(self) -> dict[Address, tuple[str, int]]:
@@ -228,8 +215,9 @@ class FrequencyTable:
 class Grammar:
     """Trees, families, lexicon and tree frequencies.
 
-    Treated as immutable once loaded; safe to share across concurrent
-    sentence processors.
+    Treated as immutable once loaded, so any number of sentences may be
+    analyzed with one grammar, one after another: the toolkit runs one
+    thread (see ``pipeline.analyze_sentence``).
     """
 
     trees: dict[str, ElementaryTree]

@@ -19,9 +19,11 @@ The default registry is ``STOCK_REGISTRY``, the local rules of
 (adjunction_count, pp_attachment_height, adj_attachment_height), which are
 always present: a registry that omits them gets them with default settings.
 
-Every count is a sum over a parse's tree instances or adjunction records,
-so ``extract`` reads what a subtree the parses of a sentence share adds
-once per sentence, and per parse only its own part (``DerivedTree.parts``).
+Every count is a sum over a parse's tree instances or adjunction records.
+A parse and each subtree the parses of a sentence share are each a
+``DerivedTree``, whose ``parts`` are the shared ones it holds, so
+``extract`` reads what a shared subtree adds once per sentence, and per
+parse only its own part.
 
 Weights files are ``heuristic_name<TAB>weight`` lines in registry order.
 """
@@ -204,11 +206,10 @@ def load_registry(path) -> HeuristicRegistry:
 # ---------------------------------------------------------------------------
 # feature extraction and scoring
 
-def extract(registry: HeuristicRegistry, grammar: Grammar,
-            derivation: DerivationNode, derived: DerivedTree,
+def extract(registry: HeuristicRegistry, grammar: Grammar, derived: DerivedTree,
             table: dict | None = None) -> tuple[float, ...]:
-    """Count each registry heuristic's matches in one (derivation, derived)
-    pair that ``derive`` made.
+    """Count each registry heuristic's matches in one parse, a
+    ``DerivedTree`` that ``derive`` made.
 
     Every count is a sum over the parse's own part and its shared subtrees
     (``DerivedTree.parts``), and what a shared subtree adds is fixed for the
@@ -226,8 +227,7 @@ def extract(registry: HeuristicRegistry, grammar: Grammar,
         structural = table[None] = [(index, h)
                                     for index, h in enumerate(registry.heuristics)
                                     if h.kind == GLOBAL_STRUCTURAL]
-    local, values = _summary(registry, grammar, structural, derived.words,
-                             derivation, derived, table)
+    local, values = _summary(registry, grammar, structural, derived, table)
     counts = [0.0] * len(registry.heuristics)
     for index, count in local:
         counts[index] = float(count)
@@ -236,9 +236,9 @@ def extract(registry: HeuristicRegistry, grammar: Grammar,
     return tuple(counts)
 
 
-def _summary(registry, grammar, structural, words, derivation, part, table):
-    """What ``part``, a ``DerivedTree`` or ``SharedSubtree`` built from
-    ``derivation``, adds to the counts of a parse that contains it.
+def _summary(registry, grammar, structural, part, table):
+    """What ``part``, a parse's ``DerivedTree`` or one of its shared
+    subtrees, adds to the counts of a parse that contains it.
 
     Returns ``(local, values)``: the (registry index, count) pairs of the
     local rules, and one value per ``structural`` heuristic.  That is the
@@ -248,11 +248,12 @@ def _summary(registry, grammar, structural, words, derivation, part, table):
     """
     local = {}
     # the part's own tree instances: ``derive`` makes every substituted
-    # subtree a shared one, so they are the root tree of ``derivation`` and
+    # subtree a shared one, so they are the root tree of its derivation and
     # what is adjoined there, recursively.  A substituted tree with nothing
     # attached adds only its one instance: it is counted here, and skipped
     # among the parts below
-    stack = [derivation]
+    words = part.words
+    stack = [part.derivation]
     while stack:
         node = stack.pop()
         instance = (node.tree, node.anchor_index)
@@ -271,8 +272,7 @@ def _summary(registry, grammar, structural, words, derivation, part, table):
             continue
         summary = table.get(sub)
         if summary is None:
-            summary = table[sub] = _summary(registry, grammar, structural, words,
-                                            sub.derivation, sub, table)
+            summary = table[sub] = _summary(registry, grammar, structural, sub, table)
         for index, count in summary[0]:
             local[index] = local.get(index, 0) + count
         subs.append((sub.root, summary[1]))
@@ -402,22 +402,26 @@ def score(vector, weights) -> float:
 
 @dataclass
 class RankedParse:
-    derivation: DerivationNode
     derived: DerivedTree
     vector: tuple[float, ...]
     penalty: float
 
+    @property
+    def derivation(self) -> DerivationNode:
+        return self.derived.derivation
+
 
 def rank(grammar: Grammar, parses, registry: HeuristicRegistry, weights) -> list[RankedParse]:
-    """Sort one sentence's parses by ascending penalty.
+    """Sort one sentence's parses, the ``DerivedTree``s ``derive`` made, by
+    ascending penalty.
 
     Ties keep the parser's canonical enumeration order (the sort is stable).
     """
     ranked = []
     table = {}  # shared subtree summaries and anchorings, for this sentence
-    for derivation, derived in parses:
-        vector = extract(registry, grammar, derivation, derived, table)
-        ranked.append(RankedParse(derivation, derived, vector, score(vector, weights)))
+    for derived in parses:
+        vector = extract(registry, grammar, derived, table)
+        ranked.append(RankedParse(derived, vector, score(vector, weights)))
     ranked.sort(key=lambda rp: rp.penalty)
     return ranked
 

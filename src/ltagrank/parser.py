@@ -126,36 +126,24 @@ class AdjunctionRecord:
 
 
 @dataclass(eq=False, repr=False, slots=True)
-class SharedSubtree:
-    """The derived subtree of one substituted ``DerivationNode``, built once
-    per sentence and shared by every parse that substitutes it.
+class DerivedTree:
+    """The derived tree of ``derivation``: its own part and the shared
+    subtrees in it.
 
-    Like a ``DerivedTree`` it is its own part, with the adjunction
-    ``records`` there, plus the outermost shared subtrees, ``parts``, that
-    its own part substitutes.
+    ``derive`` makes one for a parse and, once per sentence, one for each
+    substituted ``DerivationNode``, which every parse that substitutes it
+    shares.  ``records`` holds the adjunctions of the own part, the nodes
+    that are not in a shared subtree, and ``parts`` the outermost shared
+    subtrees that part substitutes.  Its every adjunction record lies in
+    the own part or, recursively, in one of the parts.  ``words`` is the
+    sentence as given to ``derive``, one list for all the trees of it.
     """
 
     derivation: DerivationNode
     root: DerivedNode
-    records: tuple[AdjunctionRecord, ...]
-    parts: tuple["SharedSubtree", ...]
-
-
-@dataclass(eq=False, repr=False, slots=True)
-class DerivedTree:
-    """One parse's derived tree: its own part and the shared subtrees in it.
-
-    ``records`` holds the adjunctions of the parse's own part, the nodes
-    that are not in a shared subtree, and ``parts`` the outermost shared
-    subtrees that part substitutes.  Its every adjunction record lies in
-    the own part or, recursively, in one of the parts.  ``words`` is the
-    sentence as given to ``derive``, one list for all the parses of it.
-    """
-
-    root: DerivedNode
     words: list[str]
     records: tuple[AdjunctionRecord, ...]
-    parts: tuple[SharedSubtree, ...]
+    parts: tuple["DerivedTree", ...]
 
     def to_string(self) -> str:
         return self.root.to_string()
@@ -263,11 +251,21 @@ class ParseForest:
 
 def _foot_words(tree, position: int, n: int) -> range:
     """The words an auxiliary's foot may span when its anchor is at
-    ``position``: those on the foot's side of the anchor."""
-    leaf_pos = tree.leaf_position
-    if leaf_pos[tree.foot_address] < leaf_pos[tree.anchor_address]:
+    ``position``: those on the foot's side of the anchor.  The leaves of a
+    tree are in the order of their addresses."""
+    if tree.foot_address < tree.anchor_address:
         return range(0, position)
     return range(position + 1, n)
+
+
+def check_trees_known(grammar: Grammar, assignment) -> None:
+    """Raise DerivationError if a candidate of ``assignment`` names no tree
+    of ``grammar``."""
+    for position, names in enumerate(assignment.candidates):
+        for name in names:
+            if name not in grammar.trees:
+                raise DerivationError(
+                    f"assignment at position {position} references unknown tree {name!r}")
 
 
 def parse(grammar: Grammar, sentence, assignment, start: str = "S",
@@ -290,12 +288,8 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
     n = len(sentence)
     if n == 0:
         raise ValueError("cannot parse an empty sentence")
+    check_trees_known(grammar, assignment)
     trees = grammar.trees
-    for position, names in enumerate(assignment.candidates):
-        for name in names:
-            if name not in trees:
-                raise DerivationError(
-                    f"assignment at position {position} references unknown tree {name!r}")
 
     if any(not any(trees[name].kind == INITIAL or _foot_words(trees[name], position, n)
                    for name in names)
@@ -498,7 +492,7 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
     one anchor node, laid out at its index when it is made.  A substituted
     initial tree's subtree is fixed by its ``DerivationNode``: its anchors
     fix its words, and every adjunction into it is inside it.  So the dict
-    maps each substituted node, by identity, to its ``SharedSubtree``,
+    maps each substituted node, by identity, to its ``DerivedTree``,
     whose spans are written once.  Every substitution goes through the
     dict, so a parse's own part is its derivation's root tree and the
     auxiliary trees adjoined there, recursively; the tree returned records
@@ -509,17 +503,22 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
     makes a private copy of one.
     """
     subtrees = {} if subtrees is None else subtrees
-    records: list[AdjunctionRecord] = []
-    parts: list[SharedSubtree] = []
-    top, _ = _build(grammar, derivation, words, records, parts, check_features,
-                    subtrees)
+    derived = _derived_tree(grammar, derivation, words, check_features, subtrees)
     # every anchor lands at its index or raises here.  Only anchors have
     # words, one each, so the yield is ``words`` exactly when the tree spans
     # as many words
-    if _land(top, 0) != len(words):
+    if _land(derived.root, 0) != len(words):
         raise DerivationError(
-            f"derived yield {top.leaves()!r} does not match words {list(words)!r}")
-    return DerivedTree(top, words, tuple(records), tuple(parts))
+            f"derived yield {derived.root.leaves()!r} does not match words {list(words)!r}")
+    return derived
+
+
+def _derived_tree(grammar, derivation, words, check_features, subtrees) -> DerivedTree:
+    """The ``DerivedTree`` of ``derivation``, not yet laid out."""
+    records, parts = [], []
+    top, _ = _build(grammar, derivation, words, records, parts, check_features,
+                    subtrees)
+    return DerivedTree(derivation, top, words, tuple(records), tuple(parts))
 
 
 def _build(grammar, derivation, words, records, parts, check_features, subtrees):
@@ -614,19 +613,16 @@ def _build(grammar, derivation, words, records, parts, check_features, subtrees)
 
 def _substituted(grammar, child, words, parts, check_features, subtrees):
     """The root of the initial tree ``child``'s subtree for a substitution,
-    whose ``SharedSubtree`` is appended to ``parts``; built once per
+    whose ``DerivedTree`` is appended to ``parts``; built once per
     ``subtrees`` dict."""
     shared = subtrees.get(id(child))
     if shared is None:
-        own_records, own_parts = [], []
-        top, _ = _build(grammar, child, words, own_records, own_parts,
-                        check_features, subtrees)
+        shared = _derived_tree(grammar, child, words, check_features, subtrees)
         # laid out once, where its first word is.  A subtree whose anchors
-        # are out of order raises here, and is not kept
-        _land(top, _first_word(top))
-        # the shared subtree holds ``child``, so that its id is not reused
-        shared = subtrees[id(child)] = SharedSubtree(
-            child, top, tuple(own_records), tuple(own_parts))
+        # are out of order raises here, and is not kept.  The tree holds
+        # ``child``, so that its id is not reused
+        _land(shared.root, _first_word(shared.root))
+        subtrees[id(child)] = shared
     parts.append(shared)
     return shared.root
 

@@ -13,8 +13,9 @@ constituent-count ratio, which can exceed 100 for over-bracketed parses).
 
 ``evaluate_derived`` gives the same scores for all the parses ``derive``
 made of one sentence at once.  The counts they come from are sums over a
-candidate's distinct spans, so it reads each subtree the parses share once
-and each parse's own part once (``DerivedTree.parts``).
+candidate's distinct spans.  A parse and each subtree the parses share are
+each a ``DerivedTree``, whose ``parts`` are the shared ones it holds, so it
+reads each shared subtree once and each parse's own part once.
 """
 
 from __future__ import annotations
@@ -194,11 +195,11 @@ def evaluate_derived(parses, gold: Bracketing, flatten=frozenset(),
 
 
 def _counts(part, length, gold, flatten, table):
-    """(spans, correct, crossing, root inside) of ``part``, a ``DerivedTree``
-    or ``SharedSubtree``: how many distinct normalized spans the nodes
-    strictly below its root have that flattening with ``flatten`` keeps,
-    how many of them are in ``gold`` and cross it, and whether the root's
-    own span is among them.  ``table`` memoizes the counts of the shared
+    """(spans, correct, crossing, root inside) of ``part``, a parse's
+    ``DerivedTree`` or one of its shared subtrees: how many distinct
+    normalized spans the nodes strictly below its root have that
+    flattening with ``flatten`` keeps, how many of them are in ``gold`` and
+    cross it, and whether the root's own span is among them.  ``table`` memoizes the counts of the shared
     subtrees and the bits of the spans (``_span_bits``).
 
     Two nodes share a span only along a unary chain, so the spans inside a

@@ -9,7 +9,7 @@ from .filtering import FilterReport, filter_with_fallback, structural_filter
 from .grammar import Grammar
 from .heuristics import HeuristicRegistry, RankedParse, rank
 from .parser import FeatureConflict, ParseForest, derive, enumerate_derivations, parse
-from .tagging import TreeAssignment, select_trees
+from .tagging import select_trees
 
 
 @dataclass
@@ -25,7 +25,6 @@ class PipelineConfig:
 @dataclass
 class SentenceAnalysis:
     words: list[str]
-    assignment: TreeAssignment
     report: FilterReport | None
     forest: ParseForest
     parses: list[RankedParse]
@@ -78,17 +77,17 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
                               structural_filter(grammar, sentence, assignment))
 
         derivations = enumerate_derivations(forest, config.max_parses)
-        pairs = []
+        parses = []
         subtrees = {}  # shared by this sentence's derived trees
         for derivation in derivations:
             try:
-                derived = derive(grammar, derivation, words,
-                                 check_features=config.check_features, subtrees=subtrees)
+                parses.append(derive(grammar, derivation, words,
+                                     check_features=config.check_features,
+                                     subtrees=subtrees))
             except FeatureConflict:
                 continue
-            pairs.append((derivation, derived))
-        ranked = rank(grammar, pairs, registry, weights)
-        return SentenceAnalysis(words, assignment, report, forest, ranked)
+        ranked = rank(grammar, parses, registry, weights)
+        return SentenceAnalysis(words, report, forest, ranked)
     finally:
         if enabled:
             gc.collect(0)

@@ -383,7 +383,7 @@ def reference_derive(grammar, derivation, words, check_features=False):
     if leaves != list(words):
         raise DerivationError(
             f"derived yield {leaves!r} does not match words {list(words)!r}")
-    return DerivedTree(top, list(words), records, [])
+    return DerivedTree(derivation, top, list(words), records, [])
 
 
 def nodes(root):

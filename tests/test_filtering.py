@@ -6,6 +6,7 @@ import ltagrank as lt
 from ltagrank.filtering import (FilterReport, filter_with_fallback,
                                 frequency_filter, structural_filter)
 from ltagrank.grammar import FrequencyTable, parse_frequencies
+from ltagrank.parser import DerivationError
 from toygrammars import CLAUSE_GRAMMAR, FREQ_TEXT, tag
 
 
@@ -46,6 +47,18 @@ def test_width_test_removes_transitive_for_final_verb():
     with_filter = {d for d in lt.enumerate_derivations(_parse_fn(g, sentence, filtered))}
     without = {d for d in lt.enumerate_derivations(_parse_fn(g, sentence, assignment))}
     assert with_filter == without
+
+
+def test_unknown_tree_raises_the_parser_error():
+    # the filter runs before the parser, so it checks the names the parser would
+    g = lt.loads(CLAUSE_GRAMMAR)
+    sentence = tag("dogs/N bark/V")
+    assignment = lt.TreeAssignment([["Noun_Phrase"], ["Indic_Intrans", "No_Such_Tree"]])
+    message = "assignment at position 1 references unknown tree 'No_Such_Tree'"
+    for run in (structural_filter, lt.parse):
+        with pytest.raises(DerivationError) as raised:
+            run(g, sentence, assignment)
+        assert str(raised.value) == message
 
 
 def test_frontier_compatibility_removes_det_slot_with_no_det_left():

@@ -137,7 +137,10 @@ def test_tree_addresses_and_anchor():
     assert tree.node_at(()).label == "S"
     assert tree.node_at((1,)).kind == SUBSTITUTION
     assert tree.node_at((2, 2)).kind == SUBSTITUTION
-    assert [n.kind for _, n in tree.frontier] == [SUBSTITUTION, ANCHOR, SUBSTITUTION]
+    # a tree's leaves, left to right, are in the order of their addresses
+    leaves = sorted(a for a, (_, children) in tree.shapes.items() if not children)
+    assert [tree.node_at(a).kind for a in leaves] == [SUBSTITUTION, ANCHOR, SUBSTITUTION]
+    assert tree.substitution_addresses == ((1,), (2, 2))
 
 
 def test_spine_and_modifier_info():

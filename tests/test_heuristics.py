@@ -68,7 +68,7 @@ def test_adjunction_count_zero_without_adjunction():
     reg = HeuristicRegistry([])
     parses = parses_of(g, "the/D man/N barked/V")
     assert len(parses) == 1
-    vector = extract(reg, g, *parses[0])
+    vector = extract(reg, g, parses[0])
     assert vector[reg.names().index("adjunction_count")] == 0.0
 
 
@@ -77,11 +77,10 @@ def test_pp_height_spec_example():
     reg = HeuristicRegistry([])
     pp_index = reg.names().index("pp_attachment_height")
     heights = {}
-    for derivation, derived in parses_of(
-            g, "saw/V the/D man/N with/P the/D telescope/N"):
-        names = {name for name, _ in instances(derivation)}
+    for derived in parses_of(g, "saw/V the/D man/N with/P the/D telescope/N"):
+        names = {name for name, _ in instances(derived.derivation)}
         key = "VP" if "PP_Attaches_to_VP" in names else "NP"
-        heights[key] = extract(reg, g, derivation, derived)[pp_index]
+        heights[key] = extract(reg, g, derived)[pp_index]
     assert heights == {"VP": 1.0, "NP": 0.0}
 
 
@@ -96,8 +95,8 @@ def test_pp_with_determiner_at_its_root_wraps_its_host():
     assert len(parses) == 9
     target = ("(S (NP (N part)) (VP (V is) (NP (D the) (NP (NP (NP (N name))"
               " (PP (P of) (NP (N part)))) (PP (P of) (NP (N part)))))))")
-    [(derivation, derived)] = [p for p in parses if p[1].to_string() == target]
-    assert extract(reg, g, derivation, derived)[pp_index] == 0.0
+    [derived] = [p for p in parses if p.to_string() == target]
+    assert extract(reg, g, derived)[pp_index] == 0.0
     outer = max((rec for rec in adjunctions(derived) if rec.modifier_label == "PP"),
                 key=lambda rec: rec.host_node.end - rec.host_node.start)
     root, host = outer.root_node, outer.host_node
@@ -110,10 +109,10 @@ def test_adjective_height_direction():
     reg = HeuristicRegistry([])
     adj_index = reg.names().index("adj_attachment_height")
     heights = set()
-    for derivation, derived in parses_of(g, "big/A dogs/N bark/V"):
-        names = {name for name, _ in instances(derivation)}
+    for derived in parses_of(g, "big/A dogs/N bark/V"):
+        names = {name for name, _ in instances(derived.derivation)}
         site = "NP" if "Adjective_NP" in names else "N"
-        heights.add((site, extract(reg, g, derivation, derived)[adj_index]))
+        heights.add((site, extract(reg, g, derived)[adj_index]))
     assert heights == {("NP", 0.0), ("N", 1.0)}
 
 
@@ -172,7 +171,7 @@ def test_relative_clause_count():
     reg = default_registry()
     parses = parses_of(grammar, "dogs/N that/C bark/V")
     assert len(parses) == 1
-    vector = extract(reg, grammar, *parses[0])
+    vector = extract(reg, grammar, parses[0])
     assert vector[reg.names().index("disprefer_relative_clause")] == 1.0
     assert vector[reg.names().index("disprefer_topicalization")] == 0.0
 
@@ -180,9 +179,9 @@ def test_relative_clause_count():
 def test_registry_lists_drop_empty_items():
     # as predicates do: an empty item matches no tree, not every tree
     grammar = lt.loads(RELATIVE_CLAUSE_GRAMMAR)
-    [(derivation, derived)] = parses_of(grammar, "dogs/N that/C bark/V")
+    [derived] = parses_of(grammar, "dogs/N that/C bark/V")
     counts = [extract(parse_registry(f"rc local_tree_type {option}\n"), grammar,
-                      derivation, derived)[0]
+                      derived)[0]
               for option in ("prefix=Rel_Cl", "prefix=Rel_Cl,", "prefix=,Rel_Cl,,",
                              "trees=Rel_Cl_Stub,", "trees=,Rel_Cl_Stub")]
     assert counts == [1.0] * 5
@@ -197,11 +196,10 @@ def test_of_lexical_preference_counts():
     reg = default_registry()
     of_index = reg.names().index("prefer_of_np_modifier")
     counts = {}
-    for derivation, derived in parses_of(
-            g, "saw/V the/D man/N of/P the/D park/N"):
-        names = {name for name, _ in instances(derivation)}
+    for derived in parses_of(g, "saw/V the/D man/N of/P the/D park/N"):
+        names = {name for name, _ in instances(derived.derivation)}
         key = "VP" if "PP_Attaches_to_VP" in names else "NP"
-        counts[key] = extract(reg, g, derivation, derived)[of_index]
+        counts[key] = extract(reg, g, derived)[of_index]
     # dispreferred analysis (VP modifier) counts once, preferred not at all
     assert counts == {"VP": 1.0, "NP": 0.0}
 
@@ -233,12 +231,12 @@ def test_rank_counts_each_anchoring_once_as_extract_would(text):
     parses = parses_of(g, text, adjunction_cap=3)
     assert len(parses) > 1
     ranked = rank(g, parses, reg, zero_weights(reg))
-    assert [rp.derivation for rp in ranked] == [d for d, _ in parses]
+    assert [rp.derivation for rp in ranked] == [t.derivation for t in parses]
     names = reg.names()
-    for rp, (derivation, derived) in zip(ranked, parses):
-        assert rp.vector == extract(reg, g, derivation, derived)
+    for rp, derived in zip(ranked, parses):
+        assert rp.vector == extract(reg, g, derived)
         anchored = [(name, derived.words[anchor])
-                    for name, anchor in instances(derivation)]
+                    for name, anchor in instances(derived.derivation)]
         assert rp.vector[names.index("of_rule")] == sum(
             1 for name, word in anchored
             if word in ("of", "Of") and name == "PP_Attaches_to_VP")
@@ -265,7 +263,7 @@ def test_rank_zero_weights_keeps_canonical_order():
     parses = parses_of(
         g, "the/D second/A part/N is/V the/D name/N of/P your/D personal/A computer/N")
     ranked = rank(g, parses, reg, zero_weights(reg))
-    assert [rp.derivation for rp in ranked] == [d for d, _ in parses]
+    assert [rp.derivation for rp in ranked] == [t.derivation for t in parses]
 
 
 def test_rank_negation_reverses_strict_order():
@@ -285,8 +283,8 @@ def test_adjunction_count_direction():
     g = lt.loads(MODIFIER_GRAMMAR)
     reg = HeuristicRegistry([])
     idx = reg.names().index("adjunction_count")
-    plain = extract(reg, g, *parses_of(g, "dogs/N bark/V")[0])
-    modified = extract(reg, g, *parses_of(g, "dogs/N bark/V quickly/ADV")[0])
+    plain = extract(reg, g, parses_of(g, "dogs/N bark/V")[0])
+    modified = extract(reg, g, parses_of(g, "dogs/N bark/V quickly/ADV")[0])
     assert modified[idx] == plain[idx] + 1
 
 
@@ -294,9 +292,8 @@ def test_extract_pure():
     g = lt.loads(PP_GRAMMAR)
     reg = default_registry()
     parses = parses_of(g, "saw/V the/D man/N with/P the/D telescope/N")
-    for derivation, derived in parses:
-        assert extract(reg, g, derivation, derived) == \
-            extract(reg, g, derivation, derived)
+    for derived in parses:
+        assert extract(reg, g, derived) == extract(reg, g, derived)
 
 
 def test_linearity_and_scaling_small():

@@ -34,7 +34,7 @@ def _forest(grammar, text, start="S", **kwargs):
 def test_pp_ambiguity_two_derivations():
     g = lt.loads(PP_GRAMMAR)
     parses = parses_of(g, "saw/V the/D man/N with/P the/D telescope/N")
-    trees = {t.to_string() for _, t in parses}
+    trees = {t.to_string() for t in parses}
     assert trees == {
         "(S (VP (VP (V saw) (NP (D the) (N man)))"
         " (PP (P with) (NP (D the) (N telescope)))))",
@@ -78,8 +78,8 @@ def test_enumerate_limit_is_prefix():
 def test_enumeration_deterministic():
     g = lt.loads(MODIFIER_GRAMMAR)
     text = "big/A old/A dogs/N bark/V quickly/ADV"
-    first = [d for d, _ in parses_of(g, text)]
-    second = [d for d, _ in parses_of(g, text)]
+    first = [t.derivation for t in parses_of(g, text)]
+    second = [t.derivation for t in parses_of(g, text)]
     assert first == second
     assert len(first) == len(set(first))  # no duplicates
 
@@ -649,12 +649,12 @@ def _check_shared_derive(grammar, derivations, words, check_features, scoring):
             continue
         derived = lt.derive(grammar, derivation, words, check_features, subtrees)
         assert _facts(derived) == _facts(expected), (words, check_features)
-        vector = extract(REGISTRY, grammar, derivation, derived, table)
+        vector = extract(REGISTRY, grammar, derived, table)
         assert vector == reference_extract(REGISTRY, grammar, derivation, expected, rules)
         for record in adjunctions(derived):
             assert heuristics._bypassed_lower(record, sites) == \
                 reference_bypassed_lower(record, sites)
-        ranked.append(RankedParse(derivation, derived, vector, 0.0))
+        ranked.append(RankedParse(derived, vector, 0.0))
     if scoring:
         _check_scores(ranked, words, scoring)
     return len(ranked), conflicts
@@ -680,9 +680,9 @@ def _check_vectors_and_scores(grammar, derivations, words, scoring):
     ranked = []
     for derivation in derivations:
         derived = lt.derive(grammar, derivation, words, subtrees=subtrees)
-        vector = extract(REGISTRY, grammar, derivation, derived, table)
+        vector = extract(REGISTRY, grammar, derived, table)
         assert vector == reference_extract(REGISTRY, grammar, derivation, derived, rules)
-        ranked.append(RankedParse(derivation, derived, vector, 0.0))
+        ranked.append(RankedParse(derived, vector, 0.0))
     _check_scores(ranked, words, scoring)
 
 

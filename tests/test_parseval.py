@@ -30,7 +30,7 @@ def test_brackets_round_trip():
 
 def test_derived_gold_and_flattened_trees_share_one_type():
     g = lt.loads(MODIFIER_GRAMMAR)
-    for _, derived in parses_of(g, "big/A old/A dogs/N bark/V quickly/ADV"):
+    for derived in parses_of(g, "big/A old/A dogs/N bark/V quickly/ADV"):
         text = derived.to_string()
         flat = pv.flatten(derived.root, {"NP"})
         assert type(derived.root) is type(pv.read_bracketed(text)) is type(flat) \
@@ -195,12 +195,12 @@ def test_flattened_brackets_equal_brackets_of_flatten():
     trees = list(pv.read_bracketed_corpus(SAMPLE / "gold.brackets"))
     sample = lt.load_grammar(SAMPLE / "grammar.ltag", SAMPLE / "freq.tsv")
     for line in (SAMPLE / "corpus.tagged").read_text().splitlines():
-        trees.extend(derived.root for _, derived in parses_of(sample, line))
+        trees.extend(derived.root for derived in parses_of(sample, line))
     for text in (CLAUSE_GRAMMAR, PP_GRAMMAR, MODIFIER_GRAMMAR):
         for _, bracketings in derivation_universe(lt.loads(text), "S", 4).values():
             trees.extend(pv.read_bracketed(b) for b in sorted(bracketings))
     ofpp = lt.loads(OFPP_GRAMMAR)
-    trees.extend(derived.root for _, derived in parses_of(
+    trees.extend(derived.root for derived in parses_of(
         ofpp, "the/D second/A part/N is/V the/D name/N of/P the/D part/N"))
     assert len(trees) > 500
     labels = sorted({node.label for tree in trees for node in nodes(tree)})

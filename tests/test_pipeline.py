@@ -7,6 +7,7 @@ import pytest
 import ltagrank as lt
 from ltagrank.grammar import LexEntry
 from ltagrank.heuristics import default_registry, uniform_weights
+from ltagrank.parser import DerivationError
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
 from oracles import nodes
 from test_acceptance import _tagged
@@ -61,9 +62,9 @@ def test_analyze_max_parses_caps_enumeration():
 
 
 def test_analyze_unknown_word_unparsed():
-    analysis = _analyze("zork/N is/V the/D name/N")
-    assert not analysis.parsed
-    assert analysis.assignment.candidates[0] == []
+    text = "zork/N is/V the/D name/N"
+    assert not _analyze(text).parsed
+    assert lt.select_trees(lt.loads(OFPP_GRAMMAR), tag(text)).candidates[0] == []
 
 
 def _report(befores, removed_structure):
@@ -207,7 +208,7 @@ def test_analysis_leaves_no_garbage_cycles(universes):
         with pytest.raises(ValueError):
             analyze_sentence(ofpp, [], registry, weights)
         assert gc.collect() == 0, "empty sentence"
-        with pytest.raises(KeyError):
+        with pytest.raises(DerivationError):
             analyze_sentence(ghost, tag("ghost/N"), registry, weights)
         assert gc.collect() == 0, "unknown tree"
 

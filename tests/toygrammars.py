@@ -118,14 +118,13 @@ def tag(text):
 
 
 def parses_of(grammar, text, start="S", adjunction_cap=None):
-    """(derivation, derived) pairs for a tagged sentence, unfiltered."""
+    """The derived trees of a tagged sentence's parses, unfiltered."""
     sentence = tag(text)
     words = [w.surface for w in sentence]
     assignment = lt.select_trees(grammar, sentence)
     forest = lt.parse(grammar, sentence, assignment, start=start,
                       adjunction_cap=adjunction_cap)
-    return [(d, lt.derive(grammar, d, words))
-            for d in lt.enumerate_derivations(forest)]
+    return [lt.derive(grammar, d, words) for d in lt.enumerate_derivations(forest)]
 
 
 def bracketing(text):
