@@ -267,16 +267,20 @@ def cmd_train(args) -> int:
     grammar = _load_grammar(args)
     registry = _load_registry(args)
     initial = _load_weights(args, registry)
-    analyses = _analyze_corpus(args, grammar, registry, initial)
+    sentences = read_tagged_corpus(args.corpus)
+    config = _pipeline_config(args)
     gold_trees = parseval.read_bracketed_corpus(args.gold)
-    if len(gold_trees) != len(analyses):
-        raise CliError(f"corpus has {len(analyses)} sentences but gold has"
+    # checked before any sentence is analyzed
+    if len(gold_trees) != len(sentences):
+        raise CliError(f"corpus has {len(sentences)} sentences but gold has"
                        f" {len(gold_trees)}; first unmatched index"
-                       f" {min(len(analyses), len(gold_trees))}")
-    for index, (analysis, gold) in enumerate(zip(analyses, gold_trees)):
-        if gold.end != len(analysis.words):
-            raise CliError(f"sentence {index}: corpus has {len(analysis.words)}"
+                       f" {min(len(sentences), len(gold_trees))}")
+    for index, (sentence, gold) in enumerate(zip(sentences, gold_trees)):
+        if gold.end != len(sentence):
+            raise CliError(f"sentence {index}: corpus has {len(sentence)}"
                            f" words, gold has {gold.end}")
+    analyses = [analyze_sentence(grammar, sentence, registry, initial, config)
+                for sentence in sentences]
     flatten_cats = _flatten_categories(args)
     records = build_records(analyses, gold_trees, args.recall_mode, flatten_cats)
 
@@ -318,10 +322,9 @@ def cmd_train(args) -> int:
 # ---------------------------------------------------------------------------
 # argument parsing
 
-def _add_grammar_flags(parser, freq_required=False):
+def _add_grammar_flags(parser):
     parser.add_argument("--grammar", required=True, help="grammar file")
-    parser.add_argument("--freq", required=freq_required, default=None,
-                        help="tree frequency table")
+    parser.add_argument("--freq", default=None, help="tree frequency table")
     parser.add_argument("--registry", default=None, help="heuristic registry file")
     parser.add_argument("--weights", default=None, help="heuristic weights file")
 

@@ -122,9 +122,10 @@ def frequency_filter(assignment: TreeAssignment, freq: FrequencyTable,
 
 
 def filter_with_fallback(grammar: Grammar, sentence, assignment: TreeAssignment,
-                         freq: FrequencyTable, k: int, parse_fn):
+                         k: int, parse_fn):
     """Filter, parse, and retry without the frequency cut if nothing parses.
 
+    The cut keeps each position's ``k`` most probable trees by ``grammar.freq``.
     Returns (forest, FilterReport).  The report's per-position counts always
     describe the full filter pipeline.  fallback_triggered is True whenever
     the first parse, of the frequency-cut candidates, finds nothing.  The
@@ -133,7 +134,7 @@ def filter_with_fallback(grammar: Grammar, sentence, assignment: TreeAssignment,
     returned.
     """
     structural = structural_filter(grammar, sentence, assignment)
-    frequent = frequency_filter(structural, freq, k)
+    frequent = frequency_filter(structural, grammar.freq, k)
 
     report_positions = []
     for before, after_s, after_f in zip(assignment.candidates, structural.candidates,

@@ -109,23 +109,23 @@ class Heuristic:
 class HeuristicRegistry:
     """Ordered heuristics; the order defines the weight-vector layout.
 
-    A registry is changed only in ``__post_init__``, which appends the
-    missing builtins: the local rules each anchoring matches are memoized
-    on it for its lifetime.
+    ``__post_init__`` sets the layout once, as a tuple of its own: the
+    heuristics given, then the missing builtins.  The local rules each
+    anchoring matches are memoized on the registry for its lifetime.
     """
 
-    heuristics: list[Heuristic] = field(default_factory=list)
+    heuristics: tuple[Heuristic, ...] = ()
     # (anchor POS, tree name, lower-cased word) -> ``_matching_rules``
     _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        names = [h.name for h in self.heuristics]
+        given = tuple(self.heuristics)
+        names = [h.name for h in given]
         if len(set(names)) != len(names):
             raise RegistryError("duplicate heuristic names in registry")
-        present = {h.builtin for h in self.heuristics if h.kind == GLOBAL_STRUCTURAL}
-        for builtin in GLOBAL_BUILTINS:
-            if builtin not in present:
-                self.heuristics.append(_default_global(builtin))
+        present = {h.builtin for h in given if h.kind == GLOBAL_STRUCTURAL}
+        self.heuristics = given + tuple(
+            _default_global(builtin) for builtin in GLOBAL_BUILTINS if builtin not in present)
 
     def __len__(self):
         return len(self.heuristics)

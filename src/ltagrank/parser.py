@@ -2,16 +2,17 @@
 
 The chart is a packed forest over items keyed by
 
-    (tree name, anchor position, node address, layer, i, j, foot_i, foot_j)
+    (kind, tree name, anchor position, node address, layer, i, j, foot_i, foot_j)
 
-where ``layer`` is "bot" (subtree below the node recognized, adjunction not
-yet considered) or "top" (adjunction at the node resolved, possibly by not
-adjoining).  Dotted items track left-to-right traversal of an internal
-node's children.  Deduction follows the standard CYK-style recognizer for
-this grammar class: anchors scan their word, feet may match any span on the
-correct side of their anchor, substitution consumes a finished initial tree
-of matching category, and adjunction wraps a finished auxiliary tree around
-a "bot" item whose span equals the auxiliary's foot span.
+A "node" item's ``layer`` is "bot" (subtree below the node recognized,
+adjunction not yet considered) or "top" (adjunction at the node resolved,
+possibly by not adjoining).  A "dot" item tracks the left-to-right traversal
+of an internal node's children, and its ``layer`` counts the children done.
+Deduction follows the standard CYK-style recognizer for this grammar class:
+anchors scan their word, feet may match any span on the correct side of
+their anchor, substitution consumes a finished initial tree of matching
+category, and adjunction wraps a finished auxiliary tree around a "bot" item
+whose span equals the auxiliary's foot span.
 
 Each item holds its distinct ways (the deductions that posted it) in the
 order they were first derived.  Enumeration unpacks them lazily in that
@@ -19,9 +20,10 @@ order, and the adjunction cap is enforced there: a way that would stack
 adjunctions along a spine deeper than the cap is skipped before anything
 under it is enumerated.  One enumeration builds the derivations of each
 elementary-tree instance once, per instance root item and stacking depth,
-and every substitution or adjunction that reaches that root replays them:
-parses share ``DerivationNode``s, which are frozen.  Given one ``subtrees``
-dict per sentence, ``derive`` builds the subtree of each substituted
+and every substitution or adjunction that reaches that root replays them
+through its own copy of one ``itertools.tee``: parses share
+``DerivationNode``s, which are frozen.  Given one ``subtrees`` dict per
+sentence, ``derive`` builds the subtree of each substituted
 ``DerivationNode`` once and every later parse that substitutes it reuses it:
 parses share derived subtrees too, and each anchor node, which the
 (tree, word) it anchors fixes.  So derived trees are read-only (copy one
@@ -37,8 +39,9 @@ anchor, substitution or foot nodes.
 from __future__ import annotations
 
 from collections import defaultdict, deque
+from copy import copy
 from dataclasses import dataclass, field
-from itertools import islice
+from itertools import islice, tee
 
 from .grammar import (ANCHOR, AUXILIARY, INITIAL, INTERNAL, SUBSTITUTION,
                       Address, Grammar, format_address)
@@ -90,11 +93,13 @@ class DerivedNode:
     and flattened trees.  ``assign_spans`` fills in each node's word span
     ``[start, end)``.  A node has no parent link: the parses of a sentence
     share subtrees, so a node can sit in many trees, and a tree is read-only.
+    ``features`` are its elementary node's (attribute, value) pairs until
+    ``derive`` with ``check_features`` merges them; other trees have none.
     """
 
     label: str
     children: list = field(default_factory=list)  # DerivedNode | str
-    features: dict = field(default_factory=dict)
+    features: tuple = ()
     start: int = -1
     end: int = -1
 
@@ -178,42 +183,30 @@ class ParseForest:
         self.adjunction_cap = adjunction_cap
 
     def iter_derivations(self):
-        # one memo per call: (instance root key, chain) -> (nodes built so
-        # far, the generator that builds the rest)
+        # one memo per call: (instance root key, chain) -> an unread tee over
+        # the instance's derivations
         memo = {}
         try:
             for goal in self._goals:
                 yield from self._shared_derivations(goal, 0, memo)
         finally:
-            # the suspended generators in the memo refer to the memo, a
+            # the generators under the memo's tees refer to the memo, a
             # cycle: clearing it lets reference counting free them all
             memo.clear()
 
     def _shared_derivations(self, root_key, chain, memo):
-        # the first way to reach an instance root builds its derivations as
-        # it pulls them; every later way replays the nodes built so far and
-        # pulls the rest, so each sub-derivation is built once and shared
+        # every way to reach an instance root reads its own copy of one tee
+        # (``tee(entry, 1)[0]`` is the tee itself), so each sub-derivation is
+        # built once and shared.  chain: adjunctions stacked along a spine
+        # down to this root
         entry = memo.get((root_key, chain))
         if entry is None:
-            entry = memo[(root_key, chain)] = (
-                [], self._instance_derivations(root_key, chain, memo))
-        built, source = entry
-        index = 0
-        while True:
-            if index == len(built):
-                node = next(source, None)
-                if node is None:
-                    return
-                built.append(node)
-            yield built[index]
-            index += 1
-
-    def _instance_derivations(self, root_key, chain, memo):
-        # chain: adjunctions stacked along a spine down to this instance's root
-        tree_name, anchor = root_key[1], root_key[2]
-        spine = self.grammar.trees[tree_name].spine
-        for atts in self._attachments(root_key, spine, chain, memo):
-            yield DerivationNode(tree_name, anchor, atts)
+            tree_name, anchor = root_key[1], root_key[2]
+            spine = self.grammar.trees[tree_name].spine
+            entry = memo[(root_key, chain)] = tee(
+                (DerivationNode(tree_name, anchor, atts)
+                 for atts in self._attachments(root_key, spine, chain, memo)), 1)[0]
+        return copy(entry)
 
     def _attachments(self, key, spine, chain, memo):
         # restartable recursive generators keep enumeration lazy; every
@@ -460,14 +453,15 @@ def enumerate_derivations(forest: ParseForest, limit: int | None = None):
 # ---------------------------------------------------------------------------
 # deriving phrase structure from a derivation
 
-def _unify(target: dict, incoming: dict, where: str) -> dict:
+def _unify(target: tuple, incoming: tuple, where: str) -> tuple:
+    # a node's pairs may repeat an attribute, whose last pair counts
     merged = dict(target)
-    for key, value in incoming.items():
+    for key, value in dict(incoming).items():
         if key in merged and merged[key] != value:
             raise FeatureConflict(
                 f"feature {key!r} is {merged[key]!r} vs {value!r} at {where}")
         merged[key] = value
-    return merged
+    return tuple(merged.items())
 
 
 _OUT_OF_ORDER = "anchor positions are inconsistent with the word order"
@@ -533,11 +527,12 @@ def _build(grammar, derivation, words, records, parts, check_features, subtrees)
     if anchor is None:
         tnode = tree.node_at(tree.anchor_address)
         anchor = subtrees[(derivation.tree, at)] = DerivedNode(
-            tnode.label, [words[at]], dict(tnode.features), at, at + 1)
+            tnode.label, [words[at]], tnode.features, at, at + 1)
 
-    by_address: dict[Address, DerivedNode] = {}
-    slots: dict[Address, tuple[list, int]] = {}  # (parent's children, index)
-    top = _clone(tree.root, (), anchor, by_address, slots)
+    # address -> (parent's children, index); the top sits in a holder at ()
+    slots: dict[Address, tuple[list, int]] = {}
+    holder = [_clone(tree.root, (), anchor, slots)]
+    slots[()] = (holder, 0)
 
     seen: set[Address] = set()
     for att in derivation.attachments:
@@ -546,10 +541,13 @@ def _build(grammar, derivation, words, records, parts, check_features, subtrees)
                 f"two attachments at address {format_address(att.address)}"
                 f" of {derivation.tree!r}")
         seen.add(att.address)
-        target = by_address.get(att.address)
-        if target is None:
+        slot = slots.get(att.address)
+        if slot is None:
             raise DerivationError(
                 f"{derivation.tree!r} has no node at {format_address(att.address)}")
+        # only the attachment at an address writes its slot
+        siblings, index = slot
+        target = siblings[index]
         target_kind = tree.node_at(att.address).kind
         child_tree = grammar.trees.get(att.child.tree)
         if child_tree is None:
@@ -574,7 +572,6 @@ def _build(grammar, derivation, words, records, parts, check_features, subtrees)
                 # merged features again, and other parses may share the root
                 _unify(child_top.features, target.features,
                        f"substitution at {format_address(att.address)}")
-            siblings, index = slots[att.address]
             siblings[index] = child_top
         elif att.op == OP_ADJUNCTION:
             if target_kind != INTERNAL:
@@ -598,17 +595,13 @@ def _build(grammar, derivation, words, records, parts, check_features, subtrees)
                 target.features = _unify(
                     target.features, foot_siblings[foot_index].features,
                     f"foot of {att.child.tree!r}")
-            if target is top:
-                top = child_top
-            else:
-                siblings, index = slots[att.address]
-                siblings[index] = child_top
+            siblings[index] = child_top
             foot_siblings[foot_index] = target
             records.append(AdjunctionRecord(child_top, target, child_tree.modifier_label))
         else:
             raise DerivationError(f"unknown operation {att.op!r}")
 
-    return top, slots.get(tree.foot_address)
+    return holder[0], slots.get(tree.foot_address)
 
 
 def _substituted(grammar, child, words, parts, check_features, subtrees):
@@ -627,18 +620,16 @@ def _substituted(grammar, child, words, parts, check_features, subtrees):
     return shared.root
 
 
-def _clone(tnode, address, anchor, by_address, slots):
+def _clone(tnode, address, anchor, slots):
     # a module function, not a closure over _build's state: a closure that
     # calls itself is a reference cycle, which only the cyclic collector frees
     if tnode.kind == ANCHOR:
-        node = anchor
-    else:
-        node = DerivedNode(tnode.label, [], dict(tnode.features))
-    by_address[address] = node
+        return anchor
+    node = DerivedNode(tnode.label, [], tnode.features)
     if tnode.kind == INTERNAL:
         for index, child in enumerate(tnode.children):
             child_address = address + (index + 1,)
-            node.children.append(_clone(child, child_address, anchor, by_address, slots))
+            node.children.append(_clone(child, child_address, anchor, slots))
             slots[child_address] = (node.children, index)
     return node
 

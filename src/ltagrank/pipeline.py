@@ -71,7 +71,7 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
         filter_k = config.filter_k if grammar.freq.entries else None
         if filter_k is not None:
             forest, report = filter_with_fallback(
-                grammar, sentence, assignment, grammar.freq, filter_k, parse_fn)
+                grammar, sentence, assignment, filter_k, parse_fn)
         else:
             forest = parse_fn(grammar, sentence,
                               structural_filter(grammar, sentence, assignment))

@@ -184,8 +184,7 @@ def test_criterion_4_fallback_coverage():
             assignment = lt.select_trees(grammar, sentence)
             unfiltered = lt.parse(grammar, sentence, assignment).has_parse()
             forest, report = lt.filter_with_fallback(
-                grammar, sentence, assignment, grammar.freq, 3,
-                lambda g, s, a: lt.parse(g, s, a))
+                grammar, sentence, assignment, 3, lambda g, s, a: lt.parse(g, s, a))
             assert forest.has_parse() == unfiltered, text
             assert report.fallback_triggered == expect_fallback, text
         assert any(flag for _, flag in corpus)

@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import ltagrank
-from ltagrank import parseval
+from ltagrank import cli, parseval
 from ltagrank.cli import build_records, main
 from ltagrank.heuristics import default_registry, uniform_weights
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
@@ -294,6 +294,21 @@ def test_train_gold_of_the_wrong_length_is_an_error(tmp_path, capsys, parsed):
                         "--log", tmp_path / "log"], capsys)
     assert_one_error(code, err)
     assert "sentence 0" in err
+
+
+def test_train_checks_the_gold_before_analyzing(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "analyze_sentence",
+                        lambda *args: calls.append(args) or analyze_sentence(*args))
+    gold = (SAMPLE / "gold.brackets").read_text().splitlines()
+    gold_path = tmp_path / "gold.brackets"
+    gold_path.write_text("\n".join(gold[1:]) + "\n")
+    code, _, err = run(["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                        "--gold", gold_path, "--weights-out", tmp_path / "w.tsv",
+                        "--log", tmp_path / "log"], capsys)
+    assert_one_error(code, err)
+    assert "unmatched" in err
+    assert calls == []
 
 
 DEEP = 1200  # nesting levels, more than Python's recursion limit allows

@@ -137,7 +137,7 @@ def test_fallback_recovers_low_frequency_tree():
     sentence = tag("dogs/N run/V|N")
     assignment = lt.select_trees(g, sentence)
     assert len(assignment.candidates[1]) == 4
-    forest, report = filter_with_fallback(g, sentence, assignment, g.freq, 3, _parse_fn)
+    forest, report = filter_with_fallback(g, sentence, assignment, 3, _parse_fn)
     assert report.fallback_triggered
     assert forest.has_parse()
     assert report.positions[1].removed_frequency == 1
@@ -147,7 +147,7 @@ def test_no_fallback_when_top_k_suffices():
     g = lt.loads(FALLBACK_GRAMMAR, FALLBACK_FREQ)
     sentence = tag("the/D dogs/N run/V")
     assignment = lt.select_trees(g, sentence)
-    forest, report = filter_with_fallback(g, sentence, assignment, g.freq, 3, _parse_fn)
+    forest, report = filter_with_fallback(g, sentence, assignment, 3, _parse_fn)
     assert not report.fallback_triggered
     assert forest.has_parse()
 
@@ -156,7 +156,7 @@ def test_fallback_flag_set_when_unparseable():
     g = lt.loads(FALLBACK_GRAMMAR, FALLBACK_FREQ)
     sentence = tag("the/D the/D run/N|V")
     assignment = lt.select_trees(g, sentence)
-    forest, report = filter_with_fallback(g, sentence, assignment, g.freq, 3, _parse_fn)
+    forest, report = filter_with_fallback(g, sentence, assignment, 3, _parse_fn)
     assert report.fallback_triggered
     assert not forest.has_parse()
 
@@ -166,7 +166,7 @@ def test_report_bookkeeping_identity():
     for text in ["dogs/N run/V|N", "the/D dogs/N run/V", "run/N|V"]:
         sentence = tag(text)
         assignment = lt.select_trees(g, sentence)
-        _, report = filter_with_fallback(g, sentence, assignment, g.freq, 3, _parse_fn)
+        _, report = filter_with_fallback(g, sentence, assignment, 3, _parse_fn)
         for names, position in zip(assignment.candidates, report.positions):
             assert position.before == len(names)
             assert position.before == (position.removed_structure
@@ -182,7 +182,7 @@ def test_fallback_coverage_equals_unfiltered():
         sentence = tag(text)
         assignment = lt.select_trees(g, sentence)
         unfiltered = _parse_fn(g, sentence, assignment).has_parse()
-        forest, _ = filter_with_fallback(g, sentence, assignment, g.freq, 3, _parse_fn)
+        forest, _ = filter_with_fallback(g, sentence, assignment, 3, _parse_fn)
         assert forest.has_parse() == unfiltered
 
 

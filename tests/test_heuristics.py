@@ -35,6 +35,16 @@ def test_builtins_always_appended():
     assert len(reg) == 4
 
 
+def test_registry_keeps_its_own_heuristics():
+    # a later change to the caller's list leaves the weight layout alone
+    given = [Heuristic("only_rule", "local_tree_type", disprefer=Predicate("prefix", ("X",)))]
+    reg = HeuristicRegistry(given)
+    given.append(Heuristic("late_rule", "local_tree_type",
+                           disprefer=Predicate("prefix", ("Y",))))
+    assert len(given) == 2
+    assert reg.names() == ["only_rule", *GLOBAL_BUILTINS]
+
+
 def test_duplicate_names_rejected():
     h = Heuristic("dup", "local_tree_type", disprefer=Predicate("prefix", ("X",)))
     with pytest.raises(RegistryError):

@@ -283,6 +283,13 @@ tree Adverb_Top_Foot : auxiliary (S[b=1] S*[b=2] ADV@)
 """
 
 
+# the messages of the clashes at the root, where the auxiliary's features merge
+ADJUNCTION_CONFLICTS = {
+    "Adverb_Top_Clash": "feature 'a' is '2' vs '1' at adjunction at e",
+    "Adverb_Foot_Clash": "feature 'a' is '1' vs '2' at foot of 'Adverb_Foot_Clash'",
+}
+
+
 @pytest.mark.parametrize("adverb, derived", [
     ("Adverb_Top_Clash", None),
     ("Adverb_Foot_Clash", None),
@@ -298,11 +305,29 @@ def test_adjunction_feature_checking(adverb, derived):
     ))
     words = ["dogs", "bark", "now"]
     if derived is None:
-        with pytest.raises(FeatureConflict):
+        with pytest.raises(FeatureConflict) as raised:
             lt.derive(grammar, derivation, words, check_features=True)
+        assert str(raised.value) == ADJUNCTION_CONFLICTS[adverb]
     else:
         assert lt.derive(grammar, derivation, words,
                          check_features=True).to_string() == derived
+
+
+def test_repeated_feature_attribute_unifies_by_its_last_value():
+    # the loader keeps both pairs of a repeated attribute; the last one
+    # counts, as it would in a dict, so the foot unifies with a bare host
+    grammar = lt.loads("""
+tree Noun_Phrase : initial (NP N@)
+tree Verb_Intrans : initial (S NP^ (VP V@))
+tree Adj : auxiliary (NP A@ NP*[num=pl,num=sg])
+""")
+    noun = DerivationNode("Noun_Phrase", 1, (
+        Attachment(DerivationNode("Adj", 0), OP_ADJUNCTION, ()),))
+    derivation = DerivationNode("Verb_Intrans", 2, (
+        Attachment(noun, OP_SUBSTITUTION, (1,)),))
+    assert lt.derive(grammar, derivation, ["big", "dogs", "bark"],
+                     check_features=True).to_string() == \
+        "(S (NP (A big) (NP (N dogs))) (VP (V bark)))"
 
 
 def test_forest_counts():
