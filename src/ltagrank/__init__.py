@@ -6,7 +6,7 @@ from .grammar import (ElementaryTree, FrequencyTable, Grammar, GrammarError,
 from .tagging import TaggedWord, TreeAssignment, parse_tagged_line, select_trees
 from .filtering import (FilterReport, filter_with_fallback, frequency_filter,
                         structural_filter)
-from .parser import (Attachment, DerivationNode, DerivedTree, FeatureConflict,
+from .parser import (Attachment, DerivationNode, DerivedTree, Deriver, FeatureConflict,
                      DerivationError, ParseForest, derive, enumerate_derivations,
                      parse)
 from .heuristics import (HeuristicRegistry, RankedParse, default_registry,

@@ -248,18 +248,19 @@ def _flatten_categories(args):
 def build_records(analyses, gold_trees, recall_mode, flatten_cats):
     """Cache each sentence's candidate vectors and gold metrics for training.
 
-    ``parseval.evaluate_derived`` scores a sentence's candidates together,
-    so each shared subtree is scored against the gold once, and each
+    ``parseval.evaluate_derivations`` scores a sentence's candidates
+    together, off their derivations: no tree is derived, each substituted
+    subtree the parses share is scored against the gold once, and each
     candidate costs only its own part.
     """
     records = {}
     for index, (analysis, gold) in enumerate(zip(analyses, gold_trees)):
-        scores = parseval.evaluate_derived([rp.derived for rp in analysis.parses],
-                                           parseval.brackets_of(gold), flatten_cats,
-                                           recall_mode)
+        parses = analysis.parses
+        scores = parseval.evaluate_derivations(
+            parses[0].deriver.grammar, [rp.derivation for rp in parses],
+            parseval.brackets_of(gold), flatten_cats, recall_mode) if parses else []
         records[index] = training.SentenceRecord(index, [
-            training.Candidate(rp.vector, score)
-            for rp, score in zip(analysis.parses, scores)])
+            training.Candidate(rp.vector, score) for rp, score in zip(parses, scores)])
     return records
 
 
@@ -270,7 +271,7 @@ def cmd_train(args) -> int:
     sentences = read_tagged_corpus(args.corpus)
     config = _pipeline_config(args)
     gold_trees = parseval.read_bracketed_corpus(args.gold)
-    # checked before any sentence is analyzed
+    # every input and argument is checked before any sentence is analyzed
     if len(gold_trees) != len(sentences):
         raise CliError(f"corpus has {len(sentences)} sentences but gold has"
                        f" {len(gold_trees)}; first unmatched index"
@@ -279,25 +280,25 @@ def cmd_train(args) -> int:
         if gold.end != len(sentence):
             raise CliError(f"sentence {index}: corpus has {len(sentence)}"
                            f" words, gold has {gold.end}")
-    analyses = [analyze_sentence(grammar, sentence, registry, initial, config)
-                for sentence in sentences]
-    flatten_cats = _flatten_categories(args)
-    records = build_records(analyses, gold_trees, args.recall_mode, flatten_cats)
-
-    spec = training.split(range(len(records)), _parse_proportions(args, len(records)),
+    spec = training.split(range(len(sentences)), _parse_proportions(args, len(sentences)),
                           args.split_seed if args.split_seed is not None else args.seed)
-    config = training.TrainConfig(
+    train_config = training.TrainConfig(
         top_k=args.top_k, aggregation=args.aggregation,
         delta_scale=args.delta_scale, strike_limit=args.strike_limit,
         max_iterations=args.max_iterations, seed=args.seed,
         require_all_metrics=args.require_all_metrics)
     resume_state, earlier = training.read_log(args.resume) if args.resume else (None, [])
-    result = training.train(records, spec, config, initial,
+
+    analyses = [analyze_sentence(grammar, sentence, registry, initial, config)
+                for sentence in sentences]
+    records = build_records(analyses, gold_trees, args.recall_mode,
+                            _flatten_categories(args))
+    result = training.train(records, spec, train_config, initial,
                             heuristic_names=registry.names(),
                             resume_state=resume_state)
 
     hmod.save_weights(args.weights_out, registry, result.weights)
-    training.write_log(args.log, result, config, spec, earlier)
+    training.write_log(args.log, result, train_config, spec, earlier)
 
     rows = []
     for group_name, ids in (("HELD-OUT", spec.heldout_ids), ("TEST", spec.test_ids)):
@@ -308,7 +309,7 @@ def cmd_train(args) -> int:
                 ("No heuristics", hmod.zero_weights(registry)),
                 ("No preference", hmod.uniform_weights(registry)),
                 ("Preferences Trained", result.weights)):
-            scores = training.evaluate_set(group, weights, config)
+            scores = training.evaluate_set(group, weights, train_config)
             rows.append([group_name, label, _fmt(scores.zero_crossing_pct),
                          _fmt(scores.crossing_avg), _fmt(scores.recall_pct),
                          _fmt(scores.precision_pct)])
@@ -338,7 +339,9 @@ def _add_pipeline_flags(parser):
                         help="max stacked adjunctions along a spine; 0 removes the cap")
     parser.add_argument("--max-parses", type=int, default=None, dest="max_parses",
                         help="cap on enumerated parses per sentence")
-    parser.add_argument("--check-features", action="store_true", dest="check_features")
+    parser.add_argument("--check-features", action="store_true", dest="check_features",
+                        help="drop parses whose features clash; this derives every"
+                             " parse's tree, which ranking otherwise never does")
     parser.add_argument("--open-class-fallback", action="store_true",
                         dest="open_class_fallback",
                         help="give unknown words every tree their tags anchor")

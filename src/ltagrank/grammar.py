@@ -171,6 +171,23 @@ class ElementaryTree:
         return {a: (n.label, len(n.children)) for a, n in _walk(self.root)}
 
     @cached_property
+    def layout(self) -> tuple[tuple[str, str, tuple[int, ...]], ...]:
+        """Every node as (label, kind, positions of its children in order),
+        each node after all of its descendants, so the root comes last.
+        ``positions`` maps each address to its node's position."""
+        positions = self.positions
+        return tuple((node.label, node.kind,
+                      tuple(positions[address + (k,)]
+                            for k in range(1, len(node.children) + 1)))
+                     for address, node in reversed(list(_walk(self.root))))
+
+    @cached_property
+    def positions(self) -> dict[Address, int]:
+        """Node address -> its position in ``layout``: reversed pre-order."""
+        addresses = [address for address, _ in _walk(self.root)]
+        return {address: position for position, address in enumerate(reversed(addresses))}
+
+    @cached_property
     def modifier_label(self) -> str | None:
         """Label of an auxiliary tree's modifier material: the highest node
         off the spine on the anchor's path.  None for initial trees."""

@@ -19,11 +19,10 @@ The default registry is ``STOCK_REGISTRY``, the local rules of
 (adjunction_count, pp_attachment_height, adj_attachment_height), which are
 always present: a registry that omits them gets them with default settings.
 
-Every count is a sum over a parse's tree instances or adjunction records.
-A parse and each subtree the parses of a sentence share are each a
-``DerivedTree``, whose ``parts`` are the shared ones it holds, so
-``extract`` reads what a shared subtree adds once per sentence, and per
-parse only its own part.
+Every count is a sum over a parse's tree instances or adjunctions, and
+``extract`` reads it off the parse's ``DerivationNode``: no tree is built.
+What a substituted node adds is fixed for the sentence, so ``rank`` reads
+it once per sentence, and per parse only the parse's own part.
 
 Weights files are ``heuristic_name<TAB>weight`` lines in registry order.
 """
@@ -32,9 +31,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from operator import add
 
-from .grammar import Grammar, open_text
-from .parser import OP_ADJUNCTION, DerivationNode, DerivedTree
+from .grammar import ANCHOR, Grammar, open_text
+from .parser import DerivationFold, DerivationNode, DerivedTree, Deriver
 
 LOCAL_TREE_TYPE = "local_tree_type"
 LOCAL_LEXICAL = "local_lexical"
@@ -111,12 +111,16 @@ class HeuristicRegistry:
 
     ``__post_init__`` sets the layout once, as a tuple of its own: the
     heuristics given, then the missing builtins.  The local rules each
-    anchoring matches are memoized on the registry for its lifetime.
+    anchoring matches, and each elementary tree's plan for counting them,
+    are memoized on the registry for its lifetime.
     """
 
     heuristics: tuple[Heuristic, ...] = ()
     # (anchor POS, tree name, lower-cased word) -> ``_matching_rules``
     _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # id of an elementary tree -> (the tree, ``_Counter.make_plan``); the
+    # entry holds the tree, so that its id is not reused
+    _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         given = tuple(self.heuristics)
@@ -206,90 +210,136 @@ def load_registry(path) -> HeuristicRegistry:
 # ---------------------------------------------------------------------------
 # feature extraction and scoring
 
-def extract(registry: HeuristicRegistry, grammar: Grammar, derived: DerivedTree,
-            table: dict | None = None) -> tuple[float, ...]:
-    """Count each registry heuristic's matches in one parse, a
-    ``DerivedTree`` that ``derive`` made.
+def extract(registry: HeuristicRegistry, grammar: Grammar, derivation: DerivationNode,
+            words, table: dict | None = None) -> tuple[float, ...]:
+    """Count each registry heuristic's matches in one parse of ``words``,
+    the ``DerivationNode`` ``derivation`` that the parser made, without
+    building its derived tree.
 
-    Every count is a sum over the parse's own part and its shared subtrees
-    (``DerivedTree.parts``), and what a shared subtree adds is fixed for the
-    sentence.  ``table``, a dict kept across the parses of one sentence and
-    one registry, holds each shared subtree's ``_summary``, each anchoring's
-    matching local rules and, under None, the registry's structural
-    heuristics; ``rank`` passes one, and without it the call uses a dict of
-    its own.  So a parse costs its own part and one lookup per outermost
-    shared subtree.
+    The counts read derived nodes' labels and spans, folded off the
+    derivation (``parser.DerivationFold``).  Every count is a sum over tree
+    instances and adjunctions, and what a substituted ``DerivationNode``
+    adds is fixed for the sentence.  ``table``, a dict kept across the
+    parses of one sentence and one registry, keeps one fold, which holds
+    that for each substituted node the parses share and each anchoring's
+    matching local rules; ``rank`` passes one, and without it the call uses
+    a dict of its own.  So a parse costs its own part.
     """
     if table is None:
         table = {}
-    structural = table.get(None)
-    if structural is None:
-        structural = table[None] = [(index, h)
-                                    for index, h in enumerate(registry.heuristics)
-                                    if h.kind == GLOBAL_STRUCTURAL]
-    local, values = _summary(registry, grammar, structural, derived, table)
-    counts = [0.0] * len(registry.heuristics)
-    for index, count in local:
-        counts[index] = float(count)
-    for (index, h), value in zip(structural, values):
-        counts[index] = float(value[0] if h.builtin == BUILTIN_ADJ_HEIGHT else value)
-    return tuple(counts)
+    counter = table.get(None)
+    if counter is None:
+        counter = table[None] = _Counter(registry, grammar, words)
+    counts = counter.part()
+    counter.instance(derivation, None, counts)
+    # every zero is the one constant 0.0: the cached vectors the trainer
+    # reads then hold few distinct floats
+    return tuple([float(count) if count else 0.0 for count in counts])
 
 
-def _summary(registry, grammar, structural, part, table):
-    """What ``part``, a parse's ``DerivedTree`` or one of its shared
-    subtrees, adds to the counts of a parse that contains it.
+class _Counter(DerivationFold):
+    """The heuristic counts of the parses of one sentence, folded over
+    their derivations; a part accumulates one count per heuristic.
 
-    Returns ``(local, values)``: the (registry index, count) pairs of the
-    local rules, and one value per ``structural`` heuristic.  That is the
-    adjunction count, the ``pp_attachment_height`` sum, or, for
-    ``adj_attachment_height``, the triple of ``_adj_height``.  The summaries
-    of ``part.parts`` are read from ``table``, or made and put there.
+    A derived node's value is ``(start, end, at_start, at_end)``: its span,
+    and one count per height heuristic (``heights``) for each of its
+    edges.  For ``pp_attachment_height`` the count at its start (end) is of
+    the nodes labelled in its sites on the node's leftmost (rightmost) path
+    down to a word, the node itself included.  For ``adj_attachment_height``
+    it is of the modifiers at or below the node that are open at its start
+    (end): whose side is the start (end), and whose start (end) is the
+    node's.  An open modifier's sites above it are those of its ancestors
+    that share that edge, and these are exactly the nodes above it that it
+    is still open at, so each node adds its open modifiers below it when it
+    is a site.
     """
-    local = {}
-    # the part's own tree instances: ``derive`` makes every substituted
-    # subtree a shared one, so they are the root tree of its derivation and
-    # what is adjoined there, recursively.  A substituted tree with nothing
-    # attached adds only its one instance: it is counted here, and skipped
-    # among the parts below
-    words = part.words
-    stack = [part.derivation]
-    while stack:
-        node = stack.pop()
-        instance = (node.tree, node.anchor_index)
-        matched = table.get(instance)
+
+    def __init__(self, registry, grammar, words):
+        super().__init__(grammar)
+        self.registry, self.words = registry, words
+        self.rules = {}        # (tree name, anchor index) -> ``_matching_rules``
+        self.adjunctions = []  # registry positions of adjunction_count heuristics
+        self.heights = []      # (registry position, lower?, modifier labels, sites)
+        for index, h in enumerate(registry.heuristics):
+            if h.builtin == BUILTIN_ADJUNCTIONS:
+                self.adjunctions.append(index)
+            elif h.builtin is not None:
+                self.heights.append((index, h.builtin == BUILTIN_PP_HEIGHT,
+                                     h.modifier, h.sites))
+
+    def instance(self, node, foot, counts):
+        key = (node.tree, node.anchor_index)
+        matched = self.rules.get(key)
         if matched is None:
-            matched = table[instance] = _matching_rules(
-                registry, grammar, node.tree, words[node.anchor_index])
+            matched = self.rules[key] = _matching_rules(
+                self.registry, self.grammar, node.tree, self.words[node.anchor_index])
         for index in matched:
-            local[index] = local.get(index, 0) + 1
-        for att in node.attachments:
-            if att.op == OP_ADJUNCTION or not att.child.attachments:
-                stack.append(att.child)
-    subs = []
-    for sub in part.parts:
-        if not sub.derivation.attachments:
-            continue
-        summary = table.get(sub)
-        if summary is None:
-            summary = table[sub] = _summary(registry, grammar, structural, sub, table)
-        for index, count in summary[0]:
-            local[index] = local.get(index, 0) + count
-        subs.append((sub.root, summary[1]))
-    records, values = part.records, []
-    for position, (_, h) in enumerate(structural):
-        if h.builtin == BUILTIN_ADJ_HEIGHT:
-            values.append(_adj_height(records, subs, position, h, part.root))
-            continue
-        if h.builtin == BUILTIN_ADJUNCTIONS:
-            value = len(records)
-        else:
-            value = sum(_bypassed_lower(rec, h.sites) for rec in records
-                        if rec.modifier_label in h.modifier)
-        for _, sub_values in subs:
-            value += sub_values[position]
-        values.append(value)
-    return tuple(local.items()), values
+            counts[index] += 1
+        return super().instance(node, foot, counts)
+
+    def make_plan(self, tree):
+        """(kind, positions of its children, adds, sites) per node.  ``adds``
+        holds per height heuristic 1 when the heuristic counts sites on
+        paths and the node is one, else 0 (None when all are 0; a tuple for
+        every anchor), and ``sites`` the (height, registry position) pairs
+        of the heuristics counting open modifiers that the node is a site
+        of.  Memoized on the registry, across sentences."""
+        cached = self.registry._plans.get(id(tree))
+        if cached is None:
+            plan = []
+            for label, kind, children in tree.layout:
+                adds = tuple(int(lower and label in sites)
+                             for _, lower, _, sites in self.heights)
+                plan.append((kind, children, adds if kind == ANCHOR or any(adds) else None,
+                             tuple((k, index) for k, (index, lower, _, sites)
+                                   in enumerate(self.heights)
+                                   if not lower and label in sites)))
+            cached = self.registry._plans[id(tree)] = (tree, tuple(plan))
+        return cached[1]
+
+    def part(self):
+        return [0] * len(self.registry.heuristics)
+
+    def anchor(self, entry, at):
+        return (at, at + 1, entry[2], entry[2])  # a word: no sites below, none open
+
+    def internal(self, entry, values, counts):
+        _, children, adds, sites = entry
+        first, last = values[children[0]], values[children[-1]]
+        for k, index in sites:
+            counts[index] += first[2][k] + last[3][k]
+        if adds is None:
+            return (first[0], last[1], first[2], last[3])
+        return (first[0], last[1], tuple(map(add, adds, first[2])),
+                tuple(map(add, adds, last[3])))
+
+    def adjoined(self, child, entry, host, counts):
+        top = self.instance(child, host, counts)
+        for index in self.adjunctions:
+            counts[index] += 1
+        edge = _modifier_edge(top[0], top[1], host[0], host[1])
+        if edge is None:
+            return top
+        side = 2 if edge == "start" else 3
+        label = self.grammar.trees[child.tree].modifier_label
+        host_adds, opened = entry[2], None
+        for k, (index, lower, modifier, _) in enumerate(self.heights):
+            if label in modifier:
+                if lower:  # the sites below the host on its path
+                    counts[index] += host[side][k] - (host_adds[k] if host_adds else 0)
+                else:
+                    opened = list(top[side] if opened is None else opened)
+                    opened[k] += 1
+        if opened is None:
+            return top
+        return top[:side] + (tuple(opened),) + top[side + 1:]
+
+    def summary(self, counts, top):
+        return [(index, count) for index, count in enumerate(counts) if count]
+
+    def absorb(self, counts, top, summary):
+        for index, count in summary:
+            counts[index] += count
 
 
 def _matching_rules(registry, grammar, tree_name, word) -> tuple[int, ...]:
@@ -309,88 +359,19 @@ def _matching_rules(registry, grammar, tree_name, word) -> tuple[int, ...]:
     return matched
 
 
-def _modifier_edge(record) -> str | None:
-    """The edge of its host that the record's modifier lies on, read off the
-    final spans: "start" on the left, "end" on the right.  None, which the
-    heights score 0, when material lies on both sides: the auxiliary has
-    material on both sides of its foot, or a tree adjoined at its root does.
+def _modifier_edge(top_start, top_end, host_start, host_end) -> str | None:
+    """The edge of its host, spanning [host_start, host_end), that an
+    adjunction's modifier lies on, read off the final spans: "start" on the
+    left, "end" on the right.  The modifier's top, spanning [top_start,
+    top_end), is the outermost spliced-in node: the auxiliary's root or a
+    tree adjoined there.  None, which the heights score 0, when material
+    lies on both sides: the auxiliary has material on both sides of its
+    foot, or a tree adjoined at its root does.
     """
-    root, host = record.root_node, record.host_node
-    left = root.start < host.start
-    if left and host.end < root.end:
+    left = top_start < host_start
+    if left and host_end < top_end:
         return None
     return "start" if left else "end"
-
-
-def _bypassed_lower(record, sites) -> int:
-    # attachment sites below the chosen host that share its modifier-side
-    # edge.  Every node spans at least one word, so those are the nodes on
-    # the host's leftmost ("start") or rightmost ("end") path
-    edge = _modifier_edge(record)
-    if edge is None:
-        return 0
-    side = 0 if edge == "start" else -1
-    count, node = 0, record.host_node.children[side]
-    while not isinstance(node, str):
-        count += node.label in sites
-        node = node.children[side]
-    return count
-
-
-def _adj_height(records, subs, position, h, root) -> tuple[int, int, int]:
-    """``adj_attachment_height``, the heuristic ``h``, of a part whose own
-    records are ``records``, whose root is ``root`` and whose shared
-    subtrees' roots and values are ``subs``: (sum, open at start, open at
-    end), the triple of a subtree being at ``position`` of its values.
-
-    The sum counts, per modifier, the sites above it up to ``root``.  A
-    modifier whose start (end) is the root's is open at that edge: in a
-    tree that contains the part, the sites above ``root`` that share that
-    edge are its sites too.  They are no other modifier's, whose start
-    (end) lies after (before) the root's.
-    """
-    total = open_start = open_end = 0
-    for rec in records:
-        if rec.modifier_label in h.modifier:
-            edge = _modifier_edge(rec)
-            if edge is not None:
-                modifier = rec.root_node
-                total += _sites_above(modifier, edge, h.sites, root)
-                if edge == "start":
-                    open_start += modifier.start == root.start
-                else:
-                    open_end += modifier.end == root.end
-    for sub_root, sub_values in subs:
-        sub_total, sub_start, sub_end = sub_values[position]
-        total += sub_total
-        if sub_start:
-            total += sub_start * _sites_above(sub_root, "start", h.sites, root)
-            if sub_root.start == root.start:
-                open_start += sub_start
-        if sub_end:
-            total += sub_end * _sites_above(sub_root, "end", h.sites, root)
-            if sub_root.end == root.end:
-                open_end += sub_end
-    return total, open_start, open_end
-
-
-def _sites_above(node, edge, sites, root) -> int:
-    # nodes from ``root`` down to ``node``, itself excluded, labelled in
-    # ``sites`` that share its start or end (``edge``).  Nodes have no
-    # parent link, so the path is found going down from ``root``: siblings'
-    # spans are disjoint, so exactly one child of each ancestor contains
-    # the node's span
-    at, start, end = getattr(node, edge), node.start, node.end
-    count, current = 0, root
-    while current is not node:
-        count += current.label in sites and getattr(current, edge) == at
-        for child in current.children:
-            if not isinstance(child, str) and child.start <= start and end <= child.end:
-                current = child
-                break
-        else:
-            raise ValueError("the node is not below the root")
-    return count
 
 
 def score(vector, weights) -> float:
@@ -400,28 +381,43 @@ def score(vector, weights) -> float:
     return sum(v * w for v, w in zip(vector, weights))
 
 
-@dataclass
 class RankedParse:
-    derived: DerivedTree
-    vector: tuple[float, ...]
-    penalty: float
+    """One parse of a sentence: its derivation, heuristic vector and
+    penalty.  ``derived``, its derived tree, is built on first read by
+    ``deriver``, the sentence's one ``Deriver``, so that the trees read
+    share their subtrees; a parse nobody prints is never derived."""
+
+    __slots__ = ("derivation", "vector", "penalty", "deriver", "_derived")
+
+    def __init__(self, derivation: DerivationNode, vector: tuple[float, ...],
+                 penalty: float, deriver: Deriver):
+        self.derivation = derivation
+        self.vector = vector
+        self.penalty = penalty
+        self.deriver = deriver
+        self._derived = None
 
     @property
-    def derivation(self) -> DerivationNode:
-        return self.derived.derivation
+    def derived(self) -> DerivedTree:
+        if self._derived is None:
+            self._derived = self.deriver.derive(self.derivation)
+        return self._derived
 
 
-def rank(grammar: Grammar, parses, registry: HeuristicRegistry, weights) -> list[RankedParse]:
-    """Sort one sentence's parses, the ``DerivedTree``s ``derive`` made, by
-    ascending penalty.
+def rank(deriver: Deriver, derivations, registry: HeuristicRegistry,
+         weights) -> list[RankedParse]:
+    """Score one sentence's parses, the ``DerivationNode``s the parser made
+    of ``deriver.words``, and sort them by ascending penalty.  No tree is
+    derived: each ``RankedParse`` builds its own through ``deriver`` when
+    it is first read.
 
     Ties keep the parser's canonical enumeration order (the sort is stable).
     """
     ranked = []
-    table = {}  # shared subtree summaries and anchorings, for this sentence
-    for derived in parses:
-        vector = extract(registry, grammar, derived, table)
-        ranked.append(RankedParse(derived, vector, score(vector, weights)))
+    table = {}  # shared substituted nodes' counts and anchorings, for this sentence
+    for derivation in derivations:
+        vector = extract(registry, deriver.grammar, derivation, deriver.words, table)
+        ranked.append(RankedParse(derivation, vector, score(vector, weights), deriver))
     ranked.sort(key=lambda rp: rp.penalty)
     return ranked
 

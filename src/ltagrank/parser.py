@@ -22,12 +22,14 @@ under it is enumerated.  One enumeration builds the derivations of each
 elementary-tree instance once, per instance root item and stacking depth,
 and every substitution or adjunction that reaches that root replays them
 through its own copy of one ``itertools.tee``: parses share
-``DerivationNode``s, which are frozen.  Given one ``subtrees`` dict per
-sentence, ``derive`` builds the subtree of each substituted
-``DerivationNode`` once and every later parse that substitutes it reuses it:
-parses share derived subtrees too, and each anchor node, which the
-(tree, word) it anchors fixes.  So derived trees are read-only (copy one
-with ``parseval.flatten(root, ())``), and their nodes have no parent link.
+``DerivationNode``s, which are frozen.  Ranking and scoring read the
+derivations alone; a parse's tree is derived when something reads it.
+Given one ``subtrees`` dict per sentence (a ``Deriver`` holds one),
+``derive`` builds the subtree of each substituted ``DerivationNode`` once
+and every later parse that substitutes it reuses it: parses share derived
+subtrees too, and each anchor node, which the (tree, word) it anchors
+fixes.  So derived trees are read-only (copy one with
+``parseval.flatten(root, ())``), and their nodes have no parent link.
 In the same way a chart shares one item among all its anchor axioms and
 one among all its foot axioms.
 
@@ -43,7 +45,7 @@ from copy import copy
 from dataclasses import dataclass, field
 from itertools import islice, tee
 
-from .grammar import (ANCHOR, AUXILIARY, INITIAL, INTERNAL, SUBSTITUTION,
+from .grammar import (ANCHOR, AUXILIARY, FOOT, INITIAL, INTERNAL, SUBSTITUTION,
                       Address, Grammar, format_address)
 
 OP_SUBSTITUTION = "substitution"
@@ -120,38 +122,114 @@ class DerivedNode:
         return "(" + self.label + " " + " ".join(parts) + ")"
 
 
-@dataclass(eq=False)
-class AdjunctionRecord:
-    """Provenance of one adjunction in a derived tree, for the ranking
-    heuristics, which read the modifier's side off the two nodes' spans."""
-
-    root_node: DerivedNode   # outermost spliced-in top: the auxiliary's root or one adjoined there
-    host_node: DerivedNode   # the original node, now under the foot position
-    modifier_label: str | None  # the auxiliary's ``ElementaryTree.modifier_label``
-
-
 @dataclass(eq=False, repr=False, slots=True)
 class DerivedTree:
-    """The derived tree of ``derivation``: its own part and the shared
-    subtrees in it.
+    """The derived tree of ``derivation`` over the sentence ``words``.
 
-    ``derive`` makes one for a parse and, once per sentence, one for each
-    substituted ``DerivationNode``, which every parse that substitutes it
-    shares.  ``records`` holds the adjunctions of the own part, the nodes
-    that are not in a shared subtree, and ``parts`` the outermost shared
-    subtrees that part substitutes.  Its every adjunction record lies in
-    the own part or, recursively, in one of the parts.  ``words`` is the
-    sentence as given to ``derive``, one list for all the trees of it.
+    ``derive`` makes one for a parse and, once per ``subtrees`` dict, one
+    for each substituted ``DerivationNode``, which every parse that
+    substitutes it shares.  ``words`` is the sentence as given to
+    ``derive``, one list for all the trees of it.
     """
 
     derivation: DerivationNode
     root: DerivedNode
     words: list[str]
-    records: tuple[AdjunctionRecord, ...]
-    parts: tuple["DerivedTree", ...]
 
     def to_string(self) -> str:
         return self.root.to_string()
+
+
+@dataclass(eq=False, repr=False, slots=True)
+class Deriver:
+    """``derive`` for the parses of one sentence, ``words``: one
+    ``subtrees`` dict under one ``check_features`` setting, so that the
+    trees built share their subtrees.  It refers to none of those trees'
+    readers, so it forms no reference cycle with them."""
+
+    grammar: Grammar
+    words: list[str]
+    check_features: bool = False
+    subtrees: dict = field(default_factory=dict)
+
+    def derive(self, derivation: DerivationNode) -> DerivedTree:
+        return derive(self.grammar, derivation, self.words, self.check_features,
+                      self.subtrees)
+
+
+class DerivationFold:
+    """A value folded over the derived nodes of a sentence's parses, off
+    their ``DerivationNode``s, without building a node.
+
+    A derived node's span follows from the anchors: an anchor spans its
+    word, a substitution slot its child's subtree, a foot its host, and an
+    adjoined tree wraps its host.  ``instance`` folds one tree instance
+    over its tree's nodes, children before their parent, and returns the
+    value of its top, the derived node at its root's place.  The subtree of
+    a substituted ``DerivationNode`` is fixed by the node, so it is folded
+    once per fold and what it accumulates is added to every part that
+    substitutes it: a fold serves the parses of one sentence, and each
+    parse costs its own part, its root tree and what is adjoined there,
+    recursively.
+
+    A subclass defines ``make_plan(tree)``, one entry per node of
+    ``tree.layout`` whose first item is the node's kind; ``part()``, a new
+    accumulation; ``internal(entry, values, part)``, the value of an
+    internal node given the values so far by position; ``summary(part,
+    top)``, what a substituted node's subtree folded into ``part`` adds;
+    and ``absorb(part, top, summary)``, which adds that.  ``anchor(entry,
+    at)`` and ``adjoined(child, entry, host, part)``, the value of the top
+    that the auxiliary ``child`` makes where it adjoins at a node whose
+    value is ``host``, default to the span and to the auxiliary's fold.
+    """
+
+    def __init__(self, grammar: Grammar):
+        self.grammar = grammar
+        self.plans = {}   # tree name -> ``make_plan``
+        self.shared = {}  # substituted node id -> (node, top value, summary)
+
+    def instance(self, node: DerivationNode, foot, part):
+        """Fold the tree instance ``node`` and what is attached to it into
+        ``part``; ``foot`` is the value of an auxiliary's host."""
+        tree = self.grammar.trees[node.tree]
+        plan = self.plans.get(node.tree)
+        if plan is None:
+            plan = self.plans[node.tree] = self.make_plan(tree)
+        attached = {}
+        for att in node.attachments:
+            attached[tree.positions[att.address]] = att.child
+        values = []
+        for position, entry in enumerate(plan):
+            kind = entry[0]
+            if kind == INTERNAL:
+                value = self.internal(entry, values, part)
+                child = attached.get(position)
+                if child is not None:
+                    value = self.adjoined(child, entry, value, part)
+            elif kind == ANCHOR:
+                value = self.anchor(entry, node.anchor_index)
+            elif kind == FOOT:
+                value = foot
+            else:
+                value = self._substituted(attached[position], part)
+            values.append(value)
+        return values[-1]
+
+    def _substituted(self, child, part):
+        shared = self.shared.get(id(child))
+        if shared is None:
+            own = self.part()
+            top = self.instance(child, None, own)
+            # the entry holds ``child``, so that its id is not reused
+            shared = self.shared[id(child)] = (child, top, self.summary(own, top))
+        self.absorb(part, shared[1], shared[2])
+        return shared[1]
+
+    def anchor(self, entry, at: int):
+        return (at, at + 1)
+
+    def adjoined(self, child, entry, host, part):
+        return self.instance(child, host, part)
 
 
 # ---------------------------------------------------------------------------
@@ -488,13 +566,11 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
     fix its words, and every adjunction into it is inside it.  So the dict
     maps each substituted node, by identity, to its ``DerivedTree``,
     whose spans are written once.  Every substitution goes through the
-    dict, so a parse's own part is its derivation's root tree and the
-    auxiliary trees adjoined there, recursively; the tree returned records
-    that part's adjunctions and the outermost shared subtrees it
-    substitutes, not theirs.  Laying out the own part checks where each
-    anchor and shared subtree lands, so a parse's checks cost only that
-    part.  The trees returned are read-only; ``parseval.flatten(root, ())``
-    makes a private copy of one.
+    dict, so a parse's own part, the nodes it builds, is its derivation's
+    root tree and the auxiliary trees adjoined there, recursively.  Laying
+    out the own part checks where each anchor and shared subtree lands, so
+    a parse's checks cost only that part.  The trees returned are
+    read-only; ``parseval.flatten(root, ())`` makes a private copy of one.
     """
     subtrees = {} if subtrees is None else subtrees
     derived = _derived_tree(grammar, derivation, words, check_features, subtrees)
@@ -509,13 +585,11 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
 
 def _derived_tree(grammar, derivation, words, check_features, subtrees) -> DerivedTree:
     """The ``DerivedTree`` of ``derivation``, not yet laid out."""
-    records, parts = [], []
-    top, _ = _build(grammar, derivation, words, records, parts, check_features,
-                    subtrees)
-    return DerivedTree(derivation, top, words, tuple(records), tuple(parts))
+    top, _ = _build(grammar, derivation, words, check_features, subtrees)
+    return DerivedTree(derivation, top, words)
 
 
-def _build(grammar, derivation, words, records, parts, check_features, subtrees):
+def _build(grammar, derivation, words, check_features, subtrees):
     tree = grammar.trees.get(derivation.tree)
     if tree is None:
         raise DerivationError(f"unknown elementary tree {derivation.tree!r}")
@@ -565,8 +639,8 @@ def _build(grammar, derivation, words, records, parts, check_features, subtrees)
                 raise DerivationError(
                     f"substituting {child_tree.root.label!r} tree {att.child.tree!r}"
                     f" at {target.label!r} node of {derivation.tree!r}")
-            child_top = _substituted(grammar, att.child, words, parts,
-                                     check_features, subtrees)
+            child_top = _substituted(grammar, att.child, words, check_features,
+                                     subtrees)
             if check_features:
                 # checked, not stored: nothing reads a substituted root's
                 # merged features again, and other parses may share the root
@@ -587,7 +661,7 @@ def _build(grammar, derivation, words, records, parts, check_features, subtrees)
                     f" at {target.label!r} node of {derivation.tree!r}")
             # an auxiliary tree is built per use: what lands at its foot varies
             child_top, (foot_siblings, foot_index) = _build(
-                grammar, att.child, words, records, parts, check_features, subtrees)
+                grammar, att.child, words, check_features, subtrees)
             if check_features:
                 child_top.features = _unify(
                     child_top.features, target.features,
@@ -597,17 +671,15 @@ def _build(grammar, derivation, words, records, parts, check_features, subtrees)
                     f"foot of {att.child.tree!r}")
             siblings[index] = child_top
             foot_siblings[foot_index] = target
-            records.append(AdjunctionRecord(child_top, target, child_tree.modifier_label))
         else:
             raise DerivationError(f"unknown operation {att.op!r}")
 
     return holder[0], slots.get(tree.foot_address)
 
 
-def _substituted(grammar, child, words, parts, check_features, subtrees):
-    """The root of the initial tree ``child``'s subtree for a substitution,
-    whose ``DerivedTree`` is appended to ``parts``; built once per
-    ``subtrees`` dict."""
+def _substituted(grammar, child, words, check_features, subtrees):
+    """The root of the initial tree ``child``'s subtree for a substitution;
+    its ``DerivedTree`` is built once per ``subtrees`` dict."""
     shared = subtrees.get(id(child))
     if shared is None:
         shared = _derived_tree(grammar, child, words, check_features, subtrees)
@@ -616,7 +688,6 @@ def _substituted(grammar, child, words, parts, check_features, subtrees):
         # ``child``, so that its id is not reused
         _land(shared.root, _first_word(shared.root))
         subtrees[id(child)] = shared
-    parts.append(shared)
     return shared.root
 
 

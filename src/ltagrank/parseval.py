@@ -11,11 +11,11 @@ whole-sentence spans dropped.  Two recall conventions are supported:
 "standard" is correct/gold, "paper_literal" is candidate/gold (a pure
 constituent-count ratio, which can exceed 100 for over-bracketed parses).
 
-``evaluate_derived`` gives the same scores for all the parses ``derive``
-made of one sentence at once.  The counts they come from are sums over a
-candidate's distinct spans.  A parse and each subtree the parses share are
-each a ``DerivedTree``, whose ``parts`` are the shared ones it holds, so it
-reads each shared subtree once and each parse's own part once.
+``evaluate_derivations`` gives the same scores for all the parses of one
+sentence at once, off their derivations, without a tree.  The counts they
+come from are sums over a candidate's distinct spans, so it reads the
+subtree of each substituted ``DerivationNode`` the parses share once, and
+each parse's own part once.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grammar import BracketFormatError, open_text, read_tree
-from .parser import DerivedNode, assign_spans
+from .parser import DerivationFold, DerivedNode, assign_spans
 
 AGGREGATIONS = ("first", "best_of_k", "mean_of_k")
 RECALL_MODES = ("standard", "paper_literal")
@@ -164,90 +164,109 @@ def _scores(candidates, correct, crossings, gold, mode) -> EvalScores:
     return EvalScores(float(crossings), crossings == 0, recall, precision)
 
 
-def evaluate_derived(parses, gold: Bracketing, flatten=frozenset(),
-                     mode: str = "standard") -> list[EvalScores]:
+def evaluate_derivations(grammar, derivations, gold: Bracketing, flatten=frozenset(),
+                         mode: str = "standard") -> list[EvalScores]:
     """``evaluate_parse(brackets_of(derived.root, flatten), gold, mode)`` for
-    each ``DerivedTree`` of ``parses``, the parses that ``derive`` made of
-    one sentence, read off each parse's own part and shared subtrees
-    (``DerivedTree.parts``).
+    each parse of ``derivations``, the ``DerivationNode``s the parser made
+    of one sentence, read off the derivations without building a tree.
 
-    The three counts the scores come from, of candidate spans, correct ones
-    and crossing ones, are sums over a candidate's distinct normalized
-    spans, and those inside a shared subtree are fixed for the sentence.  So
-    one table holds each shared subtree's ``_counts`` and each span's two
-    bits (correct, crossing), and a parse costs its own part and one lookup
-    per outermost shared subtree.
+    Flattening drops a node whose label and whose parent's label are both
+    in ``flatten``, and a preterminal, whose one word no normalized span
+    keeps anyway.  The three counts the scores come from, of candidate
+    spans, correct ones and crossing ones, are sums over a candidate's
+    distinct normalized spans, and those inside the subtree of a
+    substituted ``DerivationNode`` are fixed for the sentence.  So one
+    ``parser.DerivationFold`` over the parses counts each such subtree once,
+    with each span's two bits (correct, crossing) memoized, and a parse
+    costs its own part.
     """
     if mode not in RECALL_MODES:
         raise ValueError(f"unknown recall mode {mode!r}")
-    gold_spans = _gold_spans(gold)
-    table, scored, out = {}, {}, []
-    for derived in parses:
-        length = derived.root.end  # a parse starts at word 0
-        if length != gold.length:
-            raise ValueError(f"length mismatch: candidate {length}, gold {gold.length}")
-        counts = _counts(derived, length, gold_spans, flatten, table)[:3]
+    spans = _SpanCounts(grammar, gold.length, _gold_spans(gold), frozenset(flatten))
+    scored, out = {}, []
+    for derivation in derivations:
+        part = spans.part()
+        top = spans.instance(derivation, None, part)
+        if top[1] != gold.length:  # a parse starts at word 0
+            raise ValueError(f"length mismatch: candidate {top[1]}, gold {gold.length}")
+        counts = spans.counts(part, top)[:3]
         scores = scored.get(counts)
         if scores is None:
-            scores = scored[counts] = _scores(*counts, len(gold_spans), mode)
+            scores = scored[counts] = _scores(*counts, len(spans.gold), mode)
         out.append(scores)
     return out
 
 
-def _counts(part, length, gold, flatten, table):
-    """(spans, correct, crossing, root inside) of ``part``, a parse's
-    ``DerivedTree`` or one of its shared subtrees: how many distinct
-    normalized spans the nodes strictly below its root have that
-    flattening with ``flatten`` keeps, how many of them are in ``gold`` and
-    cross it, and whether the root's own span is among them.  ``table`` memoizes the counts of the shared
-    subtrees and the bits of the spans (``_span_bits``).
+class _SpanCounts(DerivationFold):
+    """The normalized spans of the parses of one sentence of ``length``
+    words, folded over their derivations, and their counts against the
+    normalized spans ``gold`` under flattening with ``flatten``.  A node's
+    value is its span; a part accumulates the spans its own nodes keep
+    below their parents, and the substituted nodes' (top, ``counts``)
+    pairs."""
 
-    Two nodes share a span only along a unary chain, so the spans inside a
-    shared subtree meet those of the rest of a tree at most in the
-    subtree's root span, and only when that is inside it too.
-    """
-    root = part.root
-    subs = {id(sub.root): sub for sub in part.parts}
-    own, below = set(), []
-    stack = [root]
-    while stack:
-        node = stack.pop()
-        for child in node.children:
-            if isinstance(child, str):
-                continue
-            start, end = child.start, child.end
-            if end - start > 1 and not (start == 0 and end == length) \
-                    and not _drops_out(node, child, flatten):
-                own.add((start, end))
-            sub = subs.get(id(child))
-            if sub is None:
-                stack.append(child)
-            else:
-                below.append(sub)
-    spans, correct, crossing = len(own), 0, 0
-    for span in own:
-        is_correct, is_crossing = _span_bits(span, gold, table)
-        correct += is_correct
-        crossing += is_crossing
-    root_span = (root.start, root.end)
-    inside = root_span in own
-    for sub in below:
-        counts = table.get(sub)
-        if counts is None:
-            counts = table[sub] = _counts(sub, length, gold, flatten, table)
-        sub_spans, sub_correct, sub_crossing, sub_inside = counts
-        spans += sub_spans
-        correct += sub_correct
-        crossing += sub_crossing
-        if sub_inside:
-            span = (sub.root.start, sub.root.end)
-            if span in own:  # counted twice
-                is_correct, is_crossing = _span_bits(span, gold, table)
-                spans -= 1
-                correct -= is_correct
-                crossing -= is_crossing
-            inside = inside or span == root_span
-    return spans, correct, crossing, inside
+    def __init__(self, grammar, length, gold, flatten):
+        super().__init__(grammar)
+        self.length, self.gold, self.flatten = length, gold, flatten
+        self.bits = {}  # span -> ``_span_bits``
+
+    def make_plan(self, tree):
+        """(kind, positions of its children, those of them flattening keeps)
+        per node."""
+        layout, flatten = tree.layout, self.flatten
+        return tuple((kind, children, tuple(child for child in children
+                                            if not (label in flatten
+                                                    and layout[child][0] in flatten)))
+                     for label, kind, children in layout)
+
+    def part(self):
+        return set(), []
+
+    def internal(self, entry, values, part):
+        _, children, kept = entry
+        for child in kept:
+            start, end = values[child]
+            if end - start > 1 and (start or end != self.length):
+                part[0].add((start, end))
+        return values[children[0]][0], values[children[-1]][1]
+
+    def summary(self, part, top):
+        return self.counts(part, top)
+
+    def absorb(self, part, top, summary):
+        part[1].append((top, summary))
+
+    def counts(self, part, top):
+        """(spans, correct, crossing, top inside) of a part whose top spans
+        ``top``: how many distinct normalized spans the nodes strictly below
+        its top keep, how many of them are in the gold and cross it, and
+        whether the top's own span is among them.
+
+        Two nodes share a span only along a unary chain, so the spans inside
+        a substituted node's subtree meet those of the rest of a tree at
+        most in the span of the subtree's top, and only when that is inside
+        it too.
+        """
+        own, below = part
+        gold, bits = self.gold, self.bits
+        spans, correct, crossing = len(own), 0, 0
+        for span in own:
+            is_correct, is_crossing = _span_bits(span, gold, bits)
+            correct += is_correct
+            crossing += is_crossing
+        inside = top in own
+        for sub_top, (sub_spans, sub_correct, sub_crossing, sub_inside) in below:
+            spans += sub_spans
+            correct += sub_correct
+            crossing += sub_crossing
+            if sub_inside:
+                if sub_top in own:  # counted twice
+                    is_correct, is_crossing = _span_bits(sub_top, gold, bits)
+                    spans -= 1
+                    correct -= is_correct
+                    crossing -= is_crossing
+                inside = inside or sub_top == top
+        return spans, correct, crossing, inside
 
 
 def _span_bits(span, gold, table) -> tuple[bool, bool]:

@@ -1,4 +1,4 @@
-"""End-to-end sentence processing: select, filter, parse, derive, rank."""
+"""End-to-end sentence processing: select, filter, parse, rank."""
 
 from __future__ import annotations
 
@@ -8,7 +8,8 @@ from dataclasses import dataclass
 from .filtering import FilterReport, filter_with_fallback, structural_filter
 from .grammar import Grammar
 from .heuristics import HeuristicRegistry, RankedParse, rank
-from .parser import FeatureConflict, ParseForest, derive, enumerate_derivations, parse
+from .parser import (Deriver, FeatureConflict, ParseForest, derive, enumerate_derivations,
+                     parse)
 from .tagging import select_trees
 
 
@@ -46,6 +47,12 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
     frequency table; without one the cut would be an arbitrary name-order
     truncation.
 
+    Parses are ranked off their derivations, and no tree is derived: a
+    parse's ``derived`` is built on first read, through one ``Deriver`` per
+    sentence, so the trees read share their subtrees.  With
+    ``check_features`` every parse is derived here, because only ``derive``
+    can reject one, and those whose features clash are dropped.
+
     The cyclic garbage collector is paused for the whole call.  Everything
     the call builds (chart, derivations, derived trees, ranked parses) is
     acyclic, so reference counting alone frees all of it that is dropped,
@@ -77,18 +84,23 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
                               structural_filter(grammar, sentence, assignment))
 
         derivations = enumerate_derivations(forest, config.max_parses)
-        parses = []
-        subtrees = {}  # shared by this sentence's derived trees
-        for derivation in derivations:
-            try:
-                parses.append(derive(grammar, derivation, words,
-                                     check_features=config.check_features,
-                                     subtrees=subtrees))
-            except FeatureConflict:
-                continue
-        ranked = rank(grammar, parses, registry, weights)
+        deriver = Deriver(grammar, words, config.check_features)
+        if config.check_features:
+            # only ``derive`` can reject a parse, so every parse is derived
+            derivations = [derivation for derivation in derivations
+                           if _unifies(deriver, derivation)]
+        ranked = rank(deriver, derivations, registry, weights)
         return SentenceAnalysis(words, report, forest, ranked)
     finally:
         if enabled:
             gc.collect(0)
             gc.enable()
+
+
+def _unifies(deriver, derivation) -> bool:
+    """Whether ``derivation``'s features unify; its tree is not kept."""
+    try:
+        derive(deriver.grammar, derivation, deriver.words, True, deriver.subtrees)
+    except FeatureConflict:
+        return False
+    return True

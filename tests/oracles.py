@@ -17,14 +17,15 @@ The exhaustive trainer re-scores every cached candidate on every attempt.
 
 import random
 from collections import defaultdict
+from dataclasses import dataclass
 
 from ltagrank.grammar import (ANCHOR, AUXILIARY, INITIAL, INTERNAL, SUBSTITUTION,
                               format_address)
 from ltagrank.heuristics import (BUILTIN_ADJUNCTIONS, BUILTIN_PP_HEIGHT,
                                  GLOBAL_STRUCTURAL, _matching_rules, _modifier_edge)
-from ltagrank.parser import (OP_ADJUNCTION, OP_SUBSTITUTION, AdjunctionRecord,
-                             Attachment, DerivationError, DerivationNode,
-                             DerivedNode, DerivedTree, FeatureConflict)
+from ltagrank.parser import (OP_ADJUNCTION, OP_SUBSTITUTION, Attachment,
+                             DerivationError, DerivationNode, DerivedNode,
+                             FeatureConflict)
 from ltagrank.parseval import aggregate_scores, brackets_of, corpus_scores, evaluate_parse
 from ltagrank.training import Candidate, LogEntry, SentenceRecord, TrainState
 
@@ -263,12 +264,38 @@ def reference_derivations(forest):
             for derivation in instance(goal, 0)]
 
 
+@dataclass(eq=False)
+class AdjunctionRecord:
+    """One adjunction in a reference tree: the outermost spliced-in top
+    (the auxiliary's root or a tree adjoined there), the host node now
+    under the foot, and the auxiliary's ``modifier_label``."""
+
+    root_node: DerivedNode
+    host_node: DerivedNode
+    modifier_label: str | None
+
+
+@dataclass(eq=False)
+class ReferenceTree:
+    """A derived tree as ``reference_derive`` builds it, with the record of
+    every adjunction in it."""
+
+    derivation: DerivationNode
+    root: DerivedNode
+    words: list
+    records: list
+
+    def to_string(self):
+        return self.root.to_string()
+
+
 def reference_derive(grammar, derivation, words, check_features=False):
     """``parser.derive`` without shared subtrees: every call builds a whole
     new tree, writes every span, and compares the yield with ``words``.
 
     The same checks raise the same errors with the same messages; the merged
-    features of a substituted root are stored on it.
+    features of a substituted root are stored on it.  The ``ReferenceTree``
+    returned records every adjunction.
     """
     records, anchors = [], []
 
@@ -383,7 +410,7 @@ def reference_derive(grammar, derivation, words, check_features=False):
     if leaves != list(words):
         raise DerivationError(
             f"derived yield {leaves!r} does not match words {list(words)!r}")
-    return DerivedTree(derivation, top, list(words), records, [])
+    return ReferenceTree(derivation, top, list(words), records)
 
 
 def nodes(root):
@@ -407,20 +434,16 @@ def instances(derivation):
     return out
 
 
-def adjunctions(derived):
-    """Every adjunction record of a derived tree: its own part's and, in
-    turn, those of its shared subtrees."""
-    out, stack = [], [derived]
-    while stack:
-        part = stack.pop()
-        out.extend(part.records)
-        stack.extend(part.parts)
-    return out
+def modifier_edge(record):
+    """``heuristics._modifier_edge`` of an adjunction record."""
+    root, host = record.root_node, record.host_node
+    return _modifier_edge(root.start, root.end, host.start, host.end)
 
 
 def reference_extract(registry, grammar, derivation, derived, rules=None):
     """``heuristics.extract`` parse by parse: every tree instance of the
-    derivation and every adjunction record of the derived tree, the lower
+    derivation and every adjunction record of ``derived``, the
+    ``ReferenceTree`` that ``reference_derive`` makes of it, the lower
     height counted over the host's whole subtree and the higher one over
     the modifier's ancestors, found by identity.  ``rules``, a dict kept
     across calls with one registry and grammar, memoizes the local rules
@@ -433,7 +456,7 @@ def reference_extract(registry, grammar, derivation, derived, rules=None):
             rules[key] = _matching_rules(registry, grammar, *key)
         for index in rules[key]:
             local[index] += 1
-    records = adjunctions(derived)
+    records = derived.records
     parent = {id(child): node for node in nodes(derived.root)
               for child in node.children if not isinstance(child, str)}
     counts = []
@@ -453,7 +476,7 @@ def reference_extract(registry, grammar, derivation, derived, rules=None):
 
 def _bypassed_higher(record, sites, parent):
     # the modifier's ancestors labelled in ``sites`` that share its outer edge
-    edge = _modifier_edge(record)
+    edge = modifier_edge(record)
     if edge is None:
         return 0
     at, count, node = getattr(record.root_node, edge), 0, record.root_node
@@ -481,10 +504,10 @@ def reference_records(analyses, gold_trees, recall_mode, flatten_cats):
 
 
 def reference_bypassed_lower(record, sites):
-    """``heuristics._bypassed_lower`` by its definition: the nodes of the
-    host's whole subtree, host excluded, that are labelled in ``sites`` and
-    share the host's modifier-side edge."""
-    edge = _modifier_edge(record)
+    """The lower attachment height of an adjunction record by its
+    definition: the nodes of the host's whole subtree, host excluded, that
+    are labelled in ``sites`` and share the host's modifier-side edge."""
+    edge = modifier_edge(record)
     if edge is None:
         return 0
     host = record.host_node

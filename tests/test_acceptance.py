@@ -18,7 +18,7 @@ from ltagrank.training import Candidate, SentenceRecord, TrainConfig
 from oracles import brute_force_crossing, instances, random_binary_bracketing
 from test_filtering import FALLBACK_FREQ, FALLBACK_GRAMMAR
 from toygrammars import (CLAUSE_GRAMMAR, OFPP_GRAMMAR, bracketing, evaluate,
-                         parses_of, tag)
+                         parses_of, rank_trees, tag)
 
 
 @contextmanager
@@ -199,7 +199,7 @@ def test_criterion_5_ranked_parse_reproduction():
         parses = parses_of(grammar, text)
         assert len(parses) >= 3
         weights = uniform_weights(registry)
-        ranked = lt.rank(grammar, parses, registry, weights)
+        ranked = rank_trees(grammar, parses, registry, weights)
         pp_index = registry.names().index("pp_attachment_height")
 
         def attachment(parse):
@@ -210,7 +210,7 @@ def test_criterion_5_ranked_parse_reproduction():
         assert ranked[0].vector[pp_index] == 0.0  # the lowest eligible site
         negated = list(weights)
         negated[pp_index] = -1.0
-        reranked = lt.rank(grammar, parses, registry, negated)
+        reranked = rank_trees(grammar, parses, registry, negated)
         assert attachment(reranked[0]) == "VP"
         assert reranked[0].derivation != ranked[0].derivation
 

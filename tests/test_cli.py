@@ -311,6 +311,27 @@ def test_train_checks_the_gold_before_analyzing(tmp_path, capsys, monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize("flags, message", [
+    (["--sizes", "1,1,1"], "--sizes 1,1,1 sum to 3, but the corpus has 5 sentences"),
+    (["--delta-scale", "nan"], "delta_scale nan is not finite"),
+    (["--max-iterations", "0"], "config values must be positive"),
+    (["--resume", "broken"], "line 1: not a JSON record"),
+], ids=["sizes", "delta_scale", "max_iterations", "resume"])
+def test_train_checks_its_arguments_before_analyzing(tmp_path, capsys, monkeypatch,
+                                                     flags, message):
+    calls = []
+    monkeypatch.setattr(cli, "analyze_sentence",
+                        lambda *args: calls.append(args) or analyze_sentence(*args))
+    (tmp_path / "broken").write_text("not json\n")
+    flags = [tmp_path / flag if flag == "broken" else flag for flag in flags]
+    code, _, err = run(["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                        "--gold", SAMPLE / "gold.brackets", "--weights-out", tmp_path / "w.tsv",
+                        "--log", tmp_path / "log", *flags], capsys)
+    assert_one_error(code, err)
+    assert message in err
+    assert calls == []
+
+
 DEEP = 1200  # nesting levels, more than Python's recursion limit allows
 
 
@@ -704,8 +725,8 @@ def test_rank_prints_no_parse(tmp_path, capsys):
 @pytest.mark.parametrize("mode", ["standard", "paper_literal"])
 def test_build_records_scores_each_bracketing_once(monkeypatch, mode):
     # the records equal a fresh scoring of every candidate, while no
-    # candidate's bracketing is built and scored: parseval.evaluate_derived
-    # scores each shared subtree once and each candidate's own part
+    # candidate's bracketing is built and scored: parseval.evaluate_derivations
+    # scores each substituted subtree once and each candidate's own part
     grammar = ltagrank.loads(OFPP_GRAMMAR)
     registry = ltagrank.default_registry()
     words = "the second part is the name".split() + ["of", "the", "part"] * 3

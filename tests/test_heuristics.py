@@ -4,15 +4,14 @@ from pathlib import Path
 import pytest
 
 import ltagrank as lt
-from ltagrank import heuristics
 from ltagrank.heuristics import (GLOBAL_BUILTINS, Heuristic, HeuristicRegistry,
                                  Predicate, RegistryError, default_registry,
                                  extract, load_registry, load_weights, parse_registry,
-                                 rank, save_weights, score, uniform_weights, zero_weights)
-from ltagrank.parseval import flatten
+                                 save_weights, score, uniform_weights, zero_weights)
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
-from oracles import adjunctions, instances, nodes
-from toygrammars import MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR, parses_of, tag
+from oracles import instances, modifier_edge, nodes, reference_derive
+from toygrammars import (MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR, parses_of, rank_trees,
+                         tag)
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
 
@@ -78,7 +77,7 @@ def test_adjunction_count_zero_without_adjunction():
     reg = HeuristicRegistry([])
     parses = parses_of(g, "the/D man/N barked/V")
     assert len(parses) == 1
-    vector = extract(reg, g, parses[0])
+    vector = extract(reg, g, parses[0].derivation, parses[0].words)
     assert vector[reg.names().index("adjunction_count")] == 0.0
 
 
@@ -90,7 +89,7 @@ def test_pp_height_spec_example():
     for derived in parses_of(g, "saw/V the/D man/N with/P the/D telescope/N"):
         names = {name for name, _ in instances(derived.derivation)}
         key = "VP" if "PP_Attaches_to_VP" in names else "NP"
-        heights[key] = extract(reg, g, derived)[pp_index]
+        heights[key] = extract(reg, g, derived.derivation, derived.words)[pp_index]
     assert heights == {"VP": 1.0, "NP": 0.0}
 
 
@@ -106,8 +105,9 @@ def test_pp_with_determiner_at_its_root_wraps_its_host():
     target = ("(S (NP (N part)) (VP (V is) (NP (D the) (NP (NP (NP (N name))"
               " (PP (P of) (NP (N part)))) (PP (P of) (NP (N part)))))))")
     [derived] = [p for p in parses if p.to_string() == target]
-    assert extract(reg, g, derived)[pp_index] == 0.0
-    outer = max((rec for rec in adjunctions(derived) if rec.modifier_label == "PP"),
+    assert extract(reg, g, derived.derivation, derived.words)[pp_index] == 0.0
+    records = reference_derive(g, derived.derivation, derived.words).records
+    outer = max((rec for rec in records if rec.modifier_label == "PP"),
                 key=lambda rec: rec.host_node.end - rec.host_node.start)
     root, host = outer.root_node, outer.host_node
     assert (host.start, host.end) == (3, 6)
@@ -122,48 +122,44 @@ def test_adjective_height_direction():
     for derived in parses_of(g, "big/A dogs/N bark/V"):
         names = {name for name, _ in instances(derived.derivation)}
         site = "NP" if "Adjective_NP" in names else "N"
-        heights.add((site, extract(reg, g, derived)[adj_index]))
+        heights.add((site, extract(reg, g, derived.derivation, derived.words)[adj_index]))
     assert heights == {("NP", 0.0), ("N", 1.0)}
 
 
 def test_higher_sites_are_found_among_the_modifiers_ancestors():
-    # nodes have no parent link, so _sites_above goes down from the root to
-    # the modifier; its ancestors, read off a parent map, must agree, in
-    # trees that share subtrees
+    # heights are counted off the derivations, with no parent link and no
+    # tree; the modifiers' ancestors, read off a parent map of each parse's
+    # reference tree, must agree, for every modifier label and two site sets
     g = lt.loads(OFPP_GRAMMAR)
     registry = default_registry()
     text = "the/D second/A part/N is/V the/D name/N" + " of/P the/D part/N" * 3
     analysis = analyze_sentence(g, tag(text), registry, uniform_weights(registry),
                                 PipelineConfig(filter_k=None, adjunction_cap=3))
+    labels = ",".join({tree.modifier_label for tree in g.trees.values()} - {None})
     checked = 0
-    for rp in analysis.parses:
-        root = rp.derived.root
-        parent = {id(child): node for node in nodes(root) for child in node.children
-                  if not isinstance(child, str)}
-        for record in adjunctions(rp.derived):
-            modifier, ancestors = record.root_node, []
-            node = parent.get(id(modifier))
-            while node is not None:
-                ancestors.append(node)
-                node = parent.get(id(node))
-            edge = heuristics._modifier_edge(record)
-            for sites in (("NP", "VP"), ("N", "NP")):
+    for sites in (("NP", "VP"), ("N", "NP")):
+        higher = parse_registry(f"h global_structural builtin=adj_attachment_height"
+                                f" modifier={labels} sites={','.join(sites)}\n")
+        table = {}
+        for rp in analysis.parses:
+            reference = reference_derive(g, rp.derivation, analysis.words)
+            parent = {id(child): node for node in nodes(reference.root)
+                      for child in node.children if not isinstance(child, str)}
+            expected = 0
+            for record in reference.records:
+                edge = modifier_edge(record)
                 if edge is None:
                     continue
-                expected = sum(
-                    node.label in sites and getattr(node, edge) == getattr(modifier, edge)
-                    for node in ancestors)
-                assert heuristics._sites_above(modifier, edge, sites, root) == expected
-                checked += expected > 0
+                modifier = record.root_node
+                node = parent.get(id(modifier))
+                while node is not None:
+                    expected += node.label in sites and \
+                        getattr(node, edge) == getattr(modifier, edge)
+                    node = parent.get(id(node))
+            vector = extract(higher, g, rp.derivation, analysis.words, table)
+            assert vector[0] == expected
+            checked += expected > 0
     assert checked > 0
-    # read against a tree that does not hold its modifier, here a copy of its
-    # own tree, a record is an error, not an endless descent
-    derived = analysis.parses[0].derived
-    record = next(rec for rec in adjunctions(derived)
-                  if heuristics._modifier_edge(rec) is not None)
-    with pytest.raises(ValueError):
-        heuristics._sites_above(record.root_node, heuristics._modifier_edge(record),
-                                ("NP", "VP"), flatten(derived.root, ()))
 
 
 RELATIVE_CLAUSE_GRAMMAR = """
@@ -181,7 +177,7 @@ def test_relative_clause_count():
     reg = default_registry()
     parses = parses_of(grammar, "dogs/N that/C bark/V")
     assert len(parses) == 1
-    vector = extract(reg, grammar, parses[0])
+    vector = extract(reg, grammar, parses[0].derivation, parses[0].words)
     assert vector[reg.names().index("disprefer_relative_clause")] == 1.0
     assert vector[reg.names().index("disprefer_topicalization")] == 0.0
 
@@ -191,7 +187,7 @@ def test_registry_lists_drop_empty_items():
     grammar = lt.loads(RELATIVE_CLAUSE_GRAMMAR)
     [derived] = parses_of(grammar, "dogs/N that/C bark/V")
     counts = [extract(parse_registry(f"rc local_tree_type {option}\n"), grammar,
-                      derived)[0]
+                      derived.derivation, derived.words)[0]
               for option in ("prefix=Rel_Cl", "prefix=Rel_Cl,", "prefix=,Rel_Cl,,",
                              "trees=Rel_Cl_Stub,", "trees=,Rel_Cl_Stub")]
     assert counts == [1.0] * 5
@@ -209,7 +205,7 @@ def test_of_lexical_preference_counts():
     for derived in parses_of(g, "saw/V the/D man/N of/P the/D park/N"):
         names = {name for name, _ in instances(derived.derivation)}
         key = "VP" if "PP_Attaches_to_VP" in names else "NP"
-        counts[key] = extract(reg, g, derived)[of_index]
+        counts[key] = extract(reg, g, derived.derivation, derived.words)[of_index]
     # dispreferred analysis (VP modifier) counts once, preferred not at all
     assert counts == {"VP": 1.0, "NP": 0.0}
 
@@ -240,11 +236,11 @@ def test_rank_counts_each_anchoring_once_as_extract_would(text):
     reg = parse_registry(MIXED_CASE_REGISTRY)
     parses = parses_of(g, text, adjunction_cap=3)
     assert len(parses) > 1
-    ranked = rank(g, parses, reg, zero_weights(reg))
+    ranked = rank_trees(g, parses, reg, zero_weights(reg))
     assert [rp.derivation for rp in ranked] == [t.derivation for t in parses]
     names = reg.names()
     for rp, derived in zip(ranked, parses):
-        assert rp.vector == extract(reg, g, derived)
+        assert rp.vector == extract(reg, g, derived.derivation, derived.words)
         anchored = [(name, derived.words[anchor])
                     for name, anchor in instances(derived.derivation)]
         assert rp.vector[names.index("of_rule")] == sum(
@@ -262,7 +258,7 @@ def test_rank_prefers_low_np_attachment():
     g = lt.loads(PP_GRAMMAR)
     reg = default_registry()
     parses = parses_of(g, "saw/V the/D man/N with/P the/D telescope/N")
-    ranked = rank(g, parses, reg, uniform_weights(reg))
+    ranked = rank_trees(g, parses, reg, uniform_weights(reg))
     top_names = {name for name, _ in instances(ranked[0].derivation)}
     assert "PP_Attaches_to_NP" in top_names
 
@@ -272,7 +268,7 @@ def test_rank_zero_weights_keeps_canonical_order():
     reg = default_registry()
     parses = parses_of(
         g, "the/D second/A part/N is/V the/D name/N of/P your/D personal/A computer/N")
-    ranked = rank(g, parses, reg, zero_weights(reg))
+    ranked = rank_trees(g, parses, reg, zero_weights(reg))
     assert [rp.derivation for rp in ranked] == [t.derivation for t in parses]
 
 
@@ -281,8 +277,8 @@ def test_rank_negation_reverses_strict_order():
     reg = HeuristicRegistry([])
     parses = parses_of(g, "saw/V the/D man/N with/P the/D telescope/N")
     weights = uniform_weights(reg)
-    first = rank(g, parses, reg, weights)
-    negated = rank(g, parses, reg, [-w for w in weights])
+    first = rank_trees(g, parses, reg, weights)
+    negated = rank_trees(g, parses, reg, [-w for w in weights])
     assert first[0].penalty != first[1].penalty
     assert [rp.derivation for rp in negated] == [rp.derivation
                                                  for rp in reversed(first)]
@@ -293,8 +289,10 @@ def test_adjunction_count_direction():
     g = lt.loads(MODIFIER_GRAMMAR)
     reg = HeuristicRegistry([])
     idx = reg.names().index("adjunction_count")
-    plain = extract(reg, g, parses_of(g, "dogs/N bark/V")[0])
-    modified = extract(reg, g, parses_of(g, "dogs/N bark/V quickly/ADV")[0])
+    [plain_parse] = parses_of(g, "dogs/N bark/V")
+    [modified_parse] = parses_of(g, "dogs/N bark/V quickly/ADV")
+    plain = extract(reg, g, plain_parse.derivation, plain_parse.words)
+    modified = extract(reg, g, modified_parse.derivation, modified_parse.words)
     assert modified[idx] == plain[idx] + 1
 
 
@@ -303,7 +301,8 @@ def test_extract_pure():
     reg = default_registry()
     parses = parses_of(g, "saw/V the/D man/N with/P the/D telescope/N")
     for derived in parses:
-        assert extract(reg, g, derived) == extract(reg, g, derived)
+        assert extract(reg, g, derived.derivation, derived.words) == \
+            extract(reg, g, derived.derivation, derived.words)
 
 
 def test_linearity_and_scaling_small():

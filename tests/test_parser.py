@@ -6,16 +6,15 @@ import types
 import pytest
 
 import ltagrank as lt
-from ltagrank import heuristics, parser
+from ltagrank import parser
 from ltagrank.cli import build_records
-from ltagrank.heuristics import RankedParse, default_registry, extract
+from ltagrank.heuristics import RankedParse, default_registry, extract, parse_registry
 from ltagrank.parser import (Attachment, DerivationError, DerivationNode, DerivedNode,
                              FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION,
                              assign_spans)
 from ltagrank.parseval import RECALL_MODES
-from oracles import (adjunctions, derivation_universe, instances, nodes,
-                     reference_bypassed_lower, reference_derivations, reference_derive,
-                     reference_extract, reference_records, stack_depth)
+from oracles import (derivation_universe, instances, nodes, reference_derivations,
+                     reference_derive, reference_extract, reference_records, stack_depth)
 from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR,
                          parses_of, tag)
 
@@ -622,14 +621,22 @@ SCORINGS = [(flatten, mode) for flatten in (frozenset(), frozenset({"NP", "VP"})
 
 
 def _facts(derived):
-    """What a derived tree shows: its bracketing, every node's label and
-    span in pre-order, and every adjunction record's spans and label, in
-    no particular order."""
+    """What a derived tree shows: its bracketing and every node's label and
+    span in pre-order."""
     return (derived.to_string(),
-            [(node.label, node.start, node.end) for node in nodes(derived.root)],
-            sorted((((rec.root_node.start, rec.root_node.end),
-                     (rec.host_node.start, rec.host_node.end), rec.modifier_label)
-                    for rec in adjunctions(derived)), key=str))
+            [(node.label, node.start, node.end) for node in nodes(derived.root)])
+
+
+def _every_label_registry(grammar):
+    """Both attachment heights, with every label of ``grammar`` a modifier
+    and a site."""
+    labels = ",".join(sorted(set().union(*(_labels(tree.root)
+                                           for tree in grammar.trees.values()))))
+    return parse_registry(
+        f"lower global_structural builtin=pp_attachment_height modifier={labels}"
+        f" sites={labels}\n"
+        f"higher global_structural builtin=adj_attachment_height modifier={labels}"
+        f" sites={labels}\n")
 
 
 def _labels(node):
@@ -651,16 +658,17 @@ def _check_shared_derive(grammar, derivations, words, check_features, scoring):
     many parses were derived and how many had a feature conflict.
 
     With one table over the parses, ``extract`` equals ``reference_extract``
-    on the unshared tree, and every record's lower attachment height, read
-    off the host's edge path with every label of the grammar a site, equals
-    the count over the host's whole subtree: the edge path's sites are
-    among the whole subtree's, so equal counts mean equal sets.  And, given
-    a ``scoring``, one of ``SCORINGS``, ``build_records`` equals
+    on the unshared tree, also with every label of the grammar a modifier
+    and a site: the reference counts a lower attachment height over the
+    host's whole subtree, and a higher one over the modifier's ancestors.
+    And, given a ``scoring``, one of ``SCORINGS``, ``build_records`` equals
     ``reference_records`` against two golds, the last parse and a
     left-branching tree, with its flattening and recall mode.
     """
-    sites = set().union(*(_labels(tree.root) for tree in grammar.trees.values()))
-    subtrees, table, rules = {}, {}, {}
+    every = _every_label_registry(grammar)
+    deriver = lt.Deriver(grammar, words, check_features)
+    subtrees = deriver.subtrees
+    table, rules, every_table, every_rules = {}, {}, {}, {}
     ranked = []
     conflicts = 0
     for derivation in derivations:
@@ -674,12 +682,11 @@ def _check_shared_derive(grammar, derivations, words, check_features, scoring):
             continue
         derived = lt.derive(grammar, derivation, words, check_features, subtrees)
         assert _facts(derived) == _facts(expected), (words, check_features)
-        vector = extract(REGISTRY, grammar, derived, table)
+        vector = extract(REGISTRY, grammar, derivation, words, table)
         assert vector == reference_extract(REGISTRY, grammar, derivation, expected, rules)
-        for record in adjunctions(derived):
-            assert heuristics._bypassed_lower(record, sites) == \
-                reference_bypassed_lower(record, sites)
-        ranked.append(RankedParse(derived, vector, 0.0))
+        assert extract(every, grammar, derivation, words, every_table) == \
+            reference_extract(every, grammar, derivation, expected, every_rules)
+        ranked.append(RankedParse(derivation, vector, 0.0, deriver))
     if scoring:
         _check_scores(ranked, words, scoring)
     return len(ranked), conflicts
@@ -698,16 +705,18 @@ def _check_scores(ranked, words, scoring):
 
 
 def _check_vectors_and_scores(grammar, derivations, words, scoring):
-    """With one ``subtrees`` dict and one table over the parses, ``extract``
-    equals ``reference_extract``, which reads each shared tree whole, and
-    ``build_records`` equals ``reference_records``."""
-    subtrees, table, rules = {}, {}, {}
+    """With one table over the parses, ``extract`` equals
+    ``reference_extract`` on the unshared tree, and ``build_records``
+    equals ``reference_records`` on the trees derived with one ``subtrees``
+    dict."""
+    deriver = lt.Deriver(grammar, words)
+    table, rules = {}, {}
     ranked = []
     for derivation in derivations:
-        derived = lt.derive(grammar, derivation, words, subtrees=subtrees)
-        vector = extract(REGISTRY, grammar, derived, table)
-        assert vector == reference_extract(REGISTRY, grammar, derivation, derived, rules)
-        ranked.append(RankedParse(derived, vector, 0.0))
+        vector = extract(REGISTRY, grammar, derivation, words, table)
+        assert vector == reference_extract(REGISTRY, grammar, derivation,
+                                           reference_derive(grammar, derivation, words), rules)
+        ranked.append(RankedParse(derivation, vector, 0.0, deriver))
     _check_scores(ranked, words, scoring)
 
 

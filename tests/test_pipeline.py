@@ -5,6 +5,7 @@ from contextlib import contextmanager
 import pytest
 
 import ltagrank as lt
+from ltagrank import parser, pipeline
 from ltagrank.grammar import LexEntry
 from ltagrank.heuristics import default_registry, uniform_weights
 from ltagrank.parser import DerivationError
@@ -154,6 +155,39 @@ def test_parses_share_derived_subtrees():
     assert analysis.derivation_count == 1039
     distinct = {id(node) for rp in analysis.parses for node in nodes(rp.derived.root)}
     assert len(distinct) <= 12378
+
+
+def test_analysis_derives_no_tree_until_one_is_read(monkeypatch):
+    # without feature checks, ranking reads the derivations alone; a tree
+    # is derived, through ``parser.derive``, when a parse's is first read
+    def refuse(*args, **kwargs):
+        raise AssertionError("derive called")
+
+    monkeypatch.setattr(parser, "derive", refuse)
+    monkeypatch.setattr(pipeline, "derive", refuse)
+    analysis = _analyze_with(lt.loads(OFPP_GRAMMAR), _ladder(3),
+                             PipelineConfig(filter_k=None, adjunction_cap=3))
+    assert analysis.derivation_count > 1
+    with pytest.raises(AssertionError, match="derive called"):
+        analysis.parses[0].derived
+
+
+@pytest.mark.parametrize("cap", (None, 3), ids=str)
+def test_lazy_trees_equal_eagerly_derived_ones(cap):
+    # 12 to 21 words: every parse's tree, read in ranked order, prints as
+    # one derived in that order with one subtrees dict.  Read with the
+    # collector off and then dropped, the trees leave it nothing to find
+    grammar = lt.loads(OFPP_GRAMMAR)
+    for pps in range(2, 6):
+        analysis = _analyze_with(grammar, _ladder(pps),
+                                 PipelineConfig(filter_k=None, adjunction_cap=cap))
+        subtrees = {}
+        eager = [lt.derive(grammar, rp.derivation, analysis.words, subtrees=subtrees)
+                 .to_string() for rp in analysis.parses]
+        with _collector(False):
+            assert [rp.derived.to_string() for rp in analysis.parses] == eager, pps
+            del analysis
+            assert gc.collect() == 0, pps
 
 
 @contextmanager

@@ -135,3 +135,10 @@ def bracketing(text):
 def evaluate(candidate, gold, mode="standard"):
     """``evaluate_parse`` of two bracket strings."""
     return lt.evaluate_parse(bracketing(candidate), bracketing(gold), mode)
+
+
+def rank_trees(grammar, parses, registry, weights):
+    """``rank`` of one sentence's parses given as the derived trees of
+    ``parses_of``."""
+    return lt.rank(lt.Deriver(grammar, parses[0].words), [p.derivation for p in parses],
+                   registry, weights)
