@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from operator import add
+from operator import add, mul
 
 from .grammar import ANCHOR, Grammar, open_text
 from .parser import DerivationFold, DerivationNode, DerivedTree, Deriver
@@ -378,7 +378,7 @@ def score(vector, weights) -> float:
     """Dot product of counts and weights; lower is preferred."""
     if len(vector) != len(weights):
         raise ValueError(f"vector length {len(vector)} != weight length {len(weights)}")
-    return sum(v * w for v, w in zip(vector, weights))
+    return sum(map(mul, vector, weights))
 
 
 class RankedParse:

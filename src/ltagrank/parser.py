@@ -14,14 +14,14 @@ their anchor, substitution consumes a finished initial tree of matching
 category, and adjunction wraps a finished auxiliary tree around a "bot" item
 whose span equals the auxiliary's foot span.
 
-Each item holds its distinct ways (the deductions that posted it) in the
-order they were first derived.  Enumeration unpacks them lazily in that
-order, and the adjunction cap is enforced there: a way that would stack
-adjunctions along a spine deeper than the cap is skipped before anything
-under it is enumerated.  One enumeration builds the derivations of each
-elementary-tree instance once, per instance root item and stacking depth,
-and every substitution or adjunction that reaches that root replays them
-through its own copy of one ``itertools.tee``: parses share
+Each item holds a tuple of its distinct ways (the deductions that posted
+it) in the order they were first derived.  Enumeration unpacks them lazily
+in that order, and the adjunction cap is enforced there: a way that would
+stack adjunctions along a spine deeper than the cap is skipped before
+anything under it is enumerated.  One enumeration builds the derivations
+of each elementary-tree instance once, per instance root item and stacking
+depth, and every substitution or adjunction that reaches that root replays
+them through its own copy of one ``itertools.tee``: parses share
 ``DerivationNode``s, which are frozen.  Ranking and scoring read the
 derivations alone; a parse's tree is derived when something reads it.
 Given one ``subtrees`` dict per sentence (a ``Deriver`` holds one),
@@ -238,9 +238,10 @@ class DerivationFold:
 class _Item:
     __slots__ = ("ways",)
 
-    def __init__(self, way=None):
-        # distinct ways, in first-derived order; values unused
-        self.ways = {} if way is None else {way: None}
+    def __init__(self, way):
+        # a tuple of distinct ways, in first-derived order: nearly every
+        # item has one, and a tuple of one is the smallest container
+        self.ways = (way,)
 
 
 class ParseForest:
@@ -424,8 +425,8 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 if item is None:
                     chart[new] = _Item(way)
                     append(new)
-                else:
-                    item.ways[way] = None
+                elif way not in item.ways:
+                    item.ways += (way,)
                 continue
             dots_open[(name, position, address, layer, j)].append(key)
             for top_key in child_tops.get((name, position, address + (layer + 1,), j), ()):
@@ -441,8 +442,8 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 if item is None:
                     chart[new] = _Item(way)
                     append(new)
-                else:
-                    item.ways[way] = None
+                elif way not in item.ways:
+                    item.ways += (way,)
         elif layer == "bot":
             label = shapes[name][address][0]
             new = ("node", name, position, address, "top", i, j, fi, fj)
@@ -451,8 +452,8 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
             if item is None:
                 chart[new] = _Item(way)
                 append(new)
-            else:
-                item.ways[way] = None
+            elif way not in item.ways:
+                item.ways += (way,)
             adj_hosts[(label, i, j)].append(key)
             for aux_key in aux_roots.get((label, i, j), ()):
                 new = ("node", name, position, address, "top", aux_key[5], aux_key[6], fi, fj)
@@ -461,8 +462,8 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 if item is None:
                     chart[new] = _Item(way)
                     append(new)
-                else:
-                    item.ways[way] = None
+                elif way not in item.ways:
+                    item.ways += (way,)
         elif address:
             # a finished node feeds its parent's dotted traversal
             child_tops[(name, position, address, i)].append(key)
@@ -474,8 +475,8 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 if item is None:
                     chart[new] = _Item(way)
                     append(new)
-                else:
-                    item.ways[way] = None
+                elif way not in item.ways:
+                    item.ways += (way,)
                 continue
             for dot_key in dots_open.get((name, position, parent, child_no - 1, i), ()):
                 if dot_key[7] is None:
@@ -488,8 +489,8 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 if item is None:
                     chart[new] = _Item(way)
                     append(new)
-                else:
-                    item.ways[way] = None
+                elif way not in item.ways:
+                    item.ways += (way,)
         elif name in initial:
             label = shapes[name][()][0]
             way = ("subst", key)
@@ -499,8 +500,8 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 if item is None:
                     chart[new] = _Item(way)
                     append(new)
-                else:
-                    item.ways[way] = None
+                elif way not in item.ways:
+                    item.ways += (way,)
             if label == start and i == 0 and j == n:
                 goals.append(key)
         else:
@@ -514,8 +515,8 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 if item is None:
                     chart[new] = _Item(way)
                     append(new)
-                else:
-                    item.ways[way] = None
+                elif way not in item.ways:
+                    item.ways += (way,)
 
     return ParseForest(grammar, chart, goals, adjunction_cap)
 

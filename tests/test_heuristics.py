@@ -72,6 +72,22 @@ def test_score_arithmetic():
         score((1.0,), (1.0, 2.0))
 
 
+def test_score_equals_the_sum_of_the_products():
+    # bit for bit against the generator form ``score`` had before, signed
+    # zeros, subnormals and overflow included: ranking breaks ties between
+    # equal penalties, so none may move
+    rng = random.Random(7)
+    specials = (0.0, -0.0, 5e-324, -5e-324, 1e308, -1e308, 1.0, 2.0, 0.1)
+    draw = (lambda: rng.choice(specials), lambda: rng.uniform(-4.0, 4.0),
+            lambda: float(rng.randrange(4)))
+    for _ in range(2000):
+        n = rng.randrange(1, 13)
+        vector = tuple(rng.choice(draw)() for _ in range(n))
+        weights = [rng.choice(draw)() for _ in range(n)]
+        expected = sum(v * w for v, w in zip(vector, weights))
+        assert score(vector, weights).hex() == expected.hex(), (vector, weights)
+
+
 def test_adjunction_count_zero_without_adjunction():
     g = lt.loads(PP_GRAMMAR)
     reg = HeuristicRegistry([])

@@ -525,6 +525,26 @@ def test_chart_keeps_its_deduction_order(universes):
     assert found == CHART_DIGESTS
 
 
+@pytest.mark.parametrize("grammar_text, words", [
+    (PP_GRAMMAR, "the man saw the man with the telescope".split()),
+    (OFPP_GRAMMAR, _ladder_words(2)),
+], ids=("pp", "ladder12"))
+def test_doubled_candidates_give_the_same_chart_and_derivations(grammar_text, words):
+    # a tree named twice among a position's candidates posts each of its
+    # substitution ways twice: an item keeps one copy, so the chart and
+    # the derivations are those of the plain assignment
+    g = lt.loads(grammar_text)
+    sentence = _tagged(g, words)
+    assignment = lt.structural_filter(g, sentence, lt.select_trees(g, sentence))
+    doubled = lt.TreeAssignment([c + c for c in assignment.candidates])
+    plain, twice = (lt.parse(g, sentence, a, adjunction_cap=3) for a in (assignment, doubled))
+    assert len(twice._chart) == len(plain._chart)
+    assert _chart_digest([twice]) == _chart_digest([plain])
+    derivations = lt.enumerate_derivations(plain)
+    assert len(derivations) > 1
+    assert lt.enumerate_derivations(twice) == derivations
+
+
 # two grammars with the same tree names, and other labels and shapes
 SHAPE_GRAMMARS = ("""
 tree Noun : initial (NP N@)
