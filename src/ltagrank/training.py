@@ -7,17 +7,19 @@ improves.  Every accepted step re-scores HELD-OUT; three consecutive
 non-improvements there (configurable) stop the run.  The returned weights are
 the best held-out checkpoint seen, which is what the held-out set is for.
 
-TRAIN is ranked through a ``RankCache``: every candidate's penalty, every
-sentence's top-k aggregate, and per heuristic the candidates that count
-non-zero there.  An attempt changes one weight, so it re-scores only the
-candidates non-zero at that heuristic, with the full dot product, and
-re-ranks only their sentences; on the toy grammars most heuristics count
-zero on every candidate, and their attempts re-score nothing.  Every other
-candidate's penalty is the same sum up to the sign of a zero, since its
-product at that heuristic is zero before and after (weights are finite), so
-orders, aggregates, objectives and the log equal those of re-scoring
-everything (``evaluate_set``) on every attempt.  HELD-OUT is re-scored in
-full with ``evaluate_set``, once per accepted step.
+Candidates are ranked by heuristic-vector class: equal vectors always get
+equal penalties, so a split scores each distinct vector once per weight
+vector, and a sentence keeps only its first ``top_k`` candidates of each
+vector, since the others are never in its top k.  TRAIN is ranked through a
+``RankCache``: every vector's penalty, every sentence's top-k aggregate, and
+per heuristic the vectors that count non-zero there.  An attempt changes one
+weight, so it re-scores only those vectors and re-sorts only the sentences
+that keep one; on the toy grammars most heuristics count zero on every
+candidate, and their attempts re-score nothing.  When no sentence's top k
+moves, the attempt's TRAIN scores are the cached ones.  Orders, aggregates,
+objectives and the log equal those of re-scoring every candidate on every
+attempt (see ``RankCache``).  HELD-OUT is re-scored in full with
+``evaluate_set``, once per accepted step.
 """
 
 from __future__ import annotations
@@ -106,106 +108,151 @@ class TrainConfig:
             raise TrainingError(f"delta_scale {self.delta_scale} is not finite")
 
 
-def rank_top_k(candidates, penalties, top_k: int, aggregation: str):
-    """Order one sentence's candidates by (penalty, index) and aggregate the
-    scores of the first ``top_k``; None when there are no candidates."""
-    return _aggregate(candidates, _top(penalties, top_k), aggregation)
+def _classes(records: list[SentenceRecord], top_k: int):
+    """Group the candidates of a split by heuristic vector: the distinct
+    vectors, in first-seen order (their ids are their positions), and per
+    sentence the scores and vector ids of its first ``top_k`` candidates of
+    each vector, in candidate order.  The others are never in a top k."""
+    ids = {}
+    sentences = []
+    for record in records:
+        scores, kept, seen = [], [], {}
+        for candidate in record.candidates:
+            vid = ids.setdefault(candidate.vector, len(ids))
+            count = seen.get(vid, 0)
+            if count < top_k:
+                seen[vid] = count + 1
+                scores.append(candidate.scores)
+                kept.append(vid)
+        sentences.append((scores, kept))
+    return list(ids), sentences
 
 
-def _top(penalties, top_k: int) -> tuple[int, ...]:
-    """The indices of the first ``top_k`` candidates by (penalty, index)."""
-    return tuple(sorted(range(len(penalties)), key=penalties.__getitem__)[:top_k])
+def _top(penalties, kept, top_k: int) -> tuple[int, ...]:
+    """The positions among a sentence's kept candidates, whose vector ids
+    are ``kept``, of its first ``top_k`` by (penalty, position)."""
+    ranked = list(map(penalties.__getitem__, kept))
+    return tuple(sorted(range(len(ranked)), key=ranked.__getitem__)[:top_k])
 
 
-def _aggregate(candidates, top, aggregation: str):
+def _aggregate(scores, top, aggregation: str):
     if not top:
         return None
-    return aggregate_scores([candidates[i].scores for i in top], aggregation)
+    return aggregate_scores([scores[i] for i in top], aggregation)
+
+
+def _rank(sentences, penalties, config: TrainConfig):
+    """Each sentence's top positions and their aggregate (None when it has
+    no candidates) at the vector ``penalties``."""
+    tops = [_top(penalties, kept, config.top_k) for _, kept in sentences]
+    aggregates = [_aggregate(scores, top, config.aggregation)
+                  for (scores, _), top in zip(sentences, tops)]
+    return tops, aggregates
 
 
 def evaluate_set(records: list[SentenceRecord], weights,
                  config: TrainConfig) -> CorpusScores:
-    """Score every candidate of every sentence at ``weights`` and rank them."""
-    per_sentence = []
-    for record in records:
-        penalties = [score(c.vector, weights) for c in record.candidates]
-        per_sentence.append(rank_top_k(record.candidates, penalties, config.top_k,
-                                       config.aggregation))
-    return corpus_scores(per_sentence)
+    """Rank every sentence's candidates by (penalty at ``weights``, index)
+    and score the split on each one's top ``top_k``; each distinct vector
+    is scored once (see ``RankCache``)."""
+    vectors, sentences = _classes(records, config.top_k)
+    penalties = [score(vector, weights) for vector in vectors]
+    return corpus_scores(_rank(sentences, penalties, config)[1])
 
 
 @dataclass
 class Rescore:
     """The ranking of a split at other weights, as far as it differs from
-    the cache it came from: sentence position -> (penalties, top-k indices,
-    aggregate)."""
+    the cache it came from: every vector's penalty, and sentence position
+    -> (top positions, aggregate) for each sentence whose top moved."""
 
     weights: list[float]
-    sentences: dict
+    penalties: list[float]
+    moved: dict
     scores: CorpusScores
 
 
 class RankCache:
     """The ranking of one split at one weight vector, updated incrementally.
 
-    Per sentence it holds each candidate's penalty, the indices of its top
-    ``top_k`` candidates and their ``rank_top_k`` aggregate; per heuristic
-    index, the candidates whose count there is non-zero, by sentence.
-    Moving to weights that differ at some indices re-scores only the
-    candidates non-zero at one of them, with the full ``score``, and
-    re-ranks only their sentences; a sentence whose top indices stay the
-    same keeps its aggregate, which they alone fix.  That is exact:
-    any other candidate's products at those indices are zeros before and
-    after (the weights are finite), so its penalty is the same sum up to
-    the sign of a zero, which compares equal, and every order, aggregate
-    and corpus score equals that of ``evaluate_set`` at the new weights.
+    It ranks heuristic-vector classes, not candidates.  Each distinct
+    vector of the split has an id and one penalty; each sentence keeps
+    only its first ``top_k`` candidates of each vector, in order, with the
+    positions of its top ``top_k`` among them and their aggregate; and per
+    heuristic index it lists the vectors non-zero there and the sentences
+    that keep one.  Moving to weights that differ at some indices re-scores
+    only those vectors, with the full ``score``, once each, and re-sorts
+    only those sentences.  When no sentence's top moves, the corpus scores
+    are the cached ones; otherwise only the moved aggregates are redone.
+
+    Every order, aggregate and corpus score equals that of ranking every
+    candidate at the new weights (``evaluate_set``):
+    - equal vectors are the same products summed in the same order, so
+      their penalties are equal (vectors that differ only in the sign of a
+      zero count give sums that differ at most in the sign of a zero, which
+      compare equal);
+    - hence a candidate with ``top_k`` earlier candidates of its own vector
+      has ``top_k`` candidates ahead of it by (penalty, index) at any
+      weights, and the (penalty, index) order of the kept candidates is
+      the full order with never-ranked candidates left out;
+    - a vector zero at every changed index has zero products there before
+      and after (weights are finite), so its penalty is the same sum up to
+      the sign of a zero, which compares equal, and it needs no re-score;
+    - an aggregate depends on its top alone, and equal aggregates give
+      equal corpus scores.
+    This assumes no penalty is NaN, which only weights near +-1e308 can
+    make, and which leaves no order defined even when everything is
+    re-scored.
     """
 
     def __init__(self, records: list[SentenceRecord], weights, config: TrainConfig):
-        self.records = records
         self.config = config
         self.weights = list(weights)
-        self.penalties = [[score(c.vector, self.weights) for c in r.candidates]
-                          for r in records]
-        self.tops = [_top(penalties, config.top_k) for penalties in self.penalties]
-        self.aggregates = [_aggregate(r.candidates, top, config.aggregation)
-                           for r, top in zip(records, self.tops)]
+        self.vectors, self.sentences = _classes(records, config.top_k)
+        self.penalties = [score(vector, self.weights) for vector in self.vectors]
+        self.tops, self.aggregates = _rank(self.sentences, self.penalties, config)
         self.scores = corpus_scores(self.aggregates)
-        self.touching = [{} for _ in self.weights]
-        for position, record in enumerate(records):
-            for number, candidate in enumerate(record.candidates):
-                for index, count in enumerate(candidate.vector):
-                    if count:
-                        self.touching[index].setdefault(position, []).append(number)
+        nonzero = [[index for index, count in enumerate(vector) if count]
+                   for vector in self.vectors]
+        # per heuristic index: the vectors non-zero there, and the sentences
+        # that keep one of them
+        self.vectors_at = [[] for _ in self.weights]
+        self.sentences_at = [set() for _ in self.weights]
+        for vid, indices in enumerate(nonzero):
+            for index in indices:
+                self.vectors_at[index].append(vid)
+        for position, (_, kept) in enumerate(self.sentences):
+            for vid in set(kept):
+                for index in nonzero[vid]:
+                    self.sentences_at[index].add(position)
 
     def rescore(self, weights) -> Rescore:
         """The ranking at ``weights``; the cache itself is left as it is."""
         weights = list(weights)
         changed = [i for i, (old, new) in enumerate(zip(self.weights, weights))
                    if old != new]
-        touched = {}
-        for index in changed:
-            for position, numbers in self.touching[index].items():
-                touched.setdefault(position, set()).update(numbers)
-        sentences = {}
-        per_sentence = list(self.aggregates)
-        for position, numbers in touched.items():
-            candidates = self.records[position].candidates
-            penalties = list(self.penalties[position])
-            for number in numbers:
-                penalties[number] = score(candidates[number].vector, weights)
-            top = _top(penalties, self.config.top_k)
+        penalties = list(self.penalties)
+        for vid in {vid for i in changed for vid in self.vectors_at[i]}:
+            penalties[vid] = score(self.vectors[vid], weights)
+        moved = {}
+        for position in set().union(*(self.sentences_at[i] for i in changed)):
+            scores, kept = self.sentences[position]
+            top = _top(penalties, kept, self.config.top_k)
             if top != self.tops[position]:
-                per_sentence[position] = _aggregate(candidates, top,
-                                                    self.config.aggregation)
-            sentences[position] = (penalties, top, per_sentence[position])
-        return Rescore(weights, sentences, corpus_scores(per_sentence))
+                moved[position] = (top, _aggregate(scores, top, self.config.aggregation))
+        scores = self.scores
+        if moved:
+            per_sentence = list(self.aggregates)
+            for position, (_, aggregate) in moved.items():
+                per_sentence[position] = aggregate
+            scores = corpus_scores(per_sentence)
+        return Rescore(weights, penalties, moved, scores)
 
     def commit(self, rescore: Rescore) -> None:
         """Move the cache to the weights of ``rescore``, which it made."""
         self.weights = rescore.weights
-        for position, (penalties, top, aggregate) in rescore.sentences.items():
-            self.penalties[position] = penalties
+        self.penalties = rescore.penalties
+        for position, (top, aggregate) in rescore.moved.items():
             self.tops[position] = top
             self.aggregates[position] = aggregate
         self.scores = rescore.scores
@@ -270,6 +317,13 @@ def _improved(config: TrainConfig, old_scores: CorpusScores,
             and new_scores.precision_pct > old_scores.precision_pct)
 
 
+# the generator every step restores ``state.rng_state`` into, reused since a
+# fresh ``random.Random()`` seeds itself from the OS only to be overwritten;
+# each step sets its whole state first, so no call sees another's draws
+# (steps are not meant to run in concurrent threads)
+_STEP_RNG = random.Random(0)
+
+
 def step(state: TrainState, config: TrainConfig, train_cache: RankCache,
          heuristic_names):
     """One perturbation attempt: mutate state, return (LogEntry, TRAIN scores).
@@ -277,12 +331,12 @@ def step(state: TrainState, config: TrainConfig, train_cache: RankCache,
     Picks a heuristic uniformly at random, shifts its weight by a uniform
     draw from [-delta_scale, +delta_scale], and keeps the change iff the
     TRAIN objective strictly improves.  ``train_cache`` ranks TRAIN at
-    ``state.weights``; the trial re-scores only the candidates with a
-    non-zero count at the perturbed heuristic (see ``RankCache``), and an
+    ``state.weights``; the trial re-scores only the distinct vectors with
+    a non-zero count at the perturbed heuristic (see ``RankCache``), and an
     accepted step commits it.  The scores returned are those at the
     weights kept.  Held-out bookkeeping is the caller's.
     """
-    rng = random.Random()
+    rng = _STEP_RNG
     rng.setstate(state.rng_state)
     state.attempts += 1
     index = rng.randrange(len(state.weights))
@@ -309,7 +363,7 @@ def train(records_by_id: dict, spec: SplitSpec, config: TrainConfig,
 
     Only TRAIN and HELD-OUT sentences are ever scored.  TRAIN goes through a
     ``RankCache`` built once at the starting weights (``state.weights`` when
-    resuming), so every attempt re-scores only the TRAIN candidates its
+    resuming), so every attempt re-scores only the TRAIN vectors its
     heuristic touches; HELD-OUT is re-scored in full after each accepted
     step.  The log, weights and state are those of re-scoring every
     candidate on every attempt.  Deterministic given (records, spec, config,

@@ -567,6 +567,22 @@ def brute_force_crossing(cand_spans, gold_spans, length):
 # ---------------------------------------------------------------------------
 # exhaustive trainer
 
+def reference_evaluate(records, weights, config):
+    """The corpus scores of ``records`` with every candidate scored and
+    ranked by (penalty, index) at ``weights``."""
+    per_sentence = []
+    for record in records:
+        if not record.candidates:
+            per_sentence.append(None)
+            continue
+        penalties = [sum(v * w for v, w in zip(c.vector, weights))
+                     for c in record.candidates]
+        order = sorted(range(len(penalties)), key=lambda i: (penalties[i], i))
+        top = [record.candidates[i].scores for i in order[:config.top_k]]
+        per_sentence.append(aggregate_scores(top, config.aggregation))
+    return corpus_scores(per_sentence)
+
+
 def reference_train(records_by_id, spec, config, initial_weights, names,
                     resume_state=None):
     """Hill climbing that re-scores every cached candidate of a split on
@@ -575,19 +591,6 @@ def reference_train(records_by_id, spec, config, initial_weights, names,
     Returns (log entries, best held-out weights, final state), which
     ``training.train`` must reproduce exactly.
     """
-    def evaluate(records, weights):
-        per_sentence = []
-        for record in records:
-            if not record.candidates:
-                per_sentence.append(None)
-                continue
-            penalties = [sum(v * w for v, w in zip(c.vector, weights))
-                         for c in record.candidates]
-            order = sorted(range(len(penalties)), key=lambda i: (penalties[i], i))
-            top = [record.candidates[i].scores for i in order[:config.top_k]]
-            per_sentence.append(aggregate_scores(top, config.aggregation))
-        return corpus_scores(per_sentence)
-
     def improved(old, new):
         if config.require_all_metrics:
             return all(getattr(new, metric) > getattr(old, metric) for metric in
@@ -599,8 +602,9 @@ def reference_train(records_by_id, spec, config, initial_weights, names,
     rng = random.Random(config.seed)
     if resume_state is None:
         weights = list(initial_weights)
-        train_objective = evaluate(train, weights).objective()
-        heldout_last = best_heldout = evaluate(heldout, weights).objective()
+        train_objective = reference_evaluate(train, weights, config).objective()
+        heldout_last = best_heldout = \
+            reference_evaluate(heldout, weights, config).objective()
         best_weights = list(weights)
         strikes = attempts = accepted = 0
     else:
@@ -613,7 +617,7 @@ def reference_train(records_by_id, spec, config, initial_weights, names,
         strikes = resume_state.strikes
         attempts = resume_state.attempts
         accepted = resume_state.accepted
-    train_scores = evaluate(train, weights)
+    train_scores = reference_evaluate(train, weights, config)
     entries = []
     while attempts < config.max_iterations and strikes < config.strike_limit:
         attempts += 1
@@ -621,14 +625,14 @@ def reference_train(records_by_id, spec, config, initial_weights, names,
         delta = rng.uniform(-config.delta_scale, config.delta_scale)
         trial = list(weights)
         trial[index] += delta
-        scores = evaluate(train, trial)
+        scores = reference_evaluate(train, trial, config)
         heldout_objective = None
         is_better = improved(train_scores, scores)
         if is_better:
             weights, train_scores = trial, scores
             train_objective = scores.objective()
             accepted += 1
-            heldout_objective = evaluate(heldout, weights).objective()
+            heldout_objective = reference_evaluate(heldout, weights, config).objective()
             strikes = 0 if heldout_objective > heldout_last else strikes + 1
             if heldout_objective > best_heldout:
                 best_heldout, best_weights = heldout_objective, list(weights)

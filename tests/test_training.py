@@ -5,8 +5,9 @@ import random
 import pytest
 
 import ltagrank.training as tr
+from ltagrank import heuristics
 from ltagrank.parseval import AGGREGATIONS, EvalScores
-from oracles import reference_train
+from oracles import reference_evaluate, reference_train
 from ltagrank.training import (Candidate, SentenceRecord, TrainConfig,
                                TrainingError, evaluate_set, split, step, train)
 
@@ -341,8 +342,59 @@ def random_records(rng, n_sentences, dims, zero_columns):
     return records
 
 
+def forced_tie_records(rng, n_sentences, dims, top_k):
+    """Sentences over a pool of seven vectors shared across sentences (one
+    of them another with its zeros negated), the last heuristic counting 0
+    everywhere: in turn an empty sentence, one of a single vector, and
+    three mixed ones, most of whose candidates come from two of the
+    vectors.  Each candidate's metrics are drawn on their own, and every
+    single-vector sentence and about two in three mixed ones hold more
+    than ``top_k`` candidates of one vector."""
+    pool = [tuple(0 if i == dims - 1 else rng.choice([0, 1, 2, 3]) for i in range(dims))
+            for _ in range(6)]
+    pool.append(tuple(-0.0 if count == 0 else count for count in pool[0]))
+    records = {}
+    for sid in range(n_sentences):
+        kind = sid % 5
+        if kind == 0:
+            vectors = []
+        elif kind == 1:
+            vectors = [rng.choice(pool)] * rng.randint(top_k + 1, top_k + 3)
+        else:
+            vectors = [rng.choice(pool[:2] if rng.random() < 0.5 else pool)
+                       for _ in range(rng.randint(top_k + 1, 3 * top_k + 2))]
+        records[sid] = make_record(sid, [(vector,) + rng.choice(QUALITIES)
+                                         for vector in vectors])
+    return records
+
+
 TRAINER_CASES = [(aggregation, strict) for aggregation in AGGREGATIONS
                  for strict in (False, True)]
+
+
+def check_against_reference(records, spec, config, initial, names, tmp_path):
+    """``train`` equals ``reference_train``, fresh and resumed from the log
+    of a run cut halfway; returns the fresh run's final state."""
+    result = train(records, spec, config, initial, heuristic_names=names)
+    entries, weights, state = reference_train(records, spec, config, initial, names)
+    assert result.entries == entries
+    assert result.weights == weights
+    assert result.state == state
+
+    cut = state.attempts // 2
+    half_config = TrainConfig(**{**vars(config), "max_iterations": max(cut, 1)})
+    half = train(records, spec, half_config, initial, heuristic_names=names)
+    tr.write_log(tmp_path / "half.log", half, half_config, spec)
+    resume, _ = tr.read_log(tmp_path / "half.log")
+    resumed = train(records, spec, config, initial, heuristic_names=names,
+                    resume_state=resume)
+    resumed_entries, resumed_weights, resumed_state = reference_train(
+        records, spec, config, initial, names,
+        resume_state=tr.read_log(tmp_path / "half.log")[0])
+    assert resumed.entries == resumed_entries
+    assert resumed.weights == resumed_weights
+    assert resumed.state == resumed_state
+    return state
 
 
 @pytest.mark.parametrize("aggregation, strict", TRAINER_CASES)
@@ -360,29 +412,31 @@ def test_train_matches_exhaustive_reference(aggregation, strict, tmp_path):
         config = TrainConfig(top_k=rng.choice([1, 2, 3]), aggregation=aggregation,
                              delta_scale=1.0, strike_limit=6, max_iterations=120,
                              seed=seed, require_all_metrics=strict)
-        result = train(records, spec, config, initial, heuristic_names=names)
-        entries, weights, state = reference_train(records, spec, config, initial, names)
-        assert result.entries == entries
-        assert result.weights == weights
-        assert result.state == state
+        state = check_against_reference(records, spec, config, initial, names, tmp_path)
         accepted += state.accepted
         crossed += any((a > 0) != (b > 0) for a, b in zip(initial, state.weights))
-
-        # resumed from the log of a run cut halfway
-        cut = state.attempts // 2
-        half_config = TrainConfig(**{**vars(config), "max_iterations": max(cut, 1)})
-        half = train(records, spec, half_config, initial, heuristic_names=names)
-        tr.write_log(tmp_path / "half.log", half, half_config, spec)
-        resume, _ = tr.read_log(tmp_path / "half.log")
-        resumed = train(records, spec, config, initial, heuristic_names=names,
-                        resume_state=resume)
-        entries, weights, state = reference_train(
-            records, spec, config, initial, names,
-            resume_state=tr.read_log(tmp_path / "half.log")[0])
-        assert resumed.entries == entries
-        assert resumed.weights == weights
-        assert resumed.state == state
     assert accepted > 0 and crossed > 0
+
+
+@pytest.mark.parametrize("aggregation, strict", TRAINER_CASES)
+def test_train_matches_exhaustive_reference_on_forced_ties(aggregation, strict,
+                                                           tmp_path):
+    accepted = 0
+    for seed in range(4):
+        rng = random.Random(1000 + 100 * seed + len(aggregation) + strict)
+        dims = 4
+        top_k = rng.choice([1, 2, 3])
+        records = forced_tie_records(rng, 30, dims, top_k)
+        ids = tuple(records)
+        spec = tr.SplitSpec(ids[:15], ids[15:], (), seed=0)
+        initial = [rng.choice([0.0, 0.25, -0.25, 1.0]) for _ in range(dims)]
+        config = TrainConfig(top_k=top_k, aggregation=aggregation, delta_scale=1.0,
+                             strike_limit=6, max_iterations=200, seed=seed,
+                             require_all_metrics=strict)
+        state = check_against_reference(records, spec, config, initial,
+                                        [f"h{i}" for i in range(dims)], tmp_path)
+        accepted += state.accepted
+    assert accepted > 0
 
 
 def test_rank_cache_follows_any_weight_change():
@@ -398,7 +452,38 @@ def test_rank_cache_follows_any_weight_change():
             moved[index] += rng.uniform(-1.0, 1.0)
         trial = cache.rescore(moved)
         assert trial.scores == evaluate_set(records, moved, config)
+        assert trial.scores == reference_evaluate(records, moved, config)
         if rng.random() < 0.5:
             cache.commit(trial)
             assert cache.scores == evaluate_set(records, moved, config)
+            assert cache.scores == reference_evaluate(records, moved, config)
     assert cache.scores == evaluate_set(records, cache.weights, config)
+    assert cache.scores == reference_evaluate(records, cache.weights, config)
+
+
+def test_an_attempt_scores_each_distinct_vector_once(monkeypatch):
+    rng = random.Random(5)
+    dims = 4
+    config = TrainConfig(top_k=2, aggregation="mean_of_k", delta_scale=1.0, seed=3)
+    records = list(forced_tie_records(rng, 24, dims, config.top_k).values())
+    names = [f"h{i}" for i in range(dims)]
+    state = _initial_state(records, config, [1.0] * dims)
+    cache = tr.RankCache(records, state.weights, config)
+    distinct = {c.vector for r in records for c in r.candidates}
+    calls = []
+
+    def counted(vector, weights):
+        calls.append(vector)
+        return heuristics.score(vector, weights)
+
+    monkeypatch.setattr(tr, "score", counted)
+    perturbed = set()
+    for _ in range(60):
+        calls.clear()
+        entry, _ = step(state, config, cache, names)
+        index = names.index(entry.heuristic)
+        assert len(calls) == len(set(calls))
+        assert set(calls) == {vector for vector in distinct if vector[index]}
+        perturbed.add(index)
+    assert perturbed == set(range(dims))
+    assert not any(vector[dims - 1] for vector in distinct)
