@@ -245,22 +245,37 @@ def _flatten_categories(args):
     return frozenset(c for c in args.flatten.split(",") if c)
 
 
-def build_records(analyses, gold_trees, recall_mode, flatten_cats):
+def build_records(analyses, gold_trees, recall_mode, flatten_cats,
+                  top_k: int = training.TrainConfig.top_k):
     """Cache each sentence's candidate vectors and gold metrics for training.
 
+    ``analyses`` may be a generator: no analysis is kept, so each one can
+    be freed while the next is analyzed.  Only the candidates that a
+    ranking can put in a top ``top_k`` are scored against gold
+    (``training.reachable``); every other candidate keeps its vector and
+    its position, with ``scores`` None, which a trainer at this or a
+    smaller top k never reads.
     ``parseval.evaluate_derivations`` scores a sentence's candidates
     together, off their derivations: no tree is derived, each substituted
     subtree the parses share is scored against the gold once, and each
     candidate costs only its own part.
     """
     records = {}
-    for index, (analysis, gold) in enumerate(zip(analyses, gold_trees)):
+    # no enumerate over the zip: the tuples the two reuse would keep the
+    # analysis before last alive while the next one is analyzed
+    for analysis, gold in zip(analyses, gold_trees):
+        index = len(records)
         parses = analysis.parses
-        scores = parseval.evaluate_derivations(
-            parses[0].deriver.grammar, [rp.derivation for rp in parses],
-            parseval.brackets_of(gold), flatten_cats, recall_mode) if parses else []
-        records[index] = training.SentenceRecord(index, [
-            training.Candidate(rp.vector, score) for rp, score in zip(parses, scores)])
+        vectors = [rp.vector for rp in parses]
+        scores = [None] * len(parses)
+        kept = training.reachable(vectors, top_k)
+        if kept:
+            for position, score in zip(kept, parseval.evaluate_derivations(
+                    parses[0].deriver.grammar, [parses[i].derivation for i in kept],
+                    parseval.brackets_of(gold), flatten_cats, recall_mode)):
+                scores[position] = score
+        records[index] = training.SentenceRecord(
+            index, list(map(training.Candidate, vectors, scores)))
     return records
 
 
@@ -289,10 +304,11 @@ def cmd_train(args) -> int:
         require_all_metrics=args.require_all_metrics)
     resume_state, earlier = training.read_log(args.resume) if args.resume else (None, [])
 
-    analyses = [analyze_sentence(grammar, sentence, registry, initial, config)
-                for sentence in sentences]
+    # analyzed one at a time: each chart is freed soon after its record is built
+    analyses = (analyze_sentence(grammar, sentence, registry, initial, config)
+                for sentence in sentences)
     records = build_records(analyses, gold_trees, args.recall_mode,
-                            _flatten_categories(args))
+                            _flatten_categories(args), args.top_k)
     result = training.train(records, spec, train_config, initial,
                             heuristic_names=registry.names(),
                             resume_state=resume_state)

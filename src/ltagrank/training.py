@@ -1,9 +1,10 @@
 """Weight training by random single-heuristic perturbation with held-out control.
 
 Sentences are parsed and scored against gold once, up front; the loop only
-re-ranks cached candidates.  Each step perturbs one randomly chosen weight by
-a uniform random amount and keeps the change iff the TRAIN objective strictly
-improves.  Every accepted step re-scores HELD-OUT; three consecutive
+re-ranks cached candidates, and only those a top k can reach
+(``reachable``) need scores.  Each step perturbs one randomly chosen weight
+by a uniform random amount and keeps the change iff the TRAIN objective
+strictly improves.  Every accepted step re-scores HELD-OUT; three consecutive
 non-improvements there (configurable) stop the run.  The returned weights are
 the best held-out checkpoint seen, which is what the held-out set is for.
 
@@ -40,10 +41,15 @@ class TrainingError(Exception):
 
 @dataclass(frozen=True)
 class Candidate:
-    """One cached parse: its heuristic counts and its metrics against gold."""
+    """One cached parse: its heuristic counts and its metrics against gold.
+
+    ``scores`` is None exactly when no ranking can put the candidate in a
+    top k at the k its records were built for: when ``reachable`` leaves it
+    out, since k earlier candidates of its sentence have its vector.
+    """
 
     vector: tuple[float, ...]
-    scores: EvalScores
+    scores: EvalScores | None
 
 
 @dataclass
@@ -108,23 +114,47 @@ class TrainConfig:
             raise TrainingError(f"delta_scale {self.delta_scale} is not finite")
 
 
+def reachable(vectors, top_k: int):
+    """The positions of a sentence's candidates, given by their ``vectors``
+    (or any keys equal exactly where the vectors are), that some ranking by
+    (penalty, position) can put in a top ``top_k``: those with fewer than
+    ``top_k`` earlier candidates of their own vector.  Equal vectors get
+    equal penalties at any weights, so a candidate with ``top_k`` such
+    predecessors always has ``top_k`` candidates ahead of it."""
+    if len(vectors) <= top_k:
+        return range(len(vectors))
+    seen = {}
+    kept = []
+    for position, vector in enumerate(vectors):
+        count = seen.get(vector, 0)
+        if count < top_k:
+            seen[vector] = count + 1
+            kept.append(position)
+    return kept
+
+
 def _classes(records: list[SentenceRecord], top_k: int):
     """Group the candidates of a split by heuristic vector: the distinct
     vectors, in first-seen order (their ids are their positions), and per
-    sentence the scores and vector ids of its first ``top_k`` candidates of
-    each vector, in candidate order.  The others are never in a top k."""
+    sentence the scores and vector ids of its ``reachable`` candidates, in
+    candidate order; the others are never in a top k, and their scores may
+    be None.  A reachable candidate with no scores means the records were
+    built for a smaller top k, and raises ``TrainingError``."""
     ids = {}
     sentences = []
     for record in records:
-        scores, kept, seen = [], [], {}
-        for candidate in record.candidates:
-            vid = ids.setdefault(candidate.vector, len(ids))
-            count = seen.get(vid, 0)
-            if count < top_k:
-                seen[vid] = count + 1
-                scores.append(candidate.scores)
-                kept.append(vid)
-        sentences.append((scores, kept))
+        candidates = record.candidates
+        vids = [ids.setdefault(candidate.vector, len(ids)) for candidate in candidates]
+        kept = reachable(vids, top_k)
+        if len(kept) < len(vids):
+            candidates = list(map(candidates.__getitem__, kept))
+            vids = list(map(vids.__getitem__, kept))
+        scores = [candidate.scores for candidate in candidates]
+        if not all(scores):  # None is the only false score
+            raise TrainingError(
+                f"sentence {record.sid}: a candidate that can rank in a top {top_k}"
+                f" has no scores; its records were built for a smaller top k")
+        sentences.append((scores, vids))
     return list(ids), sentences
 
 

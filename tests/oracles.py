@@ -13,8 +13,11 @@ reference extractor and scorer read each parse whole: every tree instance,
 every adjunction record and every node.  The lower attachment height is
 counted over the host's whole subtree.
 The exhaustive trainer re-scores every cached candidate on every attempt.
+Which candidates a top-k ranking can reach is read off the candidates
+sorted by vector, not counted in candidate order.
 """
 
+import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass
@@ -501,6 +504,26 @@ def reference_records(analyses, gold_trees, recall_mode, flatten_cats):
                 brackets[id(rp.derived)], gold_brackets, recall_mode)))
         records[index] = SentenceRecord(index, candidates)
     return records
+
+
+def blank_unreachable(records_by_id, top_k):
+    """``records_by_id`` with the scores of every candidate that no ranking
+    by (penalty, position) can put in a top ``top_k`` set to None: sorted
+    by (vector, position), the candidates of one vector follow each other
+    in position order, and those after the first ``top_k`` of their run
+    always have ``top_k`` candidates of an equal penalty ahead of them."""
+    blanked = {}
+    for sid, record in records_by_id.items():
+        candidates = record.candidates
+        order = sorted(range(len(candidates)),
+                       key=lambda i: (candidates[i].vector, i))
+        unreachable = set()
+        for _, run in itertools.groupby(order, key=lambda i: candidates[i].vector):
+            unreachable.update(list(run)[top_k:])
+        blanked[sid] = SentenceRecord(record.sid, [
+            Candidate(c.vector, None if i in unreachable else c.scores)
+            for i, c in enumerate(candidates)])
+    return blanked
 
 
 def reference_bypassed_lower(record, sites):

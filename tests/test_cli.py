@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,8 @@ from ltagrank import cli, parseval
 from ltagrank.cli import build_records, main
 from ltagrank.heuristics import default_registry, uniform_weights
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
-from ltagrank.training import Candidate, SentenceRecord
+from ltagrank.training import Candidate, SentenceRecord, TrainConfig
+from oracles import blank_unreachable
 from toygrammars import OFPP_GRAMMAR, tag
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
@@ -294,6 +296,27 @@ def test_train_gold_of_the_wrong_length_is_an_error(tmp_path, capsys, parsed):
                         "--log", tmp_path / "log"], capsys)
     assert_one_error(code, err)
     assert "sentence 0" in err
+
+
+def test_train_frees_each_analysis_before_the_one_after_next(tmp_path, capsys,
+                                                              monkeypatch):
+    # train builds each sentence's record as soon as it is analyzed: when
+    # sentence i is analyzed, no analysis of sentence i - 2 or earlier is
+    # alive, and with it no chart
+    analyzed = []
+
+    def tracked(*args):
+        assert [ref() for ref in analyzed[:-1]] == [None] * len(analyzed[:-1])
+        analysis = analyze_sentence(*args)
+        analyzed.append(weakref.ref(analysis))
+        return analysis
+
+    monkeypatch.setattr(cli, "analyze_sentence", tracked)
+    code, _, _ = run(["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                      "--gold", SAMPLE / "gold.brackets", "--ratios", "3,1,1",
+                      "--max-iterations", "5", "--weights-out", tmp_path / "w.tsv",
+                      "--log", tmp_path / "log"], capsys)
+    assert code == 0 and len(analyzed) == 5
 
 
 def test_train_checks_the_gold_before_analyzing(tmp_path, capsys, monkeypatch):
@@ -745,10 +768,13 @@ def test_build_records_scores_each_bracketing_once(monkeypatch, mode):
         return original(candidate, gold, mode)
 
     monkeypatch.setattr(parseval, "evaluate_parse", counted)
-    records = build_records([analysis], [gold], mode, flat)
+    records = build_records([analysis], [gold], mode, flat, len(analysis.parses))
+    default_records = build_records([analysis], [gold], mode, flat)
     gold_brackets = parseval.brackets_of(gold)
-    expected = [Candidate(rp.vector, original(parseval.brackets_of(rp.derived.root, flat),
-                                             gold_brackets, mode))
-                for rp in analysis.parses]
-    assert records == {0: SentenceRecord(0, expected)}
-    assert scored == [] and len(expected) > 1
+    expected = {0: SentenceRecord(0, [
+        Candidate(rp.vector, original(parseval.brackets_of(rp.derived.root, flat),
+                                      gold_brackets, mode))
+        for rp in analysis.parses])}
+    assert records == expected
+    assert default_records == blank_unreachable(expected, TrainConfig.top_k)
+    assert scored == [] and len(analysis.parses) > 1

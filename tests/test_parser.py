@@ -13,8 +13,10 @@ from ltagrank.parser import (Attachment, DerivationError, DerivationNode, Derive
                              FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION,
                              assign_spans)
 from ltagrank.parseval import RECALL_MODES
-from oracles import (derivation_universe, instances, nodes, reference_derivations,
-                     reference_derive, reference_extract, reference_records, stack_depth)
+from ltagrank.training import TrainConfig
+from oracles import (blank_unreachable, derivation_universe, instances, nodes,
+                     reference_derivations, reference_derive, reference_extract,
+                     reference_records, stack_depth)
 from toygrammars import (CLAUSE_GRAMMAR, MODIFIER_GRAMMAR, OFPP_GRAMMAR, PP_GRAMMAR,
                          parses_of, tag)
 
@@ -715,13 +717,17 @@ def _check_shared_derive(grammar, derivations, words, check_features, scoring):
 def _check_scores(ranked, words, scoring):
     """``build_records`` equals ``reference_records`` on the ranked parses
     of ``words`` against two golds, the last parse and a left-branching
-    tree, with the flattening and recall mode of ``scoring``."""
+    tree, with the flattening and recall mode of ``scoring``: at a top k
+    of every parse, each candidate scored; at the default top k, with the
+    scores that no top-k ranking reaches blanked."""
     if ranked:
         analyses = [types.SimpleNamespace(parses=ranked)] * 2
         golds = [ranked[-1].derived.root, _left_branching(words)]
         flatten, mode = scoring
+        expected = reference_records(analyses, golds, mode, flatten)
+        assert build_records(analyses, golds, mode, flatten, len(ranked)) == expected
         assert build_records(analyses, golds, mode, flatten) == \
-            reference_records(analyses, golds, mode, flatten)
+            blank_unreachable(expected, TrainConfig.top_k)
 
 
 def _check_vectors_and_scores(grammar, derivations, words, scoring):

@@ -3,9 +3,13 @@
 ``bench/tracing.py`` reads the program from outside: it wraps module
 attributes by name and walks the parse forest's chart.  A rename or a new
 chart layout does not break the traced run, which reports the layer as
-absent instead; these tests make such a change fail here first.
+absent instead; these tests make such a change fail here first.  Likewise
+``bench/check.py`` holds the trainer's records and log to a reference
+trainer and the gold to a perfect score, and a pass that fails those checks
+fails a benchmark run; the last test runs them on a small pass.
 """
 
+import json
 from pathlib import Path
 
 import ltagrank as lt
@@ -89,3 +93,48 @@ def test_traced_pass_reads_every_layer(monkeypatch, tmp_path):
     values = tracer.layer_values()
     assert [name for name, value in values.items() if value is None] == []
     assert values["filtering.fallbacks"] >= 1 and values["training.attempts"] == 5
+
+
+def test_benchmark_checks_pass_on_records_with_unscored_candidates(monkeypatch, tmp_path):
+    # a pass as bench/run.py checks it, on of-PP sentences up to the 18-word
+    # ladder, where 109 of the 227 candidates are out of every top 6 and go
+    # unscored: each gold is the parse that hidden weights rank first,
+    # picked as ``write_gold`` picks it; the trainer's log and weights equal
+    # ``reference_log``'s, which ranks every candidate, and every gold
+    # candidate scores as a perfect match
+    monkeypatch.syspath_prepend(str(BENCH))
+    import check
+    import workloads
+    config = pipeline.PipelineConfig(filter_k=3, adjunction_cap=3)
+    g = lt.loads(OFPP_GRAMMAR, FREQ_TEXT)
+    registry = heuristics.load_registry(ROOT / "sample" / "registry.txt")
+    weights = heuristics.load_weights(ROOT / "sample" / "weights.tsv", registry)
+    hidden = workloads.hidden_weights(registry.names(), 1)
+    lines = [_ladder(pps) for pps in range(5)] + [
+        "the/D name/N is/V the/D part/N",
+        "the/D second/A part/N is/V the/D name/N of/P your/D personal/A computer/N"]
+    analyses, golds, gold_index = [], [], {}
+    for sid, line in enumerate(lines):
+        analysis = pipeline.analyze_sentence(g, lt.parse_tagged_line(line), registry,
+                                             weights, config)
+        parses = analysis.parses
+        gold_index[sid] = min(range(len(parses)),
+                              key=lambda i: (training.score(parses[i].vector, hidden), i))
+        analyses.append(analysis)
+        golds.append(parseval.flatten(parses[gold_index[sid]].derived.root, FLATTEN))
+    records = cli.build_records(analyses, golds, "standard", FLATTEN)
+    assert [sum(c.scores is None for c in records[sid].candidates)
+            for sid in range(5)] == [0, 0, 0, 0, 109]
+    assert len(records[4].candidates) == 227
+    spec = training.split(range(len(lines)), (3, 1, 1), 0)
+    train_config = training.TrainConfig(top_k=6, aggregation="mean_of_k", delta_scale=1.0,
+                                        max_iterations=40, strike_limit=41, seed=5)
+    result = training.train(records, spec, train_config, weights,
+                            heuristic_names=registry.names())
+    training.write_log(tmp_path / "train.log", result, train_config, spec)
+    reference = check.reference_log(records, spec, train_config, weights,
+                                    registry.names())
+    assert (tmp_path / "train.log").read_bytes() == reference
+    assert result.weights == json.loads(reference.splitlines()[-1])["best_weights"]
+    assert result.state.accepted > 0
+    assert check.gold_sanity(records, gold_index) is None

@@ -4,12 +4,19 @@ import random
 
 import pytest
 
+import ltagrank as lt
 import ltagrank.training as tr
 from ltagrank import heuristics
-from ltagrank.parseval import AGGREGATIONS, EvalScores
-from oracles import reference_evaluate, reference_train
+from ltagrank.cli import build_records
+from ltagrank.parseval import AGGREGATIONS, EvalScores, flatten
+from ltagrank.pipeline import PipelineConfig
+from oracles import blank_unreachable, reference_evaluate, reference_records, reference_train
+from toygrammars import OFPP_GRAMMAR, tag
 from ltagrank.training import (Candidate, SentenceRecord, TrainConfig,
                                TrainingError, evaluate_set, split, step, train)
+
+
+FLATTEN = frozenset({"NP", "VP"})
 
 
 def objective(records, weights, config):
@@ -372,11 +379,14 @@ TRAINER_CASES = [(aggregation, strict) for aggregation in AGGREGATIONS
                  for strict in (False, True)]
 
 
-def check_against_reference(records, spec, config, initial, names, tmp_path):
-    """``train`` equals ``reference_train``, fresh and resumed from the log
-    of a run cut halfway; returns the fresh run's final state."""
+def check_against_reference(records, spec, config, initial, names, tmp_path,
+                            exhaustive=None):
+    """``train`` on ``records`` equals ``reference_train`` on ``exhaustive``
+    (by default the same records), fresh and resumed from the log of a run
+    cut halfway; returns the fresh run's final state."""
+    exhaustive = records if exhaustive is None else exhaustive
     result = train(records, spec, config, initial, heuristic_names=names)
-    entries, weights, state = reference_train(records, spec, config, initial, names)
+    entries, weights, state = reference_train(exhaustive, spec, config, initial, names)
     assert result.entries == entries
     assert result.weights == weights
     assert result.state == state
@@ -389,7 +399,7 @@ def check_against_reference(records, spec, config, initial, names, tmp_path):
     resumed = train(records, spec, config, initial, heuristic_names=names,
                     resume_state=resume)
     resumed_entries, resumed_weights, resumed_state = reference_train(
-        records, spec, config, initial, names,
+        exhaustive, spec, config, initial, names,
         resume_state=tr.read_log(tmp_path / "half.log")[0])
     assert resumed.entries == resumed_entries
     assert resumed.weights == resumed_weights
@@ -421,7 +431,7 @@ def test_train_matches_exhaustive_reference(aggregation, strict, tmp_path):
 @pytest.mark.parametrize("aggregation, strict", TRAINER_CASES)
 def test_train_matches_exhaustive_reference_on_forced_ties(aggregation, strict,
                                                            tmp_path):
-    accepted = 0
+    accepted = unscored = 0
     for seed in range(4):
         rng = random.Random(1000 + 100 * seed + len(aggregation) + strict)
         dims = 4
@@ -433,10 +443,31 @@ def test_train_matches_exhaustive_reference_on_forced_ties(aggregation, strict,
         config = TrainConfig(top_k=top_k, aggregation=aggregation, delta_scale=1.0,
                              strike_limit=6, max_iterations=200, seed=seed,
                              require_all_metrics=strict)
-        state = check_against_reference(records, spec, config, initial,
-                                        [f"h{i}" for i in range(dims)], tmp_path)
+        names = [f"h{i}" for i in range(dims)]
+        state = check_against_reference(records, spec, config, initial, names, tmp_path)
+        # the records scored only where a top-k ranking can reach
+        blanked = blank_unreachable(records, top_k)
+        assert check_against_reference(blanked, spec, config, initial, names, tmp_path,
+                                       exhaustive=records) == state
+        unscored += sum(c.scores is None for r in blanked.values() for c in r.candidates)
         accepted += state.accepted
-    assert accepted > 0
+    assert accepted > 0 and unscored > 0
+
+
+def test_records_scored_for_a_smaller_top_k_are_an_error():
+    rng = random.Random(11)
+    records = blank_unreachable(forced_tie_records(rng, 30, 4, 2), 2)
+    ids = tuple(records)
+    spec = tr.SplitSpec(ids[:15], ids[15:], (), seed=0)
+    for top_k in (1, 2):
+        config = TrainConfig(top_k=top_k, max_iterations=20)
+        train(records, spec, config, [1.0] * 4)
+        evaluate_set(list(records.values()), [1.0] * 4, config)
+    config = TrainConfig(top_k=3, max_iterations=20)
+    with pytest.raises(TrainingError, match="built for a smaller top k"):
+        train(records, spec, config, [1.0] * 4)
+    with pytest.raises(TrainingError, match="built for a smaller top k"):
+        evaluate_set(list(records.values()), [1.0] * 4, config)
 
 
 def test_rank_cache_follows_any_weight_change():
@@ -487,3 +518,66 @@ def test_an_attempt_scores_each_distinct_vector_once(monkeypatch):
         perturbed.add(index)
     assert perturbed == set(range(dims))
     assert not any(vector[dims - 1] for vector in distinct)
+
+
+# ---------------------------------------------------------------------------
+# records scored only where a top-k ranking can reach
+
+@pytest.fixture(scope="module")
+def ladder_records():
+    """The of-PP ladder at 6 to 21 words (cap 3), each sentence against
+    three golds: the first parse at two hidden weight vectors that prefer
+    high attachment, and the last parse, which no top 6 reaches at 18 and
+    21 words.  Returns (analyses, golds, exhaustive records)."""
+    grammar = lt.loads(OFPP_GRAMMAR)
+    registry = heuristics.default_registry()
+    names = registry.names()
+    config = PipelineConfig(adjunction_cap=3)
+    rng = random.Random(22)
+    hidden = []
+    for _ in range(2):
+        weights = [rng.uniform(0.5, 1.5) for _ in names]
+        weights[names.index("pp_attachment_height")] = -rng.uniform(0.5, 1.5)
+        hidden.append(weights)
+    analyses, golds = [], []
+    for pps in range(6):
+        text = "the/D second/A part/N is/V the/D name/N" + " of/P the/D part/N" * pps
+        analysis = lt.analyze_sentence(grammar, tag(text), registry,
+                                       heuristics.uniform_weights(registry), config)
+        parses = analysis.parses
+        for weights in hidden:
+            best = min(range(len(parses)),
+                       key=lambda i: (heuristics.score(parses[i].vector, weights), i))
+            analyses.append(analysis)
+            golds.append(parses[best].derived.root)
+        analyses.append(analysis)
+        golds.append(parses[-1].derived.root)
+    golds = [flatten(gold, FLATTEN) for gold in golds]
+    return analyses, golds, reference_records(analyses, golds, "standard", FLATTEN)
+
+
+@pytest.mark.parametrize("built_at, trained_at", [(None, 6), (None, 2), (1, 1)],
+                         ids=["default-6", "default-2", "1-1"])
+def test_train_on_reachable_records_matches_exhaustive_reference_on_ladder(
+        ladder_records, built_at, trained_at, tmp_path):
+    # records scored only where a top-k ranking can reach, at the default
+    # top k or at 1, train as the exhaustive records do at that top k or a
+    # smaller one, and refuse a larger one
+    analyses, golds, exhaustive = ladder_records
+    if built_at is None:
+        records = build_records(analyses, golds, "standard", FLATTEN)
+        built_at = TrainConfig.top_k
+    else:
+        records = build_records(analyses, golds, "standard", FLATTEN, built_at)
+    assert records == blank_unreachable(exhaustive, built_at)
+    assert any(c.scores is None for r in records.values() for c in r.candidates)
+    ids = tuple(records)
+    spec = tr.SplitSpec(ids[0::2], ids[1::2], (), seed=0)
+    names = heuristics.default_registry().names()
+    config = TrainConfig(top_k=trained_at, delta_scale=2.0, strike_limit=201,
+                         max_iterations=200, seed=3)
+    state = check_against_reference(records, spec, config, [1.0] * len(names), names,
+                                    tmp_path, exhaustive=exhaustive)
+    assert state.accepted > 0
+    with pytest.raises(TrainingError, match="built for a smaller top k"):
+        train(records, spec, TrainConfig(top_k=built_at + 1), [1.0] * len(names))
