@@ -356,8 +356,8 @@ def _add_pipeline_flags(parser):
     parser.add_argument("--max-parses", type=int, default=None, dest="max_parses",
                         help="cap on enumerated parses per sentence")
     parser.add_argument("--check-features", action="store_true", dest="check_features",
-                        help="drop parses whose features clash; this derives every"
-                             " parse's tree, which ranking otherwise never does")
+                        help="drop parses whose features clash, checked on each"
+                             " parse's derivation without building its tree")
     parser.add_argument("--open-class-fallback", action="store_true",
                         dest="open_class_fallback",
                         help="give unknown words every tree their tags anchor")

@@ -22,8 +22,8 @@ anything under it is enumerated.  One enumeration builds the derivations
 of each elementary-tree instance once, per instance root item and stacking
 depth, and every substitution or adjunction that reaches that root replays
 them through its own copy of one ``itertools.tee``: parses share
-``DerivationNode``s, which are frozen.  Ranking and scoring read the
-derivations alone; a parse's tree is derived when something reads it.
+``DerivationNode``s, which are frozen.  Ranking and scoring fold the
+derivations alone; a parse's tree is derived, by a fold too, when read.
 Given one ``subtrees`` dict per sentence (a ``Deriver`` holds one),
 ``derive`` builds the subtree of each substituted ``DerivationNode`` once
 and every later parse that substitutes it reuses it: parses share derived
@@ -91,17 +91,15 @@ class DerivedNode:
     """A phrase-structure node with words at the leaves.
 
     The one tree type of the toolkit: ``derive`` builds derived trees from
-    it, and ``parseval.read_bracketed`` and ``parseval.flatten`` build gold
-    and flattened trees.  ``assign_spans`` fills in each node's word span
-    ``[start, end)``.  A node has no parent link: the parses of a sentence
-    share subtrees, so a node can sit in many trees, and a tree is read-only.
-    ``features`` are its elementary node's (attribute, value) pairs until
-    ``derive`` with ``check_features`` merges them; other trees have none.
+    it, each node with its word span ``[start, end)``, and
+    ``parseval.read_bracketed`` and ``parseval.flatten`` build gold and
+    flattened trees, whose spans ``assign_spans`` can fill in.  A node has
+    no parent link: the parses of a sentence share subtrees, so a node can
+    sit in many trees, and a tree is read-only.
     """
 
     label: str
     children: list = field(default_factory=list)  # DerivedNode | str
-    features: tuple = ()
     start: int = -1
     end: int = -1
 
@@ -126,10 +124,8 @@ class DerivedNode:
 class DerivedTree:
     """The derived tree of ``derivation`` over the sentence ``words``.
 
-    ``derive`` makes one for a parse and, once per ``subtrees`` dict, one
-    for each substituted ``DerivationNode``, which every parse that
-    substitutes it shares.  ``words`` is the sentence as given to
-    ``derive``, one list for all the trees of it.
+    ``derive`` makes one for a parse.  ``words`` is the sentence as given
+    to ``derive``, one list for all the trees of it.
     """
 
     derivation: DerivationNode
@@ -144,8 +140,8 @@ class DerivedTree:
 class Deriver:
     """``derive`` for the parses of one sentence, ``words``: one
     ``subtrees`` dict under one ``check_features`` setting, so that the
-    trees built share their subtrees.  It refers to none of those trees'
-    readers, so it forms no reference cycle with them."""
+    trees built share their subtrees and checks.  It refers to none of
+    those trees' readers, so it forms no reference cycle with them."""
 
     grammar: Grammar
     words: list[str]
@@ -159,7 +155,7 @@ class Deriver:
 
 class DerivationFold:
     """A value folded over the derived nodes of a sentence's parses, off
-    their ``DerivationNode``s, without building a node.
+    their ``DerivationNode``s, without walking a derived tree.
 
     A derived node's span follows from the anchors: an anchor spans its
     word, a substitution slot its child's subtree, a foot its host, and an
@@ -562,187 +558,143 @@ def derive(grammar: Grammar, derivation: DerivationNode, words,
     ``analyze_sentence`` passes one, and without it the call uses a dict of
     its own.  An anchor node is fixed by its tree and anchor index, and no
     operation targets it: the dict maps each (tree name, anchor index) to
-    one anchor node, laid out at its index when it is made.  A substituted
-    initial tree's subtree is fixed by its ``DerivationNode``: its anchors
-    fix its words, and every adjunction into it is inside it.  So the dict
-    maps each substituted node, by identity, to its ``DerivedTree``,
-    whose spans are written once.  Every substitution goes through the
-    dict, so a parse's own part, the nodes it builds, is its derivation's
-    root tree and the auxiliary trees adjoined there, recursively.  Laying
-    out the own part checks where each anchor and shared subtree lands, so
-    a parse's checks cost only that part.  The trees returned are
+    one anchor node.  A substituted initial tree's subtree is fixed by its
+    ``DerivationNode``: its anchors fix its words, and every adjunction
+    into it is inside it.  So the dict maps each substituted node, by
+    identity, to its check and its subtree's top, each made once, and a
+    parse costs only its own part: its derivation's root tree and the
+    auxiliary trees adjoined there, recursively.  The trees returned are
     read-only; ``parseval.flatten(root, ())`` makes a private copy of one.
     """
     subtrees = {} if subtrees is None else subtrees
-    derived = _derived_tree(grammar, derivation, words, check_features, subtrees)
-    # every anchor lands at its index or raises here.  Only anchors have
-    # words, one each, so the yield is ``words`` exactly when the tree spans
-    # as many words
-    if _land(derived.root, 0) != len(words):
+    check_derivation(grammar, derivation, len(words), check_features, subtrees)
+    root = _Builder(grammar, words, subtrees).instance(derivation, None, None)
+    if root.start != 0:
+        raise DerivationError(_OUT_OF_ORDER)
+    if root.end != len(words):
         raise DerivationError(
-            f"derived yield {derived.root.leaves()!r} does not match words {list(words)!r}")
-    return derived
+            f"derived yield {root.leaves()!r} does not match words {list(words)!r}")
+    return DerivedTree(derivation, root, words)
 
 
-def _derived_tree(grammar, derivation, words, check_features, subtrees) -> DerivedTree:
-    """The ``DerivedTree`` of ``derivation``, not yet laid out."""
-    top, _ = _build(grammar, derivation, words, check_features, subtrees)
-    return DerivedTree(derivation, top, words)
-
-
-def _build(grammar, derivation, words, check_features, subtrees):
+def check_derivation(grammar: Grammar, derivation: DerivationNode, length: int,
+                     check_features: bool, memo: dict) -> tuple:
+    """Raise what ``derive`` raises for ``derivation`` over ``length`` words
+    but the word-order errors, walking its attachments in address order;
+    return its top's features, merged only under ``check_features``.
+    ``memo``, a ``derive`` ``subtrees`` dict, maps each substituted node
+    checked, by identity, to (node, its top's features, top or None)."""
     tree = grammar.trees.get(derivation.tree)
     if tree is None:
         raise DerivationError(f"unknown elementary tree {derivation.tree!r}")
-    at = derivation.anchor_index
-    if not 0 <= at < len(words):
-        raise DerivationError(f"anchor index {at} outside the sentence")
-
-    anchor = subtrees.get((derivation.tree, at))
-    if anchor is None:
-        tnode = tree.node_at(tree.anchor_address)
-        anchor = subtrees[(derivation.tree, at)] = DerivedNode(
-            tnode.label, [words[at]], tnode.features, at, at + 1)
-
-    # address -> (parent's children, index); the top sits in a holder at ()
-    slots: dict[Address, tuple[list, int]] = {}
-    holder = [_clone(tree.root, (), anchor, slots)]
-    slots[()] = (holder, 0)
-
+    if not 0 <= derivation.anchor_index < length:
+        raise DerivationError(f"anchor index {derivation.anchor_index} outside the sentence")
+    top = tree.root.features
     seen: set[Address] = set()
     for att in derivation.attachments:
+        where = format_address(att.address)
         if att.address in seen:
-            raise DerivationError(
-                f"two attachments at address {format_address(att.address)}"
-                f" of {derivation.tree!r}")
+            raise DerivationError(f"two attachments at address {where} of {derivation.tree!r}")
         seen.add(att.address)
-        slot = slots.get(att.address)
-        if slot is None:
-            raise DerivationError(
-                f"{derivation.tree!r} has no node at {format_address(att.address)}")
-        # only the attachment at an address writes its slot
-        siblings, index = slot
-        target = siblings[index]
-        target_kind = tree.node_at(att.address).kind
+        if att.address not in tree.positions:
+            raise DerivationError(f"{derivation.tree!r} has no node at {where}")
+        target = tree.node_at(att.address)
         child_tree = grammar.trees.get(att.child.tree)
         if child_tree is None:
             raise DerivationError(f"unknown elementary tree {att.child.tree!r}")
 
         if att.op == OP_SUBSTITUTION:
-            if target_kind != SUBSTITUTION:
+            if target.kind != SUBSTITUTION:
                 raise DerivationError(
-                    f"substitution at non-substitution node"
-                    f" {format_address(att.address)} of {derivation.tree!r}")
+                    f"substitution at non-substitution node {where} of {derivation.tree!r}")
             if child_tree.kind != INITIAL:
-                raise DerivationError(
-                    f"cannot substitute auxiliary tree {att.child.tree!r}")
+                raise DerivationError(f"cannot substitute auxiliary tree {att.child.tree!r}")
             if child_tree.root.label != target.label:
                 raise DerivationError(
                     f"substituting {child_tree.root.label!r} tree {att.child.tree!r}"
                     f" at {target.label!r} node of {derivation.tree!r}")
-            child_top = _substituted(grammar, att.child, words, check_features,
-                                     subtrees)
+            shared = memo.get(id(att.child))
+            if shared is None:
+                # the entry holds the node, so that its id is not reused
+                shared = memo[id(att.child)] = (att.child, check_derivation(
+                    grammar, att.child, length, check_features, memo), None)
             if check_features:
-                # checked, not stored: nothing reads a substituted root's
-                # merged features again, and other parses may share the root
-                _unify(child_top.features, target.features,
-                       f"substitution at {format_address(att.address)}")
-            siblings[index] = child_top
+                _unify(shared[1], target.features, f"substitution at {where}")
         elif att.op == OP_ADJUNCTION:
-            if target_kind != INTERNAL:
+            if target.kind != INTERNAL:
                 raise DerivationError(
-                    f"adjunction at {target_kind} node"
-                    f" {format_address(att.address)} of {derivation.tree!r}")
+                    f"adjunction at {target.kind} node {where} of {derivation.tree!r}")
             if child_tree.kind != AUXILIARY:
-                raise DerivationError(
-                    f"cannot adjoin initial tree {att.child.tree!r}")
+                raise DerivationError(f"cannot adjoin initial tree {att.child.tree!r}")
             if child_tree.root.label != target.label:
                 raise DerivationError(
                     f"adjoining {child_tree.root.label!r} tree {att.child.tree!r}"
                     f" at {target.label!r} node of {derivation.tree!r}")
-            # an auxiliary tree is built per use: what lands at its foot varies
-            child_top, (foot_siblings, foot_index) = _build(
-                grammar, att.child, words, check_features, subtrees)
+            child_top = check_derivation(grammar, att.child, length, check_features, memo)
             if check_features:
-                child_top.features = _unify(
-                    child_top.features, target.features,
-                    f"adjunction at {format_address(att.address)}")
-                target.features = _unify(
-                    target.features, foot_siblings[foot_index].features,
-                    f"foot of {att.child.tree!r}")
-            siblings[index] = child_top
-            foot_siblings[foot_index] = target
+                merged = _unify(child_top, target.features, f"adjunction at {where}")
+                _unify(target.features, child_tree.node_at(child_tree.foot_address).features,
+                       f"foot of {att.child.tree!r}")
+                if not att.address:
+                    top = merged
         else:
             raise DerivationError(f"unknown operation {att.op!r}")
-
-    return holder[0], slots.get(tree.foot_address)
-
-
-def _substituted(grammar, child, words, check_features, subtrees):
-    """The root of the initial tree ``child``'s subtree for a substitution;
-    its ``DerivedTree`` is built once per ``subtrees`` dict."""
-    shared = subtrees.get(id(child))
-    if shared is None:
-        shared = _derived_tree(grammar, child, words, check_features, subtrees)
-        # laid out once, where its first word is.  A subtree whose anchors
-        # are out of order raises here, and is not kept.  The tree holds
-        # ``child``, so that its id is not reused
-        _land(shared.root, _first_word(shared.root))
-        subtrees[id(child)] = shared
-    return shared.root
+    return top
 
 
-def _clone(tnode, address, anchor, slots):
-    # a module function, not a closure over _build's state: a closure that
-    # calls itself is a reference cycle, which only the cyclic collector frees
-    if tnode.kind == ANCHOR:
-        return anchor
-    node = DerivedNode(tnode.label, [], tnode.features)
-    if tnode.kind == INTERNAL:
-        for index, child in enumerate(tnode.children):
-            child_address = address + (index + 1,)
-            node.children.append(_clone(child, child_address, anchor, slots))
-            slots[child_address] = (node.children, index)
-    return node
+class _Builder(DerivationFold):
+    """The derived tree of a checked derivation, each node built with its
+    span: an anchor node is shared per (tree, anchor index), a foot is its
+    host, and siblings must abut.  A substitution slot is planned as an
+    internal node without children, which ``adjoined`` replaces by the
+    substituted node's subtree, built once per ``subtrees`` dict; a slot
+    left unfilled has no words and is laid out where it falls."""
 
+    def __init__(self, grammar, words, subtrees):
+        super().__init__(grammar)
+        self.words, self.subtrees = words, subtrees
+        self.plans = subtrees.setdefault(_Builder, {})  # made once per sentence
 
-def _first_word(node) -> int:
-    # only anchors have words, and every node laid out before, an anchor or
-    # a shared subtree's root, spans some: so the first such node in
-    # pre-order starts the first word of the subtree ``node`` heads
-    stack = [node]
-    while True:
-        node = stack.pop()
-        if node.start >= 0:
-            return node.start
-        stack.extend(reversed(node.children))
+    def make_plan(self, tree):
+        """(kind, positions of its children, label, tree name) per node."""
+        return tuple((INTERNAL if kind == SUBSTITUTION else kind, children, label, tree.name)
+                     for label, kind, children in tree.layout)
+
+    def anchor(self, entry, at):
+        key = (entry[3], at)
+        node = self.subtrees.get(key)
+        if node is None:
+            node = self.subtrees[key] = DerivedNode(entry[2], [self.words[at]], at, at + 1)
+        return node
+
+    def internal(self, entry, values, part):
+        if not entry[1]:  # a substitution slot
+            return DerivedNode(entry[2], [])
+        children = [values[position] for position in entry[1]]
+        start = end = next((child.start for child in children if child.start >= 0), -1)
+        for child in children:
+            if child.start < 0 <= end:
+                assign_spans(child, end)
+            elif child.start != end:
+                raise DerivationError(_OUT_OF_ORDER)
+            else:
+                end = child.end
+        return DerivedNode(entry[2], children, start, end)
+
+    def adjoined(self, child, entry, host, part):
+        if entry[1]:
+            return self.instance(child, host, part)
+        shared = self.subtrees[id(child)]
+        if shared[2] is None:
+            shared = self.subtrees[id(child)] = shared[:2] + (self.instance(child, None, part),)
+        return shared[2]
 
 
 def assign_spans(node: DerivedNode, start: int) -> int:
     """Set the span of every node below ``node``, whose first word is word
-    ``start``; returns the end of its span.
-
-    A node below that has a span already is an anchor node or heads a
-    subtree laid out before, which parses share: its spans are not
-    rewritten, and it must start where it lands, or the anchors are out of
-    order (DerivationError).
-    """
-    node.start = start
-    position = start
+    ``start``; returns the end of its span."""
+    node.start = position = start
     for child in node.children:
-        if isinstance(child, str):
-            position += 1
-        else:
-            position = _land(child, position)
+        position = position + 1 if isinstance(child, str) else assign_spans(child, position)
     node.end = position
     return position
-
-
-def _land(node: DerivedNode, position: int) -> int:
-    """Lay ``node`` out from word ``position`` unless it has a span already,
-    which must then start there; returns the end of its span."""
-    if node.start < 0:
-        return assign_spans(node, position)
-    if node.start != position:
-        raise DerivationError(_OUT_OF_ORDER)
-    return node.end

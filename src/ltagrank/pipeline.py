@@ -8,8 +8,9 @@ from dataclasses import dataclass
 from .filtering import FilterReport, filter_with_fallback, structural_filter
 from .grammar import Grammar
 from .heuristics import HeuristicRegistry, RankedParse, rank
-from .parser import (Deriver, FeatureConflict, ParseForest, derive, enumerate_derivations,
-                     parse)
+from .parser import (Deriver, FeatureConflict, ParseForest, check_derivation,
+                     enumerate_derivations, parse)
+from .parser import derive  # noqa: F401 -- bench/tracing.py times it as pipeline.derive
 from .tagging import select_trees
 
 
@@ -50,8 +51,8 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
     Parses are ranked off their derivations, and no tree is derived: a
     parse's ``derived`` is built on first read, through one ``Deriver`` per
     sentence, so the trees read share their subtrees.  With
-    ``check_features`` every parse is derived here, because only ``derive``
-    can reject one, and those whose features clash are dropped.
+    ``check_features`` every parse's derivation is checked here, without
+    building its tree, and those whose features clash are dropped.
 
     The cyclic garbage collector is paused for the whole call.  Everything
     the call builds (chart, derivations, derived trees, ranked parses) is
@@ -86,7 +87,6 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
         derivations = enumerate_derivations(forest, config.max_parses)
         deriver = Deriver(grammar, words, config.check_features)
         if config.check_features:
-            # only ``derive`` can reject a parse, so every parse is derived
             derivations = [derivation for derivation in derivations
                            if _unifies(deriver, derivation)]
         ranked = rank(deriver, derivations, registry, weights)
@@ -98,9 +98,10 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
 
 
 def _unifies(deriver, derivation) -> bool:
-    """Whether ``derivation``'s features unify; its tree is not kept."""
+    """Whether ``derivation``'s features unify; no tree is built."""
     try:
-        derive(deriver.grammar, derivation, deriver.words, True, deriver.subtrees)
+        check_derivation(deriver.grammar, derivation, len(deriver.words), True,
+                         deriver.subtrees)
     except FeatureConflict:
         return False
     return True

@@ -296,9 +296,9 @@ def reference_derive(grammar, derivation, words, check_features=False):
     """``parser.derive`` without shared subtrees: every call builds a whole
     new tree, writes every span, and compares the yield with ``words``.
 
-    The same checks raise the same errors with the same messages; the merged
-    features of a substituted root are stored on it.  The ``ReferenceTree``
-    returned records every adjunction.
+    The same checks raise the same errors with the same messages; every
+    node keeps its merged features in a ``features`` dict of its own, set
+    on it here.  The ``ReferenceTree`` returned records every adjunction.
     """
     records, anchors = [], []
 
@@ -312,7 +312,8 @@ def reference_derive(grammar, derivation, words, check_features=False):
         return merged
 
     def clone(tnode, address, anchor_index, by_address, slots):
-        node = DerivedNode(tnode.label, [], dict(tnode.features))
+        node = DerivedNode(tnode.label, [])
+        node.features = dict(tnode.features)
         by_address[address] = node
         if tnode.kind == ANCHOR:
             node.children = [words[anchor_index]]

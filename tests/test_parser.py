@@ -314,6 +314,28 @@ def test_adjunction_feature_checking(adverb, derived):
                          check_features=True).to_string() == derived
 
 
+def test_first_feature_clash_in_address_order_is_reported():
+    # "dog" clashes with the plural subject slot at 1, and "a" with "dogs"
+    # inside the object substituted at 2.2: the clash at 1 is reported
+    g = lt.loads(FEATURE_GRAMMAR)
+    words = ["dog", "see", "a", "dogs"]
+    plural_object = DerivationNode("Noun_Pl", 3, (
+        Attachment(DerivationNode("Det_Sg", 2), OP_ADJUNCTION, ()),))
+    derivation = DerivationNode("Verb_Pl", 1, (
+        Attachment(DerivationNode("Noun_Sg", 0), OP_SUBSTITUTION, (1,)),
+        Attachment(plural_object, OP_SUBSTITUTION, (2, 2))))
+    message = "feature 'num' is 'sg' vs 'pl' at substitution at 1"
+    with pytest.raises(FeatureConflict) as raised:
+        reference_derive(g, derivation, words, check_features=True)
+    assert str(raised.value) == message
+    with pytest.raises(FeatureConflict) as raised:
+        lt.derive(g, derivation, words, check_features=True)
+    assert str(raised.value) == message
+    with pytest.raises(FeatureConflict) as raised:
+        lt.derive(g, plural_object, words, check_features=True)
+    assert str(raised.value) == "feature 'num' is 'sg' vs 'pl' at adjunction at e"
+
+
 def test_repeated_feature_attribute_unifies_by_its_last_value():
     # the loader keeps both pairs of a repeated attribute; the last one
     # counts, as it would in a dict, so the foot unifies with a bare host
@@ -917,3 +939,48 @@ def test_malformed_derivation_leaves_shared_anchor_nodes_as_they_were(case):
     assert {key: (node.start, node.end) for key, node in anchors.items()} == spans
     assert _spans(derived) == before
     assert derived.to_string() == "(S (NP (N dogs)) (VP (V give) (NP (N cats)) (NP (N bones))))"
+
+
+# a slot left unfilled, which only a hand-built derivation has, and an
+# internal node above nothing but such a slot
+UNFILLED_GRAMMAR = DITRANSITIVE_GRAMMAR + """
+tree Wrapped_Subject : initial (S (NP NP^) (VP V@ NP^))
+lex see V -> Wrapped_Subject
+"""
+
+
+@pytest.mark.parametrize("case", ["trailing", "middle", "both_objects", "leading",
+                                  "leading_off_its_index", "wrapped_leading"])
+def test_unfilled_substitution_slot_matches_reference(case):
+    # an unfilled slot is an empty node, laid out where it falls; when it
+    # leads and the words do not line up, the anchors are out of order
+    g = lt.loads(UNFILLED_GRAMMAR)
+    words, tree, anchor, objects = {
+        "trailing": ("dogs give cats", "Ditransitive", 1, {(1,): 0, (2, 2): 2}),
+        "middle": ("dogs give bones", "Ditransitive", 1, {(1,): 0, (2, 3): 2}),
+        "both_objects": ("dogs give", "Ditransitive", 1, {(1,): 0}),
+        "leading": ("give cats bones", "Ditransitive", 0, {(2, 2): 1, (2, 3): 2}),
+        "leading_off_its_index": ("dogs give cats bones", "Ditransitive", 1,
+                                  {(2, 2): 2, (2, 3): 3}),
+        "wrapped_leading": ("see cats", "Wrapped_Subject", 0, {(2, 2): 1}),
+    }[case]
+    words = words.split()
+    derivation = DerivationNode(tree, anchor, tuple(
+        Attachment(DerivationNode("Noun_Phrase", index), OP_SUBSTITUTION, address)
+        for address, index in objects.items()))
+    for check_features in (False, True):
+        subtrees = {}
+        try:
+            expected = reference_derive(g, derivation, words, check_features)
+        except DerivationError as exc:
+            assert case == "leading_off_its_index"
+            for _ in range(2):
+                with pytest.raises(DerivationError) as raised:
+                    lt.derive(g, derivation, words, check_features, subtrees)
+                assert str(raised.value) == str(exc) == \
+                    "anchor positions are inconsistent with the word order"
+            continue
+        for _ in range(2):
+            derived = lt.derive(g, derivation, words, check_features, subtrees)
+            assert _facts(derived) == _facts(expected)
+    assert case == "leading_off_its_index" or "(NP )" in derived.to_string()

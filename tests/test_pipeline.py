@@ -8,11 +8,12 @@ import ltagrank as lt
 from ltagrank import parser, pipeline
 from ltagrank.grammar import LexEntry
 from ltagrank.heuristics import default_registry, uniform_weights
-from ltagrank.parser import DerivationError
+from ltagrank.parser import DerivationError, FeatureConflict
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
-from oracles import nodes
+from oracles import nodes, reference_derive
 from test_acceptance import _tagged
 from test_filtering import FALLBACK_FREQ, FALLBACK_GRAMMAR
+from test_parser import FEATURE_GRAMMAR as AGREEMENT_GRAMMAR, FEATURE_SENTENCES
 from toygrammars import FREQ_TEXT, OFPP_GRAMMAR, tag
 
 FEATURE_GRAMMAR = """
@@ -158,18 +159,52 @@ def test_parses_share_derived_subtrees():
 
 
 def test_analysis_derives_no_tree_until_one_is_read(monkeypatch):
-    # without feature checks, ranking reads the derivations alone; a tree
-    # is derived, through ``parser.derive``, when a parse's is first read
+    # ranking reads the derivations alone, and the feature check walks them
+    # without building a tree, also where it drops parses; a tree is
+    # derived, through ``parser.derive``, when a parse's is first read
     def refuse(*args, **kwargs):
         raise AssertionError("derive called")
 
     monkeypatch.setattr(parser, "derive", refuse)
     monkeypatch.setattr(pipeline, "derive", refuse)
-    analysis = _analyze_with(lt.loads(OFPP_GRAMMAR), _ladder(3),
-                             PipelineConfig(filter_k=None, adjunction_cap=3))
-    assert analysis.derivation_count > 1
-    with pytest.raises(AssertionError, match="derive called"):
-        analysis.parses[0].derived
+    ofpp, agreement = lt.loads(OFPP_GRAMMAR), lt.loads(AGREEMENT_GRAMMAR)
+    registry = default_registry()
+    for grammar, sentence, check_features in [
+            (ofpp, tag(_ladder(3)), False), (ofpp, tag(_ladder(3)), True),
+            (agreement, _tagged(agreement, FEATURE_SENTENCES[2].split()), True)]:
+        analysis = analyze_sentence(grammar, sentence, registry, uniform_weights(registry),
+                                    PipelineConfig(filter_k=None, adjunction_cap=3,
+                                                   check_features=check_features))
+        assert analysis.derivation_count > 1
+        with pytest.raises(AssertionError, match="derive called"):
+            analysis.parses[0].derived
+
+
+@pytest.mark.parametrize("cap", (None, 3), ids=str)
+def test_feature_check_keeps_the_parses_the_reference_accepts(cap):
+    # the checked analysis keeps, in order, exactly the parses of the
+    # unchecked one whose features unify by the reference deriver
+    grammar = lt.loads(AGREEMENT_GRAMMAR)
+    registry = default_registry()
+    dropped = 0
+    for text in FEATURE_SENTENCES:
+        words = text.split()
+        unchecked, checked = (
+            analyze_sentence(grammar, _tagged(grammar, words), registry,
+                             uniform_weights(registry),
+                             PipelineConfig(filter_k=None, adjunction_cap=cap,
+                                            check_features=check_features))
+            for check_features in (False, True))
+        accepted = []
+        for rp in unchecked.parses:
+            try:
+                reference_derive(grammar, rp.derivation, words, check_features=True)
+            except FeatureConflict:
+                continue
+            accepted.append(rp.derivation)
+        assert [rp.derivation for rp in checked.parses] == accepted, text
+        dropped += unchecked.derivation_count - len(accepted)
+    assert dropped > 0
 
 
 @pytest.mark.parametrize("cap", (None, 3), ids=str)
