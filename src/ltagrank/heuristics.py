@@ -383,9 +383,11 @@ def score(vector, weights) -> float:
 
 class RankedParse:
     """One parse of a sentence: its derivation, heuristic vector and
-    penalty.  ``derived``, its derived tree, is built on first read by
-    ``deriver``, the sentence's one ``Deriver``, so that the trees read
-    share their subtrees; a parse nobody prints is never derived."""
+    penalty.  ``rank`` gives the parses of a sentence whose vectors are
+    equal one vector tuple and one penalty.  ``derived``, its derived tree,
+    is built on first read by ``deriver``, the sentence's one ``Deriver``,
+    so that the trees read share their subtrees; a parse nobody prints is
+    never derived."""
 
     __slots__ = ("derivation", "vector", "penalty", "deriver", "_derived")
 
@@ -409,15 +411,21 @@ def rank(deriver: Deriver, derivations, registry: HeuristicRegistry,
     """Score one sentence's parses, the ``DerivationNode``s the parser made
     of ``deriver.words``, and sort them by ascending penalty.  No tree is
     derived: each ``RankedParse`` builds its own through ``deriver`` when
-    it is first read.
+    it is first read.  Parses with equal vectors share one vector tuple,
+    and each distinct vector is scored once: ``score`` is pure, so the
+    penalties are those of scoring every parse.
 
     Ties keep the parser's canonical enumeration order (the sort is stable).
     """
     ranked = []
     table = {}  # shared substituted nodes' counts and anchorings, for this sentence
+    scored = {}  # vector -> (its one tuple in this sentence, penalty)
     for derivation in derivations:
         vector = extract(registry, deriver.grammar, derivation, deriver.words, table)
-        ranked.append(RankedParse(derivation, vector, score(vector, weights), deriver))
+        shared = scored.get(vector)
+        if shared is None:
+            shared = scored[vector] = (vector, score(vector, weights))
+        ranked.append(RankedParse(derivation, shared[0], shared[1], deriver))
     ranked.sort(key=lambda rp: rp.penalty)
     return ranked
 

@@ -14,7 +14,7 @@ their anchor, substitution consumes a finished initial tree of matching
 category, and adjunction wraps a finished auxiliary tree around a "bot" item
 whose span equals the auxiliary's foot span.
 
-Each item holds a tuple of its distinct ways (the deductions that posted
+Each item is the tuple of its distinct ways (the deductions that posted
 it) in the order they were first derived.  Enumeration unpacks them lazily
 in that order, and the adjunction cap is enforced there: a way that would
 stack adjunctions along a spine deeper than the cap is skipped before
@@ -60,14 +60,14 @@ class FeatureConflict(Exception):
     """Feature unification failed; the derivation is rejected, not broken."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Attachment:
     child: "DerivationNode"
     op: str
     address: Address
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DerivationNode:
     """One elementary tree use: which tree, anchored where, with what attached."""
 
@@ -86,7 +86,7 @@ class DerivationNode:
         }
 
 
-@dataclass(eq=False, repr=False)
+@dataclass(eq=False, repr=False, slots=True)
 class DerivedNode:
     """A phrase-structure node with words at the leaves.
 
@@ -231,13 +231,17 @@ class DerivationFold:
 # ---------------------------------------------------------------------------
 # chart items
 
-class _Item:
-    __slots__ = ("ways",)
+class _Item(tuple):
+    """A chart item: the tuple of its distinct ways, in first-derived order.
+    Nearly every item has one; a new way replaces the item by a longer one."""
 
-    def __init__(self, way):
-        # a tuple of distinct ways, in first-derived order: nearly every
-        # item has one, and a tuple of one is the smallest container
-        self.ways = (way,)
+    __slots__ = ()
+
+    @property
+    def ways(self):
+        # for bench/tracing.py and the tests, until the benchmark reads a
+        # stats record (ROADMAP items 2 and 3); the parser reads the item
+        return self
 
 
 class ParseForest:
@@ -247,7 +251,8 @@ class ParseForest:
     only what the derivations pulled so far need.  Within one call each
     sub-derivation is built once, and the parses that contain it share it;
     ``derive`` with one ``subtrees`` dict then shares their derived subtrees.
-    The chart maps every anchor axiom's key to one item, and every foot
+    The chart maps each key to its item, the tuple of its ways, one object
+    per item.  Every anchor axiom's key maps to one item, and every foot
     axiom's key to another: no other deduction posts to such a key.
     """
 
@@ -288,7 +293,7 @@ class ParseForest:
         # attachment tuple comes out in address order
         address = key[3]
         cap = self.adjunction_cap
-        for way in self._chart[key].ways:
+        for way in self._chart[key]:
             kind = way[0]
             if kind in ("anchor", "foot"):
                 yield ()
@@ -392,7 +397,7 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
     # axioms: anchors scan their word; feet of auxiliaries may match any span
     # on their side of the anchor.  Only axioms post at anchor and foot
     # nodes, so their items are shared
-    anchor_item, foot_item = _Item(("anchor",)), _Item(("foot",))
+    anchor_item, foot_item = _Item((("anchor",),)), _Item((("foot",),))
     for name, position in instances:
         tree = trees[name]
         post_axiom(("node", name, position, tree.anchor_address, "top",
@@ -419,10 +424,10 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 way = ("complete", key)
                 item = get(new)
                 if item is None:
-                    chart[new] = _Item(way)
+                    chart[new] = _Item((way,))
                     append(new)
-                elif way not in item.ways:
-                    item.ways += (way,)
+                elif way not in item:
+                    chart[new] = _Item(item + (way,))
                 continue
             dots_open[(name, position, address, layer, j)].append(key)
             for top_key in child_tops.get((name, position, address + (layer + 1,), j), ()):
@@ -436,30 +441,30 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 way = ("step", key, top_key)
                 item = get(new)
                 if item is None:
-                    chart[new] = _Item(way)
+                    chart[new] = _Item((way,))
                     append(new)
-                elif way not in item.ways:
-                    item.ways += (way,)
+                elif way not in item:
+                    chart[new] = _Item(item + (way,))
         elif layer == "bot":
             label = shapes[name][address][0]
             new = ("node", name, position, address, "top", i, j, fi, fj)
             way = ("no_adjoin", key)
             item = get(new)
             if item is None:
-                chart[new] = _Item(way)
+                chart[new] = _Item((way,))
                 append(new)
-            elif way not in item.ways:
-                item.ways += (way,)
+            elif way not in item:
+                chart[new] = _Item(item + (way,))
             adj_hosts[(label, i, j)].append(key)
             for aux_key in aux_roots.get((label, i, j), ()):
                 new = ("node", name, position, address, "top", aux_key[5], aux_key[6], fi, fj)
                 way = ("adjoin", aux_key, key)
                 item = get(new)
                 if item is None:
-                    chart[new] = _Item(way)
+                    chart[new] = _Item((way,))
                     append(new)
-                elif way not in item.ways:
-                    item.ways += (way,)
+                elif way not in item:
+                    chart[new] = _Item(item + (way,))
         elif address:
             # a finished node feeds its parent's dotted traversal
             child_tops[(name, position, address, i)].append(key)
@@ -469,10 +474,10 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 way = ("first", key)
                 item = get(new)
                 if item is None:
-                    chart[new] = _Item(way)
+                    chart[new] = _Item((way,))
                     append(new)
-                elif way not in item.ways:
-                    item.ways += (way,)
+                elif way not in item:
+                    chart[new] = _Item(item + (way,))
                 continue
             for dot_key in dots_open.get((name, position, parent, child_no - 1, i), ()):
                 if dot_key[7] is None:
@@ -483,10 +488,10 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 way = ("step", dot_key, key)
                 item = get(new)
                 if item is None:
-                    chart[new] = _Item(way)
+                    chart[new] = _Item((way,))
                     append(new)
-                elif way not in item.ways:
-                    item.ways += (way,)
+                elif way not in item:
+                    chart[new] = _Item(item + (way,))
         elif name in initial:
             label = shapes[name][()][0]
             way = ("subst", key)
@@ -494,10 +499,10 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 new = ("node", host_name, host_position, host_address, "top", i, j, None, None)
                 item = get(new)
                 if item is None:
-                    chart[new] = _Item(way)
+                    chart[new] = _Item((way,))
                     append(new)
-                elif way not in item.ways:
-                    item.ways += (way,)
+                elif way not in item:
+                    chart[new] = _Item(item + (way,))
             if label == start and i == 0 and j == n:
                 goals.append(key)
         else:
@@ -509,10 +514,10 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                 way = ("adjoin", key, host_key)
                 item = get(new)
                 if item is None:
-                    chart[new] = _Item(way)
+                    chart[new] = _Item((way,))
                     append(new)
-                elif way not in item.ways:
-                    item.ways += (way,)
+                elif way not in item:
+                    chart[new] = _Item(item + (way,))
 
     return ParseForest(grammar, chart, goals, adjunction_cap)
 
@@ -528,11 +533,14 @@ def enumerate_derivations(forest: ParseForest, limit: int | None = None):
 # ---------------------------------------------------------------------------
 # deriving phrase structure from a derivation
 
-def _unify(target: tuple, incoming: tuple, where: str) -> tuple:
-    # a node's pairs may repeat an attribute, whose last pair counts
+def _unify(target: tuple, incoming: tuple, op: str, at) -> tuple:
+    # a node's pairs may repeat an attribute, whose last pair counts.  ``op``
+    # and ``at`` name the site, formatted only for the message: an operation
+    # and its address, or FOOT and the auxiliary's name
     merged = dict(target)
     for key, value in dict(incoming).items():
         if key in merged and merged[key] != value:
+            where = f"foot of {at!r}" if op == FOOT else f"{op} at {format_address(at)}"
             raise FeatureConflict(
                 f"feature {key!r} is {merged[key]!r} vs {value!r} at {where}")
         merged[key] = value
@@ -592,21 +600,23 @@ def check_derivation(grammar: Grammar, derivation: DerivationNode, length: int,
     top = tree.root.features
     seen: set[Address] = set()
     for att in derivation.attachments:
-        where = format_address(att.address)
-        if att.address in seen:
-            raise DerivationError(f"two attachments at address {where} of {derivation.tree!r}")
-        seen.add(att.address)
-        if att.address not in tree.positions:
-            raise DerivationError(f"{derivation.tree!r} has no node at {where}")
-        target = tree.node_at(att.address)
+        address = att.address
+        if address in seen:
+            raise DerivationError(f"two attachments at address {format_address(address)}"
+                                  f" of {derivation.tree!r}")
+        seen.add(address)
+        if address not in tree.positions:
+            raise DerivationError(
+                f"{derivation.tree!r} has no node at {format_address(address)}")
+        target = tree.node_at(address)
         child_tree = grammar.trees.get(att.child.tree)
         if child_tree is None:
             raise DerivationError(f"unknown elementary tree {att.child.tree!r}")
 
         if att.op == OP_SUBSTITUTION:
             if target.kind != SUBSTITUTION:
-                raise DerivationError(
-                    f"substitution at non-substitution node {where} of {derivation.tree!r}")
+                raise DerivationError(f"substitution at non-substitution node"
+                                      f" {format_address(address)} of {derivation.tree!r}")
             if child_tree.kind != INITIAL:
                 raise DerivationError(f"cannot substitute auxiliary tree {att.child.tree!r}")
             if child_tree.root.label != target.label:
@@ -619,11 +629,11 @@ def check_derivation(grammar: Grammar, derivation: DerivationNode, length: int,
                 shared = memo[id(att.child)] = (att.child, check_derivation(
                     grammar, att.child, length, check_features, memo), None)
             if check_features:
-                _unify(shared[1], target.features, f"substitution at {where}")
+                _unify(shared[1], target.features, OP_SUBSTITUTION, address)
         elif att.op == OP_ADJUNCTION:
             if target.kind != INTERNAL:
-                raise DerivationError(
-                    f"adjunction at {target.kind} node {where} of {derivation.tree!r}")
+                raise DerivationError(f"adjunction at {target.kind} node"
+                                      f" {format_address(address)} of {derivation.tree!r}")
             if child_tree.kind != AUXILIARY:
                 raise DerivationError(f"cannot adjoin initial tree {att.child.tree!r}")
             if child_tree.root.label != target.label:
@@ -632,10 +642,10 @@ def check_derivation(grammar: Grammar, derivation: DerivationNode, length: int,
                     f" at {target.label!r} node of {derivation.tree!r}")
             child_top = check_derivation(grammar, att.child, length, check_features, memo)
             if check_features:
-                merged = _unify(child_top, target.features, f"adjunction at {where}")
+                merged = _unify(child_top, target.features, OP_ADJUNCTION, address)
                 _unify(target.features, child_tree.node_at(child_tree.foot_address).features,
-                       f"foot of {att.child.tree!r}")
-                if not att.address:
+                       FOOT, att.child.tree)
+                if not address:
                     top = merged
         else:
             raise DerivationError(f"unknown operation {att.op!r}")
@@ -646,9 +656,10 @@ class _Builder(DerivationFold):
     """The derived tree of a checked derivation, each node built with its
     span: an anchor node is shared per (tree, anchor index), a foot is its
     host, and siblings must abut.  A substitution slot is planned as an
-    internal node without children, which ``adjoined`` replaces by the
-    substituted node's subtree, built once per ``subtrees`` dict; a slot
-    left unfilled has no words and is laid out where it falls."""
+    internal node without children, whose value is None until ``adjoined``
+    replaces it by the substituted node's subtree, built once per
+    ``subtrees`` dict.  A slot left unfilled has no words: its parent gives
+    it a node of its own, laid out where it falls."""
 
     def __init__(self, grammar, words, subtrees):
         super().__init__(grammar)
@@ -656,9 +667,13 @@ class _Builder(DerivationFold):
         self.plans = subtrees.setdefault(_Builder, {})  # made once per sentence
 
     def make_plan(self, tree):
-        """(kind, positions of its children, label, tree name) per node."""
-        return tuple((INTERNAL if kind == SUBSTITUTION else kind, children, label, tree.name)
-                     for label, kind, children in tree.layout)
+        """(kind, positions of its children, label, tree name, (index, label)
+        of each substitution slot among its children) per node."""
+        layout = tree.layout
+        return tuple((INTERNAL if kind == SUBSTITUTION else kind, children, label, tree.name,
+                      tuple((index, layout[position][0]) for index, position
+                            in enumerate(children) if layout[position][1] == SUBSTITUTION))
+                     for label, kind, children in layout)
 
     def anchor(self, entry, at):
         key = (entry[3], at)
@@ -669,8 +684,11 @@ class _Builder(DerivationFold):
 
     def internal(self, entry, values, part):
         if not entry[1]:  # a substitution slot
-            return DerivedNode(entry[2], [])
+            return None
         children = [values[position] for position in entry[1]]
+        for index, label in entry[4]:
+            if children[index] is None:  # an unfilled slot
+                children[index] = DerivedNode(label, [])
         start = end = next((child.start for child in children if child.start >= 0), -1)
         for child in children:
             if child.start < 0 <= end:

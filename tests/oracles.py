@@ -292,13 +292,19 @@ class ReferenceTree:
         return self.root.to_string()
 
 
+class FeatureNode(DerivedNode):
+    """A ``DerivedNode`` of a reference tree, with its merged features."""
+
+    __slots__ = ("features",)
+
+
 def reference_derive(grammar, derivation, words, check_features=False):
     """``parser.derive`` without shared subtrees: every call builds a whole
     new tree, writes every span, and compares the yield with ``words``.
 
     The same checks raise the same errors with the same messages; every
-    node keeps its merged features in a ``features`` dict of its own, set
-    on it here.  The ``ReferenceTree`` returned records every adjunction.
+    node is a ``FeatureNode`` and keeps its merged features in a dict of
+    its own.  The ``ReferenceTree`` returned records every adjunction.
     """
     records, anchors = [], []
 
@@ -312,7 +318,7 @@ def reference_derive(grammar, derivation, words, check_features=False):
         return merged
 
     def clone(tnode, address, anchor_index, by_address, slots):
-        node = DerivedNode(tnode.label, [])
+        node = FeatureNode(tnode.label, [])
         node.features = dict(tnode.features)
         by_address[address] = node
         if tnode.kind == ANCHOR:

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import ltagrank as lt
+from ltagrank import heuristics
 from ltagrank.heuristics import (GLOBAL_BUILTINS, Heuristic, HeuristicRegistry,
                                  Predicate, RegistryError, default_registry,
                                  extract, load_registry, load_weights, parse_registry,
@@ -268,6 +269,29 @@ def test_rank_counts_each_anchoring_once_as_extract_would(text):
             1 for name, _ in anchored if name == "Determiner")
     for rule in ("of_rule", "this_rule"):
         assert any(rp.vector[names.index(rule)] for rp in ranked), rule
+
+
+def test_rank_scores_each_distinct_vector_once(monkeypatch):
+    # the 18-word of-PP ladder: 227 parses with 23 distinct vectors.  The
+    # parses of one vector share one tuple, and one penalty scored once
+    calls = []
+
+    def counted(vector, weights):
+        calls.append(vector)
+        return score(vector, weights)
+
+    monkeypatch.setattr(heuristics, "score", counted)
+    reg = default_registry()
+    weights = uniform_weights(reg)
+    text = "the/D second/A part/N is/V the/D name/N" + " of/P the/D part/N" * 4
+    analysis = analyze_sentence(lt.loads(OFPP_GRAMMAR), tag(text), reg, weights,
+                                PipelineConfig(adjunction_cap=3))
+    first = {}
+    for rp in analysis.parses:
+        assert rp.vector is first.setdefault(rp.vector, rp).vector
+        assert rp.penalty == score(rp.vector, weights)
+    assert len(analysis.parses) == 227 and len(first) == 23
+    assert sorted(calls) == sorted(first)
 
 
 def test_rank_prefers_low_np_attachment():

@@ -16,6 +16,10 @@ raise, and ``main`` reports.
 No function nested in another names itself: a closure that calls itself
 is a reference cycle, which only the cyclic collector frees.
 
+The per-item and per-parse types (``parser._Item``, ``DerivationNode``,
+``Attachment``, ``DerivedNode``, ``DerivedTree``, ``RankedParse``) have
+slots and no instance ``__dict__``: a sentence makes thousands of each.
+
 Only ``pipeline.analyze_sentence`` touches the ``gc`` module: it pauses the
 cyclic collector for each sentence.  The pause is exact only while
 everything it covers is acyclic, which the pipeline tests check for the
@@ -26,6 +30,10 @@ import ast
 import re
 from collections import Counter
 from pathlib import Path
+
+from ltagrank.heuristics import RankedParse
+from ltagrank.parser import (OP_SUBSTITUTION, Attachment, DerivationNode, DerivedNode,
+                             DerivedTree, _Item)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ltagrank"
@@ -112,3 +120,12 @@ def test_only_analyze_sentence_touches_the_collector():
             if named or (imported and path.name != "pipeline.py"):
                 stray.append(f"{path.name}:{node.lineno}")
     assert not stray, "gc used outside pipeline.analyze_sentence:\n" + "\n".join(stray)
+
+
+def test_per_item_and_per_parse_objects_have_no_dict():
+    node = DerivationNode("Noun_Phrase", 0)
+    derived = DerivedNode("NP", ["dogs"], 0, 1)
+    objects = [_Item((("anchor",),)), node, Attachment(node, OP_SUBSTITUTION, (1,)),
+               derived, DerivedTree(node, derived, ["dogs"]),
+               RankedParse(node, (0.0,), 0.0, None)]
+    assert [type(obj).__name__ for obj in objects if hasattr(obj, "__dict__")] == []

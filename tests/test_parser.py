@@ -549,6 +549,25 @@ def test_chart_keeps_its_deduction_order(universes):
     assert found == CHART_DIGESTS
 
 
+def test_chart_items_are_tuples_of_their_distinct_ways(universes):
+    # the 12-word ladder and every universe sentence of at most 5 words:
+    # each item is the tuple of its ways, and its ``ways`` is itself
+    forests = [_ladder_forest(lt.loads(OFPP_GRAMMAR), 2, 3)]
+    for name in ("clauses", "pp", "modifiers"):
+        grammar, _, universe = universes[name]
+        for words in universe:
+            if len(words) <= 5:
+                sentence = _tagged(grammar, words)
+                forests.append(lt.parse(grammar, sentence, lt.select_trees(grammar, sentence)))
+    assert len(forests) > 1000
+    for forest in forests:
+        anchor, foot = _axiom_items(forest)
+        assert len(anchor) == 1 and len(foot) <= 1
+        for item in forest._chart.values():
+            assert isinstance(item, tuple) and item.ways is item
+            assert len(set(item)) == len(item) > 0
+
+
 @pytest.mark.parametrize("grammar_text, words", [
     (PP_GRAMMAR, "the man saw the man with the telescope".split()),
     (OFPP_GRAMMAR, _ladder_words(2)),
