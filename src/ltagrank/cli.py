@@ -165,7 +165,8 @@ def _read_candidate_lines(path):
 def cmd_eval(args) -> int:
     _require_at_least("--top-k", args.top_k, 1)
     candidate_lines = _read_candidate_lines(args.parses)  # blank line = no parse
-    gold_lines = [line for line in _read_candidate_lines(args.gold) if line.strip()]
+    gold_lines = [(number, line) for number, line in
+                  enumerate(_read_candidate_lines(args.gold), start=1) if line.strip()]
     if len(candidate_lines) != len(gold_lines):
         raise CliError(f"{args.parses} has {len(candidate_lines)} sentences but"
                        f" {args.gold} has {len(gold_lines)}; first unmatched index"
@@ -174,10 +175,14 @@ def cmd_eval(args) -> int:
         raise CliError(f"{args.gold} has no sentences")
     flatten_cats = _flatten_categories(args)
     pairs = []
-    for index, (cand_line, gold_line) in enumerate(zip(candidate_lines, gold_lines)):
-        gold = parseval.brackets_of(parseval.read_bracketed(gold_line))
-        candidates = [parseval.brackets_of(parseval.read_bracketed(chunk), flatten_cats)
-                      for chunk in cand_line.split("|||") if chunk.strip()]
+    for index, (cand_line, (gold_number, gold_line)) in enumerate(zip(candidate_lines,
+                                                                       gold_lines)):
+        gold = parseval.brackets_of(
+            parseval.read_bracketed_line(args.gold, gold_number, gold_line))
+        candidates = [
+            parseval.brackets_of(parseval.read_bracketed_line(args.parses, index + 1, chunk),
+                                 flatten_cats)
+            for chunk in cand_line.split("|||") if chunk.strip()]
         for bracketing in candidates:
             if bracketing.length != gold.length:
                 raise CliError(f"sentence {index}: candidate has {bracketing.length}"

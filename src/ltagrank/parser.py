@@ -15,7 +15,10 @@ category, and adjunction wraps a finished auxiliary tree around a "bot" item
 whose span equals the auxiliary's foot span.
 
 Each item is the tuple of its distinct ways (the deductions that posted
-it) in the order they were first derived.  Enumeration unpacks them lazily
+it) in the order they were first derived.  One function of ``parse``,
+``post``, posts every derived item and so keeps its ways distinct; each
+deduction rule is written once, the two-premise ones called from whichever
+premise comes off the agenda second.  Enumeration unpacks them lazily
 in that order, and the adjunction cap is enforced there: a way that would
 stack adjunctions along a spine deeper than the cap is skipped before
 anything under it is enumerated.  One enumeration builds the derivations
@@ -409,115 +412,75 @@ def parse(grammar: Grammar, sentence, assignment, start: str = "S",
                     post_axiom(("node", name, position, tree.foot_address, "top",
                                 i, j, i, j), foot_item)
 
-    # the deduction loop: each post of a derived item is inlined, and a
-    # node's label and child count come from its tree's shape table.  A key
-    # is ("node", tree, anchor, address, layer, i, j, foot_i, foot_j) or
-    # ("dot", tree, anchor, parent, children done, i, j, foot_i, foot_j)
+    # the deduction loop.  A key is ("node", tree, anchor, address, layer, i,
+    # j, foot_i, foot_j) or ("dot", tree, anchor, parent, children done, i, j,
+    # foot_i, foot_j), and a node's label and child count come from its
+    # tree's shape table.  ``step`` and ``adjoin`` each state a two-premise
+    # rule once, called for whichever premise comes off the agenda second
     get, append = chart.get, agenda.append
+
+    def post(key, way):
+        # the one insert-or-add: an item keeps its ways distinct, in the
+        # order they were first derived
+        item = get(key)
+        if item is None:
+            chart[key] = _Item((way,))
+            append(key)
+        elif way not in item:
+            chart[key] = _Item(item + (way,))
+
+    def step(dot_key, top_key):
+        # a dotted traversal moves over its finished next child.  An item
+        # carries only its own tree's foot span, and a tree has one foot
+        foot = top_key if dot_key[7] is None else dot_key
+        post(("dot", dot_key[1], dot_key[2], dot_key[3], dot_key[4] + 1, dot_key[5],
+              top_key[6], foot[7], foot[8]), ("step", dot_key, top_key))
+
+    def adjoin(aux_key, host_key):
+        # a finished auxiliary wraps the "bot" item whose span is its foot's
+        post(("node", host_key[1], host_key[2], host_key[3], "top", aux_key[5],
+              aux_key[6], host_key[7], host_key[8]), ("adjoin", aux_key, host_key))
+
     while agenda:
         key = agenda.popleft()
         kind, name, position, address, layer, i, j, fi, fj = key
         if kind == "dot":
             # a dotted traversal of ``address``'s children, ``layer`` done
             if layer == shapes[name][address][1]:
-                new = ("node", name, position, address, "bot", i, j, fi, fj)
-                way = ("complete", key)
-                item = get(new)
-                if item is None:
-                    chart[new] = _Item((way,))
-                    append(new)
-                elif way not in item:
-                    chart[new] = _Item(item + (way,))
+                post(("node", name, position, address, "bot", i, j, fi, fj),
+                     ("complete", key))
                 continue
             dots_open[(name, position, address, layer, j)].append(key)
             for top_key in child_tops.get((name, position, address + (layer + 1,), j), ()):
-                # an item carries only its own tree's foot span, and a tree
-                # has one foot
-                if fi is None:
-                    new = ("dot", name, position, address, layer + 1, i, top_key[6],
-                           top_key[7], top_key[8])
-                else:
-                    new = ("dot", name, position, address, layer + 1, i, top_key[6], fi, fj)
-                way = ("step", key, top_key)
-                item = get(new)
-                if item is None:
-                    chart[new] = _Item((way,))
-                    append(new)
-                elif way not in item:
-                    chart[new] = _Item(item + (way,))
+                step(key, top_key)
         elif layer == "bot":
             label = shapes[name][address][0]
-            new = ("node", name, position, address, "top", i, j, fi, fj)
-            way = ("no_adjoin", key)
-            item = get(new)
-            if item is None:
-                chart[new] = _Item((way,))
-                append(new)
-            elif way not in item:
-                chart[new] = _Item(item + (way,))
+            post(("node", name, position, address, "top", i, j, fi, fj), ("no_adjoin", key))
             adj_hosts[(label, i, j)].append(key)
             for aux_key in aux_roots.get((label, i, j), ()):
-                new = ("node", name, position, address, "top", aux_key[5], aux_key[6], fi, fj)
-                way = ("adjoin", aux_key, key)
-                item = get(new)
-                if item is None:
-                    chart[new] = _Item((way,))
-                    append(new)
-                elif way not in item:
-                    chart[new] = _Item(item + (way,))
+                adjoin(aux_key, key)
         elif address:
             # a finished node feeds its parent's dotted traversal
             child_tops[(name, position, address, i)].append(key)
             parent, child_no = address[:-1], address[-1]
             if child_no == 1:
-                new = ("dot", name, position, parent, 1, i, j, fi, fj)
-                way = ("first", key)
-                item = get(new)
-                if item is None:
-                    chart[new] = _Item((way,))
-                    append(new)
-                elif way not in item:
-                    chart[new] = _Item(item + (way,))
+                post(("dot", name, position, parent, 1, i, j, fi, fj), ("first", key))
                 continue
             for dot_key in dots_open.get((name, position, parent, child_no - 1, i), ()):
-                if dot_key[7] is None:
-                    new = ("dot", name, position, parent, child_no, dot_key[5], j, fi, fj)
-                else:
-                    new = ("dot", name, position, parent, child_no, dot_key[5], j,
-                           dot_key[7], dot_key[8])
-                way = ("step", dot_key, key)
-                item = get(new)
-                if item is None:
-                    chart[new] = _Item((way,))
-                    append(new)
-                elif way not in item:
-                    chart[new] = _Item(item + (way,))
+                step(dot_key, key)
         elif name in initial:
             label = shapes[name][()][0]
             way = ("subst", key)
             for host_name, host_position, host_address in subst_slots.get(label, ()):
-                new = ("node", host_name, host_position, host_address, "top", i, j, None, None)
-                item = get(new)
-                if item is None:
-                    chart[new] = _Item((way,))
-                    append(new)
-                elif way not in item:
-                    chart[new] = _Item(item + (way,))
+                post(("node", host_name, host_position, host_address, "top", i, j, None, None),
+                     way)
             if label == start and i == 0 and j == n:
                 goals.append(key)
         else:
             label = shapes[name][()][0]
             aux_roots[(label, fi, fj)].append(key)
             for host_key in adj_hosts.get((label, fi, fj), ()):
-                new = ("node", host_key[1], host_key[2], host_key[3], "top", i, j,
-                       host_key[7], host_key[8])
-                way = ("adjoin", key, host_key)
-                item = get(new)
-                if item is None:
-                    chart[new] = _Item((way,))
-                    append(new)
-                elif way not in item:
-                    chart[new] = _Item(item + (way,))
+                adjoin(key, host_key)
 
     return ParseForest(grammar, chart, goals, adjunction_cap)
 

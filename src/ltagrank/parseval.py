@@ -64,9 +64,22 @@ def _derived(form) -> DerivedNode:
     return root
 
 
+def read_bracketed_line(path, number: int, text: str) -> DerivedNode:
+    """``read_bracketed`` of ``text``, line ``number`` of ``path``: an error
+    names the file and the line."""
+    try:
+        return read_bracketed(text)
+    except BracketFormatError as exc:
+        raise BracketFormatError(f"{path}, line {number}: {exc.reason}", exc.position,
+                                 exc.label_position) from None
+
+
 def read_bracketed_corpus(path) -> list[DerivedNode]:
+    """The trees of the non-blank lines of ``path``; line numbers count
+    blank lines."""
     with open_text(path) as handle:
-        return [read_bracketed(line.strip()) for line in handle if line.strip()]
+        return [read_bracketed_line(path, number, line.strip())
+                for number, line in enumerate(handle, start=1) if line.strip()]
 
 
 @dataclass(frozen=True)

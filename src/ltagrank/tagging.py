@@ -49,12 +49,17 @@ def parse_tagged_line(line: str) -> list[TaggedWord]:
 
 
 def read_tagged_corpus(path) -> list[list[TaggedWord]]:
+    """The sentences of the non-blank lines of ``path``.  An error names the
+    file and the line, counting blank lines."""
     sentences = []
     with open_text(path) as handle:
-        for raw in handle:
+        for number, raw in enumerate(handle, start=1):
             line = raw.strip()
             if line:
-                sentences.append(parse_tagged_line(line))
+                try:
+                    sentences.append(parse_tagged_line(line))
+                except TaggedInputError as exc:
+                    raise TaggedInputError(f"{path}, line {number}: {exc}") from None
     return sentences
 
 

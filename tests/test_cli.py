@@ -391,6 +391,42 @@ def test_train_reads_gold_nested_deeper_than_the_recursion_limit(tmp_path, capsy
         assert "missing ')'" in err
 
 
+def test_bad_tagged_line_names_its_file_and_line(tmp_path, capsys):
+    # line numbers count the blank line
+    corpus = tmp_path / "c.tagged"
+    corpus.write_text("the/D part/N is/V the/D name/N\n\nthe/D dogs is/V\n")
+    code, _, err = run(["parse", *SAMPLE_GRAMMAR, corpus], capsys)
+    assert_one_error(code, err)
+    assert err == f"error: {corpus}, line 3: token 'dogs' is missing a /TAG suffix\n"
+
+
+def test_bad_gold_line_names_its_file_and_line(tmp_path, capsys):
+    gold = (SAMPLE / "gold.brackets").read_text().splitlines()
+    gold[2] = gold[2][:-1]
+    gold_path = tmp_path / "gold.brackets"
+    gold_path.write_text("\n" + "\n".join(gold) + "\n")
+    code, _, err = run(["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                        "--gold", gold_path, "--max-iterations", "5",
+                        "--weights-out", tmp_path / "w.tsv",
+                        "--log", tmp_path / "log"], capsys)
+    assert_one_error(code, err)
+    assert err.startswith(f"error: {gold_path}, line 4: missing ')' (at character ")
+
+
+@pytest.mark.parametrize("bad", ["parses", "gold"])
+def test_eval_bad_line_names_its_file_and_line(tmp_path, capsys, bad):
+    # the gold file's two leading blank lines are skipped, but counted
+    lines = (SAMPLE / "gold.brackets").read_text().splitlines()
+    broken = lines[:3] + [lines[3][:-1]] + lines[4:]
+    paths = {"parses": tmp_path / "parses.txt", "gold": tmp_path / "gold.brackets"}
+    paths["parses"].write_text("\n".join(broken if bad == "parses" else lines) + "\n")
+    paths["gold"].write_text("\n\n" + "\n".join(broken if bad == "gold" else lines) + "\n")
+    code, _, err = run(["eval", paths["parses"], "--gold", paths["gold"]], capsys)
+    assert_one_error(code, err)
+    number = 4 if bad == "parses" else 6
+    assert err.startswith(f"error: {paths[bad]}, line {number}: missing ')' (at character ")
+
+
 def test_eval_empty_files_is_an_error(tmp_path, capsys):
     empty = tmp_path / "empty.txt"
     empty.write_text("")

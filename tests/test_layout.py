@@ -20,6 +20,10 @@ The per-item and per-parse types (``parser._Item``, ``DerivationNode``,
 ``Attachment``, ``DerivedNode``, ``DerivedTree``, ``RankedParse``) have
 slots and no instance ``__dict__``: a sentence makes thousands of each.
 
+Inside ``parser.parse`` one nested function, ``post``, builds every
+derived chart item: the rule that keeps an item's ways distinct is stated
+once.
+
 Only ``pipeline.analyze_sentence`` touches the ``gc`` module: it pauses the
 cyclic collector for each sentence.  The pause is exact only while
 everything it covers is acyclic, which the pipeline tests check for the
@@ -129,3 +133,29 @@ def test_per_item_and_per_parse_objects_have_no_dict():
                derived, DerivedTree(node, derived, ["dogs"]),
                RankedParse(node, (0.0,), 0.0, None)]
     assert [type(obj).__name__ for obj in objects if hasattr(obj, "__dict__")] == []
+
+
+def test_one_post_builds_the_derived_chart_items():
+    """Inside ``parser.parse``, ``_Item`` is called only in one nested
+    function, ``post``, and for the two items that all the anchor axioms
+    and all the foot axioms share.  The check is an AST check on calls of
+    the name ``_Item``: an item built another way, say through an alias,
+    escapes it."""
+    tree = ast.parse((PACKAGE / "parser.py").read_text())
+    parse = next(node for node in tree.body
+                 if isinstance(node, ast.FunctionDef) and node.name == "parse")
+
+    def item_calls(node):
+        return [call for call in ast.walk(node) if isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name) and call.func.id == "_Item"]
+
+    posts = [node for node in ast.walk(parse)
+             if isinstance(node, ast.FunctionDef) and node.name == "post"]
+    in_post = {id(call) for post in posts for call in item_calls(post)}
+    others = sorted((call.lineno, call.col_offset, ast.unparse(call))
+                    for call in item_calls(parse) if id(call) not in in_post)
+    assert [text for _, _, text in others] == \
+        ["_Item((('anchor',),))", "_Item((('foot',),))"], \
+        "_Item called outside parse's post:\n" + \
+        "\n".join(f"parser.py:{line} {text}" for line, _, text in others)
+    assert len(posts) == 1 and in_post

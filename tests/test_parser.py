@@ -1,7 +1,9 @@
 import gc
 import hashlib
+import itertools
 import random
 import types
+from pathlib import Path
 
 import pytest
 
@@ -524,21 +526,46 @@ def _chart_digest(forests):
     return digest.hexdigest()
 
 
-# recorded with the parser whose agenda loop called ``node_at`` per item
+# recorded with the parser whose agenda loop called ``node_at`` per item;
+# the 18- and 21-word ladders and the entries from "sample" on with the one
+# whose agenda loop wrote each post out in place
 CHART_DIGESTS = {
     12: "e371f5b252a10586355b72db4d922959bd9756ef9dd642c183d0e869399243ce",
     15: "7f85c480c62b6786887dd57cff9c33267c40c19fa01e1887c307e02ea91b19b6",
+    18: "4d24d5f282d2f60fd0cfd061c103474bc830730a56ad148048d8066e0d376728",
+    21: "e257b221da0956f3e4f081649a32a4ceb9dfa237c582edefa640b3d6822f170f",
     "clauses": "ea32a2eeb3cac46286a216ee1bebda28643d6cd40f103e2ed87176279bba87cb",
     "pp": "bb28aa3d44df426eb17bc00064cdaa1d8bc13b064884e39a801f4a0ef85ad577",
     "modifiers": "1e4d2ff78f190cb38e63677cfc4d98af62c43a593e06540b00a8c6e50fa9eac1",
+    "sample": "86a2b0f35ae2697989a730c515f52f40257cf3c1f8c357c698778ca875df218b",
+    "sample_freq": "fbf0f9df68f587c544c77d541ca74bd1a7923708893cf01b64aba13b28d9258e",
+    "features": "05ccf8dbec1c8a41a27a512f920ef43a0f70ca69696c20ecea1a7e338adbbbd3",
+    "off_spine": "103d871516a697901f70e9fc298374226aedb3d35be7c132c664485457df069d",
+    "shapes0": "915ddf7dcb691d9d411e5f535a5cb52543137651efaded9d77422a570b258fde",
+    "shapes1": "a576205e0d9c7c9002ca273fbc79b11cbe4a1dbc65a583684a7de6313aa383fe",
 }
+
+SAMPLE = Path(__file__).resolve().parent.parent / "sample"
+
+
+def _every_string_forests(grammar, length):
+    # every string of at most ``length`` words over the vocabulary, most of
+    # them without a parse
+    vocab = sorted({word for (word, _) in grammar.lexicon})
+    for size in range(1, length + 1):
+        for words in itertools.product(vocab, repeat=size):
+            sentence = _tagged(grammar, words)
+            yield lt.parse(grammar, sentence, lt.select_trees(grammar, sentence))
 
 
 def test_chart_keeps_its_deduction_order(universes):
-    # the ladder at 12 and 15 words, and every 7th universe sentence of at
-    # most 5 words
+    # the ladder at 12 to 21 words; every 7th universe sentence of at most 5
+    # words; the sample corpus under the structural filter, and under the
+    # frequency cut to 1 too (the CLI's 3 cuts nothing there); the feature
+    # sentences; and every string of at most 4 words of the off-spine and
+    # shape grammars
     g = lt.loads(OFPP_GRAMMAR)
-    found = {6 + 3 * pps: _chart_digest([_ladder_forest(g, pps, 3)]) for pps in (2, 3)}
+    found = {6 + 3 * pps: _chart_digest([_ladder_forest(g, pps, 3)]) for pps in (2, 3, 4, 5)}
     for name in ("clauses", "pp", "modifiers"):
         grammar, _, universe = universes[name]
         sentences = [_tagged(grammar, words)
@@ -546,6 +573,23 @@ def test_chart_keeps_its_deduction_order(universes):
         found[name] = _chart_digest(
             lt.parse(grammar, sentence, lt.select_trees(grammar, sentence))
             for sentence in sentences)
+    sample = lt.load_grammar(SAMPLE / "grammar.ltag", SAMPLE / "freq.tsv")
+    sentences = lt.tagging.read_tagged_corpus(SAMPLE / "corpus.tagged")
+    structural = [lt.structural_filter(sample, sentence, lt.select_trees(sample, sentence))
+                  for sentence in sentences]
+    found["sample"] = _chart_digest(
+        lt.parse(sample, sentence, assignment)
+        for sentence, assignment in zip(sentences, structural))
+    found["sample_freq"] = _chart_digest(
+        lt.parse(sample, sentence, lt.frequency_filter(assignment, sample.freq, 1))
+        for sentence, assignment in zip(sentences, structural))
+    features = lt.loads(FEATURE_GRAMMAR)
+    found["features"] = _chart_digest(
+        lt.parse(features, sentence, lt.select_trees(features, sentence))
+        for sentence in (_tagged(features, text.split()) for text in FEATURE_SENTENCES))
+    found["off_spine"] = _chart_digest(_every_string_forests(lt.loads(OFF_SPINE_GRAMMAR), 4))
+    for number, text in enumerate(SHAPE_GRAMMARS):
+        found[f"shapes{number}"] = _chart_digest(_every_string_forests(lt.loads(text), 4))
     assert found == CHART_DIGESTS
 
 
