@@ -94,11 +94,25 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _analyze_each(sentences, grammar, registry, weights, config):
+    """``analyze_sentence`` of each sentence in turn, as the caller asks for
+    it.  A sentence whose analysis runs out of memory is named in a
+    CliError, made once the frames that hold the analysis are dropped."""
+    for index, sentence in enumerate(sentences):
+        try:
+            # yielded, not bound: a local would keep each analysis alive
+            # while the next one is analyzed
+            yield analyze_sentence(grammar, sentence, registry, weights, config)
+        except MemoryError as exc:
+            exc.__traceback__ = None
+            raise CliError(f"sentence {index}: out of memory; --max-parses bounds"
+                           f" the parses kept per sentence") from None
+
+
 def _analyze_corpus(args, grammar, registry, weights):
     sentences = read_tagged_corpus(args.corpus)
     config = _pipeline_config(args)
-    return [analyze_sentence(grammar, sentence, registry, weights, config)
-            for sentence in sentences]
+    return list(_analyze_each(sentences, grammar, registry, weights, config))
 
 
 def cmd_parse(args) -> int:
@@ -179,10 +193,12 @@ def cmd_eval(args) -> int:
                                                                        gold_lines)):
         gold = parseval.brackets_of(
             parseval.read_bracketed_line(args.gold, gold_number, gold_line))
-        candidates = [
-            parseval.brackets_of(parseval.read_bracketed_line(args.parses, index + 1, chunk),
-                                 flatten_cats)
-            for chunk in cand_line.split("|||") if chunk.strip()]
+        candidates, offset = [], 0  # offset: where the chunk starts in the line
+        for chunk in cand_line.split("|||"):
+            if chunk.strip():
+                candidates.append(parseval.brackets_of(parseval.read_bracketed_line(
+                    args.parses, index + 1, chunk, offset), flatten_cats))
+            offset += len(chunk) + len("|||")
         for bracketing in candidates:
             if bracketing.length != gold.length:
                 raise CliError(f"sentence {index}: candidate has {bracketing.length}"
@@ -310,8 +326,7 @@ def cmd_train(args) -> int:
     resume_state, earlier = training.read_log(args.resume) if args.resume else (None, [])
 
     # analyzed one at a time: each chart is freed soon after its record is built
-    analyses = (analyze_sentence(grammar, sentence, registry, initial, config)
-                for sentence in sentences)
+    analyses = _analyze_each(sentences, grammar, registry, initial, config)
     records = build_records(analyses, gold_trees, args.recall_mode,
                             _flatten_categories(args), args.top_k)
     result = training.train(records, spec, train_config, initial,

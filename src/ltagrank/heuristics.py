@@ -386,8 +386,8 @@ class RankedParse:
     penalty.  ``rank`` gives the parses of a sentence whose vectors are
     equal one vector tuple and one penalty.  ``derived``, its derived tree,
     is built on first read by ``deriver``, the sentence's one ``Deriver``,
-    so that the trees read share their subtrees; a parse nobody prints is
-    never derived."""
+    which checks and builds each substituted node once, so that the trees
+    read share their subtrees; a parse nobody prints is never derived."""
 
     __slots__ = ("derivation", "vector", "penalty", "deriver", "_derived")
 
@@ -439,11 +439,12 @@ def zero_weights(registry: HeuristicRegistry) -> list[float]:
 
 
 def load_weights(path, registry: HeuristicRegistry) -> list[float]:
-    """Read a weights file; names must match the registry order exactly."""
+    """Read a weights file; names must match the registry order exactly.
+    As in the other input files, '#' starts a comment."""
     weights = []
     names = registry.names()
     with open_text(path) as handle:
-        rows = [line.strip() for line in handle if line.strip() and not line.startswith("#")]
+        rows = [row for row in (raw.split("#", 1)[0].strip() for raw in handle) if row]
     if len(rows) != len(names):
         raise RegistryError(f"weights file has {len(rows)} rows, registry has {len(names)}")
     for row, expected in zip(rows, names):

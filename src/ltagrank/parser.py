@@ -27,12 +27,12 @@ depth, and every substitution or adjunction that reaches that root replays
 them through its own copy of one ``itertools.tee``: parses share
 ``DerivationNode``s, which are frozen.  Ranking and scoring fold the
 derivations alone; a parse's tree is derived, by a fold too, when read.
-Given one ``subtrees`` dict per sentence (a ``Deriver`` holds one),
-``derive`` builds the subtree of each substituted ``DerivationNode`` once
-and every later parse that substitutes it reuses it: parses share derived
-subtrees too, and each anchor node, which the (tree, word) it anchors
-fixes.  So derived trees are read-only (copy one with
-``parseval.flatten(root, ())``), and their nodes have no parent link.
+A sentence's one ``Deriver`` checks and builds the subtree of each
+substituted ``DerivationNode`` once, and every later parse that
+substitutes it reuses it: parses share derived subtrees too, and each
+anchor node, which the (tree, word) it anchors fixes.  So derived trees
+are read-only (copy one with ``parseval.flatten(root, ())``), and their
+nodes have no parent link.
 In the same way a chart shares one item among all its anchor axioms and
 one among all its foot axioms.
 
@@ -125,35 +125,14 @@ class DerivedNode:
 
 @dataclass(eq=False, repr=False, slots=True)
 class DerivedTree:
-    """The derived tree of ``derivation`` over the sentence ``words``.
-
-    ``derive`` makes one for a parse.  ``words`` is the sentence as given
-    to ``derive``, one list for all the trees of it.
-    """
+    """The derived tree of ``derivation``; a ``Deriver`` makes one for a
+    parse."""
 
     derivation: DerivationNode
     root: DerivedNode
-    words: list[str]
 
     def to_string(self) -> str:
         return self.root.to_string()
-
-
-@dataclass(eq=False, repr=False, slots=True)
-class Deriver:
-    """``derive`` for the parses of one sentence, ``words``: one
-    ``subtrees`` dict under one ``check_features`` setting, so that the
-    trees built share their subtrees and checks.  It refers to none of
-    those trees' readers, so it forms no reference cycle with them."""
-
-    grammar: Grammar
-    words: list[str]
-    check_features: bool = False
-    subtrees: dict = field(default_factory=dict)
-
-    def derive(self, derivation: DerivationNode) -> DerivedTree:
-        return derive(self.grammar, derivation, self.words, self.check_features,
-                      self.subtrees)
 
 
 class DerivationFold:
@@ -253,7 +232,7 @@ class ParseForest:
     ``iter_derivations`` unpacks them in canonical order, lazily: it builds
     only what the derivations pulled so far need.  Within one call each
     sub-derivation is built once, and the parses that contain it share it;
-    ``derive`` with one ``subtrees`` dict then shares their derived subtrees.
+    the sentence's one ``Deriver`` then shares their derived subtrees.
     The chart maps each key to its item, the tuple of its ways, one object
     per item.  Every anchor axiom's key maps to one item, and every foot
     axiom's key to another: no other deduction posts to such a key.
@@ -514,120 +493,118 @@ _OUT_OF_ORDER = "anchor positions are inconsistent with the word order"
 
 
 def derive(grammar: Grammar, derivation: DerivationNode, words,
-           check_features: bool = False, subtrees: dict | None = None) -> DerivedTree:
-    """Carry out the derivation's substitutions and adjunctions bottom-up.
+           check_features: bool = False) -> DerivedTree:
+    """The derived tree of ``derivation`` over the sentence ``words``, by a
+    ``Deriver`` of its own: ``Deriver.derive`` says what it raises."""
+    return Deriver(grammar, words, check_features).derive(derivation)
 
-    ``words`` is the whole sentence, which the tree returned holds: each
-    anchor must sit at its index and the yield must equal ``words``.  These
-    and other structural problems (bad address, category mismatch,
-    duplicate adjunction) raise DerivationError; with ``check_features`` on,
-    clashing atomic features raise FeatureConflict instead (absent
-    attributes unify with anything).
 
-    ``subtrees``, a dict kept across the parses of one sentence under one
-    ``check_features`` setting, shares derived nodes between them;
-    ``analyze_sentence`` passes one, and without it the call uses a dict of
-    its own.  An anchor node is fixed by its tree and anchor index, and no
-    operation targets it: the dict maps each (tree name, anchor index) to
-    one anchor node.  A substituted initial tree's subtree is fixed by its
-    ``DerivationNode``: its anchors fix its words, and every adjunction
-    into it is inside it.  So the dict maps each substituted node, by
-    identity, to its check and its subtree's top, each made once, and a
-    parse costs only its own part: its derivation's root tree and the
-    auxiliary trees adjoined there, recursively.  The trees returned are
-    read-only; ``parseval.flatten(root, ())`` makes a private copy of one.
+class Deriver(DerivationFold):
+    """The derived trees of the parses of one sentence, ``words``, under
+    one ``check_features`` setting, sharing their subtrees and checks;
+    ``analyze_sentence`` makes one per sentence.  No memo refers to a
+    reader of its trees, so none forms a reference cycle with one.
+
+    An anchor node is fixed by its (tree name, anchor index), its key in
+    ``anchors``.  A substituted node's subtree is fixed by the node: its
+    anchors fix its words, and every adjunction into it is inside it.  So
+    ``shared`` maps each substituted node, by identity, to (node, its
+    built top or None, its top's features), and a parse costs its own
+    part: its root tree and what is adjoined there, recursively.  A
+    substitution slot is planned as an internal node without children,
+    whose value is None until ``adjoined`` puts the subtree there; a slot
+    left unfilled has no words, and its parent gives it a node of its own,
+    laid out where it falls.  Siblings must abut.
     """
-    subtrees = {} if subtrees is None else subtrees
-    check_derivation(grammar, derivation, len(words), check_features, subtrees)
-    root = _Builder(grammar, words, subtrees).instance(derivation, None, None)
-    if root.start != 0:
-        raise DerivationError(_OUT_OF_ORDER)
-    if root.end != len(words):
-        raise DerivationError(
-            f"derived yield {root.leaves()!r} does not match words {list(words)!r}")
-    return DerivedTree(derivation, root, words)
 
-
-def check_derivation(grammar: Grammar, derivation: DerivationNode, length: int,
-                     check_features: bool, memo: dict) -> tuple:
-    """Raise what ``derive`` raises for ``derivation`` over ``length`` words
-    but the word-order errors, walking its attachments in address order;
-    return its top's features, merged only under ``check_features``.
-    ``memo``, a ``derive`` ``subtrees`` dict, maps each substituted node
-    checked, by identity, to (node, its top's features, top or None)."""
-    tree = grammar.trees.get(derivation.tree)
-    if tree is None:
-        raise DerivationError(f"unknown elementary tree {derivation.tree!r}")
-    if not 0 <= derivation.anchor_index < length:
-        raise DerivationError(f"anchor index {derivation.anchor_index} outside the sentence")
-    top = tree.root.features
-    seen: set[Address] = set()
-    for att in derivation.attachments:
-        address = att.address
-        if address in seen:
-            raise DerivationError(f"two attachments at address {format_address(address)}"
-                                  f" of {derivation.tree!r}")
-        seen.add(address)
-        if address not in tree.positions:
-            raise DerivationError(
-                f"{derivation.tree!r} has no node at {format_address(address)}")
-        target = tree.node_at(address)
-        child_tree = grammar.trees.get(att.child.tree)
-        if child_tree is None:
-            raise DerivationError(f"unknown elementary tree {att.child.tree!r}")
-
-        if att.op == OP_SUBSTITUTION:
-            if target.kind != SUBSTITUTION:
-                raise DerivationError(f"substitution at non-substitution node"
-                                      f" {format_address(address)} of {derivation.tree!r}")
-            if child_tree.kind != INITIAL:
-                raise DerivationError(f"cannot substitute auxiliary tree {att.child.tree!r}")
-            if child_tree.root.label != target.label:
-                raise DerivationError(
-                    f"substituting {child_tree.root.label!r} tree {att.child.tree!r}"
-                    f" at {target.label!r} node of {derivation.tree!r}")
-            shared = memo.get(id(att.child))
-            if shared is None:
-                # the entry holds the node, so that its id is not reused
-                shared = memo[id(att.child)] = (att.child, check_derivation(
-                    grammar, att.child, length, check_features, memo), None)
-            if check_features:
-                _unify(shared[1], target.features, OP_SUBSTITUTION, address)
-        elif att.op == OP_ADJUNCTION:
-            if target.kind != INTERNAL:
-                raise DerivationError(f"adjunction at {target.kind} node"
-                                      f" {format_address(address)} of {derivation.tree!r}")
-            if child_tree.kind != AUXILIARY:
-                raise DerivationError(f"cannot adjoin initial tree {att.child.tree!r}")
-            if child_tree.root.label != target.label:
-                raise DerivationError(
-                    f"adjoining {child_tree.root.label!r} tree {att.child.tree!r}"
-                    f" at {target.label!r} node of {derivation.tree!r}")
-            child_top = check_derivation(grammar, att.child, length, check_features, memo)
-            if check_features:
-                merged = _unify(child_top, target.features, OP_ADJUNCTION, address)
-                _unify(target.features, child_tree.node_at(child_tree.foot_address).features,
-                       FOOT, att.child.tree)
-                if not address:
-                    top = merged
-        else:
-            raise DerivationError(f"unknown operation {att.op!r}")
-    return top
-
-
-class _Builder(DerivationFold):
-    """The derived tree of a checked derivation, each node built with its
-    span: an anchor node is shared per (tree, anchor index), a foot is its
-    host, and siblings must abut.  A substitution slot is planned as an
-    internal node without children, whose value is None until ``adjoined``
-    replaces it by the substituted node's subtree, built once per
-    ``subtrees`` dict.  A slot left unfilled has no words: its parent gives
-    it a node of its own, laid out where it falls."""
-
-    def __init__(self, grammar, words, subtrees):
+    def __init__(self, grammar: Grammar, words, check_features: bool = False):
         super().__init__(grammar)
-        self.words, self.subtrees = words, subtrees
-        self.plans = subtrees.setdefault(_Builder, {})  # made once per sentence
+        self.words, self.check_features = words, check_features
+        self.anchors = {}  # (tree name, anchor index) -> its anchor node
+
+    def derive(self, derivation: DerivationNode) -> DerivedTree:
+        """The tree of ``derivation``, built bottom-up.  A structural
+        problem (bad address, category mismatch, duplicate adjunction, an
+        anchor off its word) raises DerivationError; under
+        ``check_features`` clashing atomic features raise FeatureConflict
+        (absent attributes unify with anything).  The tree is read-only:
+        ``parseval.flatten(root, ())`` copies it."""
+        self.check(derivation)
+        root = self.instance(derivation, None, None)
+        if root.start != 0:
+            raise DerivationError(_OUT_OF_ORDER)
+        if root.end != len(self.words):
+            raise DerivationError(
+                f"derived yield {root.leaves()!r} does not match words {list(self.words)!r}")
+        return DerivedTree(derivation, root)
+
+    def check(self, derivation: DerivationNode) -> tuple:
+        """Raise what ``derive`` raises for ``derivation`` but the
+        word-order errors, walking its attachments in address order; return
+        its top's features, merged only under ``check_features``.  No tree
+        is built, and a substituted node is checked once."""
+        grammar, check_features = self.grammar, self.check_features
+        tree = grammar.trees.get(derivation.tree)
+        if tree is None:
+            raise DerivationError(f"unknown elementary tree {derivation.tree!r}")
+        if not 0 <= derivation.anchor_index < len(self.words):
+            raise DerivationError(
+                f"anchor index {derivation.anchor_index} outside the sentence")
+        top = tree.root.features
+        seen: set[Address] = set()
+        for att in derivation.attachments:
+            address = att.address
+            if address in seen:
+                raise DerivationError(f"two attachments at address {format_address(address)}"
+                                      f" of {derivation.tree!r}")
+            seen.add(address)
+            if address not in tree.positions:
+                raise DerivationError(
+                    f"{derivation.tree!r} has no node at {format_address(address)}")
+            target = tree.node_at(address)
+            child_tree = grammar.trees.get(att.child.tree)
+            if child_tree is None:
+                raise DerivationError(f"unknown elementary tree {att.child.tree!r}")
+
+            if att.op == OP_SUBSTITUTION:
+                if target.kind != SUBSTITUTION:
+                    raise DerivationError(f"substitution at non-substitution node"
+                                          f" {format_address(address)} of {derivation.tree!r}")
+                if child_tree.kind != INITIAL:
+                    raise DerivationError(
+                        f"cannot substitute auxiliary tree {att.child.tree!r}")
+                if child_tree.root.label != target.label:
+                    raise DerivationError(
+                        f"substituting {child_tree.root.label!r} tree {att.child.tree!r}"
+                        f" at {target.label!r} node of {derivation.tree!r}")
+                shared = self.shared.get(id(att.child))
+                if shared is None:
+                    # the entry holds the node, so that its id is not reused
+                    shared = self.shared[id(att.child)] = (att.child, None,
+                                                           self.check(att.child))
+                if check_features:
+                    _unify(shared[2], target.features, OP_SUBSTITUTION, address)
+            elif att.op == OP_ADJUNCTION:
+                if target.kind != INTERNAL:
+                    raise DerivationError(f"adjunction at {target.kind} node"
+                                          f" {format_address(address)} of {derivation.tree!r}")
+                if child_tree.kind != AUXILIARY:
+                    raise DerivationError(f"cannot adjoin initial tree {att.child.tree!r}")
+                if child_tree.root.label != target.label:
+                    raise DerivationError(
+                        f"adjoining {child_tree.root.label!r} tree {att.child.tree!r}"
+                        f" at {target.label!r} node of {derivation.tree!r}")
+                child_top = self.check(att.child)
+                if check_features:
+                    merged = _unify(child_top, target.features, OP_ADJUNCTION, address)
+                    _unify(target.features,
+                           child_tree.node_at(child_tree.foot_address).features,
+                           FOOT, att.child.tree)
+                    if not address:
+                        top = merged
+            else:
+                raise DerivationError(f"unknown operation {att.op!r}")
+        return top
 
     def make_plan(self, tree):
         """(kind, positions of its children, label, tree name, (index, label)
@@ -640,9 +617,9 @@ class _Builder(DerivationFold):
 
     def anchor(self, entry, at):
         key = (entry[3], at)
-        node = self.subtrees.get(key)
+        node = self.anchors.get(key)
         if node is None:
-            node = self.subtrees[key] = DerivedNode(entry[2], [self.words[at]], at, at + 1)
+            node = self.anchors[key] = DerivedNode(entry[2], [self.words[at]], at, at + 1)
         return node
 
     def internal(self, entry, values, part):
@@ -665,10 +642,11 @@ class _Builder(DerivationFold):
     def adjoined(self, child, entry, host, part):
         if entry[1]:
             return self.instance(child, host, part)
-        shared = self.subtrees[id(child)]
-        if shared[2] is None:
-            shared = self.subtrees[id(child)] = shared[:2] + (self.instance(child, None, part),)
-        return shared[2]
+        shared = self.shared[id(child)]
+        if shared[1] is None:
+            shared = self.shared[id(child)] = (child, self.instance(child, None, part),
+                                               shared[2])
+        return shared[1]
 
 
 def assign_spans(node: DerivedNode, start: int) -> int:

@@ -64,14 +64,16 @@ def _derived(form) -> DerivedNode:
     return root
 
 
-def read_bracketed_line(path, number: int, text: str) -> DerivedNode:
-    """``read_bracketed`` of ``text``, line ``number`` of ``path``: an error
-    names the file and the line."""
+def read_bracketed_line(path, number: int, text: str, offset: int = 0) -> DerivedNode:
+    """``read_bracketed`` of ``text``, found at character ``offset`` of line
+    ``number`` of ``path``: an error names the file and the line, and its
+    positions count from the line's start."""
     try:
         return read_bracketed(text)
     except BracketFormatError as exc:
-        raise BracketFormatError(f"{path}, line {number}: {exc.reason}", exc.position,
-                                 exc.label_position) from None
+        raise BracketFormatError(f"{path}, line {number}: {exc.reason}",
+                                 offset + exc.position,
+                                 offset + exc.label_position) from None
 
 
 def read_bracketed_corpus(path) -> list[DerivedNode]:

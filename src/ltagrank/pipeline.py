@@ -8,8 +8,7 @@ from dataclasses import dataclass
 from .filtering import FilterReport, filter_with_fallback, structural_filter
 from .grammar import Grammar
 from .heuristics import HeuristicRegistry, RankedParse, rank
-from .parser import (Deriver, FeatureConflict, ParseForest, check_derivation,
-                     enumerate_derivations, parse)
+from .parser import Deriver, FeatureConflict, ParseForest, enumerate_derivations, parse
 from .parser import derive  # noqa: F401 -- bench/tracing.py times it as pipeline.derive
 from .tagging import select_trees
 
@@ -51,8 +50,9 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
     Parses are ranked off their derivations, and no tree is derived: a
     parse's ``derived`` is built on first read, through one ``Deriver`` per
     sentence, so the trees read share their subtrees.  With
-    ``check_features`` every parse's derivation is checked here, without
-    building its tree, and those whose features clash are dropped.
+    ``check_features`` that ``Deriver`` checks every parse's derivation
+    here, without building its tree, and those whose features clash are
+    dropped; a tree read later reuses the checks of its substituted nodes.
 
     The cyclic garbage collector is paused for the whole call.  Everything
     the call builds (chart, derivations, derived trees, ranked parses) is
@@ -100,8 +100,7 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
 def _unifies(deriver, derivation) -> bool:
     """Whether ``derivation``'s features unify; no tree is built."""
     try:
-        check_derivation(deriver.grammar, derivation, len(deriver.words), True,
-                         deriver.subtrees)
+        deriver.check(derivation)
     except FeatureConflict:
         return False
     return True

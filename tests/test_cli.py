@@ -202,6 +202,38 @@ def test_console_script_runs():
     assert "trees:" in result.stdout
 
 
+def test_running_out_of_memory_gives_one_error_line(tmp_path):
+    # the 36-word of-PP ladder has millions of parses under the default
+    # cap, more than a 256 MB address space holds; the limit is set in the
+    # child alone.  The short sentence before it is analyzed first
+    resource = pytest.importorskip("resource")
+    package_root = str(Path(ltagrank.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [package_root, os.environ.get("PYTHONPATH")])))
+    grammar, corpus = tmp_path / "grammar.ltag", tmp_path / "corpus.tagged"
+    grammar.write_text(OFPP_GRAMMAR)
+    corpus.write_text("the/D name/N is/V the/D part/N\n"
+                      "the/D second/A part/N is/V the/D name/N"
+                      + " of/P the/D part/N" * 10 + "\n")
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))
+
+    def parse(*flags):
+        return subprocess.run([sys.executable, "-m", "ltagrank.cli", "parse",
+                               "--grammar", str(grammar), str(corpus), *flags],
+                              capture_output=True, text=True, env=env, preexec_fn=limit)
+
+    result = parse()
+    assert result.returncode == 1
+    errors = [line for line in result.stderr.splitlines() if line.startswith("error:")]
+    assert errors == ["error: sentence 1: out of memory; --max-parses bounds the parses"
+                      " kept per sentence"], result.stderr
+    result = parse("--max-parses", "1000")
+    assert result.returncode == 0, result.stderr
+    assert "-> 1000 parses" in result.stdout
+
+
 # ---------------------------------------------------------------------------
 # golden outputs on sample/
 
@@ -425,6 +457,17 @@ def test_eval_bad_line_names_its_file_and_line(tmp_path, capsys, bad):
     assert_one_error(code, err)
     number = 4 if bad == "parses" else 6
     assert err.startswith(f"error: {paths[bad]}, line {number}: missing ')' (at character ")
+
+
+def test_eval_bad_candidate_names_its_offset_in_the_line(tmp_path, capsys):
+    # the second n-best candidate's unclosed '(' is character 20 of the
+    # line, counting from 0, not character 1 of its '|||' chunk
+    parses, gold = tmp_path / "p.txt", tmp_path / "g.txt"
+    parses.write_text("(S (N a) (V b)) ||| (S (N a) (V b)\n")
+    gold.write_text("(S (N a) (V b))\n")
+    code, _, err = run(["eval", parses, "--gold", gold], capsys)
+    assert_one_error(code, err)
+    assert err == f"error: {parses}, line 1: missing ')' (at character 20)\n"
 
 
 def test_eval_empty_files_is_an_error(tmp_path, capsys):

@@ -94,7 +94,7 @@ def test_adjunction_count_zero_without_adjunction():
     reg = HeuristicRegistry([])
     parses = parses_of(g, "the/D man/N barked/V")
     assert len(parses) == 1
-    vector = extract(reg, g, parses[0].derivation, parses[0].words)
+    vector = extract(reg, g, parses[0].derivation, parses[0].root.leaves())
     assert vector[reg.names().index("adjunction_count")] == 0.0
 
 
@@ -106,7 +106,7 @@ def test_pp_height_spec_example():
     for derived in parses_of(g, "saw/V the/D man/N with/P the/D telescope/N"):
         names = {name for name, _ in instances(derived.derivation)}
         key = "VP" if "PP_Attaches_to_VP" in names else "NP"
-        heights[key] = extract(reg, g, derived.derivation, derived.words)[pp_index]
+        heights[key] = extract(reg, g, derived.derivation, derived.root.leaves())[pp_index]
     assert heights == {"VP": 1.0, "NP": 0.0}
 
 
@@ -122,8 +122,8 @@ def test_pp_with_determiner_at_its_root_wraps_its_host():
     target = ("(S (NP (N part)) (VP (V is) (NP (D the) (NP (NP (NP (N name))"
               " (PP (P of) (NP (N part)))) (PP (P of) (NP (N part)))))))")
     [derived] = [p for p in parses if p.to_string() == target]
-    assert extract(reg, g, derived.derivation, derived.words)[pp_index] == 0.0
-    records = reference_derive(g, derived.derivation, derived.words).records
+    assert extract(reg, g, derived.derivation, derived.root.leaves())[pp_index] == 0.0
+    records = reference_derive(g, derived.derivation, derived.root.leaves()).records
     outer = max((rec for rec in records if rec.modifier_label == "PP"),
                 key=lambda rec: rec.host_node.end - rec.host_node.start)
     root, host = outer.root_node, outer.host_node
@@ -139,7 +139,7 @@ def test_adjective_height_direction():
     for derived in parses_of(g, "big/A dogs/N bark/V"):
         names = {name for name, _ in instances(derived.derivation)}
         site = "NP" if "Adjective_NP" in names else "N"
-        heights.add((site, extract(reg, g, derived.derivation, derived.words)[adj_index]))
+        heights.add((site, extract(reg, g, derived.derivation, derived.root.leaves())[adj_index]))
     assert heights == {("NP", 0.0), ("N", 1.0)}
 
 
@@ -194,7 +194,7 @@ def test_relative_clause_count():
     reg = default_registry()
     parses = parses_of(grammar, "dogs/N that/C bark/V")
     assert len(parses) == 1
-    vector = extract(reg, grammar, parses[0].derivation, parses[0].words)
+    vector = extract(reg, grammar, parses[0].derivation, parses[0].root.leaves())
     assert vector[reg.names().index("disprefer_relative_clause")] == 1.0
     assert vector[reg.names().index("disprefer_topicalization")] == 0.0
 
@@ -204,7 +204,7 @@ def test_registry_lists_drop_empty_items():
     grammar = lt.loads(RELATIVE_CLAUSE_GRAMMAR)
     [derived] = parses_of(grammar, "dogs/N that/C bark/V")
     counts = [extract(parse_registry(f"rc local_tree_type {option}\n"), grammar,
-                      derived.derivation, derived.words)[0]
+                      derived.derivation, derived.root.leaves())[0]
               for option in ("prefix=Rel_Cl", "prefix=Rel_Cl,", "prefix=,Rel_Cl,,",
                              "trees=Rel_Cl_Stub,", "trees=,Rel_Cl_Stub")]
     assert counts == [1.0] * 5
@@ -222,7 +222,7 @@ def test_of_lexical_preference_counts():
     for derived in parses_of(g, "saw/V the/D man/N of/P the/D park/N"):
         names = {name for name, _ in instances(derived.derivation)}
         key = "VP" if "PP_Attaches_to_VP" in names else "NP"
-        counts[key] = extract(reg, g, derived.derivation, derived.words)[of_index]
+        counts[key] = extract(reg, g, derived.derivation, derived.root.leaves())[of_index]
     # dispreferred analysis (VP modifier) counts once, preferred not at all
     assert counts == {"VP": 1.0, "NP": 0.0}
 
@@ -257,8 +257,8 @@ def test_rank_counts_each_anchoring_once_as_extract_would(text):
     assert [rp.derivation for rp in ranked] == [t.derivation for t in parses]
     names = reg.names()
     for rp, derived in zip(ranked, parses):
-        assert rp.vector == extract(reg, g, derived.derivation, derived.words)
-        anchored = [(name, derived.words[anchor])
+        assert rp.vector == extract(reg, g, derived.derivation, derived.root.leaves())
+        anchored = [(name, derived.root.leaves()[anchor])
                     for name, anchor in instances(derived.derivation)]
         assert rp.vector[names.index("of_rule")] == sum(
             1 for name, word in anchored
@@ -331,8 +331,8 @@ def test_adjunction_count_direction():
     idx = reg.names().index("adjunction_count")
     [plain_parse] = parses_of(g, "dogs/N bark/V")
     [modified_parse] = parses_of(g, "dogs/N bark/V quickly/ADV")
-    plain = extract(reg, g, plain_parse.derivation, plain_parse.words)
-    modified = extract(reg, g, modified_parse.derivation, modified_parse.words)
+    plain = extract(reg, g, plain_parse.derivation, plain_parse.root.leaves())
+    modified = extract(reg, g, modified_parse.derivation, modified_parse.root.leaves())
     assert modified[idx] == plain[idx] + 1
 
 
@@ -341,8 +341,8 @@ def test_extract_pure():
     reg = default_registry()
     parses = parses_of(g, "saw/V the/D man/N with/P the/D telescope/N")
     for derived in parses:
-        assert extract(reg, g, derived.derivation, derived.words) == \
-            extract(reg, g, derived.derivation, derived.words)
+        assert extract(reg, g, derived.derivation, derived.root.leaves()) == \
+            extract(reg, g, derived.derivation, derived.root.leaves())
 
 
 def test_linearity_and_scaling_small():
@@ -370,6 +370,21 @@ def test_weights_file_round_trip(tmp_path):
     path.write_text("\n".join(reversed(rows)) + "\n")
     with pytest.raises(RegistryError):
         load_weights(path, reg)
+
+
+def test_weights_file_comments_are_stripped_as_in_other_input_files(tmp_path):
+    # an indented comment line is no row, and a comment after a row's
+    # weight is not part of the row
+    reg = default_registry()
+    weights = [float(i) / 4 for i in range(len(reg))]
+    path = tmp_path / "weights.tsv"
+    save_weights(path, reg, weights)
+    rows = path.read_text().splitlines()
+    rows[2] += "  # note"
+    rows.insert(5, "  # note")
+    rows.insert(0, "# header")
+    path.write_text("\n".join(rows) + "\n")
+    assert load_weights(path, reg) == weights
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "heavy"])

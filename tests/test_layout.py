@@ -20,6 +20,10 @@ The per-item and per-parse types (``parser._Item``, ``DerivationNode``,
 ``Attachment``, ``DerivedNode``, ``DerivedTree``, ``RankedParse``) have
 slots and no instance ``__dict__``: a sentence makes thousands of each.
 
+Only ``parser.py`` names the attributes in which a ``Deriver`` keeps its
+memos: the sentence's one ``Deriver`` owns them, and other modules check
+and derive through its methods.
+
 Inside ``parser.parse`` one nested function, ``post``, builds every
 derived chart item: the rule that keeps an item's ways distinct is stated
 once.
@@ -35,9 +39,10 @@ import re
 from collections import Counter
 from pathlib import Path
 
+from ltagrank.grammar import loads
 from ltagrank.heuristics import RankedParse
 from ltagrank.parser import (OP_SUBSTITUTION, Attachment, DerivationNode, DerivedNode,
-                             DerivedTree, _Item)
+                             DerivedTree, Deriver, _Item)
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ltagrank"
@@ -130,7 +135,7 @@ def test_per_item_and_per_parse_objects_have_no_dict():
     node = DerivationNode("Noun_Phrase", 0)
     derived = DerivedNode("NP", ["dogs"], 0, 1)
     objects = [_Item((("anchor",),)), node, Attachment(node, OP_SUBSTITUTION, (1,)),
-               derived, DerivedTree(node, derived, ["dogs"]),
+               derived, DerivedTree(node, derived),
                RankedParse(node, (0.0,), 0.0, None)]
     assert [type(obj).__name__ for obj in objects if hasattr(obj, "__dict__")] == []
 
@@ -159,3 +164,24 @@ def test_one_post_builds_the_derived_chart_items():
         "_Item called outside parse's post:\n" + \
         "\n".join(f"parser.py:{line} {text}" for line, _, text in others)
     assert len(posts) == 1 and in_post
+
+
+def test_only_the_parser_names_the_derivers_memos():
+    """Outside ``parser.py``, no package module names an attribute in which
+    a ``Deriver`` keeps a memo, one of the dicts it holds after deriving a
+    tree.  The check is an AST check on attribute names: a memo reached
+    another way, say through ``getattr``, escapes it."""
+    deriver = Deriver(loads("tree Noun_Phrase : initial (NP N@)\nlex dogs N -> Noun_Phrase\n"),
+                      ["dogs"])
+    deriver.derive(DerivationNode("Noun_Phrase", 0))
+    memos = {name for name in dir(deriver)
+             if not name.startswith("_") and isinstance(getattr(deriver, name), dict)}
+    assert memos
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "parser.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Attribute) and node.attr in memos:
+                stray.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not stray, "a Deriver's memos named outside parser.py:\n" + "\n".join(stray)

@@ -116,7 +116,7 @@ def test_derive_identity_combination():
     g = lt.loads(IMPERATIVE_GRAMMAR)
     derived = lt.derive(g, DerivationNode("Imperative_Intrans", 0), ["sleep"])
     assert derived.to_string() == "(S (VP (V sleep)))"
-    assert derived.words == ["sleep"]
+    assert derived.root.leaves() == ["sleep"]
 
 
 def test_derive_rejects_invalid_derivations():
@@ -462,9 +462,9 @@ def test_first_parse_and_has_parse_stay_lazy(constructions):
 
 
 def test_derive_leaves_no_garbage_cycles_of_its_own():
-    # derive's scratch state and the derived trees, with a subtrees dict of
-    # their own or one shared by all parses, are acyclic: reference
-    # counting frees them all
+    # derive's scratch state and the derived trees, with a Deriver of their
+    # own or one shared by all parses, are acyclic: reference counting
+    # frees them all
     g = lt.loads(PP_GRAMMAR)
     derivations = lt.enumerate_derivations(
         _forest(g, "saw/V the/D man/N with/P the/D telescope/N"))
@@ -475,9 +475,9 @@ def test_derive_leaves_no_garbage_cycles_of_its_own():
     try:
         derived = lt.derive(g, derivations[0], words)
         assert not hasattr(derived.root, "parent")
-        subtrees = {}
-        shared = [lt.derive(g, d, words, subtrees=subtrees) for d in derivations]
-        del derived, shared, subtrees
+        deriver = lt.Deriver(g, words)
+        shared = [deriver.derive(d) for d in derivations]
+        del derived, shared, deriver
         assert gc.collect() == 0
     finally:
         if enabled:
@@ -491,13 +491,13 @@ def test_parses_share_anchor_nodes():
     g = lt.loads(OFPP_GRAMMAR)
     words = _ladder_words(5)
     derivations = lt.enumerate_derivations(_ladder_forest(g, 5, 3))
-    subtrees, derived = {}, []
+    deriver, derived = lt.Deriver(g, words), []
     for derivation in derivations:
-        derived.append(lt.derive(g, derivation, words, subtrees=subtrees))
+        derived.append(deriver.derive(derivation))
         preterminals = [node for node in nodes(derived[-1].root)
                         if isinstance(node.children[0], str)]
         assert sorted(map(id, preterminals)) == \
-            sorted(id(subtrees[instance]) for instance in instances(derivation))
+            sorted(id(deriver.anchors[instance]) for instance in instances(derivation))
     distinct = {id(node) for tree in derived for node in nodes(tree.root)}
     assert len(derived) == 1039 and len(distinct) <= 7753
 
@@ -760,9 +760,9 @@ def _left_branching(words):
 
 
 def _check_shared_derive(grammar, derivations, words, check_features, scoring):
-    """``derive`` with one ``subtrees`` dict over all of a forest's
-    ``derivations`` equals ``reference_derive`` parse by parse; returns how
-    many parses were derived and how many had a feature conflict.
+    """One ``Deriver`` over all of a forest's ``derivations`` equals
+    ``reference_derive`` parse by parse; returns how many parses were
+    derived and how many had a feature conflict.
 
     With one table over the parses, ``extract`` equals ``reference_extract``
     on the unshared tree, also with every label of the grammar a modifier
@@ -774,7 +774,6 @@ def _check_shared_derive(grammar, derivations, words, check_features, scoring):
     """
     every = _every_label_registry(grammar)
     deriver = lt.Deriver(grammar, words, check_features)
-    subtrees = deriver.subtrees
     table, rules, every_table, every_rules = {}, {}, {}, {}
     ranked = []
     conflicts = 0
@@ -783,11 +782,11 @@ def _check_shared_derive(grammar, derivations, words, check_features, scoring):
             expected = reference_derive(grammar, derivation, words, check_features)
         except FeatureConflict as exc:
             with pytest.raises(FeatureConflict) as raised:
-                lt.derive(grammar, derivation, words, check_features, subtrees)
+                deriver.derive(derivation)
             assert str(raised.value) == str(exc)
             conflicts += 1
             continue
-        derived = lt.derive(grammar, derivation, words, check_features, subtrees)
+        derived = deriver.derive(derivation)
         assert _facts(derived) == _facts(expected), (words, check_features)
         vector = extract(REGISTRY, grammar, derivation, words, table)
         assert vector == reference_extract(REGISTRY, grammar, derivation, expected, rules)
@@ -818,8 +817,8 @@ def _check_scores(ranked, words, scoring):
 def _check_vectors_and_scores(grammar, derivations, words, scoring):
     """With one table over the parses, ``extract`` equals
     ``reference_extract`` on the unshared tree, and ``build_records``
-    equals ``reference_records`` on the trees derived with one ``subtrees``
-    dict."""
+    equals ``reference_records`` on the trees derived with one
+    ``Deriver``."""
     deriver = lt.Deriver(grammar, words)
     table, rules = {}, {}
     ranked = []
@@ -951,16 +950,16 @@ def test_shared_subtree_at_the_wrong_position_is_an_error(misplaced_first):
     message = "anchor positions are inconsistent with the word order"
     with pytest.raises(DerivationError, match=message):
         reference_derive(g, misplaced, words)
-    subtrees = {}
+    deriver = lt.Deriver(g, words)
     if misplaced_first:
         with pytest.raises(DerivationError, match=message):
-            lt.derive(g, misplaced, words, subtrees=subtrees)
-    derived = lt.derive(g, placed, words, subtrees=subtrees)
-    assert {id(cats), id(bones)} <= subtrees.keys()
+            deriver.derive(misplaced)
+    derived = deriver.derive(placed)
+    assert {id(cats), id(bones)} <= deriver.shared.keys()
     before = _spans(derived)
     assert before == _spans(reference_derive(g, placed, words))
     with pytest.raises(DerivationError, match=message):
-        lt.derive(g, misplaced, words, subtrees=subtrees)
+        deriver.derive(misplaced)
     assert _spans(derived) == before
     assert derived.to_string() == "(S (NP (N dogs)) (VP (V give) (NP (N cats)) (NP (N bones))))"
 
@@ -989,16 +988,16 @@ def test_malformed_derivation_leaves_shared_anchor_nodes_as_they_were(case):
     message = "anchor positions are inconsistent with the word order"
     with pytest.raises(DerivationError, match=message):
         reference_derive(g, malformed, words)
-    subtrees = {}
-    derived = lt.derive(g, placed, words, subtrees=subtrees)
-    anchors = {key: subtrees[key] for key in instances(placed)}
+    deriver = lt.Deriver(g, words)
+    derived = deriver.derive(placed)
+    anchors = {key: deriver.anchors[key] for key in instances(placed)}
     spans = {key: (node.start, node.end) for key, node in anchors.items()}
     assert spans == {("Ditransitive", 1): (1, 2), ("Noun_Phrase", 0): (0, 1),
                      ("Noun_Phrase", 2): (2, 3), ("Noun_Phrase", 3): (3, 4)}
     before = _spans(derived)
     with pytest.raises(DerivationError, match=message):
-        lt.derive(g, malformed, words, subtrees=subtrees)
-    assert {key: subtrees[key] for key in instances(placed)} == anchors
+        deriver.derive(malformed)
+    assert {key: deriver.anchors[key] for key in instances(placed)} == anchors
     assert {key: (node.start, node.end) for key, node in anchors.items()} == spans
     assert _spans(derived) == before
     assert derived.to_string() == "(S (NP (N dogs)) (VP (V give) (NP (N cats)) (NP (N bones))))"
@@ -1032,18 +1031,18 @@ def test_unfilled_substitution_slot_matches_reference(case):
         Attachment(DerivationNode("Noun_Phrase", index), OP_SUBSTITUTION, address)
         for address, index in objects.items()))
     for check_features in (False, True):
-        subtrees = {}
+        deriver = lt.Deriver(g, words, check_features)
         try:
             expected = reference_derive(g, derivation, words, check_features)
         except DerivationError as exc:
             assert case == "leading_off_its_index"
             for _ in range(2):
                 with pytest.raises(DerivationError) as raised:
-                    lt.derive(g, derivation, words, check_features, subtrees)
+                    deriver.derive(derivation)
                 assert str(raised.value) == str(exc) == \
                     "anchor positions are inconsistent with the word order"
             continue
         for _ in range(2):
-            derived = lt.derive(g, derivation, words, check_features, subtrees)
+            derived = deriver.derive(derivation)
             assert _facts(derived) == _facts(expected)
     assert case == "leading_off_its_index" or "(NP )" in derived.to_string()

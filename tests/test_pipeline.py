@@ -1,5 +1,6 @@
 import gc
 import weakref
+from collections import Counter
 from contextlib import contextmanager
 
 import pytest
@@ -8,7 +9,7 @@ import ltagrank as lt
 from ltagrank import parser, pipeline
 from ltagrank.grammar import LexEntry
 from ltagrank.heuristics import default_registry, uniform_weights
-from ltagrank.parser import DerivationError, FeatureConflict
+from ltagrank.parser import OP_SUBSTITUTION, DerivationError, FeatureConflict
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
 from oracles import nodes, reference_derive
 from test_acceptance import _tagged
@@ -161,10 +162,11 @@ def test_parses_share_derived_subtrees():
 def test_analysis_derives_no_tree_until_one_is_read(monkeypatch):
     # ranking reads the derivations alone, and the feature check walks them
     # without building a tree, also where it drops parses; a tree is
-    # derived, through ``parser.derive``, when a parse's is first read
+    # derived, through ``parser.Deriver.derive``, when a parse's is first read
     def refuse(*args, **kwargs):
         raise AssertionError("derive called")
 
+    monkeypatch.setattr(parser.Deriver, "derive", refuse)
     monkeypatch.setattr(parser, "derive", refuse)
     monkeypatch.setattr(pipeline, "derive", refuse)
     ofpp, agreement = lt.loads(OFPP_GRAMMAR), lt.loads(AGREEMENT_GRAMMAR)
@@ -178,6 +180,40 @@ def test_analysis_derives_no_tree_until_one_is_read(monkeypatch):
         assert analysis.derivation_count > 1
         with pytest.raises(AssertionError, match="derive called"):
             analysis.parses[0].derived
+
+
+def test_a_substituted_node_is_checked_and_built_once_per_deriver(monkeypatch):
+    # 21 words, cap 3: the grammar has no features, so the check keeps all
+    # 1039 parses.  Checking them all and then reading every tree checks
+    # and builds each substituted node once, in the sentence's one Deriver
+    calls = {"check": Counter(), "instance": Counter()}
+    check, instance = parser.Deriver.check, parser.Deriver.instance
+
+    def counted_check(self, derivation):
+        calls["check"][id(derivation)] += 1
+        return check(self, derivation)
+
+    def counted_instance(self, node, foot, part):
+        calls["instance"][id(node)] += 1
+        return instance(self, node, foot, part)
+
+    monkeypatch.setattr(parser.Deriver, "check", counted_check)
+    monkeypatch.setattr(parser.Deriver, "instance", counted_instance)
+    analysis = _analyze_with(lt.loads(OFPP_GRAMMAR), _ladder(5),
+                             PipelineConfig(filter_k=None, adjunction_cap=3,
+                                            check_features=True))
+    assert analysis.derivation_count == 1039
+    for rp in analysis.parses:
+        rp.derived
+    substituted, stack = set(), [rp.derivation for rp in analysis.parses]
+    while stack:
+        for att in stack.pop().attachments:
+            if att.op == OP_SUBSTITUTION:
+                substituted.add(id(att.child))
+            stack.append(att.child)
+    assert substituted
+    for name, counts in calls.items():
+        assert {counts[key] for key in substituted} == {1}, name
 
 
 @pytest.mark.parametrize("cap", (None, 3), ids=str)
@@ -210,15 +246,14 @@ def test_feature_check_keeps_the_parses_the_reference_accepts(cap):
 @pytest.mark.parametrize("cap", (None, 3), ids=str)
 def test_lazy_trees_equal_eagerly_derived_ones(cap):
     # 12 to 21 words: every parse's tree, read in ranked order, prints as
-    # one derived in that order with one subtrees dict.  Read with the
+    # one derived in that order by one Deriver.  Read with the
     # collector off and then dropped, the trees leave it nothing to find
     grammar = lt.loads(OFPP_GRAMMAR)
     for pps in range(2, 6):
         analysis = _analyze_with(grammar, _ladder(pps),
                                  PipelineConfig(filter_k=None, adjunction_cap=cap))
-        subtrees = {}
-        eager = [lt.derive(grammar, rp.derivation, analysis.words, subtrees=subtrees)
-                 .to_string() for rp in analysis.parses]
+        deriver = lt.Deriver(grammar, analysis.words)
+        eager = [deriver.derive(rp.derivation).to_string() for rp in analysis.parses]
         with _collector(False):
             assert [rp.derived.to_string() for rp in analysis.parses] == eager, pps
             del analysis

@@ -140,5 +140,5 @@ def evaluate(candidate, gold, mode="standard"):
 def rank_trees(grammar, parses, registry, weights):
     """``rank`` of one sentence's parses given as the derived trees of
     ``parses_of``."""
-    return lt.rank(lt.Deriver(grammar, parses[0].words), [p.derivation for p in parses],
+    return lt.rank(lt.Deriver(grammar, parses[0].root.leaves()), [p.derivation for p in parses],
                    registry, weights)
