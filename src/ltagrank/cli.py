@@ -54,12 +54,14 @@ def _pipeline_config(args) -> PipelineConfig:
     )
 
 
-def _write_report(path, records) -> None:
+def _write_report(path, lines) -> None:
+    """Write the report's records, each one line of JSON text, to ``path``:
+    a record kept as its text holds far less memory than as dicts."""
     if not path:
         return
     with open(path, "w") as handle:
-        for record in records:
-            handle.write(json.dumps(record) + "\n")
+        for line in lines:
+            handle.write(line + "\n")
 
 
 def _config_record(args) -> dict:
@@ -96,8 +98,10 @@ def cmd_check(args) -> int:
 
 def _analyze_each(sentences, grammar, registry, weights, config):
     """``analyze_sentence`` of each sentence in turn, as the caller asks for
-    it.  A sentence whose analysis runs out of memory is named in a
-    CliError, made once the frames that hold the analysis are dropped."""
+    it: ``parse``, ``rank`` and ``train`` each read and drop one analysis
+    before they ask for the next, so none is held beyond the next one.  A
+    sentence whose analysis runs out of memory is named in a CliError, made
+    once the frames that hold the analysis are dropped."""
     for index, sentence in enumerate(sentences):
         try:
             # yielded, not bound: a local would keep each analysis alive
@@ -110,9 +114,10 @@ def _analyze_each(sentences, grammar, registry, weights, config):
 
 
 def _analyze_corpus(args, grammar, registry, weights):
+    """The analyses of the corpus, made as they are read; inputs are checked first."""
     sentences = read_tagged_corpus(args.corpus)
     config = _pipeline_config(args)
-    return list(_analyze_each(sentences, grammar, registry, weights, config))
+    return _analyze_each(sentences, grammar, registry, weights, config)
 
 
 def cmd_parse(args) -> int:
@@ -121,33 +126,31 @@ def cmd_parse(args) -> int:
     weights = _load_weights(args, registry)
     analyses = _analyze_corpus(args, grammar, registry, weights)
 
-    records = [_config_record(args)]
-    parsed = 0
-    parse_counts = []
+    lines = [json.dumps(_config_record(args))]
+    n = parsed = total = 0
     for index, analysis in enumerate(analyses):
-        if analysis.parsed:
-            parsed += 1
-            parse_counts.append(analysis.derivation_count)
-        top = analysis.parses[:args.top_k]
-        records.append({
+        n += 1
+        parsed += analysis.parsed
+        total += analysis.derivation_count  # 0 when not parsed
+        lines.append(json.dumps({
             "type": "sentence", "index": index, "words": analysis.words,
             "n_parses": analysis.derivation_count,
             "filter": analysis.report.to_dict() if analysis.report else None,
             "parses": [{"penalty": rp.penalty, "vector": list(rp.vector),
                         "bracketing": rp.derived.to_string(),
-                        "derivation": rp.derivation.to_dict()} for rp in top],
-        })
+                        "derivation": rp.derivation.to_dict()}
+                       for rp in analysis.parses[:args.top_k]],
+        }))
         status = f"{analysis.derivation_count} parses" if analysis.parsed else "NO PARSE"
         print(f"[{index}] {' '.join(analysis.words)} -> {status}")
-    n = len(analyses)
     pct = 100.0 * parsed / n if n else 0.0
-    avg = sum(parse_counts) / len(parse_counts) if parse_counts else 0.0
-    records.append({"type": "summary", "n_sentences": n, "parsed_pct": pct,
-                    "avg_parses": avg})
+    avg = total / parsed if parsed else 0.0
+    lines.append(json.dumps({"type": "summary", "n_sentences": n, "parsed_pct": pct,
+                             "avg_parses": avg}))
     print()
     print(_table(["# of Sentences", "% Parsed", "Av. # of Parses/Sent"],
                  [[n, _fmt(pct), _fmt(avg)]]))
-    _write_report(args.report, records)
+    _write_report(args.report, lines)
     return 0
 
 
@@ -156,18 +159,17 @@ def cmd_rank(args) -> int:
     registry = _load_registry(args)
     weights = _load_weights(args, registry)
     analyses = _analyze_corpus(args, grammar, registry, weights)
-    records = [_config_record(args)]
+    lines = [json.dumps(_config_record(args))]
     for index, analysis in enumerate(analyses):
+        top = [{"penalty": rp.penalty, "bracketing": rp.derived.to_string()}
+               for rp in analysis.parses[:args.top_k]]
         print(f"[{index}] {' '.join(analysis.words)}")
-        for rank_no, rp in enumerate(analysis.parses[:args.top_k], start=1):
-            print(f"  {rank_no}. penalty={rp.penalty:g} {rp.derived.to_string()}")
-        if not analysis.parses:
+        for rank_no, parse in enumerate(top, start=1):
+            print(f"  {rank_no}. penalty={parse['penalty']:g} {parse['bracketing']}")
+        if not top:
             print("  NO PARSE")
-        records.append({"type": "sentence", "index": index,
-                        "parses": [{"penalty": rp.penalty,
-                                    "bracketing": rp.derived.to_string()}
-                                   for rp in analysis.parses[:args.top_k]]})
-    _write_report(args.report, records)
+        lines.append(json.dumps({"type": "sentence", "index": index, "parses": top}))
+    _write_report(args.report, lines)
     return 0
 
 
@@ -215,13 +217,13 @@ def cmd_eval(args) -> int:
           _fmt(scores.precision_pct)]]))
     if scores.coverage_failures:
         print(f"coverage failures: {scores.coverage_failures}")
-    _write_report(args.report, [
+    _write_report(args.report, map(json.dumps, [
         _config_record(args),
         {"type": "corpus", "n_sentences": scores.n_sentences,
          "coverage_failures": scores.coverage_failures,
          "zero_crossing_pct": scores.zero_crossing_pct,
          "crossing_avg": scores.crossing_avg, "recall_pct": scores.recall_pct,
-         "precision_pct": scores.precision_pct}])
+         "precision_pct": scores.precision_pct}]))
     return 0
 
 
@@ -231,10 +233,10 @@ def cmd_split(args) -> int:
     spec = training.split(range(n), _parse_proportions(args, n), args.seed)
     print(f"train: {len(spec.train_ids)}  heldout: {len(spec.heldout_ids)}"
           f"  test: {len(spec.test_ids)}")
-    _write_report(args.report, [
+    _write_report(args.report, map(json.dumps, [
         _config_record(args),
         {"type": "split", "seed": spec.seed, "train": list(spec.train_ids),
-         "heldout": list(spec.heldout_ids), "test": list(spec.test_ids)}])
+         "heldout": list(spec.heldout_ids), "test": list(spec.test_ids)}]))
     return 0
 
 

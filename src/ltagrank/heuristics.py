@@ -430,8 +430,8 @@ def rank(deriver: Deriver, derivations, registry: HeuristicRegistry,
     return ranked
 
 
-def uniform_weights(registry: HeuristicRegistry, value: float = 1.0) -> list[float]:
-    return [value] * len(registry)
+def uniform_weights(registry: HeuristicRegistry) -> list[float]:
+    return [1.0] * len(registry)
 
 
 def zero_weights(registry: HeuristicRegistry) -> list[float]:

@@ -151,14 +151,17 @@ class DerivationFold:
     recursively.
 
     A subclass defines ``make_plan(tree)``, one entry per node of
-    ``tree.layout`` whose first item is the node's kind; ``part()``, a new
-    accumulation; ``internal(entry, values, part)``, the value of an
-    internal node given the values so far by position; ``summary(part,
-    top)``, what a substituted node's subtree folded into ``part`` adds;
-    and ``absorb(part, top, summary)``, which adds that.  ``anchor(entry,
-    at)`` and ``adjoined(child, entry, host, part)``, the value of the top
-    that the auxiliary ``child`` makes where it adjoins at a node whose
-    value is ``host``, default to the span and to the auxiliary's fold.
+    ``tree.layout`` whose first item is the node's kind, and
+    ``internal(entry, values, part)``, the value of an internal node given
+    the values so far by position.  A fold that accumulates defines
+    ``part()``, a new accumulation; ``summary(part, top)``, what a
+    substituted node's subtree folded into ``part`` adds; and ``absorb(part,
+    top, summary)``, which adds that.  ``anchor(entry, at)`` and
+    ``adjoined(child, entry, host, part)``, the value of the top that the
+    auxiliary ``child`` makes where it adjoins at a node whose value is
+    ``host``, default to the span and to the auxiliary's fold.  A fold of
+    hand-built derivations defines ``unfilled(entry)``, the value of an
+    empty substitution slot.
     """
 
     def __init__(self, grammar: Grammar):
@@ -189,7 +192,9 @@ class DerivationFold:
             elif kind == FOOT:
                 value = foot
             else:
-                value = self._substituted(attached[position], part)
+                child = attached.get(position)
+                value = (self.unfilled(entry) if child is None
+                         else self._substituted(child, part))
             values.append(value)
         return values[-1]
 
@@ -202,6 +207,15 @@ class DerivationFold:
             shared = self.shared[id(child)] = (child, top, self.summary(own, top))
         self.absorb(part, shared[1], shared[2])
         return shared[1]
+
+    def part(self):
+        return None
+
+    def summary(self, part, top):
+        return None
+
+    def absorb(self, part, top, summary):
+        pass
 
     def anchor(self, entry, at: int):
         return (at, at + 1)
@@ -508,19 +522,19 @@ class Deriver(DerivationFold):
     An anchor node is fixed by its (tree name, anchor index), its key in
     ``anchors``.  A substituted node's subtree is fixed by the node: its
     anchors fix its words, and every adjunction into it is inside it.  So
-    ``shared`` maps each substituted node, by identity, to (node, its
-    built top or None, its top's features), and a parse costs its own
-    part: its root tree and what is adjoined there, recursively.  A
-    substitution slot is planned as an internal node without children,
-    whose value is None until ``adjoined`` puts the subtree there; a slot
-    left unfilled has no words, and its parent gives it a node of its own,
-    laid out where it falls.  Siblings must abut.
+    ``checked`` maps each substituted node, by identity, to (node, its
+    top's features), and ``shared`` to (node, its built top, None), as in
+    every fold: a parse costs its own part, its root tree and what is
+    adjoined there, recursively.  A substitution slot left unfilled has no
+    words, and its parent lays out the node ``unfilled`` gives it where it
+    falls.  Siblings must abut.
     """
 
     def __init__(self, grammar: Grammar, words, check_features: bool = False):
         super().__init__(grammar)
         self.words, self.check_features = words, check_features
         self.anchors = {}  # (tree name, anchor index) -> its anchor node
+        self.checked = {}  # substituted node id -> (node, its top's features)
 
     def derive(self, derivation: DerivationNode) -> DerivedTree:
         """The tree of ``derivation``, built bottom-up.  A structural
@@ -577,13 +591,12 @@ class Deriver(DerivationFold):
                     raise DerivationError(
                         f"substituting {child_tree.root.label!r} tree {att.child.tree!r}"
                         f" at {target.label!r} node of {derivation.tree!r}")
-                shared = self.shared.get(id(att.child))
-                if shared is None:
+                checked = self.checked.get(id(att.child))
+                if checked is None:
                     # the entry holds the node, so that its id is not reused
-                    shared = self.shared[id(att.child)] = (att.child, None,
-                                                           self.check(att.child))
+                    checked = self.checked[id(att.child)] = (att.child, self.check(att.child))
                 if check_features:
-                    _unify(shared[2], target.features, OP_SUBSTITUTION, address)
+                    _unify(checked[1], target.features, OP_SUBSTITUTION, address)
             elif att.op == OP_ADJUNCTION:
                 if target.kind != INTERNAL:
                     raise DerivationError(f"adjunction at {target.kind} node"
@@ -607,13 +620,8 @@ class Deriver(DerivationFold):
         return top
 
     def make_plan(self, tree):
-        """(kind, positions of its children, label, tree name, (index, label)
-        of each substitution slot among its children) per node."""
-        layout = tree.layout
-        return tuple((INTERNAL if kind == SUBSTITUTION else kind, children, label, tree.name,
-                      tuple((index, layout[position][0]) for index, position
-                            in enumerate(children) if layout[position][1] == SUBSTITUTION))
-                     for label, kind, children in layout)
+        """(kind, positions of its children, label, tree name) per node."""
+        return tuple((kind, children, label, tree.name) for label, kind, children in tree.layout)
 
     def anchor(self, entry, at):
         key = (entry[3], at)
@@ -622,13 +630,11 @@ class Deriver(DerivationFold):
             node = self.anchors[key] = DerivedNode(entry[2], [self.words[at]], at, at + 1)
         return node
 
+    def unfilled(self, entry):
+        return DerivedNode(entry[2], [])
+
     def internal(self, entry, values, part):
-        if not entry[1]:  # a substitution slot
-            return None
         children = [values[position] for position in entry[1]]
-        for index, label in entry[4]:
-            if children[index] is None:  # an unfilled slot
-                children[index] = DerivedNode(label, [])
         start = end = next((child.start for child in children if child.start >= 0), -1)
         for child in children:
             if child.start < 0 <= end:
@@ -638,15 +644,6 @@ class Deriver(DerivationFold):
             else:
                 end = child.end
         return DerivedNode(entry[2], children, start, end)
-
-    def adjoined(self, child, entry, host, part):
-        if entry[1]:
-            return self.instance(child, host, part)
-        shared = self.shared[id(child)]
-        if shared[1] is None:
-            shared = self.shared[id(child)] = (child, self.instance(child, None, part),
-                                               shared[2])
-        return shared[1]
 
 
 def assign_spans(node: DerivedNode, start: int) -> int:

@@ -80,7 +80,7 @@ def read_bracketed_corpus(path) -> list[DerivedNode]:
     """The trees of the non-blank lines of ``path``; line numbers count
     blank lines."""
     with open_text(path) as handle:
-        return [read_bracketed_line(path, number, line.strip())
+        return [read_bracketed_line(path, number, line.rstrip("\n"))
                 for number, line in enumerate(handle, start=1) if line.strip()]
 
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import weakref
 from pathlib import Path
 
@@ -332,23 +333,75 @@ def test_train_gold_of_the_wrong_length_is_an_error(tmp_path, capsys, parsed):
 
 def test_train_frees_each_analysis_before_the_one_after_next(tmp_path, capsys,
                                                               monkeypatch):
-    # train builds each sentence's record as soon as it is analyzed: when
-    # sentence i is analyzed, no analysis of sentence i - 2 or earlier is
-    # alive, and with it no chart
-    analyzed = []
+    # train builds each sentence's record, and parse and rank print each
+    # sentence, as soon as it is analyzed: when sentence i is analyzed, no
+    # analysis of sentence i - 2 or earlier is alive, and with it no chart
+    for argv in (["parse", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                  "--report", tmp_path / "parse.jsonl"],
+                 ["rank", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                  "--report", tmp_path / "rank.jsonl"],
+                 ["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                  "--gold", SAMPLE / "gold.brackets", "--ratios", "3,1,1",
+                  "--max-iterations", "5", "--weights-out", tmp_path / "w.tsv",
+                  "--log", tmp_path / "log"]):
+        analyzed = []
 
-    def tracked(*args):
-        assert [ref() for ref in analyzed[:-1]] == [None] * len(analyzed[:-1])
-        analysis = analyze_sentence(*args)
-        analyzed.append(weakref.ref(analysis))
-        return analysis
+        def tracked(*args):
+            assert [ref() for ref in analyzed[:-1]] == [None] * len(analyzed[:-1])
+            analysis = analyze_sentence(*args)
+            analyzed.append(weakref.ref(analysis))
+            return analysis
 
-    monkeypatch.setattr(cli, "analyze_sentence", tracked)
-    code, _, _ = run(["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
-                      "--gold", SAMPLE / "gold.brackets", "--ratios", "3,1,1",
-                      "--max-iterations", "5", "--weights-out", tmp_path / "w.tsv",
-                      "--log", tmp_path / "log"], capsys)
-    assert code == 0 and len(analyzed) == 5
+        monkeypatch.setattr(cli, "analyze_sentence", tracked)
+        code, _, _ = run(argv, capsys)
+        assert code == 0 and len(analyzed) == 5, argv[0]
+
+
+def test_parse_and_rank_peak_memory_does_not_grow_with_the_corpus(tmp_path, capsys):
+    # each sentence is printed and its report record kept as JSON text as
+    # soon as it is analyzed, so 8 copies of an 18-word ladder sentence
+    # peak where 4 do; holding every analysis, 8 copies peaked at twice 4
+    grammar = tmp_path / "grammar.ltag"
+    grammar.write_text(OFPP_GRAMMAR)
+    ladder = "the/D second/A part/N is/V the/D name/N" + " of/P the/D part/N" * 4 + "\n"
+    for command in ("parse", "rank"):
+        peaks = {}
+        for copies in (4, 8):
+            corpus = tmp_path / f"corpus{copies}.tagged"
+            corpus.write_text(ladder * copies)
+            tracemalloc.start()
+            try:
+                code, out, _ = run([command, "--grammar", grammar, corpus,
+                                    "--report", tmp_path / "report.jsonl"], capsys)
+                peaks[copies] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert code == 0 and f"[{copies - 1}] the second part" in out
+        assert peaks[8] <= 1.1 * peaks[4], (command, peaks)
+
+
+def test_a_sentence_out_of_memory_leaves_the_lines_printed_before_it(tmp_path, capsys,
+                                                                     monkeypatch):
+    # parse prints each sentence as it is analyzed; the report is written
+    # only once the corpus is done, so a failed run writes none
+    calls = []
+
+    def second_fails(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise MemoryError
+        return analyze_sentence(*args)
+
+    monkeypatch.setattr(cli, "analyze_sentence", second_fails)
+    report = tmp_path / "report.jsonl"
+    code, out, err = run(["parse", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                          "--report", report], capsys)
+    assert_one_error(code, err)
+    assert err == ("error: sentence 1: out of memory; --max-parses bounds the parses"
+                   " kept per sentence\n")
+    first = (GOLDEN / "parse.out").read_text().splitlines()[0]
+    assert first.startswith("[0] ") and out == first + "\n"
+    assert len(calls) == 2 and not report.exists()
 
 
 def test_train_checks_the_gold_before_analyzing(tmp_path, capsys, monkeypatch):
@@ -443,6 +496,18 @@ def test_bad_gold_line_names_its_file_and_line(tmp_path, capsys):
                         "--log", tmp_path / "log"], capsys)
     assert_one_error(code, err)
     assert err.startswith(f"error: {gold_path}, line 4: missing ')' (at character ")
+
+
+def test_indented_bad_gold_line_names_its_offset_in_the_line(tmp_path, capsys):
+    # as in eval, the character offset counts from the start of the line,
+    # not from its first non-blank character
+    gold_path = tmp_path / "gold.brackets"
+    gold_path.write_text("\n   (S (N a) (V b)\n")
+    code, _, err = run(["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                        "--gold", gold_path, "--weights-out", tmp_path / "w.tsv",
+                        "--log", tmp_path / "log"], capsys)
+    assert_one_error(code, err)
+    assert err == f"error: {gold_path}, line 2: missing ')' (at character 3)\n"
 
 
 @pytest.mark.parametrize("bad", ["parses", "gold"])
