@@ -126,21 +126,24 @@ def cmd_parse(args) -> int:
     weights = _load_weights(args, registry)
     analyses = _analyze_corpus(args, grammar, registry, weights)
 
+    # a sentence's record derives the trees of its top parses: only a
+    # report reads it
     lines = [json.dumps(_config_record(args))]
     n = parsed = total = 0
     for index, analysis in enumerate(analyses):
         n += 1
         parsed += analysis.parsed
         total += analysis.derivation_count  # 0 when not parsed
-        lines.append(json.dumps({
-            "type": "sentence", "index": index, "words": analysis.words,
-            "n_parses": analysis.derivation_count,
-            "filter": analysis.report.to_dict() if analysis.report else None,
-            "parses": [{"penalty": rp.penalty, "vector": list(rp.vector),
-                        "bracketing": rp.derived.to_string(),
-                        "derivation": rp.derivation.to_dict()}
-                       for rp in analysis.parses[:args.top_k]],
-        }))
+        if args.report:
+            lines.append(json.dumps({
+                "type": "sentence", "index": index, "words": analysis.words,
+                "n_parses": analysis.derivation_count,
+                "filter": analysis.report.to_dict() if analysis.report else None,
+                "parses": [{"penalty": rp.penalty, "vector": list(rp.vector),
+                            "bracketing": rp.derived.to_string(),
+                            "derivation": rp.derivation.to_dict()}
+                           for rp in analysis.parses[:args.top_k]],
+            }))
         status = f"{analysis.derivation_count} parses" if analysis.parsed else "NO PARSE"
         print(f"[{index}] {' '.join(analysis.words)} -> {status}")
     pct = 100.0 * parsed / n if n else 0.0
@@ -168,7 +171,8 @@ def cmd_rank(args) -> int:
             print(f"  {rank_no}. penalty={parse['penalty']:g} {parse['bracketing']}")
         if not top:
             print("  NO PARSE")
-        lines.append(json.dumps({"type": "sentence", "index": index, "parses": top}))
+        if args.report:
+            lines.append(json.dumps({"type": "sentence", "index": index, "parses": top}))
     _write_report(args.report, lines)
     return 0
 

@@ -13,7 +13,9 @@ A local rule counts the tree instances whose anchoring (POS, tree name) its
 ``disprefer`` matches; a tree-type rule's ``prefix=``/``trees=`` is its
 ``disprefer``, and a lexical rule counts only the instances of its word.
 Only ``disprefer`` counts: a lexical rule's ``prefer=`` is required and
-checked, but read no further.
+checked, but read no further.  An option that its heuristic does not read
+(``adjunction_count`` reads only ``builtin=``, a tree-type rule one of
+``prefix=`` and ``trees=``), or one given twice, is an error.
 The default registry is ``STOCK_REGISTRY``, the local rules of
 ``sample/registry.txt``, plus the three structural builtins
 (adjunction_count, pp_attachment_height, adj_attachment_height), which are
@@ -168,6 +170,8 @@ def parse_registry(text: str) -> HeuristicRegistry:
             if "=" not in part:
                 raise RegistryError(f"line {lineno}: bad option {part!r}")
             key, _, value = part.partition("=")
+            if key in options:
+                raise RegistryError(f"line {lineno}: option {key}= given twice")
             options[key] = value
         try:
             heuristics.append(_heuristic_from(name, kind, options))
@@ -176,19 +180,30 @@ def parse_registry(text: str) -> HeuristicRegistry:
     return HeuristicRegistry(heuristics)
 
 
+def _only(options, keys, what) -> None:
+    """Raise RegistryError for the first option not among ``keys``, the
+    options that ``what`` reads."""
+    for key in options:
+        if key not in keys:
+            raise RegistryError(f"{what} does not read {key}=")
+
+
 def _heuristic_from(name, kind, options) -> Heuristic:
     if kind == LOCAL_TREE_TYPE:
         if "prefix" in options:
-            pred = Predicate("prefix", _values(options["prefix"], f"{name}: prefix="))
+            mode, key = "prefix", "prefix"
         elif "trees" in options:
-            pred = Predicate("tree", _values(options["trees"], f"{name}: trees="))
+            mode, key = "tree", "trees"
         else:
             raise RegistryError(f"{name}: local_tree_type needs prefix= or trees=")
-        return Heuristic(name, kind, disprefer=pred)
+        _only(options, (key,), f"{name}: local_tree_type with {key}=")
+        values = _values(options[key], f"{name}: {key}=")
+        return Heuristic(name, kind, disprefer=Predicate(mode, values))
     if kind == LOCAL_LEXICAL:
         missing = {"word", "prefer", "disprefer"} - options.keys()
         if missing:
             raise RegistryError(f"{name}: local_lexical needs {sorted(missing)}")
+        _only(options, ("word", "prefer", "disprefer"), f"{name}: local_lexical")
         Predicate.parse(options["prefer"])  # checked, never counted
         return Heuristic(name, kind, word=options["word"],
                          disprefer=Predicate.parse(options["disprefer"]))
@@ -196,6 +211,8 @@ def _heuristic_from(name, kind, options) -> Heuristic:
         builtin = options.get("builtin", name)
         if builtin not in GLOBAL_BUILTINS:
             raise RegistryError(f"{name}: unknown builtin {builtin!r}")
+        _only(options, ("builtin",) if builtin == BUILTIN_ADJUNCTIONS
+              else ("builtin", "modifier", "sites"), f"{name}: {builtin}")
         lists = {key: _values(options[key], f"{name}: {key}=")
                  for key in ("modifier", "sites") if key in options}
         return replace(_default_global(builtin), name=name, **lists)

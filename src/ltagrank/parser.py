@@ -94,11 +94,12 @@ class DerivedNode:
     """A phrase-structure node with words at the leaves.
 
     The one tree type of the toolkit: ``derive`` builds derived trees from
-    it, each node with its word span ``[start, end)``, and
-    ``parseval.read_bracketed`` and ``parseval.flatten`` build gold and
-    flattened trees, whose spans ``assign_spans`` can fill in.  A node has
-    no parent link: the parses of a sentence share subtrees, so a node can
-    sit in many trees, and a tree is read-only.
+    it, each node with its word span ``[start, end)`` given when it is
+    built and never written again, and ``parseval.read_bracketed`` and
+    ``parseval.flatten`` build gold and flattened trees, whose spans
+    ``parseval`` fills in.  A node has no parent link: the parses of a
+    sentence share subtrees, so a node can sit in many trees, and a tree is
+    read-only.
     """
 
     label: str
@@ -159,9 +160,9 @@ class DerivationFold:
     top, summary)``, which adds that.  ``anchor(entry, at)`` and
     ``adjoined(child, entry, host, part)``, the value of the top that the
     auxiliary ``child`` makes where it adjoins at a node whose value is
-    ``host``, default to the span and to the auxiliary's fold.  A fold of
-    hand-built derivations defines ``unfilled(entry)``, the value of an
-    empty substitution slot.
+    ``host``, default to the span and to the auxiliary's fold.  Every
+    substitution slot of a folded derivation is filled: the parser fills
+    each, and ``Deriver.check`` rejects a derivation that does not.
     """
 
     def __init__(self, grammar: Grammar):
@@ -192,9 +193,7 @@ class DerivationFold:
             elif kind == FOOT:
                 value = foot
             else:
-                child = attached.get(position)
-                value = (self.unfilled(entry) if child is None
-                         else self._substituted(child, part))
+                value = self._substituted(attached[position], part)
             values.append(value)
         return values[-1]
 
@@ -525,9 +524,9 @@ class Deriver(DerivationFold):
     ``checked`` maps each substituted node, by identity, to (node, its
     top's features), and ``shared`` to (node, its built top, None), as in
     every fold: a parse costs its own part, its root tree and what is
-    adjoined there, recursively.  A substitution slot left unfilled has no
-    words, and its parent lays out the node ``unfilled`` gives it where it
-    falls.  Siblings must abut.
+    adjoined there, recursively.  Each derived node is built with its span
+    and never written again: a derivation must fill every substitution
+    slot, and siblings must abut.
     """
 
     def __init__(self, grammar: Grammar, words, check_features: bool = False):
@@ -539,10 +538,10 @@ class Deriver(DerivationFold):
     def derive(self, derivation: DerivationNode) -> DerivedTree:
         """The tree of ``derivation``, built bottom-up.  A structural
         problem (bad address, category mismatch, duplicate adjunction, an
-        anchor off its word) raises DerivationError; under
-        ``check_features`` clashing atomic features raise FeatureConflict
-        (absent attributes unify with anything).  The tree is read-only:
-        ``parseval.flatten(root, ())`` copies it."""
+        unfilled substitution slot, an anchor off its word) raises
+        DerivationError; under ``check_features`` clashing atomic features
+        raise FeatureConflict (absent attributes unify with anything).  The
+        tree is read-only: ``parseval.flatten(root, ())`` copies it."""
         self.check(derivation)
         root = self.instance(derivation, None, None)
         if root.start != 0:
@@ -554,9 +553,10 @@ class Deriver(DerivationFold):
 
     def check(self, derivation: DerivationNode) -> tuple:
         """Raise what ``derive`` raises for ``derivation`` but the
-        word-order errors, walking its attachments in address order; return
-        its top's features, merged only under ``check_features``.  No tree
-        is built, and a substituted node is checked once."""
+        word-order errors, walking its attachments in address order, then
+        its substitution slots left unfilled; return its top's features,
+        merged only under ``check_features``.  No tree is built, and a
+        substituted node is checked once."""
         grammar, check_features = self.grammar, self.check_features
         tree = grammar.trees.get(derivation.tree)
         if tree is None:
@@ -617,6 +617,10 @@ class Deriver(DerivationFold):
                         top = merged
             else:
                 raise DerivationError(f"unknown operation {att.op!r}")
+        for address in tree.substitution_addresses:
+            if address not in seen:
+                raise DerivationError(f"substitution slot {format_address(address)}"
+                                      f" of {derivation.tree!r} is unfilled")
         return top
 
     def make_plan(self, tree):
@@ -630,27 +634,11 @@ class Deriver(DerivationFold):
             node = self.anchors[key] = DerivedNode(entry[2], [self.words[at]], at, at + 1)
         return node
 
-    def unfilled(self, entry):
-        return DerivedNode(entry[2], [])
-
     def internal(self, entry, values, part):
         children = [values[position] for position in entry[1]]
-        start = end = next((child.start for child in children if child.start >= 0), -1)
+        start = end = children[0].start
         for child in children:
-            if child.start < 0 <= end:
-                assign_spans(child, end)
-            elif child.start != end:
+            if child.start != end:
                 raise DerivationError(_OUT_OF_ORDER)
-            else:
-                end = child.end
+            end = child.end
         return DerivedNode(entry[2], children, start, end)
-
-
-def assign_spans(node: DerivedNode, start: int) -> int:
-    """Set the span of every node below ``node``, whose first word is word
-    ``start``; returns the end of its span."""
-    node.start = position = start
-    for child in node.children:
-        position = position + 1 if isinstance(child, str) else assign_spans(child, position)
-    node.end = position
-    return position

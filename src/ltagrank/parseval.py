@@ -1,21 +1,25 @@
 """Bracketing comparison: crossing brackets, recall, precision, flattening.
 
 Derived, gold and flattened trees are all ``parser.DerivedNode`` trees whose
-nodes carry their word spans.  ``read_bracketed`` reads gold and candidate
-lines through ``grammar.read_tree``, the one bracket reader, and keeps
-labels and words verbatim; ``brackets_of`` reads a tree's ``Bracketing``
-off its nodes, optionally flattened, and ``evaluate_parse`` scores a
-candidate ``Bracketing`` against a gold one.  Before comparison both sides
-are normalized the paper's way: labels stripped, single-word and
-whole-sentence spans dropped.  Two recall conventions are supported:
+nodes carry their word spans.  A derived node gets its span when the
+``Deriver`` builds it; only this module writes a span after building a
+node, as it reads or flattens a tree.  ``read_bracketed`` reads gold and
+candidate lines through ``grammar.read_tree``, the one bracket reader, and
+keeps labels and words verbatim; ``brackets_of`` reads a tree's
+``Bracketing`` off its nodes, optionally flattened, and ``evaluate_parse``
+scores a candidate ``Bracketing`` against a gold one.  Before comparison
+both sides are normalized the paper's way: labels stripped, single-word
+and whole-sentence spans dropped.  Two recall conventions are supported:
 "standard" is correct/gold, "paper_literal" is candidate/gold (a pure
 constituent-count ratio, which can exceed 100 for over-bracketed parses).
 
-``evaluate_derivations`` gives the same scores for all the parses of one
-sentence at once, off their derivations, without a tree.  The counts they
-come from are sums over a candidate's distinct spans, so it reads the
-subtree of each substituted ``DerivationNode`` the parses share once, and
-each parse's own part once.
+The scores are those of a candidate's set of normalized spans, as the
+PARSEVAL metrics (Black et al. 1991) define them, and one function,
+``_count``, counts such a set against the gold.  ``evaluate_derivations``
+gives the same scores for all the parses of one sentence at once, off
+their derivations, without a tree: it folds the span set of the subtree of
+each substituted ``DerivationNode`` the parses share once, and unions it
+into the set of each parse that substitutes it.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .grammar import BracketFormatError, open_text, read_tree
-from .parser import DerivationFold, DerivedNode, assign_spans
+from .parser import DerivationFold, DerivedNode
 
 AGGREGATIONS = ("first", "best_of_k", "mean_of_k")
 RECALL_MODES = ("standard", "paper_literal")
@@ -152,17 +156,27 @@ def _gold_spans(gold: Bracketing) -> frozenset:
 def _evaluate(candidate, length, gold, table, mode) -> EvalScores:
     """``evaluate_parse`` of ``candidate`` against a gold of ``length``
     words whose normalized spans are ``gold`` (``_gold_spans``); ``table``
-    memoizes the bits of the spans (``_span_bits``) for that gold."""
+    memoizes the bits of the spans (``_count``) for that gold."""
     if candidate.length != length:
         raise ValueError(f"length mismatch: candidate {candidate.length},"
                          f" gold {length}")
-    cand = normalize(candidate).spans
-    correct = crossings = 0
-    for start, end, _ in cand:
-        is_correct, is_crossing = _span_bits((start, end), gold, table)
-        correct += is_correct
-        crossings += is_crossing
-    return _scores(len(cand), correct, crossings, len(gold), mode)
+    spans = {(start, end) for start, end, _ in normalize(candidate).spans}
+    return _scores(*_count(spans, gold, table), len(gold), mode)
+
+
+def _count(spans, gold, bits) -> tuple[int, int, int]:
+    """(spans, correct, crossing): how many normalized (start, end) pairs
+    the set ``spans`` holds, how many of them are in ``gold`` and how many
+    cross one of its spans.  ``bits`` memoizes each span's two bits
+    (correct, crossing) for that gold."""
+    correct = crossing = 0
+    for span in spans:
+        both = bits.get(span)
+        if both is None:
+            both = bits[span] = (span in gold, any(_crosses(span, other) for other in gold))
+        correct += both[0]
+        crossing += both[1]
+    return len(spans), correct, crossing
 
 
 def _scores(candidates, correct, crossings, gold, mode) -> EvalScores:
@@ -187,43 +201,42 @@ def evaluate_derivations(grammar, derivations, gold: Bracketing, flatten=frozens
 
     Flattening drops a node whose label and whose parent's label are both
     in ``flatten``, and a preterminal, whose one word no normalized span
-    keeps anyway.  The three counts the scores come from, of candidate
-    spans, correct ones and crossing ones, are sums over a candidate's
-    distinct normalized spans, and those inside the subtree of a
-    substituted ``DerivationNode`` are fixed for the sentence.  So one
-    ``parser.DerivationFold`` over the parses counts each such subtree once,
-    with each span's two bits (correct, crossing) memoized, and a parse
-    costs its own part.
+    keeps anyway.  A parse's scores are those of its set of normalized
+    spans, and the set inside the subtree of a substituted
+    ``DerivationNode`` is fixed for the sentence.  So one
+    ``parser.DerivationFold`` over the parses folds each such subtree's set
+    once and unions it into each parse's own set, which ``_count`` counts
+    against the gold, with each span's two bits (correct, crossing)
+    memoized for the sentence.
     """
     if mode not in RECALL_MODES:
         raise ValueError(f"unknown recall mode {mode!r}")
-    spans = _SpanCounts(grammar, gold.length, _gold_spans(gold), frozenset(flatten))
+    gold_spans, bits = _gold_spans(gold), {}
+    spans = _SpanSets(grammar, gold.length, frozenset(flatten))
     scored, out = {}, []
     for derivation in derivations:
-        part = spans.part()
+        part = set()
         top = spans.instance(derivation, None, part)
         if top[1] != gold.length:  # a parse starts at word 0
             raise ValueError(f"length mismatch: candidate {top[1]}, gold {gold.length}")
-        counts = spans.counts(part, top)[:3]
+        counts = _count(part, gold_spans, bits)
         scores = scored.get(counts)
         if scores is None:
-            scores = scored[counts] = _scores(*counts, len(spans.gold), mode)
+            scores = scored[counts] = _scores(*counts, len(gold_spans), mode)
         out.append(scores)
     return out
 
 
-class _SpanCounts(DerivationFold):
+class _SpanSets(DerivationFold):
     """The normalized spans of the parses of one sentence of ``length``
-    words, folded over their derivations, and their counts against the
-    normalized spans ``gold`` under flattening with ``flatten``.  A node's
-    value is its span; a part accumulates the spans its own nodes keep
-    below their parents, and the substituted nodes' (top, ``counts``)
-    pairs."""
+    words under flattening with ``flatten``, folded over their derivations.
+    A node's value is its span, and a part is the set of the (start, end)
+    pairs that the nodes below its top keep: a substituted node's summary
+    is its subtree's set, which ``absorb`` unions into the part."""
 
-    def __init__(self, grammar, length, gold, flatten):
+    def __init__(self, grammar, length, flatten):
         super().__init__(grammar)
-        self.length, self.gold, self.flatten = length, gold, flatten
-        self.bits = {}  # span -> ``_span_bits``
+        self.length, self.flatten = length, flatten
 
     def make_plan(self, tree):
         """(kind, positions of its children, those of them flattening keeps)
@@ -235,63 +248,21 @@ class _SpanCounts(DerivationFold):
                      for label, kind, children in layout)
 
     def part(self):
-        return set(), []
+        return set()
 
     def internal(self, entry, values, part):
         _, children, kept = entry
         for child in kept:
             start, end = values[child]
             if end - start > 1 and (start or end != self.length):
-                part[0].add((start, end))
+                part.add((start, end))
         return values[children[0]][0], values[children[-1]][1]
 
     def summary(self, part, top):
-        return self.counts(part, top)
+        return part
 
     def absorb(self, part, top, summary):
-        part[1].append((top, summary))
-
-    def counts(self, part, top):
-        """(spans, correct, crossing, top inside) of a part whose top spans
-        ``top``: how many distinct normalized spans the nodes strictly below
-        its top keep, how many of them are in the gold and cross it, and
-        whether the top's own span is among them.
-
-        Two nodes share a span only along a unary chain, so the spans inside
-        a substituted node's subtree meet those of the rest of a tree at
-        most in the span of the subtree's top, and only when that is inside
-        it too.
-        """
-        own, below = part
-        gold, bits = self.gold, self.bits
-        spans, correct, crossing = len(own), 0, 0
-        for span in own:
-            is_correct, is_crossing = _span_bits(span, gold, bits)
-            correct += is_correct
-            crossing += is_crossing
-        inside = top in own
-        for sub_top, (sub_spans, sub_correct, sub_crossing, sub_inside) in below:
-            spans += sub_spans
-            correct += sub_correct
-            crossing += sub_crossing
-            if sub_inside:
-                if sub_top in own:  # counted twice
-                    is_correct, is_crossing = _span_bits(sub_top, gold, bits)
-                    spans -= 1
-                    correct -= is_correct
-                    crossing -= is_crossing
-                inside = inside or sub_top == top
-        return spans, correct, crossing, inside
-
-
-def _span_bits(span, gold, table) -> tuple[bool, bool]:
-    """Whether the normalized ``span`` is in ``gold`` and whether it crosses
-    one of its spans, memoized in ``table``."""
-    bits = table.get(span)
-    if bits is None:
-        bits = table[span] = (span in gold,
-                              any(_crosses(span, other) for other in gold))
-    return bits
+        part |= summary
 
 
 def aggregate_scores(scores: list[EvalScores], aggregation: str) -> EvalScores:
@@ -401,6 +372,16 @@ def flatten(root: DerivedNode, categories) -> DerivedNode:
     flat = _flat_copy(root, frozenset(categories))
     assign_spans(flat, 0)
     return flat
+
+
+def assign_spans(node: DerivedNode, start: int) -> int:
+    """Set the span of every node below ``node``, whose first word is word
+    ``start``; returns the end of its span."""
+    node.start = position = start
+    for child in node.children:
+        position = position + 1 if isinstance(child, str) else assign_spans(child, position)
+    node.end = position
+    return position
 
 
 def _flat_copy(node, categories) -> DerivedNode:

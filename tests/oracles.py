@@ -302,9 +302,11 @@ def reference_derive(grammar, derivation, words, check_features=False):
     """``parser.derive`` without shared subtrees: every call builds a whole
     new tree, writes every span, and compares the yield with ``words``.
 
-    The same checks raise the same errors with the same messages; every
-    node is a ``FeatureNode`` and keeps its merged features in a dict of
-    its own.  The ``ReferenceTree`` returned records every adjunction.
+    The same checks raise the same errors with the same messages, at the
+    same points (an instance's unfilled substitution slots after its
+    attachments); every node is a ``FeatureNode`` and keeps its merged
+    features in a dict of its own.  The ``ReferenceTree`` returned records
+    every adjunction.
     """
     records, anchors = [], []
 
@@ -399,6 +401,10 @@ def reference_derive(grammar, derivation, words, check_features=False):
                                                 child_tree.modifier_label))
             else:
                 raise DerivationError(f"unknown operation {att.op!r}")
+        for address in tree.substitution_addresses:
+            if address not in seen:
+                raise DerivationError(f"substitution slot {format_address(address)}"
+                                      f" of {derivation.tree!r} is unfilled")
         return top, slots.get(tree.foot_address)
 
     def spans(node, start):

@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 import ltagrank
-from ltagrank import cli, parseval
+from ltagrank import cli, parser, parseval
 from ltagrank.cli import build_records, main
 from ltagrank.heuristics import default_registry, uniform_weights
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
@@ -282,6 +282,26 @@ def test_golden_outputs_on_sample(tmp_path, monkeypatch, capsys):
     assert sorted(p.name for p in GOLDEN.iterdir()) == sorted(outputs)
     for name, data in outputs.items():
         assert data == (GOLDEN / name).read_bytes(), name
+
+
+def test_parse_derives_trees_only_for_its_report(tmp_path, monkeypatch, capsys):
+    # stdout prints counts alone; the report's records print the top parses
+    derived = []
+    derive = parser.Deriver.derive
+    monkeypatch.setattr(parser.Deriver, "derive",
+                        lambda self, derivation: derived.append(derivation)
+                        or derive(self, derivation))
+    monkeypatch.chdir(tmp_path)
+    argv = GOLDEN_COMMANDS["parse"]
+    code, out, _ = run(argv[:argv.index("--report")], capsys)
+    assert code == 0 and out == (GOLDEN / "parse.out").read_text()
+    assert derived == [] and not Path("parse.jsonl").exists()
+    code, out, _ = run(argv, capsys)
+    assert code == 0 and out == (GOLDEN / "parse.out").read_text()
+    lines = Path("parse.jsonl").read_bytes().splitlines(keepends=True)
+    assert b"".join(line for line in lines if json.loads(line)["type"] != "config") == \
+        (GOLDEN / "parse.jsonl").read_bytes()
+    assert derived
 
 
 # ---------------------------------------------------------------------------

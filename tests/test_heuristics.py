@@ -65,6 +65,25 @@ def test_registry_parse_errors():
         parse_registry("bad local_lexical word=of prefer=N disprefer=pos:N\n")
 
 
+@pytest.mark.parametrize("declaration, message", [
+    ("lower global_structural builtin=pp_attachment_height modifier=PP sties=VP",
+     "line 2: lower: pp_attachment_height does not read sties="),
+    ("rel local_tree_type prefix=Rel trees=A",
+     "line 2: rel: local_tree_type with prefix= does not read trees="),
+    ("adj global_structural builtin=adjunction_count sites=NP",
+     "line 2: adj: adjunction_count does not read sites="),
+    ("of local_lexical word=of prefer=pos:P disprefer=pos:N sites=NP",
+     "line 2: of: local_lexical does not read sites="),
+    ("pp global_structural builtin=pp_attachment_height sites=NP sites=VP",
+     "line 2: option sites= given twice"),
+])
+def test_registry_option_no_heuristic_reads_is_an_error(declaration, message):
+    # the first line is fine; the error names the second
+    with pytest.raises(RegistryError) as raised:
+        parse_registry("rc local_tree_type prefix=Rel_Cl\n" + declaration + "\n")
+    assert str(raised.value) == message
+
+
 def test_score_arithmetic():
     assert score((2.0, 1.0, 0.0), (0.5, -1.0, 3.0)) == 0.0
     assert score((0.0, 0.0, 0.0), (5.0, -2.0, 7.0)) == 0.0

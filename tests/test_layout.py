@@ -28,6 +28,10 @@ Inside ``parser.parse`` one nested function, ``post``, builds every
 derived chart item: the rule that keeps an item's ways distinct is stated
 once.
 
+Only ``parseval`` writes a node's span after building it, as it reads or
+flattens a tree: every node a ``Deriver`` builds gets its span when it is
+built, and parses share those nodes.
+
 Only ``pipeline.analyze_sentence`` touches the ``gc`` module: it pauses the
 cyclic collector for each sentence.  The pause is exact only while
 everything it covers is acyclic, which the pipeline tests check for the
@@ -185,3 +189,24 @@ def test_only_the_parser_names_the_derivers_memos():
             if isinstance(node, ast.Attribute) and node.attr in memos:
                 stray.append(f"{path.name}:{node.lineno} .{node.attr}")
     assert not stray, "a Deriver's memos named outside parser.py:\n" + "\n".join(stray)
+
+
+def test_only_parseval_assigns_spans():
+    """No package module but ``parseval.py`` assigns a ``.start`` or
+    ``.end`` attribute.  The check is an AST check on assignment targets: a
+    span written another way, say through ``setattr``, escapes it."""
+    stray = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name == "parseval.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Assign):
+                targets = node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets = [node.target]
+            else:
+                continue
+            stray += [f"{path.name}:{target.lineno} .{target.attr}"
+                      for root in targets for target in ast.walk(root)
+                      if isinstance(target, ast.Attribute) and target.attr in ("start", "end")]
+    assert not stray, "spans assigned outside parseval.py:\n" + "\n".join(stray)

@@ -12,9 +12,8 @@ from ltagrank import parser
 from ltagrank.cli import build_records
 from ltagrank.heuristics import RankedParse, default_registry, extract, parse_registry
 from ltagrank.parser import (Attachment, DerivationError, DerivationNode, DerivedNode,
-                             FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION,
-                             assign_spans)
-from ltagrank.parseval import RECALL_MODES
+                             FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION)
+from ltagrank.parseval import RECALL_MODES, assign_spans
 from ltagrank.training import TrainConfig
 from oracles import (blank_unreachable, derivation_universe, instances, nodes,
                      reference_derivations, reference_derive, reference_extract,
@@ -967,8 +966,9 @@ def test_shared_subtree_at_the_wrong_position_is_an_error(misplaced_first):
 @pytest.mark.parametrize("case", ["anchor_used_twice", "anchor_off_its_index"])
 def test_malformed_derivation_leaves_shared_anchor_nodes_as_they_were(case):
     # after a valid parse has made every anchor node: "cats", word 2,
-    # anchors a second Noun_Phrase at word 3, or, with no subject, "give"
-    # lands at word 0.  Either raises, and writes no span a parse shares
+    # anchors a second Noun_Phrase at word 3, or, with every slot filled,
+    # "cats" is the subject and "dogs" an object, so "cats" lands at word 0
+    # and "give" after it.  Either raises, and writes no span a parse shares
     g = lt.loads(DITRANSITIVE_GRAMMAR)
     words = ["dogs", "give", "cats", "bones"]
     dogs, cats, bones = (DerivationNode("Noun_Phrase", index) for index in (0, 2, 3))
@@ -982,7 +982,8 @@ def test_malformed_derivation_leaves_shared_anchor_nodes_as_they_were(case):
             Attachment(cats, OP_SUBSTITUTION, (2, 2)),
             Attachment(DerivationNode("Noun_Phrase", 2), OP_SUBSTITUTION, (2, 3)))),
         "anchor_off_its_index": DerivationNode("Ditransitive", 1, (
-            Attachment(cats, OP_SUBSTITUTION, (2, 2)),
+            Attachment(cats, OP_SUBSTITUTION, (1,)),
+            Attachment(dogs, OP_SUBSTITUTION, (2, 2)),
             Attachment(bones, OP_SUBSTITUTION, (2, 3)))),
     }[case]
     message = "anchor positions are inconsistent with the word order"
@@ -1003,8 +1004,9 @@ def test_malformed_derivation_leaves_shared_anchor_nodes_as_they_were(case):
     assert derived.to_string() == "(S (NP (N dogs)) (VP (V give) (NP (N cats)) (NP (N bones))))"
 
 
-# a slot left unfilled, which only a hand-built derivation has, and an
-# internal node above nothing but such a slot
+# a derivation must fill every substitution slot; only a hand-built one
+# can leave a slot empty.  The last case also has a bad attachment, which
+# is checked first
 UNFILLED_GRAMMAR = DITRANSITIVE_GRAMMAR + """
 tree Wrapped_Subject : initial (S (NP NP^) (VP V@ NP^))
 lex see V -> Wrapped_Subject
@@ -1012,37 +1014,40 @@ lex see V -> Wrapped_Subject
 
 
 @pytest.mark.parametrize("case", ["trailing", "middle", "both_objects", "leading",
-                                  "leading_off_its_index", "wrapped_leading"])
+                                  "leading_off_its_index", "wrapped_leading",
+                                  "after_a_bad_attachment"])
 def test_unfilled_substitution_slot_matches_reference(case):
-    # an unfilled slot is an empty node, laid out where it falls; when it
-    # leads and the words do not line up, the anchors are out of order
+    # derive, check and the reference each reject the derivation, with one
+    # message
     g = lt.loads(UNFILLED_GRAMMAR)
-    words, tree, anchor, objects = {
-        "trailing": ("dogs give cats", "Ditransitive", 1, {(1,): 0, (2, 2): 2}),
-        "middle": ("dogs give bones", "Ditransitive", 1, {(1,): 0, (2, 3): 2}),
-        "both_objects": ("dogs give", "Ditransitive", 1, {(1,): 0}),
-        "leading": ("give cats bones", "Ditransitive", 0, {(2, 2): 1, (2, 3): 2}),
+    words, tree, anchor, objects, message = {
+        "trailing": ("dogs give cats", "Ditransitive", 1, {(1,): 0, (2, 2): 2},
+                     "substitution slot 2.3 of 'Ditransitive' is unfilled"),
+        "middle": ("dogs give bones", "Ditransitive", 1, {(1,): 0, (2, 3): 2},
+                   "substitution slot 2.2 of 'Ditransitive' is unfilled"),
+        "both_objects": ("dogs give", "Ditransitive", 1, {(1,): 0},
+                         "substitution slot 2.2 of 'Ditransitive' is unfilled"),
+        "leading": ("give cats bones", "Ditransitive", 0, {(2, 2): 1, (2, 3): 2},
+                    "substitution slot 1 of 'Ditransitive' is unfilled"),
         "leading_off_its_index": ("dogs give cats bones", "Ditransitive", 1,
-                                  {(2, 2): 2, (2, 3): 3}),
-        "wrapped_leading": ("see cats", "Wrapped_Subject", 0, {(2, 2): 1}),
+                                  {(2, 2): 2, (2, 3): 3},
+                                  "substitution slot 1 of 'Ditransitive' is unfilled"),
+        "wrapped_leading": ("see cats", "Wrapped_Subject", 0, {(2, 2): 1},
+                            "substitution slot 1.1 of 'Wrapped_Subject' is unfilled"),
+        "after_a_bad_attachment": ("dogs give cats", "Ditransitive", 1, {(1,): 0, (2, 2): 9},
+                                   "anchor index 9 outside the sentence"),
     }[case]
     words = words.split()
     derivation = DerivationNode(tree, anchor, tuple(
         Attachment(DerivationNode("Noun_Phrase", index), OP_SUBSTITUTION, address)
         for address, index in objects.items()))
     for check_features in (False, True):
+        with pytest.raises(DerivationError) as raised:
+            reference_derive(g, derivation, words, check_features)
+        assert str(raised.value) == message
         deriver = lt.Deriver(g, words, check_features)
-        try:
-            expected = reference_derive(g, derivation, words, check_features)
-        except DerivationError as exc:
-            assert case == "leading_off_its_index"
-            for _ in range(2):
-                with pytest.raises(DerivationError) as raised:
-                    deriver.derive(derivation)
-                assert str(raised.value) == str(exc) == \
-                    "anchor positions are inconsistent with the word order"
-            continue
         for _ in range(2):
-            derived = deriver.derive(derivation)
-            assert _facts(derived) == _facts(expected)
-    assert case == "leading_off_its_index" or "(NP )" in derived.to_string()
+            for method in (deriver.derive, deriver.check):
+                with pytest.raises(DerivationError) as raised:
+                    method(derivation)
+                assert str(raised.value) == message
