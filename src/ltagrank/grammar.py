@@ -28,8 +28,10 @@ from __future__ import annotations
 import errno
 import re
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass, field, replace
 from functools import cached_property
+from types import MappingProxyType
 
 INITIAL = "initial"
 AUXILIARY = "auxiliary"
@@ -108,19 +110,24 @@ class TreeNode:
 
 @dataclass(frozen=True)
 class ElementaryTree:
-    """An initial or auxiliary tree, lexicalized by exactly one anchor node."""
+    """An initial or auxiliary tree, lexicalized by exactly one anchor node.
+
+    Built as ``ElementaryTree(name, kind, root)``, where ``kind`` is
+    INITIAL or AUXILIARY; the shape of ``root`` is checked then, and a bad
+    one raises GrammarValidationError.  ``anchor_pos``, ``anchor_address``
+    and ``foot_address`` are derived from ``root`` at construction.  The
+    tables below are computed on first read and read-only after.
+    """
 
     name: str
     kind: str
     root: TreeNode
-    anchor_pos: str
-    anchor_address: Address
-    foot_address: Address | None
+    anchor_pos: str = field(init=False)
+    anchor_address: Address = field(init=False)
+    foot_address: Address | None = field(init=False)
 
-    @classmethod
-    def build(cls, name: str, kind: str, root: TreeNode) -> "ElementaryTree":
-        """Validate the shape of ``root`` and derive the anchor/foot addresses.
-        ``kind`` is INITIAL or AUXILIARY; ``loads`` rejects any other."""
+    def __post_init__(self):
+        name, kind, root = self.name, self.kind, self.root
         issues = []
         anchors = []
         feet = []
@@ -129,6 +136,8 @@ class ElementaryTree:
                 anchors.append((address, node))
             elif node.kind == FOOT:
                 feet.append((address, node))
+        if kind not in (INITIAL, AUXILIARY):
+            issues.append(f"tree {name!r} has unknown kind {kind!r}")
         if len(anchors) != 1:
             issues.append(f"tree {name!r} must have exactly one anchor, found {len(anchors)}")
         if kind == AUXILIARY:
@@ -144,8 +153,9 @@ class ElementaryTree:
         if issues:
             raise GrammarValidationError(issues)
         anchor_address, anchor_node = anchors[0]
-        foot_address = feet[0][0] if feet else None
-        return cls(name, kind, root, anchor_node.label, anchor_address, foot_address)
+        object.__setattr__(self, "anchor_pos", anchor_node.label)
+        object.__setattr__(self, "anchor_address", anchor_address)
+        object.__setattr__(self, "foot_address", feet[0][0] if feet else None)
 
     def node_at(self, address: Address) -> TreeNode:
         node = self.root
@@ -166,9 +176,9 @@ class ElementaryTree:
         return frozenset(self.foot_address[:i] for i in range(len(self.foot_address) + 1))
 
     @cached_property
-    def shapes(self) -> dict[Address, tuple[str, int]]:
+    def shapes(self) -> Mapping[Address, tuple[str, int]]:
         """Node address -> (label, child count), for every node."""
-        return {a: (n.label, len(n.children)) for a, n in _walk(self.root)}
+        return MappingProxyType({a: (n.label, len(n.children)) for a, n in _walk(self.root)})
 
     @cached_property
     def layout(self) -> tuple[tuple[str, str, tuple[int, ...]], ...]:
@@ -182,10 +192,11 @@ class ElementaryTree:
                      for address, node in reversed(list(_walk(self.root))))
 
     @cached_property
-    def positions(self) -> dict[Address, int]:
+    def positions(self) -> Mapping[Address, int]:
         """Node address -> its position in ``layout``: reversed pre-order."""
         addresses = [address for address, _ in _walk(self.root)]
-        return {address: position for position, address in enumerate(reversed(addresses))}
+        return MappingProxyType({address: position
+                                 for position, address in enumerate(reversed(addresses))})
 
     @cached_property
     def modifier_label(self) -> str | None:
@@ -218,29 +229,52 @@ class LexEntry:
     selects: tuple[str, ...]
 
 
-@dataclass
+@dataclass(frozen=True)
 class FrequencyTable:
-    """Tree-name -> unigram probability; absent trees count as probability 0."""
+    """Tree-name -> unigram probability; absent trees count as probability 0.
+    ``entries`` is a read-only copy of the mapping given."""
 
-    entries: dict[str, float] = field(default_factory=dict)
+    entries: Mapping[str, float] = field(default_factory=dict)
+
+    def __post_init__(self):
+        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
 
     def probability(self, tree_name: str) -> float:
         return self.entries.get(tree_name, 0.0)
 
 
-@dataclass
+@dataclass(frozen=True)
 class Grammar:
     """Trees, families, lexicon and tree frequencies.
 
-    Treated as immutable once loaded, so any number of sentences may be
-    analyzed with one grammar, one after another: the toolkit runs one
-    thread (see ``pipeline.analyze_sentence``).
+    Valid once built, by ``loads`` or directly, and read-only after: each
+    mapping is a read-only copy of the one given, and a family member or a
+    lexicon entry's selection that names no tree (or, for the lexicon, no
+    family) raises GrammarValidationError, with the text ``loads`` gives.
+    So any number of sentences may be analyzed with one grammar, one after
+    another: the toolkit runs one thread (see ``pipeline.analyze_sentence``).
     """
 
-    trees: dict[str, ElementaryTree]
-    families: dict[str, TreeFamily]
-    lexicon: dict[tuple[str, str], LexEntry]
+    trees: Mapping[str, ElementaryTree]
+    families: Mapping[str, TreeFamily]
+    lexicon: Mapping[tuple[str, str], LexEntry]
     freq: FrequencyTable = field(default_factory=FrequencyTable)
+
+    def __post_init__(self):
+        for name in ("trees", "families", "lexicon"):
+            object.__setattr__(self, name, MappingProxyType(dict(getattr(self, name))))
+        issues = []
+        for family in self.families.values():
+            for member in family.members:
+                if member not in self.trees:
+                    issues.append(f"family {family.name!r} references unknown tree {member!r}")
+        for (word, pos), entry in self.lexicon.items():
+            for name in entry.selects:
+                if name not in self.trees and name not in self.families:
+                    issues.append(
+                        f"lexicon entry {word}/{pos} references unknown tree or family {name!r}")
+        if issues:
+            raise GrammarValidationError(issues)
 
     def trees_for_word(self, word: str, pos: str) -> set[str]:
         """All tree names the lexicon selects for (word, pos), families expanded.
@@ -394,16 +428,17 @@ def _split_names(text: str, lineno: int) -> tuple[str, ...]:
 
 
 def loads(text: str, freq_text: str | None = None) -> Grammar:
-    """Parse grammar text (and optional frequency text) into a validated Grammar."""
+    """Parse grammar text (and optional frequency text) into a Grammar.
+    Format errors raise GrammarFormatError at their line.  Otherwise every
+    tree-shape issue, in line order, and then the grammar's own issues are
+    raised in one GrammarValidationError, before the frequency text is read."""
     trees: dict[str, ElementaryTree] = {}
     families: dict[str, TreeFamily] = {}
     lexicon: dict[tuple[str, str], LexEntry] = {}
     issues: list[str] = []
 
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    lines = text.splitlines()
+    for lineno, line in content_lines(lines):
         if line.startswith("tree"):
             match = _TREE_LINE.match(line)
             if not match:
@@ -413,9 +448,9 @@ def loads(text: str, freq_text: str | None = None) -> Grammar:
                 raise GrammarFormatError(f"unknown tree kind {kind!r}", lineno)
             if name in trees:
                 raise GrammarFormatError(f"duplicate tree {name!r}", lineno)
-            root = _parse_tree_expr(expr, lineno, raw.index(expr))
+            root = _parse_tree_expr(expr, lineno, lines[lineno - 1].index(expr))
             try:
-                trees[name] = ElementaryTree.build(name, kind, root)
+                trees[name] = ElementaryTree(name, kind, root)
             except GrammarValidationError as exc:
                 issues.extend(exc.issues)
         elif line.startswith("family"):
@@ -443,20 +478,27 @@ def loads(text: str, freq_text: str | None = None) -> Grammar:
         else:
             raise GrammarFormatError(f"unrecognized declaration {line.split()[0]!r}", lineno)
 
-    for family in families.values():
-        for member in family.members:
-            if member not in trees:
-                issues.append(f"family {family.name!r} references unknown tree {member!r}")
-    for (word, pos), entry in lexicon.items():
-        for name in entry.selects:
-            if name not in trees and name not in families:
-                issues.append(
-                    f"lexicon entry {word}/{pos} references unknown tree or family {name!r}")
+    try:
+        grammar = Grammar(trees, families, lexicon)
+    except GrammarValidationError as exc:
+        issues.extend(exc.issues)
     if issues:
         raise GrammarValidationError(issues)
+    if freq_text is None:
+        return grammar
+    return replace(grammar, freq=parse_frequencies(freq_text))
 
-    freq = parse_frequencies(freq_text) if freq_text is not None else FrequencyTable()
-    return Grammar(trees, families, lexicon, freq)
+
+def content_lines(lines):
+    """(line number, content) of each of ``lines`` that holds more than
+    blanks and a comment, counting lines from 1: ``#`` starts a comment
+    that runs to the end of its line, and the content is what precedes it,
+    stripped.  The grammar, frequency, registry and weights readers read
+    their files through it."""
+    for lineno, raw in enumerate(lines, start=1):
+        content = raw.split("#", 1)[0].strip()
+        if content:
+            yield lineno, content
 
 
 @contextmanager
@@ -483,10 +525,7 @@ def load_grammar(path, freq_path=None) -> Grammar:
 
 def parse_frequencies(text: str) -> FrequencyTable:
     entries: dict[str, float] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text.splitlines()):
         parts = line.split()
         if len(parts) != 2:
             raise GrammarFormatError("expected 'tree_name<TAB>probability'", lineno)

@@ -35,7 +35,7 @@ import math
 from dataclasses import dataclass, field, replace
 from operator import add, mul
 
-from .grammar import ANCHOR, Grammar, open_text
+from .grammar import ANCHOR, Grammar, content_lines, open_text
 from .parser import DerivationFold, DerivationNode, DerivedTree, Deriver
 
 LOCAL_TREE_TYPE = "local_tree_type"
@@ -107,21 +107,26 @@ class Heuristic:
     sites: tuple[str, ...] = ()
 
 
-@dataclass
+@dataclass(frozen=True)
 class HeuristicRegistry:
     """Ordered heuristics; the order defines the weight-vector layout.
 
-    ``__post_init__`` sets the layout once, as a tuple of its own: the
-    heuristics given, then the missing builtins.  The local rules each
-    anchoring matches, and each elementary tree's plan for counting them,
-    are memoized on the registry for its lifetime.
+    Read-only once built: ``__post_init__`` sets the layout once, as a
+    tuple of its own, the heuristics given and then the missing builtins,
+    and the tables the counts read, ``adjunctions`` (the registry positions
+    of adjunction_count heuristics) and ``heights`` (per height heuristic,
+    its registry position, whether it is the lower one, its modifier
+    labels and its sites).  The local rules each anchoring matches, and the
+    plan for counting each elementary tree's layout, are pure functions of
+    the registry, memoized on it across sentences and grammars.
     """
 
     heuristics: tuple[Heuristic, ...] = ()
+    adjunctions: tuple[int, ...] = field(init=False, repr=False, compare=False)
+    heights: tuple[tuple, ...] = field(init=False, repr=False, compare=False)
     # (anchor POS, tree name, lower-cased word) -> ``_matching_rules``
     _rules: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # id of an elementary tree -> (the tree, ``_Counter.make_plan``); the
-    # entry holds the tree, so that its id is not reused
+    # an elementary tree's ``layout`` -> ``_Counter.make_plan``
     _plans: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -130,8 +135,15 @@ class HeuristicRegistry:
         if len(set(names)) != len(names):
             raise RegistryError("duplicate heuristic names in registry")
         present = {h.builtin for h in given if h.kind == GLOBAL_STRUCTURAL}
-        self.heuristics = given + tuple(
+        heuristics = given + tuple(
             _default_global(builtin) for builtin in GLOBAL_BUILTINS if builtin not in present)
+        object.__setattr__(self, "heuristics", heuristics)
+        object.__setattr__(self, "adjunctions", tuple(
+            index for index, h in enumerate(heuristics) if h.builtin == BUILTIN_ADJUNCTIONS))
+        object.__setattr__(self, "heights", tuple(
+            (index, h.builtin == BUILTIN_PP_HEIGHT, h.modifier, h.sites)
+            for index, h in enumerate(heuristics)
+            if h.builtin is not None and h.builtin != BUILTIN_ADJUNCTIONS))
 
     def __len__(self):
         return len(self.heuristics)
@@ -157,10 +169,7 @@ def default_registry() -> HeuristicRegistry:
 
 def parse_registry(text: str) -> HeuristicRegistry:
     heuristics = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in content_lines(text.splitlines()):
         parts = line.split()
         if len(parts) < 2:
             raise RegistryError(f"line {lineno}: expected 'name kind key=value...'")
@@ -274,15 +283,8 @@ class _Counter(DerivationFold):
     def __init__(self, registry, grammar, words):
         super().__init__(grammar)
         self.registry, self.words = registry, words
-        self.rules = {}        # (tree name, anchor index) -> ``_matching_rules``
-        self.adjunctions = []  # registry positions of adjunction_count heuristics
-        self.heights = []      # (registry position, lower?, modifier labels, sites)
-        for index, h in enumerate(registry.heuristics):
-            if h.builtin == BUILTIN_ADJUNCTIONS:
-                self.adjunctions.append(index)
-            elif h.builtin is not None:
-                self.heights.append((index, h.builtin == BUILTIN_PP_HEIGHT,
-                                     h.modifier, h.sites))
+        self.adjunctions, self.heights = registry.adjunctions, registry.heights
+        self.rules = {}  # (tree name, anchor index) -> ``_matching_rules``
 
     def instance(self, node, foot, counts):
         key = (node.tree, node.anchor_index)
@@ -300,9 +302,10 @@ class _Counter(DerivationFold):
         paths and the node is one, else 0 (None when all are 0; a tuple for
         every anchor), and ``sites`` the (height, registry position) pairs
         of the heuristics counting open modifiers that the node is a site
-        of.  Memoized on the registry, across sentences."""
-        cached = self.registry._plans.get(id(tree))
-        if cached is None:
+        of.  A plan reads only ``tree.layout``, so it is memoized on the
+        registry by the layout's value, across sentences and grammars."""
+        plan = self.registry._plans.get(tree.layout)
+        if plan is None:
             plan = []
             for label, kind, children in tree.layout:
                 adds = tuple(int(lower and label in sites)
@@ -311,8 +314,8 @@ class _Counter(DerivationFold):
                              tuple((k, index) for k, (index, lower, _, sites)
                                    in enumerate(self.heights)
                                    if not lower and label in sites)))
-            cached = self.registry._plans[id(tree)] = (tree, tuple(plan))
-        return cached[1]
+            plan = self.registry._plans[tree.layout] = tuple(plan)
+        return plan
 
     def part(self):
         return [0] * len(self.registry.heuristics)
@@ -457,26 +460,28 @@ def zero_weights(registry: HeuristicRegistry) -> list[float]:
 
 def load_weights(path, registry: HeuristicRegistry) -> list[float]:
     """Read a weights file; names must match the registry order exactly.
-    As in the other input files, '#' starts a comment."""
+    As in the other input files, '#' starts a comment, and an error in a
+    row names its line."""
     weights = []
     names = registry.names()
     with open_text(path) as handle:
-        rows = [row for row in (raw.split("#", 1)[0].strip() for raw in handle) if row]
+        rows = list(content_lines(handle))
     if len(rows) != len(names):
         raise RegistryError(f"weights file has {len(rows)} rows, registry has {len(names)}")
-    for row, expected in zip(rows, names):
+    for (lineno, row), expected in zip(rows, names):
         parts = row.split()
         if len(parts) != 2:
-            raise RegistryError(f"bad weights row {row!r}")
+            raise RegistryError(f"line {lineno}: bad weights row {row!r}")
         name, value = parts
         if name != expected:
-            raise RegistryError(f"weights row {name!r} does not match registry {expected!r}")
+            raise RegistryError(
+                f"line {lineno}: weights row {name!r} does not match registry {expected!r}")
         try:
             weight = float(value)
         except ValueError:
-            raise RegistryError(f"bad weight {value!r} for {name!r}")
+            raise RegistryError(f"line {lineno}: bad weight {value!r} for {name!r}")
         if not math.isfinite(weight):
-            raise RegistryError(f"weight {value!r} for {name!r} is not finite")
+            raise RegistryError(f"line {lineno}: weight {value!r} for {name!r} is not finite")
         weights.append(weight)
     return weights
 

@@ -160,9 +160,10 @@ class DerivationFold:
     top, summary)``, which adds that.  ``anchor(entry, at)`` and
     ``adjoined(child, entry, host, part)``, the value of the top that the
     auxiliary ``child`` makes where it adjoins at a node whose value is
-    ``host``, default to the span and to the auxiliary's fold.  Every
-    substitution slot of a folded derivation is filled: the parser fills
-    each, and ``Deriver.check`` rejects a derivation that does not.
+    ``host``, default to the span and to the auxiliary's fold.  The parser
+    fills every substitution slot; a hand-built derivation that leaves one
+    empty raises the DerivationError that ``Deriver.check`` raises, naming
+    the instance's first empty slot in address order.
     """
 
     def __init__(self, grammar: Grammar):
@@ -193,7 +194,12 @@ class DerivationFold:
             elif kind == FOOT:
                 value = foot
             else:
-                value = self._substituted(attached[position], part)
+                try:
+                    child = attached[position]
+                except KeyError:
+                    raise _unfilled(node, tree, {att.address for att in node.attachments}) \
+                        from None
+                value = self._substituted(child, part)
             values.append(value)
         return values[-1]
 
@@ -505,6 +511,16 @@ def _unify(target: tuple, incoming: tuple, op: str, at) -> tuple:
 _OUT_OF_ORDER = "anchor positions are inconsistent with the word order"
 
 
+def _unfilled(derivation: DerivationNode, tree, filled) -> DerivationError | None:
+    """The error for the first substitution slot of ``derivation``'s tree,
+    in address order, whose address ``filled`` lacks; None if it has all."""
+    for address in tree.substitution_addresses:
+        if address not in filled:
+            return DerivationError(f"substitution slot {format_address(address)}"
+                                   f" of {derivation.tree!r} is unfilled")
+    return None
+
+
 def derive(grammar: Grammar, derivation: DerivationNode, words,
            check_features: bool = False) -> DerivedTree:
     """The derived tree of ``derivation`` over the sentence ``words``, by a
@@ -617,10 +633,9 @@ class Deriver(DerivationFold):
                         top = merged
             else:
                 raise DerivationError(f"unknown operation {att.op!r}")
-        for address in tree.substitution_addresses:
-            if address not in seen:
-                raise DerivationError(f"substitution slot {format_address(address)}"
-                                      f" of {derivation.tree!r} is unfilled")
+        unfilled = _unfilled(derivation, tree, seen)
+        if unfilled is not None:
+            raise unfilled
         return top
 
     def make_plan(self, tree):

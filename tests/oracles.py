@@ -24,8 +24,7 @@ from dataclasses import dataclass
 
 from ltagrank.grammar import (ANCHOR, AUXILIARY, INITIAL, INTERNAL, SUBSTITUTION,
                               format_address)
-from ltagrank.heuristics import (BUILTIN_ADJUNCTIONS, BUILTIN_PP_HEIGHT,
-                                 GLOBAL_STRUCTURAL, _matching_rules, _modifier_edge)
+from ltagrank.heuristics import BUILTIN_ADJUNCTIONS, BUILTIN_PP_HEIGHT, GLOBAL_STRUCTURAL
 from ltagrank.parser import (OP_ADJUNCTION, OP_SUBSTITUTION, Attachment,
                              DerivationError, DerivationNode, DerivedNode,
                              FeatureConflict)
@@ -451,9 +450,39 @@ def instances(derivation):
 
 
 def modifier_edge(record):
-    """``heuristics._modifier_edge`` of an adjunction record."""
+    """The edge of its host that an adjunction record's modifier lies on,
+    by the spans of the reference tree: "start" when the modifier's top
+    covers words before the host's, "end" when it covers words after them,
+    and None when it covers words on both sides."""
     root, host = record.root_node, record.host_node
-    return _modifier_edge(root.start, root.end, host.start, host.end)
+    before, after = root.start < host.start, host.end < root.end
+    if before and after:
+        return None
+    return "start" if before else "end"
+
+
+def matching_rules(registry, grammar, tree_name, word):
+    """Registry positions of the local rules whose ``disprefer`` predicate
+    holds of the anchoring of ``tree_name`` at ``word``, read off each
+    ``Heuristic``: a lexical rule holds only at its own word, compared
+    case-insensitively, and a predicate reads the anchor's POS, the tree's
+    name or a prefix of that name."""
+    pos = grammar.trees[tree_name].anchor_pos
+    matched = []
+    for index, h in enumerate(registry.heuristics):
+        if h.kind == GLOBAL_STRUCTURAL or (h.word is not None
+                                           and h.word.lower() != word.lower()):
+            continue
+        mode, values = h.disprefer.mode, h.disprefer.values
+        if mode == "pos":
+            holds = pos in values
+        elif mode == "tree":
+            holds = tree_name in values
+        else:
+            holds = any(tree_name[:len(prefix)] == prefix for prefix in values)
+        if holds:
+            matched.append(index)
+    return tuple(matched)
 
 
 def reference_extract(registry, grammar, derivation, derived, rules=None):
@@ -469,7 +498,7 @@ def reference_extract(registry, grammar, derivation, derived, rules=None):
     for tree_name, anchor in instances(derivation):
         key = (tree_name, derived.words[anchor])
         if key not in rules:
-            rules[key] = _matching_rules(registry, grammar, *key)
+            rules[key] = matching_rules(registry, grammar, *key)
         for index in rules[key]:
             local[index] += 1
     records = derived.records
@@ -477,15 +506,16 @@ def reference_extract(registry, grammar, derivation, derived, rules=None):
               for child in node.children if not isinstance(child, str)}
     counts = []
     for index, h in enumerate(registry.heuristics):
-        matching = [rec for rec in records if rec.modifier_label in h.modifier]
         if h.kind != GLOBAL_STRUCTURAL:
             value = local[index]
         elif h.builtin == BUILTIN_ADJUNCTIONS:
             value = len(records)
-        elif h.builtin == BUILTIN_PP_HEIGHT:
-            value = sum(reference_bypassed_lower(rec, h.sites) for rec in matching)
         else:
-            value = sum(_bypassed_higher(rec, h.sites, parent) for rec in matching)
+            matching = [rec for rec in records if rec.modifier_label in h.modifier]
+            if h.builtin == BUILTIN_PP_HEIGHT:
+                value = sum(reference_bypassed_lower(rec, h.sites) for rec in matching)
+            else:
+                value = sum(_bypassed_higher(rec, h.sites, parent) for rec in matching)
         counts.append(float(value))
     return tuple(counts)
 

@@ -1,13 +1,15 @@
 import gc
 import random
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
 
 import ltagrank as lt
-from ltagrank.grammar import (ANCHOR, FOOT, INTERNAL, SUBSTITUTION,
-                              GrammarFormatError, GrammarValidationError,
-                              TreeNode, parse_frequencies)
+from ltagrank.grammar import (ANCHOR, FOOT, INITIAL, INTERNAL, SUBSTITUTION,
+                              ElementaryTree, FrequencyTable, GrammarFormatError,
+                              GrammarValidationError, LexEntry, TreeFamily, TreeNode,
+                              parse_frequencies)
 from toygrammars import FREQ_TEXT, MODIFIER_GRAMMAR, PP_GRAMMAR
 
 SIX_TREE_GRAMMAR = """
@@ -53,6 +55,81 @@ def test_family_dangling_member():
     with pytest.raises(GrammarValidationError) as err:
         lt.loads(bad)
     assert "Ghost" in str(err.value)
+
+
+def test_tree_and_grammar_issues_are_raised_together_in_order():
+    # tree-shape issues in line order, then family and lexicon references,
+    # a reference to a rejected tree included
+    text = ("tree Broken : initial (NP D@ N@)\ntree Aux : auxiliary (VP ADV@ NP*)\n"
+            "family F = Broken, Aux\nlex x N -> Broken, G\n")
+    with pytest.raises(GrammarValidationError) as err:
+        lt.loads(text, "not a frequency line")
+    assert str(err.value) == (
+        "tree 'Broken' must have exactly one anchor, found 2; auxiliary tree 'Aux' has foot"
+        " label 'NP' but root label 'VP'; family 'F' references unknown tree 'Broken';"
+        " family 'F' references unknown tree 'Aux'; lexicon entry x/N references unknown"
+        " tree or family 'Broken'; lexicon entry x/N references unknown tree or family 'G'")
+
+
+def test_a_directly_built_grammar_is_checked_as_loads_checks_it():
+    g = lt.loads(SIX_TREE_GRAMMAR)
+    with pytest.raises(GrammarValidationError) as loaded:
+        lt.loads(SIX_TREE_GRAMMAR + "family F = Noun_Phrase, Ghost\nlex meow V -> NoSuchFamily\n")
+    with pytest.raises(GrammarValidationError) as built:
+        lt.Grammar(g.trees, {**g.families, "F": TreeFamily("F", ("Noun_Phrase", "Ghost"))},
+                   {**g.lexicon, ("meow", "V"): LexEntry("meow", "V", ("NoSuchFamily",))})
+    assert str(built.value) == str(loaded.value)
+    assert len(built.value.issues) == 2
+
+
+def test_a_directly_built_tree_is_checked_as_loads_checks_it():
+    with pytest.raises(GrammarValidationError) as loaded:
+        lt.loads("tree Two_Anchors : initial (NP D@ N@)\n")
+    root = TreeNode("NP", INTERNAL, (TreeNode("D", ANCHOR), TreeNode("N", ANCHOR)))
+    with pytest.raises(GrammarValidationError) as built:
+        ElementaryTree("Two_Anchors", INITIAL, root)
+    assert str(built.value) == str(loaded.value)
+    with pytest.raises(GrammarValidationError, match="unknown kind 'sideways'"):
+        ElementaryTree("T", "sideways", TreeNode("N", ANCHOR))
+    tree = ElementaryTree("T", INITIAL, TreeNode("NP", INTERNAL, (TreeNode("N", ANCHOR),)))
+    assert (tree.anchor_pos, tree.anchor_address, tree.foot_address) == ("N", (1,), None)
+
+
+def test_a_grammar_is_read_only_once_built():
+    g = lt.loads(SIX_TREE_GRAMMAR, "Noun_Phrase\t0.5\n")
+    tree = g.trees["Noun_Phrase"]
+    with pytest.raises(TypeError):
+        g.trees["Copy"] = tree
+    with pytest.raises(TypeError):
+        g.families["F"] = TreeFamily("F", ("Noun_Phrase",))
+    with pytest.raises(TypeError):
+        g.lexicon[("cats", "N")] = LexEntry("cats", "N", ("Noun_Phrase",))
+    with pytest.raises(TypeError):
+        g.freq.entries["Det_alpha"] = 1.0
+    with pytest.raises(FrozenInstanceError):
+        g.freq = FrequencyTable()
+    with pytest.raises(FrozenInstanceError):
+        g.trees = {}
+    with pytest.raises(TypeError):
+        tree.shapes[()] = ("S", 1)
+    with pytest.raises(TypeError):
+        tree.positions[()] = 0
+    with pytest.raises(FrozenInstanceError):
+        tree.anchor_pos = "D"
+    assert (len(g.trees), len(g.families), len(g.lexicon)) == (6, 2, 4)
+    assert dict(g.freq.entries) == {"Noun_Phrase": 0.5}
+    assert tree.shapes[()] == ("NP", 1) and tree.anchor_pos == "N"
+
+
+def test_a_grammar_keeps_its_own_copies_of_what_it_is_given():
+    g = lt.loads(SIX_TREE_GRAMMAR)
+    trees, families, lexicon = dict(g.trees), dict(g.families), dict(g.lexicon)
+    entries = {"Noun_Phrase": 0.5}
+    built = lt.Grammar(trees, families, lexicon, FrequencyTable(entries))
+    for given in (trees, families, lexicon, entries):
+        given.clear()
+    assert built.trees == g.trees and built.families == g.families
+    assert built.lexicon == g.lexicon and built.freq.entries == {"Noun_Phrase": 0.5}
 
 
 def test_format_error_carries_line_number():

@@ -1,4 +1,5 @@
 import random
+from dataclasses import FrozenInstanceError
 from pathlib import Path
 
 import pytest
@@ -43,6 +44,19 @@ def test_registry_keeps_its_own_heuristics():
                            disprefer=Predicate("prefix", ("Y",))))
     assert len(given) == 2
     assert reg.names() == ["only_rule", *GLOBAL_BUILTINS]
+
+
+def test_registry_is_read_only_once_built():
+    reg = default_registry()
+    names = reg.names()
+    with pytest.raises(FrozenInstanceError):
+        reg.heuristics = ()
+    with pytest.raises(FrozenInstanceError):
+        reg.heights = ()
+    assert reg.names() == names
+    assert reg.adjunctions == (names.index("adjunction_count"),)
+    assert [index for index, *_ in reg.heights] == [
+        names.index("pp_attachment_height"), names.index("adj_attachment_height")]
 
 
 def test_duplicate_names_rejected():
@@ -404,6 +418,19 @@ def test_weights_file_comments_are_stripped_as_in_other_input_files(tmp_path):
     rows.insert(0, "# header")
     path.write_text("\n".join(rows) + "\n")
     assert load_weights(path, reg) == weights
+
+
+def test_weights_file_error_names_its_line(tmp_path):
+    # the line counts the file's lines, comments and blank lines included
+    reg = default_registry()
+    path = tmp_path / "weights.tsv"
+    save_weights(path, reg, uniform_weights(reg))
+    rows = path.read_text().splitlines()
+    rows[1] = "x"
+    path.write_text("# header\n\n" + "\n".join(rows) + "\n")
+    with pytest.raises(RegistryError) as raised:
+        load_weights(path, reg)
+    assert str(raised.value) == "line 4: bad weights row 'x'"
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf", "heavy"])

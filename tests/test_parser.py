@@ -10,10 +10,11 @@ import pytest
 import ltagrank as lt
 from ltagrank import parser
 from ltagrank.cli import build_records
-from ltagrank.heuristics import RankedParse, default_registry, extract, parse_registry
+from ltagrank.heuristics import (RankedParse, default_registry, extract, parse_registry,
+                                 uniform_weights)
 from ltagrank.parser import (Attachment, DerivationError, DerivationNode, DerivedNode,
                              FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION)
-from ltagrank.parseval import RECALL_MODES, assign_spans
+from ltagrank.parseval import RECALL_MODES, assign_spans, evaluate_derivations
 from ltagrank.training import TrainConfig
 from oracles import (blank_unreachable, derivation_universe, instances, nodes,
                      reference_derivations, reference_derive, reference_extract,
@@ -675,6 +676,36 @@ def test_parse_reads_the_shapes_of_the_grammar_it_is_given():
             earlier, grammar, forest = grammar, None, None
 
 
+SHAPE_REGISTRY = """\
+lower global_structural builtin=pp_attachment_height modifier=A,AP sites=NP,NB,S
+higher global_structural builtin=adj_attachment_height modifier=A,AP sites=NP,NB,S
+"""
+
+
+def test_one_registry_counts_the_shapes_of_each_grammar_it_is_given():
+    # a registry memoizes its counting plans across sentences and grammars.
+    # The two grammars share tree names, not shapes, so one registry that
+    # ranks both in turn must count as a fresh registry per grammar does
+    shared = parse_registry(SHAPE_REGISTRY)
+    vectors = {}
+    for _ in range(2):
+        for text in SHAPE_GRAMMARS:
+            grammar, fresh = lt.loads(text), parse_registry(SHAPE_REGISTRY)
+            for words in derivation_universe(grammar, "S", 4):
+                sentence = _tagged(grammar, words)
+                forest = lt.parse(grammar, sentence, lt.select_trees(grammar, sentence))
+                deriver = lt.Deriver(grammar, list(words))
+                derivations = lt.enumerate_derivations(forest)
+                ranked = lt.rank(deriver, derivations, shared, uniform_weights(shared))
+                expected = lt.rank(deriver, derivations, fresh, uniform_weights(fresh))
+                assert [rp.vector for rp in ranked] == [rp.vector for rp in expected]
+                vectors.setdefault(text, set()).update(rp.vector for rp in ranked)
+    # each grammar's shapes give counts of their own
+    assert vectors[SHAPE_GRAMMARS[0]] != vectors[SHAPE_GRAMMARS[1]]
+    assert all(any(vector[:2] != (0.0, 0.0) for vector in found)
+               for found in vectors.values())
+
+
 def _parser_generators():
     return [o for o in gc.get_objects() if isinstance(o, types.GeneratorType)
             and o.gi_code.co_filename == parser.__file__]
@@ -735,14 +766,26 @@ def _facts(derived):
 
 def _every_label_registry(grammar):
     """Both attachment heights, with every label of ``grammar`` a modifier
-    and a site."""
+    and a site, after local rules that the grammar's anchorings match: a
+    tree-type rule per two-letter prefix of a tree name, one that lists
+    every other tree, and per POS a lexical rule for its first word,
+    upper-cased, that disprefers the POS."""
     labels = ",".join(sorted(set().union(*(_labels(tree.root)
                                            for tree in grammar.trees.values()))))
-    return parse_registry(
-        f"lower global_structural builtin=pp_attachment_height modifier={labels}"
-        f" sites={labels}\n"
-        f"higher global_structural builtin=adj_attachment_height modifier={labels}"
-        f" sites={labels}\n")
+    names = sorted(grammar.trees)
+    lines = [f"prefix_{k} local_tree_type prefix={prefix}"
+             for k, prefix in enumerate(sorted({name[:2] for name in names}))]
+    lines.append(f"listed local_tree_type trees={','.join(names[::2])}")
+    first = {}
+    for word, pos in sorted(grammar.lexicon):
+        first.setdefault(pos, word)
+    lines += [f"word_{pos} local_lexical word={word.upper()} prefer=pos:{pos} disprefer=pos:{pos}"
+              for pos, word in first.items()]
+    lines += [f"lower global_structural builtin=pp_attachment_height modifier={labels}"
+              f" sites={labels}",
+              f"higher global_structural builtin=adj_attachment_height modifier={labels}"
+              f" sites={labels}"]
+    return parse_registry("\n".join(lines) + "\n")
 
 
 def _labels(node):
@@ -765,8 +808,9 @@ def _check_shared_derive(grammar, derivations, words, check_features, scoring):
 
     With one table over the parses, ``extract`` equals ``reference_extract``
     on the unshared tree, also with every label of the grammar a modifier
-    and a site: the reference counts a lower attachment height over the
-    host's whole subtree, and a higher one over the modifier's ancestors.
+    and a site, and local rules of every kind that its anchorings match:
+    the reference counts a lower attachment height over the host's whole
+    subtree, and a higher one over the modifier's ancestors.
     And, given a ``scoring``, one of ``SCORINGS``, ``build_records`` equals
     ``reference_records`` against two golds, the last parse and a
     left-branching tree, with its flattening and recall mode.
@@ -1051,3 +1095,35 @@ def test_unfilled_substitution_slot_matches_reference(case):
                 with pytest.raises(DerivationError) as raised:
                     method(derivation)
                 assert str(raised.value) == message
+
+
+@pytest.mark.parametrize("case", ["trailing", "middle", "both_objects", "leading",
+                                  "wrapped_leading"])
+def test_folds_name_the_first_unfilled_slot_as_check_does(case):
+    # extract and evaluate_derivations fold a hand-built derivation as they
+    # fold the parser's, and raise the DerivationError of Deriver.check for
+    # an empty slot: the first in address order, not the first folded
+    g = lt.loads(UNFILLED_GRAMMAR)
+    tree, anchor, objects, message = {
+        "trailing": ("Ditransitive", 1, {(1,): 0, (2, 2): 2},
+                     "substitution slot 2.3 of 'Ditransitive' is unfilled"),
+        "middle": ("Ditransitive", 1, {(1,): 0, (2, 3): 2},
+                   "substitution slot 2.2 of 'Ditransitive' is unfilled"),
+        "both_objects": ("Ditransitive", 1, {(1,): 0},
+                         "substitution slot 2.2 of 'Ditransitive' is unfilled"),
+        "leading": ("Ditransitive", 0, {(2, 2): 1, (2, 3): 2},
+                    "substitution slot 1 of 'Ditransitive' is unfilled"),
+        "wrapped_leading": ("Wrapped_Subject", 0, {(2, 2): 1},
+                            "substitution slot 1.1 of 'Wrapped_Subject' is unfilled"),
+    }[case]
+    words = ["dogs", "give", "cats", "bones"]
+    derivation = DerivationNode(tree, anchor, tuple(
+        Attachment(DerivationNode("Noun_Phrase", index), OP_SUBSTITUTION, address)
+        for address, index in objects.items()))
+    gold = lt.brackets_of(lt.read_bracketed("(S (NP dogs) (VP give (NP cats) (NP bones)))"))
+    for fold in (lambda: lt.Deriver(g, words).check(derivation),
+                 lambda: extract(default_registry(), g, derivation, words),
+                 lambda: evaluate_derivations(g, [derivation], gold)):
+        with pytest.raises(DerivationError) as raised:
+            fold()
+        assert str(raised.value) == message

@@ -7,7 +7,7 @@ import pytest
 
 import ltagrank as lt
 from ltagrank import parser, pipeline
-from ltagrank.grammar import LexEntry
+from ltagrank.grammar import GrammarValidationError, LexEntry
 from ltagrank.heuristics import default_registry, uniform_weights
 from ltagrank.parser import OP_SUBSTITUTION, DerivationError, FeatureConflict
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
@@ -290,8 +290,6 @@ def test_analysis_leaves_no_garbage_cycles(universes):
         universe += [(grammar, words) for words in sentences if len(words) <= 6]
     ofpp = lt.loads(OFPP_GRAMMAR, FREQ_TEXT)
     fallback = lt.loads(FALLBACK_GRAMMAR, FALLBACK_FREQ)
-    ghost = lt.loads(OFPP_GRAMMAR)
-    ghost.lexicon[("ghost", "N")] = LexEntry("ghost", "N", ("No_Such_Tree",))
     groups = {
         "universe": [(grammar, _tagged(grammar, words), PipelineConfig())
                      for grammar, words in universe[::7]],
@@ -312,9 +310,15 @@ def test_analysis_leaves_no_garbage_cycles(universes):
         with pytest.raises(ValueError):
             analyze_sentence(ofpp, [], registry, weights)
         assert gc.collect() == 0, "empty sentence"
+        # a grammar is valid once built, so only a hand-built assignment can
+        # name an unknown tree, and a grammar that names one is never built
         with pytest.raises(DerivationError):
-            analyze_sentence(ghost, tag("ghost/N"), registry, weights)
+            lt.parse(ofpp, tag("ghost/N"), lt.TreeAssignment([["No_Such_Tree"]]))
         assert gc.collect() == 0, "unknown tree"
+        with pytest.raises(GrammarValidationError):
+            lt.Grammar(ofpp.trees, ofpp.families, {
+                **ofpp.lexicon, ("ghost", "N"): LexEntry("ghost", "N", ("No_Such_Tree",))})
+        assert gc.collect() == 0, "dangling reference"
 
 
 def _collections(grammar, sentence):

@@ -6,10 +6,14 @@ chart layout does not break the traced run, which reports the layer as
 absent instead; these tests make such a change fail here first.  Likewise
 ``bench/check.py`` holds the trainer's records and log to a reference
 trainer and the gold to a perfect score, and a pass that fails those checks
-fails a benchmark run; the last test runs them on a small pass.
+fails a benchmark run; a test runs them on a small pass.  The last test
+runs one whole traced benchmark run, as it is run from the command line.
 """
 
 import json
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import ltagrank as lt
@@ -138,3 +142,29 @@ def test_benchmark_checks_pass_on_records_with_unscored_candidates(monkeypatch, 
     assert result.weights == json.loads(reference.splitlines()[-1])["best_weights"]
     assert result.state.accepted > 0
     assert check.gold_sanity(records, gold_index) is None
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_traced_benchmark_run_ends_in_a_complete_result(tmp_path):
+    # ``bench/run.py --trace 1`` reads the program by attribute name and by
+    # chart layout, on every layer of a real workload.  It runs on a copy of
+    # the checkout, so the inputs it writes stay out of this one; its last
+    # line must be a strict JSON result with every metric present
+    ignore = shutil.ignore_patterns("__pycache__", "out")
+    for part in ("bench", "src", "tests", "sample"):
+        shutil.copytree(ROOT / part, tmp_path / part, ignore=ignore)
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "ofpp_ladder", "--seed", "1",
+         "--seconds", "0", "--trace", "1"],
+        cwd=tmp_path, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.strip().splitlines()
+    result = json.loads(lines[-1], parse_constant=_refuse_constant)
+    assert result["correct"] is True and result["failed"] == 0, proc.stderr
+    assert [name for name, entry in result["metrics"].items()
+            if entry["value"] is None] == []
+    conditions = [line for line in lines if line.startswith("conditions ")]
+    assert json.loads(conditions[-1][len("conditions "):])["absent"] == {}
