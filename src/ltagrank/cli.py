@@ -96,21 +96,35 @@ def cmd_check(args) -> int:
     return 0
 
 
+def _for_sentence(index, work, *args):
+    """``work(*args)``, a step of the work on sentence ``index``.  If it
+    runs out of memory, or nests deeper than Python's recursion limit (as
+    the derivations of a long sentence can), a CliError names the
+    sentence.  It is made once the frames that hold the sentence's
+    analysis are dropped."""
+    try:
+        return work(*args)
+    except MemoryError as exc:
+        exc.__traceback__ = None
+        raise CliError(f"sentence {index}: out of memory; --max-parses bounds"
+                       f" the parses kept per sentence") from None
+    except RecursionError as exc:
+        exc.__traceback__ = None
+        raise CliError(f"sentence {index}: nested too deeply to analyze"
+                       f" (Python's recursion limit)") from None
+
+
 def _analyze_each(sentences, grammar, registry, weights, config):
     """``analyze_sentence`` of each sentence in turn, as the caller asks for
     it: ``parse``, ``rank`` and ``train`` each read and drop one analysis
     before they ask for the next, so none is held beyond the next one.  A
-    sentence whose analysis runs out of memory is named in a CliError, made
-    once the frames that hold the analysis are dropped."""
+    sentence whose analysis runs out of memory or of stack is named in a
+    CliError (``_for_sentence``)."""
     for index, sentence in enumerate(sentences):
-        try:
-            # yielded, not bound: a local would keep each analysis alive
-            # while the next one is analyzed
-            yield analyze_sentence(grammar, sentence, registry, weights, config)
-        except MemoryError as exc:
-            exc.__traceback__ = None
-            raise CliError(f"sentence {index}: out of memory; --max-parses bounds"
-                           f" the parses kept per sentence") from None
+        # yielded, not bound: a local would keep each analysis alive while
+        # the next one is analyzed
+        yield _for_sentence(index, analyze_sentence, grammar, sentence, registry, weights,
+                            config)
 
 
 def _analyze_corpus(args, grammar, registry, weights):
@@ -135,15 +149,7 @@ def cmd_parse(args) -> int:
         parsed += analysis.parsed
         total += analysis.derivation_count  # 0 when not parsed
         if args.report:
-            lines.append(json.dumps({
-                "type": "sentence", "index": index, "words": analysis.words,
-                "n_parses": analysis.derivation_count,
-                "filter": analysis.report.to_dict() if analysis.report else None,
-                "parses": [{"penalty": rp.penalty, "vector": list(rp.vector),
-                            "bracketing": rp.derived.to_string(),
-                            "derivation": rp.derivation.to_dict()}
-                           for rp in analysis.parses[:args.top_k]],
-            }))
+            lines.append(_for_sentence(index, _parse_record, index, analysis, args.top_k))
         status = f"{analysis.derivation_count} parses" if analysis.parsed else "NO PARSE"
         print(f"[{index}] {' '.join(analysis.words)} -> {status}")
     pct = 100.0 * parsed / n if n else 0.0
@@ -157,6 +163,26 @@ def cmd_parse(args) -> int:
     return 0
 
 
+def _parse_record(index, analysis, top_k) -> str:
+    """The report line of sentence ``index``; it derives the trees of its
+    top ``top_k`` parses."""
+    return json.dumps({
+        "type": "sentence", "index": index, "words": analysis.words,
+        "n_parses": analysis.derivation_count,
+        "filter": analysis.report.to_dict() if analysis.report else None,
+        "parses": [{"penalty": rp.penalty, "vector": list(rp.vector),
+                    "bracketing": rp.derived.to_string(),
+                    "derivation": rp.derivation.to_dict()}
+                   for rp in analysis.parses[:top_k]],
+    })
+
+
+def _top_parses(analysis, top_k) -> list[dict]:
+    """The penalty and bracketing of each of the top ``top_k`` parses."""
+    return [{"penalty": rp.penalty, "bracketing": rp.derived.to_string()}
+            for rp in analysis.parses[:top_k]]
+
+
 def cmd_rank(args) -> int:
     grammar = _load_grammar(args)
     registry = _load_registry(args)
@@ -164,8 +190,7 @@ def cmd_rank(args) -> int:
     analyses = _analyze_corpus(args, grammar, registry, weights)
     lines = [json.dumps(_config_record(args))]
     for index, analysis in enumerate(analyses):
-        top = [{"penalty": rp.penalty, "bracketing": rp.derived.to_string()}
-               for rp in analysis.parses[:args.top_k]]
+        top = _for_sentence(index, _top_parses, analysis, args.top_k)
         print(f"[{index}] {' '.join(analysis.words)}")
         for rank_no, parse in enumerate(top, start=1):
             print(f"  {rank_no}. penalty={parse['penalty']:g} {parse['bracketing']}")
@@ -297,9 +322,10 @@ def build_records(analyses, gold_trees, recall_mode, flatten_cats,
         scores = [None] * len(parses)
         kept = training.reachable(vectors, top_k)
         if kept:
-            for position, score in zip(kept, parseval.evaluate_derivations(
-                    parses[0].deriver.grammar, [parses[i].derivation for i in kept],
-                    parseval.brackets_of(gold), flatten_cats, recall_mode)):
+            for position, score in zip(kept, _for_sentence(
+                    index, parseval.evaluate_derivations, parses[0].deriver.grammar,
+                    [parses[i].derivation for i in kept], parseval.brackets_of(gold),
+                    flatten_cats, recall_mode)):
                 scores[position] = score
         records[index] = training.SentenceRecord(
             index, list(map(training.Candidate, vectors, scores)))

@@ -19,6 +19,12 @@ in ``parseval``; each caller adds its own rules on labels and leaves.
 Tree unigram frequencies live in a separate two-column file with lines of
 the form ``tree_name<TAB>probability``.
 
+``TreeNode``, ``ElementaryTree``, ``FrequencyTable`` and ``Grammar`` check
+themselves when built, whether by ``loads`` or directly, and raise
+GrammarValidationError.  The readers only read: where a file error needs
+its line or its token, the reader words a rule through the helper the
+type checks it by.
+
 Node addresses are Gorn addresses: the root is the empty tuple and the k-th
 child of the node at ``a`` is ``a + (k,)``, counting children from 1.
 """
@@ -35,11 +41,13 @@ from types import MappingProxyType
 
 INITIAL = "initial"
 AUXILIARY = "auxiliary"
+TREE_KINDS = (INITIAL, AUXILIARY)
 
 INTERNAL = "internal"
 ANCHOR = "anchor"
 SUBSTITUTION = "substitution"
 FOOT = "foot"
+NODE_KINDS = (INTERNAL, ANCHOR, SUBSTITUTION, FOOT)
 
 _MARKER_KIND = {"@": ANCHOR, "^": SUBSTITUTION, "*": FOOT}
 
@@ -93,7 +101,9 @@ class TreeNode:
 
     Internal nodes have at least one child; anchor, substitution and foot
     nodes are childless.  Features are a flat attribute -> atomic value map,
-    stored as a sorted tuple of pairs so nodes stay hashable.
+    stored as a sorted tuple of pairs so nodes stay hashable.  A kind not
+    in ``NODE_KINDS``, or children where the kind allows none or none
+    where it needs some, raises GrammarValidationError.
     """
 
     label: str
@@ -102,10 +112,19 @@ class TreeNode:
     features: tuple[tuple[str, str], ...] = ()
 
     def __post_init__(self):
-        if self.kind == INTERNAL and not self.children:
-            raise ValueError(f"internal node {self.label!r} must have children")
-        if self.kind != INTERNAL and self.children:
-            raise ValueError(f"{self.kind} node {self.label!r} cannot have children")
+        if self.kind not in NODE_KINDS:
+            raise GrammarValidationError([f"node {self.label!r} has unknown kind {self.kind!r}"])
+        if _is_leaf(self.kind) == bool(self.children):
+            raise GrammarValidationError([
+                f"{self.kind} node {self.label!r} cannot have children" if self.children
+                else f"internal node {self.label!r} must have children"])
+
+
+def _is_leaf(kind: str) -> bool:
+    """Whether a node of ``kind`` is a leaf, which has no children: every
+    kind but INTERNAL is.  ``TreeNode`` checks its children by it, and the
+    tree-line reader its markers, where the message needs the token."""
+    return kind != INTERNAL
 
 
 @dataclass(frozen=True)
@@ -136,7 +155,7 @@ class ElementaryTree:
                 anchors.append((address, node))
             elif node.kind == FOOT:
                 feet.append((address, node))
-        if kind not in (INITIAL, AUXILIARY):
+        if kind not in TREE_KINDS:
             issues.append(f"tree {name!r} has unknown kind {kind!r}")
         if len(anchors) != 1:
             issues.append(f"tree {name!r} must have exactly one anchor, found {len(anchors)}")
@@ -210,10 +229,16 @@ class ElementaryTree:
         return self.node_at(self.anchor_address[:depth]).label
 
 
-def _walk(node: TreeNode, address: Address = ()):
-    yield address, node
-    for k, child in enumerate(node.children, start=1):
-        yield from _walk(child, address + (k,))
+def _walk(root: TreeNode):
+    """(address, node) of every node below ``root``, in pre-order.  It
+    keeps a stack of its own, so a tree may nest deeper than Python's
+    recursion limit."""
+    stack = [((), root)]
+    while stack:
+        address, node = stack.pop()
+        yield address, node
+        for k in range(len(node.children), 0, -1):
+            stack.append((address + (k,), node.children[k - 1]))
 
 
 @dataclass(frozen=True)
@@ -232,12 +257,22 @@ class LexEntry:
 @dataclass(frozen=True)
 class FrequencyTable:
     """Tree-name -> unigram probability; absent trees count as probability 0.
-    ``entries`` is a read-only copy of the mapping given."""
+    ``entries`` is a read-only copy of the mapping given.  A value that is
+    no number in [0, 1] (NaN and the infinities included) raises
+    GrammarValidationError, which names each such tree."""
 
     entries: Mapping[str, float] = field(default_factory=dict)
 
     def __post_init__(self):
-        object.__setattr__(self, "entries", MappingProxyType(dict(self.entries)))
+        entries = MappingProxyType(dict(self.entries))
+        issues = []
+        for name, prob in entries.items():
+            issue = _probability_issue(prob)
+            if issue is not None:
+                issues.append(f"tree {name!r}: {issue}")
+        if issues:
+            raise GrammarValidationError(issues)
+        object.__setattr__(self, "entries", entries)
 
     def probability(self, tree_name: str) -> float:
         return self.entries.get(tree_name, 0.0)
@@ -322,13 +357,24 @@ def _parse_features(text: str, lineno: int, column: int) -> tuple[tuple[str, str
     return tuple(sorted(pairs))
 
 
-def _parse_token(text: str, lineno: int, column: int):
+def _parse_token(form, starts, lineno: int, offset: int):
+    """(label, kind, features) of the token of ``form``, a nested form of
+    ``read_tree`` read off a tree expression at ``offset`` of line
+    ``lineno``, whose tokens start at ``starts``.  Leaves, and only leaves,
+    are marked (``_is_leaf``); an error names the token's column."""
+    text, k, children = form
+    column = offset + starts[k] + 1
     match = _LEAF_TOKEN.match(text)
     if not match:
         raise GrammarFormatError(f"bad node token {text!r}", lineno, column)
     label, marker, feats = match.groups()
     kind = _MARKER_KIND.get(marker, INTERNAL)
-    return label, kind, _parse_features(feats or "", lineno, column)
+    features = _parse_features(feats or "", lineno, column)
+    if _is_leaf(kind) != (children is None):
+        raise GrammarFormatError(
+            f"leaf {text!r} must be marked with one of @ ^ *" if children is None
+            else f"marked node {text!r} cannot have children", lineno, column)
+    return label, kind, features
 
 
 def token_offsets(text: str) -> list[int]:
@@ -409,15 +455,28 @@ def _parse_tree_expr(text: str, lineno: int, offset: int) -> TreeNode:
 
 
 def _tree_node(form, starts, lineno: int, offset: int) -> TreeNode:
-    token, k, children = form
-    column = offset + starts[k] + 1
-    label, kind, feats = _parse_token(token, lineno, column)
-    if (children is None) == (kind == INTERNAL):  # leaves, and only leaves, are marked
-        raise GrammarFormatError(
-            f"leaf {token!r} must be marked with one of @ ^ *" if children is None
-            else f"marked node {token!r} cannot have children", lineno, column)
-    return TreeNode(label, kind, tuple(_tree_node(child, starts, lineno, offset)
-                                       for child in children or ()), feats)
+    """The TreeNode of a nested form of ``read_tree`` (see
+    ``_parse_token``).  Tokens are read in pre-order, so the first bad one
+    on the line is the one named, and nodes are built bottom-up.  Like the
+    reader it keeps a stack of its own, so a tree may nest deeper than
+    Python's recursion limit."""
+    # per node being built: its token's parts (None above the root), its
+    # unread child forms and its children built so far
+    stack = [(None, iter((form,)), [])]
+    while True:
+        parts, rest, children = stack[-1]
+        for child in rest:
+            label, kind, feats = _parse_token(child, starts, lineno, offset)
+            if child[2] is None:
+                children.append(TreeNode(label, kind, (), feats))
+            else:
+                stack.append(((label, kind, feats), iter(child[2]), []))
+                break
+        else:
+            stack.pop()
+            if parts is None:
+                return children[0]
+            stack[-1][2].append(TreeNode(parts[0], parts[1], tuple(children), parts[2]))
 
 
 def _split_names(text: str, lineno: int) -> tuple[str, ...]:
@@ -444,7 +503,7 @@ def loads(text: str, freq_text: str | None = None) -> Grammar:
             if not match:
                 raise GrammarFormatError("malformed tree line", lineno)
             name, kind, expr = match.groups()
-            if kind not in (INITIAL, AUXILIARY):
+            if kind not in TREE_KINDS:
                 raise GrammarFormatError(f"unknown tree kind {kind!r}", lineno)
             if name in trees:
                 raise GrammarFormatError(f"duplicate tree {name!r}", lineno)
@@ -523,7 +582,19 @@ def load_grammar(path, freq_path=None) -> Grammar:
     return loads(text, freq_text)
 
 
+def _probability_issue(prob) -> str | None:
+    """Why ``prob`` is no probability: it is no number in [0, 1] (NaN
+    compares false, and the infinities lie outside); None if it is one.
+    ``FrequencyTable`` checks its entries by it, naming the tree, and
+    ``parse_frequencies`` its lines, naming the line."""
+    if isinstance(prob, (int, float)) and 0.0 <= prob <= 1.0:
+        return None
+    return f"probability {prob!r} outside [0, 1]"
+
+
 def parse_frequencies(text: str) -> FrequencyTable:
+    """The table of a frequency file's ``tree_name<TAB>probability`` lines;
+    an error names its line."""
     entries: dict[str, float] = {}
     for lineno, line in content_lines(text.splitlines()):
         parts = line.split()
@@ -534,8 +605,9 @@ def parse_frequencies(text: str) -> FrequencyTable:
             prob = float(prob_text)
         except ValueError:
             raise GrammarFormatError(f"bad probability {prob_text!r}", lineno)
-        if not 0.0 <= prob <= 1.0:
-            raise GrammarFormatError(f"probability {prob} outside [0, 1]", lineno)
+        issue = _probability_issue(prob)
+        if issue is not None:
+            raise GrammarFormatError(issue, lineno)
         if name in entries:
             raise GrammarFormatError(f"duplicate frequency entry {name!r}", lineno)
         entries[name] = prob

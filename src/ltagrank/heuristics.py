@@ -16,6 +16,10 @@ Only ``disprefer`` counts: a lexical rule's ``prefer=`` is required and
 checked, but read no further.  An option that its heuristic does not read
 (``adjunction_count`` reads only ``builtin=``, a tree-type rule one of
 ``prefix=`` and ``trees=``), or one given twice, is an error.
+``Predicate``, ``Heuristic`` and ``HeuristicRegistry`` check themselves
+when built, whether by ``parse_registry`` or directly, and raise
+RegistryError; the reader maps options to fields, and words a rule that
+both check with the option's text through the helper the type calls.
 The default registry is ``STOCK_REGISTRY``, the local rules of
 ``sample/registry.txt``, plus the three structural builtins
 (adjunction_count, pp_attachment_height, adj_attachment_height), which are
@@ -64,12 +68,23 @@ class RegistryError(Exception):
     pass
 
 
+HEIGHT_BUILTINS = (BUILTIN_PP_HEIGHT, BUILTIN_ADJ_HEIGHT)
+PREDICATE_MODES = ("pos", "tree", "prefix")
+
+
 @dataclass(frozen=True)
 class Predicate:
-    """Matches an anchoring analysis, i.e. a (POS, tree name) pair."""
+    """Matches an anchoring analysis, i.e. a (POS, tree name) pair: by its
+    POS ("pos"), its tree name ("tree") or a prefix of its tree name
+    ("prefix"), against any of ``values``.  A mode not in
+    ``PREDICATE_MODES``, or values that are not a non-empty tuple of
+    non-empty strings, raise RegistryError."""
 
-    mode: str  # "pos" | "tree" | "prefix"
+    mode: str
     values: tuple[str, ...]
+
+    def __post_init__(self):
+        _check_predicate(self.mode, self.values, f"{self.mode} predicate")
 
     def matches(self, pos: str, tree_name: str) -> bool:
         if self.mode == "pos":
@@ -80,24 +95,52 @@ class Predicate:
 
     @classmethod
     def parse(cls, text: str) -> "Predicate":
+        """The predicate of a registry option's ``mode:value,value...``."""
         if ":" not in text:
             raise RegistryError(f"predicate {text!r} needs a mode: prefix")
         mode, _, rest = text.partition(":")
-        if mode not in ("pos", "tree", "prefix"):
-            raise RegistryError(f"unknown predicate mode {mode!r}")
-        return cls(mode, _values(rest, f"predicate {text!r}"))
+        values = _split(rest)
+        _check_predicate(mode, values, f"predicate {text!r}")
+        return cls(mode, values)
 
 
-def _values(text: str, what: str) -> tuple[str, ...]:
+def _split(text: str) -> tuple[str, ...]:
     """A registry list's comma-separated items; empty ones are dropped."""
-    values = tuple(v for v in text.split(",") if v)
+    return tuple(v for v in text.split(",") if v)
+
+
+def _check_predicate(mode, values, what) -> None:
+    """The rules on a predicate, which ``Predicate`` checks and the
+    registry reader words with the option's text (``what``)."""
+    if mode not in PREDICATE_MODES:
+        raise RegistryError(f"unknown predicate mode {mode!r}")
+    _check_list(values, what)
+
+
+def _check_list(values, what) -> None:
+    """The rule on a registry list, a predicate's values or a height
+    builtin's modifier labels or sites: a non-empty tuple of non-empty
+    strings.  ``what`` names the list."""
+    if not isinstance(values, tuple) or not all(isinstance(v, str) and v for v in values):
+        raise RegistryError(f"{what} must be a tuple of non-empty strings")
     if not values:
         raise RegistryError(f"{what} has no values")
-    return values
 
 
 @dataclass(frozen=True)
 class Heuristic:
+    """One heuristic of a registry.  A local rule counts the anchorings
+    its ``disprefer`` matches, a lexical one only those of its ``word``;
+    a global one is the ``builtin`` of that name, a height builtin with
+    its ``modifier`` labels and its ``sites``.
+
+    ``_fields`` says what each kind reads.  A kind or builtin it does not
+    know, a field the kind reads but lacks (a tree-type rule's
+    ``disprefer``, a lexical rule's ``word`` and ``disprefer``, a height
+    builtin's non-empty ``modifier`` and ``sites``) or one it does not
+    read but is set raises RegistryError.
+    """
+
     name: str
     kind: str
     word: str | None = None  # None: every anchoring counts
@@ -106,10 +149,44 @@ class Heuristic:
     modifier: tuple[str, ...] = ()
     sites: tuple[str, ...] = ()
 
+    def __post_init__(self):
+        what, reads = _fields(self.name, self.kind, self.builtin)
+        for key in ("word", "disprefer", "builtin", "modifier", "sites"):
+            value = getattr(self, key)
+            if key not in reads:
+                if value is not None and value != ():
+                    raise RegistryError(f"{what} does not read {key}=")
+            elif key in ("modifier", "sites"):
+                _check_list(value, f"{self.name}: {key}=")
+            elif (key == "word" and not isinstance(value, str)
+                  or key == "disprefer" and not isinstance(value, Predicate)):
+                raise RegistryError(f"{what} needs {key}=")
+
+
+def _fields(name, kind, builtin) -> tuple[str, tuple[str, ...]]:
+    """How a heuristic of ``kind``, and of ``builtin`` if it is global, is
+    named in messages, and the fields it reads besides its name and kind;
+    an unknown kind or builtin raises RegistryError.  ``Heuristic`` checks
+    its fields by it, and the registry reader the options of a lexical
+    rule and of a builtin."""
+    if kind == LOCAL_TREE_TYPE:
+        return f"{name}: {kind}", ("disprefer",)
+    if kind == LOCAL_LEXICAL:
+        return f"{name}: {kind}", ("word", "disprefer")
+    if kind != GLOBAL_STRUCTURAL:
+        raise RegistryError(f"{name}: unknown heuristic kind {kind!r}")
+    if builtin not in GLOBAL_BUILTINS:
+        raise RegistryError(f"{name}: unknown builtin {builtin!r}")
+    if builtin == BUILTIN_ADJUNCTIONS:
+        return f"{name}: {builtin}", ("builtin",)
+    return f"{name}: {builtin}", ("builtin", "modifier", "sites")
+
 
 @dataclass(frozen=True)
 class HeuristicRegistry:
     """Ordered heuristics; the order defines the weight-vector layout.
+    Anything but ``Heuristic`` values, or two with one name, raises
+    RegistryError.
 
     Read-only once built: ``__post_init__`` sets the layout once, as a
     tuple of its own, the heuristics given and then the missing builtins,
@@ -131,10 +208,12 @@ class HeuristicRegistry:
 
     def __post_init__(self):
         given = tuple(self.heuristics)
+        if not all(isinstance(h, Heuristic) for h in given):
+            raise RegistryError("a registry holds Heuristic values only")
         names = [h.name for h in given]
         if len(set(names)) != len(names):
             raise RegistryError("duplicate heuristic names in registry")
-        present = {h.builtin for h in given if h.kind == GLOBAL_STRUCTURAL}
+        present = {h.builtin for h in given}
         heuristics = given + tuple(
             _default_global(builtin) for builtin in GLOBAL_BUILTINS if builtin not in present)
         object.__setattr__(self, "heuristics", heuristics)
@@ -142,8 +221,7 @@ class HeuristicRegistry:
             index for index, h in enumerate(heuristics) if h.builtin == BUILTIN_ADJUNCTIONS))
         object.__setattr__(self, "heights", tuple(
             (index, h.builtin == BUILTIN_PP_HEIGHT, h.modifier, h.sites)
-            for index, h in enumerate(heuristics)
-            if h.builtin is not None and h.builtin != BUILTIN_ADJUNCTIONS))
+            for index, h in enumerate(heuristics) if h.builtin in HEIGHT_BUILTINS))
 
     def __len__(self):
         return len(self.heuristics)
@@ -168,6 +246,7 @@ def default_registry() -> HeuristicRegistry:
 
 
 def parse_registry(text: str) -> HeuristicRegistry:
+    """The registry of a registry file's text; an error names its line."""
     heuristics = []
     for lineno, line in content_lines(text.splitlines()):
         parts = line.split()
@@ -198,6 +277,11 @@ def _only(options, keys, what) -> None:
 
 
 def _heuristic_from(name, kind, options) -> Heuristic:
+    """The heuristic of a registry line: its options mapped to fields.
+    ``Heuristic`` checks the fields; checked here is what only the
+    options show: which of them are given or read, a lexical rule's
+    ``prefer=``, which no field keeps, and, worded with the option, a
+    tree-type rule's list."""
     if kind == LOCAL_TREE_TYPE:
         if "prefix" in options:
             mode, key = "prefix", "prefix"
@@ -206,26 +290,26 @@ def _heuristic_from(name, kind, options) -> Heuristic:
         else:
             raise RegistryError(f"{name}: local_tree_type needs prefix= or trees=")
         _only(options, (key,), f"{name}: local_tree_type with {key}=")
-        values = _values(options[key], f"{name}: {key}=")
+        values = _split(options[key])
+        _check_list(values, f"{name}: {key}=")
         return Heuristic(name, kind, disprefer=Predicate(mode, values))
     if kind == LOCAL_LEXICAL:
-        missing = {"word", "prefer", "disprefer"} - options.keys()
+        what, reads = _fields(name, kind, None)
+        keys = reads + ("prefer",)
+        missing = set(keys) - options.keys()
         if missing:
-            raise RegistryError(f"{name}: local_lexical needs {sorted(missing)}")
-        _only(options, ("word", "prefer", "disprefer"), f"{name}: local_lexical")
+            raise RegistryError(f"{what} needs {sorted(missing)}")
+        _only(options, keys, what)
         Predicate.parse(options["prefer"])  # checked, never counted
         return Heuristic(name, kind, word=options["word"],
                          disprefer=Predicate.parse(options["disprefer"]))
     if kind == GLOBAL_STRUCTURAL:
         builtin = options.get("builtin", name)
-        if builtin not in GLOBAL_BUILTINS:
-            raise RegistryError(f"{name}: unknown builtin {builtin!r}")
-        _only(options, ("builtin",) if builtin == BUILTIN_ADJUNCTIONS
-              else ("builtin", "modifier", "sites"), f"{name}: {builtin}")
-        lists = {key: _values(options[key], f"{name}: {key}=")
-                 for key in ("modifier", "sites") if key in options}
+        what, reads = _fields(name, kind, builtin)
+        _only(options, reads, what)
+        lists = {key: _split(options[key]) for key in ("modifier", "sites") if key in options}
         return replace(_default_global(builtin), name=name, **lists)
-    raise RegistryError(f"{name}: unknown heuristic kind {kind!r}")
+    return Heuristic(name, kind)  # which names the unknown kind
 
 
 def load_registry(path) -> HeuristicRegistry:

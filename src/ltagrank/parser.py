@@ -94,12 +94,11 @@ class DerivedNode:
     """A phrase-structure node with words at the leaves.
 
     The one tree type of the toolkit: ``derive`` builds derived trees from
-    it, each node with its word span ``[start, end)`` given when it is
-    built and never written again, and ``parseval.read_bracketed`` and
-    ``parseval.flatten`` build gold and flattened trees, whose spans
-    ``parseval`` fills in.  A node has no parent link: the parses of a
-    sentence share subtrees, so a node can sit in many trees, and a tree is
-    read-only.
+    it, and ``parseval.read_bracketed`` and ``parseval.flatten`` gold and
+    flattened trees, each node with its word span ``[start, end)`` given
+    when it is built and never written again.  A node has no parent link:
+    the parses of a sentence share subtrees, so a node can sit in many
+    trees, and a tree is read-only.
     """
 
     label: str

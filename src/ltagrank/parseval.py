@@ -1,15 +1,15 @@
 """Bracketing comparison: crossing brackets, recall, precision, flattening.
 
 Derived, gold and flattened trees are all ``parser.DerivedNode`` trees whose
-nodes carry their word spans.  A derived node gets its span when the
-``Deriver`` builds it; only this module writes a span after building a
-node, as it reads or flattens a tree.  ``read_bracketed`` reads gold and
-candidate lines through ``grammar.read_tree``, the one bracket reader, and
-keeps labels and words verbatim; ``brackets_of`` reads a tree's
-``Bracketing`` off its nodes, optionally flattened, and ``evaluate_parse``
-scores a candidate ``Bracketing`` against a gold one.  Before comparison
-both sides are normalized the paper's way: labels stripped, single-word
-and whole-sentence spans dropped.  Two recall conventions are supported:
+nodes carry their word spans.  Every node gets its span when it is built,
+by the ``Deriver``, by ``read_bracketed`` or by ``flatten``, and nothing
+writes a span after.  ``read_bracketed`` reads gold and candidate lines
+through ``grammar.read_tree``, the one bracket reader, and keeps labels
+and words verbatim; ``brackets_of`` reads a tree's ``Bracketing`` off its
+nodes, optionally flattened, and ``evaluate_parse`` scores a candidate
+``Bracketing`` against a gold one.  Before comparison both sides are
+normalized the paper's way: labels stripped, single-word and
+whole-sentence spans dropped.  Two recall conventions are supported:
 "standard" is correct/gold, "paper_literal" is candidate/gold (a pure
 constituent-count ratio, which can exceed 100 for over-bracketed parses).
 
@@ -46,26 +46,27 @@ def read_bracketed(text: str) -> DerivedNode:
 
 def _derived(form) -> DerivedNode:
     """The ``DerivedNode`` tree of a nested form of ``read_tree``, with spans
-    from word 0.  Like the reader it keeps a stack of its own, so a tree
-    may nest deeper than Python's recursion limit."""
-    root = DerivedNode(form[0], [], start=0)
+    from word 0, each node built with its span once its words are read.
+    Like the reader it keeps a stack of its own, so a tree may nest deeper
+    than Python's recursion limit."""
     position = 0
-    stack = [(root, iter(form[2]))]
-    while stack:
-        node, rest = stack[-1]
-        for label, _, children in rest:
-            if children is None:
-                node.children.append(label)
+    # per node being read: its label, its first word, its unread child
+    # forms and its children so far; the bottom entry holds the root
+    stack = [(None, 0, iter((form,)), [])]
+    while True:
+        label, start, rest, children = stack[-1]
+        for child_label, _, child_forms in rest:
+            if child_forms is None:
+                children.append(child_label)
                 position += 1
             else:
-                child = DerivedNode(label, [], start=position)
-                node.children.append(child)
-                stack.append((child, iter(children)))
+                stack.append((child_label, position, iter(child_forms), []))
                 break
         else:
-            node.end = position
             stack.pop()
-    return root
+            if not stack:
+                return children[0]
+            stack[-1][3].append(DerivedNode(label, children, start, position))
 
 
 def read_bracketed_line(path, number: int, text: str, offset: int = 0) -> DerivedNode:
@@ -367,34 +368,24 @@ def flatten(root: DerivedNode, categories) -> DerivedNode:
     category-labeled descendants are spliced out and preterminals beneath it
     dissolve into their words; subtrees with other labels survive intact
     (and are flattened internally in turn).  Returns a new ``DerivedNode``
-    tree with spans from word 0.
+    tree with spans from word 0: each node it keeps spans the same words as
+    in ``root``, so it is built with its span there, shifted by the root's
+    start.
     """
-    flat = _flat_copy(root, frozenset(categories))
-    assign_spans(flat, 0)
-    return flat
+    return _flat_copy(root, frozenset(categories), root.start)
 
 
-def assign_spans(node: DerivedNode, start: int) -> int:
-    """Set the span of every node below ``node``, whose first word is word
-    ``start``; returns the end of its span."""
-    node.start = position = start
-    for child in node.children:
-        position = position + 1 if isinstance(child, str) else assign_spans(child, position)
-    node.end = position
-    return position
-
-
-def _flat_copy(node, categories) -> DerivedNode:
+def _flat_copy(node, categories, base) -> DerivedNode:
     # a module function: a closure that calls itself is a reference cycle
     children = []
     for child in node.children:
         if isinstance(child, str):
             children.append(child)
         elif _drops_out(node, child, categories):
-            children.extend(_flat_copy(child, categories).children)
+            children.extend(_flat_copy(child, categories, base).children)
         else:
-            children.append(_flat_copy(child, categories))
-    return DerivedNode(node.label, children)
+            children.append(_flat_copy(child, categories, base))
+    return DerivedNode(node.label, children, node.start - base, node.end - base)
 
 
 def _drops_out(parent, child, categories) -> bool:

@@ -484,7 +484,7 @@ def read_log(path) -> tuple[TrainState, list[str]]:
         for number, line in enumerate(handle, start=1):
             try:
                 record = json.loads(line)
-            except ValueError:
+            except (ValueError, RecursionError):  # the latter: nested too deeply
                 raise TrainingError(f"{path}, line {number}: not a JSON record") from None
             kind = record.get("type") if isinstance(record, dict) else None
             if kind == "attempt":

@@ -400,6 +400,60 @@ def test_parse_and_rank_peak_memory_does_not_grow_with_the_corpus(tmp_path, caps
         assert peaks[8] <= 1.1 * peaks[4], (command, peaks)
 
 
+CHAIN_GRAMMAR = """\
+tree T : initial (S N@ S^)
+tree E : initial (S N@)
+lex a N -> T
+lex b N -> E
+"""
+
+
+@pytest.mark.parametrize("command", ["parse", "rank", "train"])
+def test_a_sentence_too_deep_for_the_stack_gives_one_error_line(tmp_path, capsys, command):
+    # each a/N substitutes the rest of the sentence into its S slot, so
+    # the derivations of 199 of them and a b/N nest deeper than Python's
+    # recursion limit; the short sentence before it is analyzed first
+    grammar, corpus, gold = (tmp_path / name for name in ("g.ltag", "c.tagged", "gold"))
+    grammar.write_text(CHAIN_GRAMMAR)
+    corpus.write_text("a/N b/N\n" + "a/N " * 199 + "b/N\n" + "b/N\n" * 3)
+    gold.write_text("(S (N a) (S (N b)))\n(S" + " (N a)" * 199 + " (N b))\n"
+                    + "(S (N b))\n" * 3)
+    argv = [command, "--grammar", grammar, corpus]
+    if command == "train":
+        argv += ["--gold", gold, "--ratios", "1,1,1", "--max-iterations", "1",
+                 "--weights-out", tmp_path / "w.tsv", "--log", tmp_path / "log"]
+    code, out, err = run(argv, capsys)
+    assert_one_error(code, err)
+    assert err == "error: sentence 1: nested too deeply to analyze (Python's recursion limit)\n"
+    if command != "train":
+        assert out.startswith("[0] a b")
+
+
+@pytest.mark.parametrize("command, target", [
+    ("parse", (parser.Deriver, "derive")), ("rank", (parser.Deriver, "derive")),
+    ("train", (parseval, "evaluate_derivations"))])
+def test_a_derived_tree_or_score_too_deep_for_the_stack_gives_one_error_line(
+        tmp_path, capsys, monkeypatch, command, target):
+    # the lazy derived tree that parse --report and rank read, and the
+    # scores train builds its records from, are made outside
+    # analyze_sentence; running out of stack there names the sentence too
+    calls = []
+
+    def deep(*args, **kwargs):
+        calls.append(args)
+        raise RecursionError("maximum recursion depth exceeded")
+
+    monkeypatch.setattr(*target, deep)
+    argv = [command, *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged"]
+    argv += {"parse": ["--report", tmp_path / "report.jsonl"], "rank": [],
+             "train": ["--gold", SAMPLE / "gold.brackets", "--max-iterations", "1",
+                       "--weights-out", tmp_path / "w.tsv", "--log", tmp_path / "log"]}[command]
+    code, _, err = run(argv, capsys)
+    assert_one_error(code, err)
+    assert err == "error: sentence 0: nested too deeply to analyze (Python's recursion limit)\n"
+    assert len(calls) == 1
+
+
 def test_a_sentence_out_of_memory_leaves_the_lines_printed_before_it(tmp_path, capsys,
                                                                      monkeypatch):
     # parse prints each sentence as it is analyzed; the report is written
@@ -494,6 +548,21 @@ def test_train_reads_gold_nested_deeper_than_the_recursion_limit(tmp_path, capsy
     else:
         assert_one_error(code, err)
         assert "missing ')'" in err
+
+
+def test_a_tree_line_may_nest_deeper_than_the_recursion_limit(tmp_path, capsys):
+    # check reads it; rank, which parses with it, names the sentence whose
+    # derivations nest too deeply
+    grammar = tmp_path / "deep.ltag"
+    grammar.write_text("tree Deep : initial " + "(S " * DEEP + "N@" + ")" * DEEP
+                       + "\nlex a N -> Deep\n")
+    code, out, _ = run(["check", grammar], capsys)
+    assert code == 0 and "trees: 1 (1 initial, 0 auxiliary)" in out
+    corpus = tmp_path / "c.tagged"
+    corpus.write_text("a/N\n")
+    code, out, err = run(["rank", "--grammar", grammar, corpus], capsys)
+    assert_one_error(code, err)
+    assert err == "error: sentence 0: nested too deeply to analyze (Python's recursion limit)\n"
 
 
 def test_bad_tagged_line_names_its_file_and_line(tmp_path, capsys):
@@ -665,6 +734,11 @@ def _no_state(lines):
     return lines[:-1]
 
 
+def _nested_too_deeply(lines):
+    # valid JSON, nested deeper than the decoder's recursion limit
+    return lines[:-1] + ['{"type": "state", "weights": ' + "[" * 3000 + "]" * 3000 + "}"]
+
+
 def _heldout_last_a_string(lines):
     state = json.loads(lines[-1])
     state["heldout_last"] = "abc"
@@ -688,9 +762,10 @@ def _best_heldout_null(lines):
     (_no_state, "no state record found in"),
     (_heldout_last_a_string, "line 5: malformed state record (ValueError: the objectives"),
     (_best_heldout_null, "line 5: malformed state record (ValueError: the objectives"),
+    (_nested_too_deeply, "line 5: not a JSON record"),
 ], ids=["no_json", "no_rng_state", "three_weights", "infinite_weight",
         "nan_best_weight", "rng_state_of_the_wrong_size", "attempts_a_string",
-        "no_state", "heldout_last_a_string", "best_heldout_null"])
+        "no_state", "heldout_last_a_string", "best_heldout_null", "nested_too_deeply"])
 def test_bad_resume_log_is_an_error(tmp_path, capsys, mangle, message):
     train = ["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
              "--gold", SAMPLE / "gold.brackets", "--ratios", "3,1,1",

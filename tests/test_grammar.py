@@ -233,11 +233,11 @@ def test_spine_and_modifier_info():
 
 
 def test_tree_node_invariants():
-    with pytest.raises(ValueError):
+    with pytest.raises(GrammarValidationError):
         TreeNode("N", ANCHOR, (TreeNode("X", ANCHOR),))
-    with pytest.raises(ValueError):
+    with pytest.raises(GrammarValidationError):
         TreeNode("NP", INTERNAL, ())
-    with pytest.raises(ValueError):
+    with pytest.raises(GrammarValidationError):
         TreeNode("VP", FOOT, (TreeNode("X", ANCHOR),))
 
 

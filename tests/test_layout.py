@@ -28,9 +28,13 @@ Inside ``parser.parse`` one nested function, ``post``, builds every
 derived chart item: the rule that keeps an item's ways distinct is stated
 once.
 
-Only ``parseval`` writes a node's span after building it, as it reads or
-flattens a tree: every node a ``Deriver`` builds gets its span when it is
-built, and parses share those nodes.
+No module writes a node's span after building it: every node gets its
+span when it is built, by a ``Deriver``, ``parseval.read_bracketed`` or
+``parseval.flatten``, and parses share the nodes a ``Deriver`` builds.
+
+Every value type that a reader builds from file input checks itself in
+``__post_init__``: the readers only read, so a value built directly is
+checked as one read from a file is.
 
 Only ``pipeline.analyze_sentence`` touches the ``gc`` module: it pauses the
 cyclic collector for each sentence.  The pause is exact only while
@@ -43,10 +47,12 @@ import re
 from collections import Counter
 from pathlib import Path
 
-from ltagrank.grammar import loads
-from ltagrank.heuristics import RankedParse
+from ltagrank.grammar import ElementaryTree, FrequencyTable, Grammar, TreeNode, loads
+from ltagrank.heuristics import Heuristic, HeuristicRegistry, Predicate, RankedParse
 from ltagrank.parser import (OP_SUBSTITUTION, Attachment, DerivationNode, DerivedNode,
                              DerivedTree, Deriver, _Item)
+from ltagrank.tagging import TaggedWord
+from ltagrank.training import TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ltagrank"
@@ -191,14 +197,12 @@ def test_only_the_parser_names_the_derivers_memos():
     assert not stray, "a Deriver's memos named outside parser.py:\n" + "\n".join(stray)
 
 
-def test_only_parseval_assigns_spans():
-    """No package module but ``parseval.py`` assigns a ``.start`` or
-    ``.end`` attribute.  The check is an AST check on assignment targets: a
-    span written another way, say through ``setattr``, escapes it."""
+def test_no_module_assigns_spans():
+    """No package module assigns a ``.start`` or ``.end`` attribute.  The
+    check is an AST check on assignment targets: a span written another
+    way, say through ``setattr``, escapes it."""
     stray = []
     for path in sorted(PACKAGE.glob("*.py")):
-        if path.name == "parseval.py":
-            continue
         for node in ast.walk(ast.parse(path.read_text(), str(path))):
             if isinstance(node, ast.Assign):
                 targets = node.targets
@@ -209,4 +213,14 @@ def test_only_parseval_assigns_spans():
             stray += [f"{path.name}:{target.lineno} .{target.attr}"
                       for root in targets for target in ast.walk(root)
                       if isinstance(target, ast.Attribute) and target.attr in ("start", "end")]
-    assert not stray, "spans assigned outside parseval.py:\n" + "\n".join(stray)
+    assert not stray, "spans assigned after a node is built:\n" + "\n".join(stray)
+
+
+def test_every_type_read_from_a_file_checks_itself():
+    """Each type that a reader builds from file input defines
+    ``__post_init__``, where it checks what it is given.  The check is by
+    name: a ``__post_init__`` that checks nothing passes it."""
+    types = [TreeNode, ElementaryTree, Grammar, FrequencyTable, Predicate, Heuristic,
+             HeuristicRegistry, TaggedWord, TrainConfig]
+    unchecked = [cls.__name__ for cls in types if "__post_init__" not in vars(cls)]
+    assert not unchecked, "types without __post_init__: " + ", ".join(unchecked)

@@ -14,7 +14,7 @@ from ltagrank.heuristics import (RankedParse, default_registry, extract, parse_r
                                  uniform_weights)
 from ltagrank.parser import (Attachment, DerivationError, DerivationNode, DerivedNode,
                              FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION)
-from ltagrank.parseval import RECALL_MODES, assign_spans, evaluate_derivations
+from ltagrank.parseval import RECALL_MODES, evaluate_derivations
 from ltagrank.training import TrainConfig
 from oracles import (blank_unreachable, derivation_universe, instances, nodes,
                      reference_derivations, reference_derive, reference_extract,
@@ -794,10 +794,9 @@ def _labels(node):
 
 def _left_branching(words):
     """A gold tree that crosses the right-branching parses of ``words``."""
-    node = DerivedNode("X", list(words[:2]))
+    node = DerivedNode("X", list(words[:2]), 0, 2)
     for word in words[2:]:
-        node = DerivedNode("X", [node, word])
-    assign_spans(node, 0)
+        node = DerivedNode("X", [node, word], 0, node.end + 1)
     return node
 
 
