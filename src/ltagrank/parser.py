@@ -45,7 +45,7 @@ from __future__ import annotations
 
 from collections import defaultdict, deque
 from copy import copy
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import islice, tee
 
 from .grammar import (ANCHOR, AUXILIARY, FOOT, INITIAL, INTERNAL, SUBSTITUTION,
@@ -102,9 +102,9 @@ class DerivedNode:
     """
 
     label: str
-    children: list = field(default_factory=list)  # DerivedNode | str
-    start: int = -1
-    end: int = -1
+    children: list  # DerivedNode | str
+    start: int
+    end: int
 
     def __repr__(self):
         return f"<DerivedNode {self.label} [{self.start},{self.end})>"

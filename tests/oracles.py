@@ -319,7 +319,7 @@ def reference_derive(grammar, derivation, words, check_features=False):
         return merged
 
     def clone(tnode, address, anchor_index, by_address, slots):
-        node = FeatureNode(tnode.label, [])
+        node = FeatureNode(tnode.label, [], -1, -1)  # spans() writes the span
         node.features = dict(tnode.features)
         by_address[address] = node
         if tnode.kind == ANCHOR:

@@ -27,7 +27,6 @@ import contextlib
 import io
 import json
 import math
-import os
 import random
 import re
 from pathlib import Path
@@ -161,8 +160,7 @@ READERS = {name: [command for command, argv in COMMANDS.items()
                         "nbest", "log")}
 # the JSON-lines file each command writes
 WRITES = {"parse": "parse.jsonl", "rank": "rank.jsonl", "train": "train.log"}
-# LTAGRANK_FUZZ_CASES=N runs N cases, for a longer search than tier-1's
-CASES = int(os.environ.get("LTAGRANK_FUZZ_CASES", 300))
+CASES = 300
 
 
 def run(argv):
