@@ -98,8 +98,9 @@ def cmd_check(args) -> int:
 
 def _for_sentence(index, work, *args):
     """``work(*args)``, a step of the work on sentence ``index``.  If it
-    runs out of memory, or nests deeper than Python's recursion limit (as
-    the derivations of a long sentence can), a CliError names the
+    runs out of memory, nests deeper than Python's recursion limit (as
+    the derivations of a long sentence can), or ranks a parse at a penalty
+    that is not finite (``heuristics.rank``), a CliError names the
     sentence.  It is made once the frames that hold the sentence's
     analysis are dropped."""
     try:
@@ -112,6 +113,9 @@ def _for_sentence(index, work, *args):
         exc.__traceback__ = None
         raise CliError(f"sentence {index}: nested too deeply to analyze"
                        f" (Python's recursion limit)") from None
+    except OverflowError as exc:
+        exc.__traceback__ = None
+        raise CliError(f"sentence {index}: {exc}") from None
 
 
 def _analyze_each(sentences, grammar, registry, weights, config):

@@ -520,6 +520,9 @@ def rank(deriver: Deriver, derivations, registry: HeuristicRegistry,
     penalties are those of scoring every parse.
 
     Ties keep the parser's canonical enumeration order (the sort is stable).
+    A penalty that is not finite, from finite weights too large for the
+    counts, would tie every parse it touches: it raises OverflowError,
+    checked once per distinct vector.
     """
     ranked = []
     table = {}  # shared substituted nodes' counts and anchorings, for this sentence
@@ -528,7 +531,11 @@ def rank(deriver: Deriver, derivations, registry: HeuristicRegistry,
         vector = extract(registry, deriver.grammar, derivation, deriver.words, table)
         shared = scored.get(vector)
         if shared is None:
-            shared = scored[vector] = (vector, score(vector, weights))
+            penalty = score(vector, weights)
+            if not math.isfinite(penalty):
+                raise OverflowError(f"a parse's penalty is {penalty}, not a finite number:"
+                                    f" the weights are too large for its heuristic counts")
+            shared = scored[vector] = (vector, penalty)
         ranked.append(RankedParse(derivation, shared[0], shared[1], deriver))
     ranked.sort(key=lambda rp: rp.penalty)
     return ranked

@@ -25,8 +25,9 @@ anything under it is enumerated.  One enumeration builds the derivations
 of each elementary-tree instance once, per instance root item and stacking
 depth, and every substitution or adjunction that reaches that root replays
 them through its own copy of one ``itertools.tee``: parses share
-``DerivationNode``s, which are frozen.  Ranking and scoring fold the
-derivations alone; a parse's tree is derived, by a fold too, when read.
+``DerivationNode``s, which are immutable tuples.  Ranking and scoring
+fold the derivations alone; a parse's tree is derived, by a fold too,
+when read.
 A sentence's one ``Deriver`` checks and builds the subtree of each
 substituted ``DerivationNode`` once, and every later parse that
 substitutes it reuses it: parses share derived subtrees too, and each
@@ -44,15 +45,20 @@ anchor, substitution or foot nodes.
 from __future__ import annotations
 
 from collections import defaultdict, deque
-from copy import copy
 from dataclasses import dataclass
 from itertools import islice, tee
+from typing import NamedTuple
 
 from .grammar import (ANCHOR, AUXILIARY, FOOT, INITIAL, INTERNAL, SUBSTITUTION,
                       Address, Grammar, format_address)
 
 OP_SUBSTITUTION = "substitution"
 OP_ADJUNCTION = "adjunction"
+
+# ``_build(cls, fields)`` makes the record ``cls`` of the tuple ``fields``
+# with no Python-level ``__new__`` or ``__init__``: the enumerator's one way
+# to make a ``DerivationNode`` or an ``Attachment``
+_build = tuple.__new__
 
 
 class DerivationError(Exception):
@@ -63,16 +69,24 @@ class FeatureConflict(Exception):
     """Feature unification failed; the derivation is rejected, not broken."""
 
 
-@dataclass(frozen=True, slots=True)
-class Attachment:
-    child: "DerivationNode"
+class Attachment(NamedTuple):
+    """``child`` substituted or adjoined, as ``op`` says, at ``address`` of
+    its parent's tree."""
+
+    child: DerivationNode
     op: str
     address: Address
 
 
-@dataclass(frozen=True, slots=True)
-class DerivationNode:
-    """One elementary tree use: which tree, anchored where, with what attached."""
+class DerivationNode(NamedTuple):
+    """One elementary tree use: which tree, anchored where, with what attached.
+
+    ``DerivationNode`` and ``Attachment`` are immutable tuples of their
+    fields, with no instance ``__dict__``: the forest makes thousands per
+    sentence, and builds each with ``_build``.  So a record equals the plain
+    tuple of its fields, hashes as that tuple, and can be indexed; nothing
+    in the package relies on the equality or the indexing.
+    """
 
     tree: str
     anchor_index: int
@@ -283,16 +297,18 @@ class ParseForest:
         if entry is None:
             tree_name, anchor = root_key[1], root_key[2]
             spine = self.grammar.trees[tree_name].spine
+            build, node = _build, DerivationNode
             entry = memo[(root_key, chain)] = tee(
-                (DerivationNode(tree_name, anchor, atts)
+                (build(node, (tree_name, anchor, atts))
                  for atts in self._attachments(root_key, spine, chain, memo)), 1)[0]
-        return copy(entry)
+        return entry.__copy__()
 
     def _attachments(self, key, spine, chain, memo):
         # restartable recursive generators keep enumeration lazy; every
         # attachment tuple comes out in address order
         address = key[3]
         cap = self.adjunction_cap
+        build = _build
         for way in self._chart[key]:
             kind = way[0]
             if kind in ("anchor", "foot"):
@@ -301,7 +317,7 @@ class ParseForest:
                 yield from self._attachments(way[1], spine, chain, memo)
             elif kind == "subst":
                 for child in self._shared_derivations(way[1], 0, memo):
-                    yield (Attachment(child, OP_SUBSTITUTION, address),)
+                    yield (build(Attachment, (child, OP_SUBSTITUTION, address)),)
             elif kind == "adjoin":
                 depth = chain + 1 if address in spine else 1
                 if cap is not None and depth > cap:
@@ -309,7 +325,7 @@ class ParseForest:
                 aux_key, host_key = way[1], way[2]
                 for host_atts in self._attachments(host_key, spine, chain, memo):
                     for child in self._shared_derivations(aux_key, depth, memo):
-                        yield (Attachment(child, OP_ADJUNCTION, address),) + host_atts
+                        yield (build(Attachment, (child, OP_ADJUNCTION, address)),) + host_atts
             elif kind == "step":
                 dot_key, child_key = way[1], way[2]
                 for left in self._attachments(dot_key, spine, chain, memo):

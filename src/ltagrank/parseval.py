@@ -376,16 +376,29 @@ def flatten(root: DerivedNode, categories) -> DerivedNode:
 
 
 def _flat_copy(node, categories, base) -> DerivedNode:
-    # a module function: a closure that calls itself is a reference cycle
-    children = []
-    for child in node.children:
-        if isinstance(child, str):
-            children.append(child)
-        elif _drops_out(node, child, categories):
-            children.extend(_flat_copy(child, categories, base).children)
+    # depth-first with a stack of its own, so that a tree of any depth
+    # flattens: a frame is (node, its copied children so far, an iterator
+    # over the rest, whether it drops out of its parent).  A node that drops
+    # out passes its copied children up, and is not built
+    stack = [(node, [], iter(node.children), False)]
+    while True:
+        node, children, rest, drops = stack[-1]
+        for child in rest:
+            if isinstance(child, str):
+                children.append(child)
+            else:
+                stack.append((child, [], iter(child.children),
+                              _drops_out(node, child, categories)))
+                break
         else:
-            children.append(_flat_copy(child, categories, base))
-    return DerivedNode(node.label, children, node.start - base, node.end - base)
+            stack.pop()
+            if drops:
+                stack[-1][1].extend(children)
+                continue
+            copy = DerivedNode(node.label, children, node.start - base, node.end - base)
+            if not stack:
+                return copy
+            stack[-1][1].append(copy)
 
 
 def _drops_out(parent, child, categories) -> bool:

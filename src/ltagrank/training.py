@@ -29,6 +29,7 @@ import json
 import math
 import random
 from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 from .grammar import open_text
 from .heuristics import score
@@ -39,13 +40,17 @@ class TrainingError(Exception):
     pass
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(NamedTuple):
     """One cached parse: its heuristic counts and its metrics against gold.
 
     ``scores`` is None exactly when no ranking can put the candidate in a
     top k at the k its records were built for: when ``reachable`` leaves it
     out, since k earlier candidates of its sentence have its vector.
+
+    A record holds one per parse, so it is an immutable tuple of its
+    fields with no instance ``__dict__``: it equals the plain tuple
+    ``(vector, scores)`` and can be indexed, which nothing in the package
+    relies on.
     """
 
     vector: tuple[float, ...]

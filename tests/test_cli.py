@@ -454,6 +454,30 @@ def test_a_derived_tree_or_score_too_deep_for_the_stack_gives_one_error_line(
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("command", ["parse", "rank", "train"])
+def test_a_penalty_that_is_not_finite_gives_one_error_line(tmp_path, capsys, command):
+    # every weight is finite, but pp_attachment_height 1e308 times a count
+    # of 2 overflows: the second sentence's high of-PP attachment has no
+    # finite penalty, while the first sentence has no PP
+    lines = [1, 2, 3, 3]  # of sample/'s corpus and gold
+    corpus, gold, weights = (tmp_path / name for name in ("c.tagged", "gold", "w.tsv"))
+    for path, source in ((corpus, "corpus.tagged"), (gold, "gold.brackets")):
+        sample = (SAMPLE / source).read_text().splitlines()
+        path.write_text("".join(sample[i] + "\n" for i in lines))
+    weights.write_text((SAMPLE / "weights.tsv").read_text().replace(
+        "pp_attachment_height\t1.0", "pp_attachment_height\t1e308"))
+    argv = [command, *SAMPLE_GRAMMAR, "--weights", weights, corpus]
+    if command == "train":
+        argv += ["--gold", gold, "--ratios", "1,1,1", "--max-iterations", "1",
+                 "--weights-out", tmp_path / "out.tsv", "--log", tmp_path / "log"]
+    code, out, err = run(argv, capsys)
+    assert_one_error(code, err)
+    assert err == ("error: sentence 1: a parse's penalty is inf, not a finite number:"
+                   " the weights are too large for its heuristic counts\n")
+    if command != "train":
+        assert out.startswith("[0] the name is the part") and "[1]" not in out
+
+
 def test_a_sentence_out_of_memory_leaves_the_lines_printed_before_it(tmp_path, capsys,
                                                                      monkeypatch):
     # parse prints each sentence as it is analyzed; the report is written

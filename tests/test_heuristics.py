@@ -327,6 +327,20 @@ def test_rank_scores_each_distinct_vector_once(monkeypatch):
     assert sorted(calls) == sorted(first)
 
 
+@pytest.mark.parametrize("adjunctions, heights", [(1e308, 1.0), (1e308, -1e308)])
+def test_rank_refuses_a_penalty_that_is_not_finite(adjunctions, heights):
+    # finite weights that overflow on the ladder's counts, to inf, or to
+    # nan where inf meets -inf: no parse can be ranked
+    reg = default_registry()
+    weights = uniform_weights(reg)
+    weights[reg.names().index("adjunction_count")] = adjunctions
+    weights[reg.names().index("pp_attachment_height")] = heights
+    text = "the/D second/A part/N is/V the/D name/N" + " of/P the/D part/N" * 2
+    with pytest.raises(OverflowError, match="not a finite number"):
+        analyze_sentence(lt.loads(OFPP_GRAMMAR), tag(text), reg, weights,
+                         PipelineConfig(adjunction_cap=3))
+
+
 def test_rank_prefers_low_np_attachment():
     g = lt.loads(PP_GRAMMAR)
     reg = default_registry()

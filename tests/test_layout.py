@@ -17,8 +17,10 @@ No function nested in another names itself: a closure that calls itself
 is a reference cycle, which only the cyclic collector frees.
 
 The per-item and per-parse types (``parser._Item``, ``DerivationNode``,
-``Attachment``, ``DerivedNode``, ``DerivedTree``, ``RankedParse``) have
-slots and no instance ``__dict__``: a sentence makes thousands of each.
+``Attachment``, ``DerivedNode``, ``DerivedTree``, ``RankedParse``,
+``training.Candidate``) have no instance ``__dict__``: a sentence makes
+thousands of each.  ``_Item``, ``DerivationNode``, ``Attachment`` and
+``Candidate`` are tuples with empty slots, the others slots objects.
 
 Only ``parser.py`` names the attributes in which a ``Deriver`` keeps its
 memos: the sentence's one ``Deriver`` owns them, and other modules check
@@ -52,7 +54,7 @@ from ltagrank.heuristics import Heuristic, HeuristicRegistry, Predicate, RankedP
 from ltagrank.parser import (OP_SUBSTITUTION, Attachment, DerivationNode, DerivedNode,
                              DerivedTree, Deriver, _Item)
 from ltagrank.tagging import TaggedWord
-from ltagrank.training import TrainConfig
+from ltagrank.training import Candidate, TrainConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "ltagrank"
@@ -146,7 +148,7 @@ def test_per_item_and_per_parse_objects_have_no_dict():
     derived = DerivedNode("NP", ["dogs"], 0, 1)
     objects = [_Item((("anchor",),)), node, Attachment(node, OP_SUBSTITUTION, (1,)),
                derived, DerivedTree(node, derived),
-               RankedParse(node, (0.0,), 0.0, None)]
+               RankedParse(node, (0.0,), 0.0, None), Candidate((0.0,), None)]
     assert [type(obj).__name__ for obj in objects if hasattr(obj, "__dict__")] == []
 
 

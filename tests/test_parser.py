@@ -3,6 +3,7 @@ import hashlib
 import itertools
 import random
 import types
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -15,7 +16,7 @@ from ltagrank.heuristics import (RankedParse, default_registry, extract, parse_r
 from ltagrank.parser import (Attachment, DerivationError, DerivationNode, DerivedNode,
                              FeatureConflict, OP_ADJUNCTION, OP_SUBSTITUTION)
 from ltagrank.parseval import RECALL_MODES, evaluate_derivations
-from ltagrank.training import TrainConfig
+from ltagrank.training import Candidate, TrainConfig
 from oracles import (blank_unreachable, derivation_universe, instances, nodes,
                      reference_derivations, reference_derive, reference_extract,
                      reference_records, stack_depth)
@@ -430,35 +431,96 @@ def test_enumeration_order_matches_reference_on_ladder(cap):
 
 @pytest.fixture
 def constructions(monkeypatch):
-    """Counts the DerivationNodes the parser builds from here on."""
-    count = [0]
+    """Counts the records the enumerator builds from here on, by type name:
+    it builds every DerivationNode and Attachment through ``parser._build``,
+    which runs no ``__init__`` a subclass could count."""
+    count = Counter()
+    build = parser._build
 
-    class Counted(DerivationNode):
-        def __init__(self, *args, **kwargs):
-            count[0] += 1
-            super().__init__(*args, **kwargs)
+    def counted(cls, fields):
+        count[cls.__name__] += 1
+        return build(cls, fields)
 
-    monkeypatch.setattr(parser, "DerivationNode", Counted)
+    monkeypatch.setattr(parser, "_build", counted)
     return count
 
 
+def _records_held(derivations):
+    """How many distinct DerivationNode and Attachment objects, by
+    identity, ``derivations`` hold: each was built, so the fixture's counts
+    are at least these."""
+    seen, stack = {}, list(derivations)
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            for att in node.attachments:
+                seen[id(att)] = att
+                stack.append(att.child)
+    return Counter(type(record).__name__ for record in seen.values())
+
+
 def test_full_enumeration_builds_each_sub_derivation_once(constructions):
-    # 21 words, cap 3: 1039 parses from 3,524 nodes; rebuilding every
-    # sub-derivation per way took 15,695
+    # 21 words, cap 3: 1039 parses from 3,524 nodes and 4,217 attachments;
+    # rebuilding every sub-derivation per way took 15,695 and 14,656
     forest = _ladder_forest(lt.loads(OFPP_GRAMMAR), 5, 3)
     derivations = lt.enumerate_derivations(forest)
     assert len(derivations) == 1039
-    assert constructions[0] <= 3524
+    held = _records_held(derivations)
+    assert held["DerivationNode"] <= constructions["DerivationNode"] <= 3524
+    assert held["Attachment"] <= constructions["Attachment"] <= 4217
 
 
 def test_first_parse_and_has_parse_stay_lazy(constructions):
-    # 30 words, cap 3: the first parse needs at most 34 nodes
+    # 30 words, cap 3: the first parse needs 32 nodes and 32 attachments;
+    # rebuilding every sub-derivation per way took 34 and 33.  has_parse
+    # builds what the first parse does
     forest = _ladder_forest(lt.loads(OFPP_GRAMMAR), 8, 3)
-    assert len(lt.enumerate_derivations(forest, 1)) == 1
-    assert constructions[0] <= 34
-    constructions[0] = 0
+    first = lt.enumerate_derivations(forest, 1)
+    assert len(first) == 1
+    held = _records_held(first)
+    assert held["DerivationNode"] <= constructions["DerivationNode"] <= 32
+    assert held["Attachment"] <= constructions["Attachment"] <= 32
+    built = dict(constructions)
+    constructions.clear()
     assert forest.has_parse()
-    assert constructions[0] <= 34
+    assert constructions == built
+
+
+# the repr of the one derivation of "the second part is the name", as it
+# was when the records were frozen dataclasses
+LADDER_REPR = (
+    "DerivationNode(tree='Indic_Transitive', anchor_index=3, attachments=("
+    "Attachment(child=DerivationNode(tree='Noun_Phrase', anchor_index=2, attachments=("
+    "Attachment(child=DerivationNode(tree='Adjective_NP', anchor_index=1, attachments=("
+    "Attachment(child=DerivationNode(tree='Determiner', anchor_index=0, attachments=()),"
+    " op='adjunction', address=()),)), op='adjunction', address=()),)),"
+    " op='substitution', address=(1,)),"
+    " Attachment(child=DerivationNode(tree='Noun_Phrase', anchor_index=5, attachments=("
+    "Attachment(child=DerivationNode(tree='Determiner', anchor_index=4, attachments=()),"
+    " op='adjunction', address=()),)), op='substitution', address=(2, 2))))")
+
+
+def test_derivation_records_are_immutable_tuples():
+    # DerivationNode, Attachment and training.Candidate refuse to set a
+    # field or add an attribute; a record hashes as the tuple of its fields
+    # and prints as the dataclass did.  New with the tuples: a record
+    # equals the plain tuple of its fields and can be indexed
+    (derivation,) = lt.enumerate_derivations(_ladder_forest(lt.loads(OFPP_GRAMMAR), 0, 3))
+    attachment = derivation.attachments[0]
+    candidate = Candidate((1.0, 0.0), None)
+    for record in (derivation, attachment, candidate):
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+        with pytest.raises(AttributeError):
+            record.extra = None
+    assert repr(derivation) == LADDER_REPR
+    assert hash(derivation) == \
+        hash((derivation.tree, derivation.anchor_index, derivation.attachments))
+    assert hash(attachment) == hash((attachment.child, attachment.op, attachment.address))
+    assert derivation == tuple(derivation) and derivation[0] == derivation.tree == \
+        "Indic_Transitive"
+    assert DerivationNode("Noun_Phrase", 0).attachments == ()
 
 
 def test_derive_leaves_no_garbage_cycles_of_its_own():

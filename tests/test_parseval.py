@@ -169,6 +169,22 @@ def test_flatten_idempotent_and_weakly_decreasing():
             assert once.leaves() == pv.read_bracketed(text).leaves()
 
 
+def test_flatten_copies_a_tree_deeper_than_the_recursion_limit():
+    # 600 X levels over 600 Y levels over one word: under Y every Y below
+    # the topmost drops out and the preterminal dissolves; under X the X
+    # chain collapses instead.  Read with an explicit stack, as the tree is
+    # too deep for the recursive readers
+    tree = pv.read_bracketed("(X " * 600 + "(Y " * 600 + "w" + ")" * 1200)
+    for cats, labels in (({"Y"}, ["X"] * 600 + ["Y"]), ({"X"}, ["X"] + ["Y"] * 600),
+                         ({"Z"}, ["X"] * 600 + ["Y"] * 600)):
+        out = nodes(pv.flatten(tree, cats))
+        assert [node.label for node in out] == labels, cats
+        assert {(node.start, node.end) for node in out} == {(0, 1)}
+        assert out[-1].children == ["w"]
+    assert pv.flatten(pv.read_bracketed("(X " * 1200 + "w" + ")" * 1200),
+                      {"X"}).to_string() == "(X w)"
+
+
 def test_reading_and_flattening_leave_no_garbage_cycles():
     # the bracket reader and flatten's copy are module functions: a closure
     # that calls itself would leave a reference cycle per call
