@@ -10,7 +10,7 @@ import sys
 from . import grammar as gmod
 from . import heuristics as hmod
 from . import parseval, training
-from .pipeline import PipelineConfig, analyze_sentence
+from .pipeline import CollectorPause, PipelineConfig, analyze_sentence
 from .tagging import TaggedInputError, read_tagged_corpus
 
 
@@ -315,24 +315,30 @@ def build_records(analyses, gold_trees, recall_mode, flatten_cats,
     together, off their derivations: no tree is derived, each substituted
     subtree the parses share is scored against the gold once, and each
     candidate costs only its own part.
+
+    The records are built in one ``CollectorPause``, which covers the
+    analyses a generator makes too: however many analyses the caller
+    holds, no collection traces them while the records are built, and only
+    the closing young one traces the records once.
     """
     records = {}
-    # no enumerate over the zip: the tuples the two reuse would keep the
-    # analysis before last alive while the next one is analyzed
-    for analysis, gold in zip(analyses, gold_trees):
-        index = len(records)
-        parses = analysis.parses
-        vectors = [rp.vector for rp in parses]
-        scores = [None] * len(parses)
-        kept = training.reachable(vectors, top_k)
-        if kept:
-            for position, score in zip(kept, _for_sentence(
-                    index, parseval.evaluate_derivations, parses[0].deriver.grammar,
-                    [parses[i].derivation for i in kept], parseval.brackets_of(gold),
-                    flatten_cats, recall_mode)):
-                scores[position] = score
-        records[index] = training.SentenceRecord(
-            index, list(map(training.Candidate, vectors, scores)))
+    with CollectorPause():
+        # no enumerate over the zip: the tuples the two reuse would keep the
+        # analysis before last alive while the next one is analyzed
+        for analysis, gold in zip(analyses, gold_trees):
+            index = len(records)
+            parses = analysis.parses
+            vectors = [rp.vector for rp in parses]
+            scores = [None] * len(parses)
+            kept = training.reachable(vectors, top_k)
+            if kept:
+                for position, score in zip(kept, _for_sentence(
+                        index, parseval.evaluate_derivations, parses[0].deriver.grammar,
+                        [parses[i].derivation for i in kept], parseval.brackets_of(gold),
+                        flatten_cats, recall_mode)):
+                    scores[position] = score
+            records[index] = training.SentenceRecord(
+                index, list(map(training.Candidate, vectors, scores)))
     return records
 
 
@@ -492,14 +498,23 @@ def make_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = make_parser()
-    args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except (CliError, gmod.GrammarError, gmod.BracketFormatError, hmod.RegistryError,
-            training.TrainingError, TaggedInputError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    """Run the command ``argv`` names; bad input gets one ``error:`` line
+    and exit code 1.
+
+    The whole run is one ``CollectorPause``, so the per-sentence pauses of
+    ``analyze_sentence`` and ``build_records`` inside it do nothing: in
+    ``parse``, ``rank`` and ``train`` reference counting frees each
+    analysis without a collection ever tracing it, and the run ends in one
+    young collection, which also frees the argument parser's own cycles.
+    """
+    with CollectorPause():
+        args = make_parser().parse_args(argv)
+        try:
+            return args.func(args)
+        except (CliError, gmod.GrammarError, gmod.BracketFormatError, hmod.RegistryError,
+                training.TrainingError, TaggedInputError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

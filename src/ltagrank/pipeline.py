@@ -39,6 +39,35 @@ class SentenceAnalysis:
         return bool(self.parses)
 
 
+class CollectorPause:
+    """``with CollectorPause():`` runs a block with the cyclic garbage
+    collector paused, the toolkit's one place that touches ``gc``.
+
+    Everything the toolkit builds is acyclic, so reference counting alone
+    frees all of it that is dropped, and a collection inside the block
+    would free nothing: it would only trace live objects, again and again.
+    On exit, by return or raise, the collector's state is restored; when it
+    was on, one young collection first traces the block's survivors once,
+    so that the caller's next allocation does not pay for it.  A pause
+    inside a pause does nothing: the collector is already off, and the
+    outer pause runs the one young collection.  The pause is process-wide,
+    which is safe because the toolkit runs one thread.  A class, not a
+    generator-based context manager, so that a pause per sentence costs
+    next to nothing.
+    """
+
+    __slots__ = ("_enabled",)
+
+    def __enter__(self):
+        self._enabled = gc.isenabled()
+        gc.disable()
+
+    def __exit__(self, *exc_info):
+        if self._enabled:
+            gc.collect(0)
+            gc.enable()
+
+
 def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
                      weights, config: PipelineConfig | None = None) -> SentenceAnalysis:
     """Run the full per-sentence pipeline and return its ranked parses.
@@ -54,19 +83,13 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
     here, without building its tree, and those whose features clash are
     dropped; a tree read later reuses the checks of its substituted nodes.
 
-    The cyclic garbage collector is paused for the whole call.  Everything
-    the call builds (chart, derivations, derived trees, ranked parses) is
-    acyclic, so reference counting alone frees all of it that is dropped,
-    and a collection during the call would free nothing: it would only
-    trace live objects, again and again.  On return or raise the caller's
-    collector state is restored; when the collector was on, one young
-    collection first traces the call's survivors once, so that the
-    caller's next allocation does not pay for it.  The pause is
-    process-wide, which is safe because the toolkit runs one thread.
+    The call runs in a ``CollectorPause``: everything it builds (chart,
+    derivations, derived trees, ranked parses) is acyclic, so a collection
+    during it would free nothing.  Inside a caller's pause, as in
+    ``cli.build_records`` and every ``cli.main`` command, it adds nothing,
+    and an analysis the caller drops is freed without ever being traced.
     """
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
+    with CollectorPause():
         config = config or PipelineConfig()
         words = [w.surface for w in sentence]
         assignment = select_trees(grammar, sentence,
@@ -91,10 +114,6 @@ def analyze_sentence(grammar: Grammar, sentence, registry: HeuristicRegistry,
                            if _unifies(deriver, derivation)]
         ranked = rank(deriver, derivations, registry, weights)
         return SentenceAnalysis(words, report, forest, ranked)
-    finally:
-        if enabled:
-            gc.collect(0)
-            gc.enable()
 
 
 def _unifies(deriver, derivation) -> bool:

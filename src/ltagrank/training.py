@@ -117,6 +117,10 @@ class TrainConfig:
             raise TrainingError("config values must be positive")
         if not math.isfinite(self.delta_scale):
             raise TrainingError(f"delta_scale {self.delta_scale} is not finite")
+        # step draws from [-delta_scale, delta_scale], whose width must be finite
+        if not math.isfinite(2 * self.delta_scale):
+            raise TrainingError(f"delta_scale {self.delta_scale} is too large: the"
+                                f" perturbation width {2 * self.delta_scale} is not finite")
 
 
 def reachable(vectors, top_k: int):

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import json
 import os
@@ -16,6 +17,7 @@ from ltagrank.heuristics import default_registry, uniform_weights
 from ltagrank.pipeline import PipelineConfig, analyze_sentence
 from ltagrank.training import Candidate, SentenceRecord, TrainConfig
 from oracles import blank_unreachable
+from test_pipeline import _collector, _ladder, _recorded_collections
 from toygrammars import OFPP_GRAMMAR, tag
 
 SAMPLE = Path(__file__).resolve().parent.parent / "sample"
@@ -1041,3 +1043,183 @@ def test_build_records_scores_each_bracketing_once(monkeypatch, mode):
     assert records == expected
     assert default_records == blank_unreachable(expected, TrainConfig.top_k)
     assert scored == [] and len(analysis.parses) > 1
+
+
+def test_train_delta_scale_whose_perturbation_width_overflows_is_an_error(tmp_path, capsys):
+    # at 1e308 every perturbation would be infinite, and the log would hold
+    # an Infinity delta on every attempt line
+    log = tmp_path / "log"
+    code, _, err = run(["train", *SAMPLE_GRAMMAR, SAMPLE / "corpus.tagged",
+                        "--gold", SAMPLE / "gold.brackets", "--delta-scale", "1e308",
+                        "--max-iterations", "20", "--weights-out", tmp_path / "w.tsv",
+                        "--log", log], capsys)
+    assert_one_error(code, err)
+    assert err == ("error: delta_scale 1e+308 is too large: the perturbation width inf"
+                   " is not finite\n")
+    assert not log.exists()
+
+
+# ---------------------------------------------------------------------------
+# the collector pause of build_records and of every command
+
+def _ladder_analyses_and_golds():
+    """The analyses of the 12- to 21-word of-PP ladder (cap 3), made as they
+    are asked for, and as gold each one's last-ranked parse."""
+    grammar = ltagrank.loads(OFPP_GRAMMAR)
+    registry = ltagrank.default_registry()
+    weights = ltagrank.uniform_weights(registry)
+    config = PipelineConfig(adjunction_cap=3)
+    sentences = [tag(_ladder(pps)) for pps in range(2, 6)]
+    golds = [ltagrank.read_bracketed(analyze_sentence(
+        grammar, sentence, registry, weights, config).parses[-1].derived.to_string())
+        for sentence in sentences]
+    analyses = (analyze_sentence(grammar, sentence, registry, weights, config)
+                for sentence in sentences)
+    return analyses, golds
+
+
+def _marked_scoring(monkeypatch, events, fails=False):
+    """Append "scored" to ``events`` at each evaluate_derivations call, or
+    with ``fails`` raise MemoryError there instead."""
+    original = parseval.evaluate_derivations
+
+    def marked(*args):
+        if fails:
+            raise MemoryError
+        events.append("scored")
+        return original(*args)
+
+    monkeypatch.setattr(parseval, "evaluate_derivations", marked)
+
+
+@pytest.mark.parametrize("held", [True, False], ids=["held", "streamed"])
+def test_build_records_runs_one_young_collection_at_its_end(monkeypatch, held):
+    # held analyses (as the benchmark passes them) are traced by no
+    # collection while the records are built, and streamed ones (as train
+    # passes them) are freed without ever being traced: the only collection
+    # is the young one after the last sentence is scored
+    analyses, golds = _ladder_analyses_and_golds()
+    if held:
+        analyses = list(analyses)
+    events = []
+    _marked_scoring(monkeypatch, events)
+    with _collector(True):
+        with _recorded_collections(events):
+            records = build_records(analyses, golds, "standard", frozenset({"NP", "VP"}))
+        assert gc.isenabled()
+    assert events == ["scored"] * 4 + [0]
+    assert len(records) == 4
+
+
+def test_build_records_leaves_a_paused_collector_alone(monkeypatch):
+    class Cycle:
+        pass
+
+    analyses, golds = _ladder_analyses_and_golds()
+    events = []
+    _marked_scoring(monkeypatch, events)
+    with _collector(False):
+        cycle = Cycle()
+        cycle.me = cycle
+        alive = weakref.ref(cycle)
+        del cycle
+        with _recorded_collections(events):
+            build_records(list(analyses), golds, "standard", frozenset())
+        assert events == ["scored"] * 4
+        assert not gc.isenabled()
+        assert alive() is not None
+        gc.collect()
+        assert alive() is None
+
+
+@pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
+def test_build_records_restores_the_collector_when_a_sentence_raises(monkeypatch, on):
+    analyses, golds = _ladder_analyses_and_golds()
+    events = []
+    _marked_scoring(monkeypatch, events, fails=True)
+    with _collector(on):
+        with _recorded_collections(events):
+            with pytest.raises(cli.CliError, match="sentence 0: out of memory"):
+                build_records(analyses, golds, "standard", frozenset())
+        assert gc.isenabled() == on
+    assert events == ([0] if on else [])
+
+
+def test_dropped_records_leave_no_garbage_cycles(monkeypatch):
+    # build_records pauses the collector, which is exact only while all
+    # it builds is acyclic: with the collector off, dropped records and
+    # analyses leave it nothing to find, on the error path too
+    with _collector(False):
+        analyses, golds = _ladder_analyses_and_golds()
+        records = build_records(analyses, golds, "standard", frozenset({"NP", "VP"}))
+        assert len(records) == 4
+        del records, analyses
+        assert gc.collect() == 0
+        analyses, golds = _ladder_analyses_and_golds()
+        _marked_scoring(monkeypatch, [], fails=True)
+        with pytest.raises(cli.CliError):
+            build_records(analyses, golds, "standard", frozenset())
+        del analyses
+        assert gc.collect() == 0
+
+
+def _streaming_argv(command, tmp_path):
+    """A ``parse --report``, ``rank`` or ``train`` run over sample/'s five
+    sentences."""
+    corpus = SAMPLE / "corpus.tagged"
+    return {
+        "parse": ["parse", *SAMPLE_GRAMMAR, corpus, "--report", tmp_path / "parse.jsonl"],
+        "rank": ["rank", *SAMPLE_GRAMMAR, "--weights", SAMPLE / "weights.tsv", corpus],
+        "train": ["train", *SAMPLE_GRAMMAR, corpus, "--gold", SAMPLE / "gold.brackets",
+                  "--ratios", "3,1,1", "--max-iterations", "20",
+                  "--weights-out", tmp_path / "w.tsv", "--log", tmp_path / "log"],
+    }[command]
+
+
+@pytest.mark.parametrize("fails", [False, True], ids=["ok", "error"])
+@pytest.mark.parametrize("on", [True, False], ids=["on", "off"])
+@pytest.mark.parametrize("command", ["parse", "rank", "train"])
+def test_a_command_runs_one_young_collection_at_its_end(tmp_path, capsys, monkeypatch,
+                                                         command, on, fails):
+    # a command is one pause: its analyses run no collection, and with the
+    # collector on the run ends in one young collection; either way, after
+    # an error: exit too, the collector is left as the command found it
+    events = []
+
+    def marked(*args):
+        events.append("analyzed")
+        if fails and events.count("analyzed") == 2:
+            raise MemoryError
+        return analyze_sentence(*args)
+
+    monkeypatch.setattr(cli, "analyze_sentence", marked)
+    with _collector(on):
+        with _recorded_collections(events):
+            code = main([str(a) for a in _streaming_argv(command, tmp_path)])
+        assert gc.isenabled() == on
+    err = capsys.readouterr().err
+    if fails:
+        assert_one_error(code, err)
+        assert "sentence 1: out of memory" in err
+    else:
+        assert code == 0, err
+    assert events == ["analyzed"] * (2 if fails else 5) + ([0] if on else [])
+
+
+@pytest.mark.parametrize("command", ["check", "parse", "rank", "eval", "split", "train"])
+def test_commands_leave_no_garbage_cycles(tmp_path, capsys, command):
+    # every command runs paused, which is exact only while all it builds
+    # is acyclic: with the collector off, a finished command leaves it
+    # nothing to find.  The arguments are parsed first, since argparse's
+    # own parser is cyclic
+    argv = {
+        "check": ["check", SAMPLE / "grammar.ltag"],
+        "eval": ["eval", SAMPLE / "gold.brackets", "--gold", SAMPLE / "gold.brackets",
+                 "--flatten", "NP,VP", "--report", tmp_path / "eval.jsonl"],
+        "split": ["split", SAMPLE / "corpus.tagged", "--report", tmp_path / "split.jsonl"],
+    }.get(command) or _streaming_argv(command, tmp_path)
+    args = cli.make_parser().parse_args([str(a) for a in argv])
+    with _collector(False):
+        assert args.func(args) == 0
+        assert gc.collect() == 0, command
+    assert capsys.readouterr().out

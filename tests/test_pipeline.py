@@ -10,7 +10,7 @@ from ltagrank import parser, pipeline
 from ltagrank.grammar import GrammarValidationError, LexEntry
 from ltagrank.heuristics import default_registry, uniform_weights
 from ltagrank.parser import OP_SUBSTITUTION, DerivationError, FeatureConflict
-from ltagrank.pipeline import PipelineConfig, analyze_sentence
+from ltagrank.pipeline import CollectorPause, PipelineConfig, analyze_sentence
 from oracles import nodes, reference_derive
 from test_acceptance import _tagged
 from test_filtering import FALLBACK_FREQ, FALLBACK_GRAMMAR
@@ -321,6 +321,21 @@ def test_analysis_leaves_no_garbage_cycles(universes):
         assert gc.collect() == 0, "dangling reference"
 
 
+@contextmanager
+def _recorded_collections(events):
+    """Append to ``events`` the generation of each collection that starts
+    in the block."""
+    def record(phase, info):
+        if phase == "start":
+            events.append(info["generation"])
+
+    gc.callbacks.append(record)
+    try:
+        yield
+    finally:
+        gc.callbacks.remove(record)
+
+
 def _collections(grammar, sentence):
     """(generations of the collections run while analyze_sentence handles
     ``sentence``, the type of the ValueError it raised or None).  Nothing
@@ -329,18 +344,11 @@ def _collections(grammar, sentence):
     weights = uniform_weights(registry)
     config = PipelineConfig(adjunction_cap=3)
     generations, raised = [], None
-
-    def record(phase, info):
-        if phase == "start":
-            generations.append(info["generation"])
-
-    gc.callbacks.append(record)
-    try:
-        analyze_sentence(grammar, sentence, registry, weights, config)
-    except ValueError as exc:
-        raised = type(exc)
-    finally:
-        gc.callbacks.remove(record)
+    with _recorded_collections(generations):
+        try:
+            analyze_sentence(grammar, sentence, registry, weights, config)
+        except ValueError as exc:
+            raised = type(exc)
     return generations, raised
 
 
@@ -369,3 +377,15 @@ def test_analysis_leaves_a_paused_collector_alone():
         assert alive() is not None
         gc.collect()
         assert alive() is None
+
+
+def test_a_pause_inside_a_pause_does_nothing():
+    # the inner pause leaves the collector off and runs no collection; the
+    # outer one runs the one young collection and turns the collector on
+    events = []
+    with _collector(True), _recorded_collections(events):
+        with CollectorPause():
+            with CollectorPause():
+                pass
+            assert not gc.isenabled() and events == []
+        assert gc.isenabled() and events == [0]

@@ -1,6 +1,7 @@
 import json
 import math
 import random
+import sys
 
 import pytest
 
@@ -321,6 +322,18 @@ def test_config_validation():
             TrainConfig(delta_scale=scale)
     with pytest.raises(TrainingError):
         TrainConfig(strike_limit=0)
+
+
+def test_delta_scale_whose_perturbation_width_overflows_is_an_error():
+    # step draws from [-scale, scale]: at 1e308 the width 2e308 overflows
+    # and every draw is infinite; half the largest float is the last scale
+    # whose width is finite
+    with pytest.raises(TrainingError, match="delta_scale 1e[+]308 is too large: the"
+                                            " perturbation width inf is not finite"):
+        TrainConfig(delta_scale=1e308)
+    largest = TrainConfig(delta_scale=sys.float_info.max / 2)
+    assert math.isfinite(random.Random(0).uniform(-largest.delta_scale,
+                                                  largest.delta_scale))
 
 
 # ---------------------------------------------------------------------------
